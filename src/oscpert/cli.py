@@ -70,31 +70,18 @@ def _parse_psi0(text: str) -> np.ndarray:
 def sweep_rows(model: ThreeModeModel, eps_values, levels) -> list[dict]:
     """One row dict per (epsilon, mode), estimates restricted to `levels`.
 
-    The app-level nesting identity (each level adds exactly its printed
-    increment) is re-checked on every row.
+    Formats eigenfreq.spectral_grid: the truth comes from one batched
+    eigensolve along the grid, the estimates from the estimator kernel.  A
+    grid point whose estimates are refused keeps its true values, carries
+    NaN estimates and names the refusal in `status`.
     """
-    eps_values = [float(e) for e in eps_values]
-    path = eigenfreq.matched_path(model, eps_values)
+    grid = eigenfreq.spectral_grid(model, eps_values)
+    wanted = [name in levels for name in eigenfreq.LEVELS]
     rows = []
-    for j, eps in enumerate(eps_values):
-        at_eps = model.at_epsilon(eps)
-        true_vals = path[j]
-        status = "ok"
-        ests: dict[int, tuple[float, float, float]] = {}
-        try:
-            for which in (1, 2, 3):
-                base, inc1, inc2 = eigenfreq.estimate_increments(at_eps, which)
-                levels_all = (base, base + inc1, base + inc1 + inc2)
-                for name, value in zip(eigenfreq.LEVELS, levels_all):
-                    if abs(eigenfreq.estimate(at_eps, which, name) - value) > 1e-12 * (
-                        1 + abs(value)
-                    ):
-                        raise OscPertError("app-level nesting identity violated")
-                ests[which] = levels_all
-        except OscPertError as exc:
-            status = type(exc).__name__
-        for mode in (1, 2, 3):
-            true = complex(true_vals[mode - 1])
+    for eps, true_vals, ests in zip(grid.epsilon, grid.true_values.tolist(), grid.estimates):
+        refused = isinstance(ests, OscPertError)
+        status = type(ests).__name__ if refused else "ok"
+        for mode, true in enumerate(true_vals, start=1):
             real = eigenfreq.is_real_mode(true)
             row = {
                 "epsilon": eps,
@@ -105,8 +92,8 @@ def sweep_rows(model: ThreeModeModel, eps_values, levels) -> list[dict]:
                 "status": status,
             }
             for i, name in enumerate(eigenfreq.LEVELS):
-                if status == "ok" and name in levels:
-                    est = ests[mode][i]
+                if not refused and wanted[i]:
+                    est = ests[mode - 1][i]
                     row[name] = est
                     row[f"err{i}"] = abs(true.real - est) if real else math.nan
                 else:
@@ -163,6 +150,7 @@ def _cmd_sweep(args) -> int:
             {"model": model.to_json_dict(), "rows": clean},
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         ) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
@@ -299,6 +287,7 @@ def _cmd_decompose(args) -> int:
         },
         sort_keys=True,
         indent=2,
+        allow_nan=False,
     ) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -325,6 +314,7 @@ def _cmd_xyz(args) -> int:
             },
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         )
     )
     return 0
@@ -348,7 +338,7 @@ def _cmd_term(args) -> int:
         scaled = (model.epsilon**args.order) * coeff[0]
         out["psi1_closed_form"] = [closed.real, closed.imag]
         out["psi1_deviation"] = abs(closed - scaled)
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

@@ -113,8 +113,8 @@ def _rotating_trajectories(
 def _validate_term_args(sys, order, t, psi0, steps):
     if order < 0:
         raise ValueError("order must be >= 0")
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     if steps < 10 * order:
         raise ResolutionTooCoarse(
             f"steps={steps} too coarse for order {order}; need >= {10 * order}"

@@ -19,6 +19,8 @@ exact by construction.
 True eigenfrequencies are matched to modes 1..3 by continuity in eps from
 the uncoupled limit (nearest-assignment continuation with step <= 0.01),
 because plain magnitude sorting swaps branches where curves cross.
+spectral_grid gives both over a whole eps grid: one batched eigensolve for
+the truth and a float-level estimator kernel at each point.
 """
 from __future__ import annotations
 
@@ -29,8 +31,13 @@ from itertools import permutations
 import numpy as np
 
 from . import linalg
-from .errors import NoTransition
-from .threemode import ThreeModeModel, cyclic_view, effective_frequencies, omega_matrix, xyz
+from .errors import DegenerateFrequencies, NoTransition
+from .threemode import (
+    ThreeModeModel,
+    effective_frequencies,
+    omega_matrix,
+    shifted_frequencies,
+)
 
 LEVELS = ("app0", "app1", "app2")
 
@@ -40,7 +47,11 @@ CONTINUATION_STEP = 0.01
 # A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
 IMAG_THRESHOLD = 1e-8
 
-_TARGET_OF_MODE = {1: "psi1", 3: "psi3", 2: "psi2"}
+# 0-based original modes that play roles 1, 2, 3 in the model relabeled for
+# mode mu: the index map of threemode.cyclic_view(m, f"psi{mu}"), less one.
+_RELABELING = {1: (0, 1, 2), 3: (2, 0, 1), 2: (1, 2, 0)}
+
+_PERMUTATIONS = tuple(permutations(range(3)))
 
 
 @dataclass(frozen=True)
@@ -75,19 +86,24 @@ class EigenfrequencyReport:
         return rows
 
 
-def estimate_increments(
-    m: ThreeModeModel, which: int, up_to: str = "app2"
-) -> tuple[float, float, float]:
-    """(base+W, app1 increment, app2 increment) for the requested mode."""
-    if which not in (1, 2, 3):
-        raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    if up_to not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {up_to!r}")
-    view, _ = cyclic_view(m, _TARGET_OF_MODE[which])
-    w1, w2, w3 = effective_frequencies(view)
-    w = xyz(view).X
+def _nested(base: float, inc1: float, inc2: float) -> tuple[float, float, float]:
+    """(app0, app1, app2) from the increments: each level adds its own."""
+    return base, base + inc1, base + inc1 + inc2
+
+
+def _increments(freqs, a, eps: float, which: int) -> tuple[float, float, float]:
+    """The estimator kernel on plain floats.
+
+    It evaluates the mode-1 formula on the model relabeled as
+    cyclic_view(m, f"psi{which}") does, by indexing instead of building that
+    model, with the operations of effective_frequencies and xyz in their
+    order.
+    """
+    i, j, k = _RELABELING[which]
+    w1, w2, w3 = freqs[i], freqs[j], freqs[k]
     p = w3 - w1
     q = w1 - w2
+    w = a[i] * a[j] * a[k] * eps**3 / (q * p)
     base = w1 + w
     inc1 = w**2 / p - w**2 / q
     inc2 = (
@@ -102,27 +118,37 @@ def estimate_increments(
     return base, inc1, inc2
 
 
+def estimate_increments(
+    m: ThreeModeModel, which: int, up_to: str = "app2"
+) -> tuple[float, float, float]:
+    """(base+W, app1 increment, app2 increment) for the requested mode."""
+    if which not in (1, 2, 3):
+        raise ValueError(f"which must be 1, 2 or 3, got {which}")
+    if up_to not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {up_to!r}")
+    return _increments(effective_frequencies(m), m.a, m.epsilon, which)
+
+
 def estimate(m: ThreeModeModel, which: int, level: str) -> float:
     """Perturbative estimate of eigenfrequency `which` at the given depth."""
-    base, inc1, inc2 = estimate_increments(m, which)
-    if level == "app0":
-        return base
-    if level == "app1":
-        return base + inc1
-    if level == "app2":
-        return base + inc1 + inc2
-    raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    levels = _nested(*estimate_increments(m, which))
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    return levels[LEVELS.index(level)]
 
 
 def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
     """Eigenvalues of Omega(eps) along eps_grid, matched by continuity.
 
     The grid is refined internally so no continuation step exceeds
-    CONTINUATION_STEP.  Row j holds (lambda_1, lambda_2, lambda_3) at
-    eps_grid[j], where branch mu starts at omega_mu at eps = 0.
+    CONTINUATION_STEP, and all refined points are solved in one batched
+    eigenvalue call.  Row j holds (lambda_1, lambda_2, lambda_3) at
+    eps_grid[j], where branch mu starts at omega_mu at eps = 0.  Each step
+    takes the assignment of least summed distance to the previous one; on a
+    tie the first in itertools.permutations order wins.
     """
     eps_grid = [float(e) for e in eps_grid]
-    if any(e < 0 for e in eps_grid) or eps_grid != sorted(eps_grid):
+    if not all(e >= 0 for e in eps_grid) or eps_grid != sorted(eps_grid):
         raise ValueError("eps_grid must be sorted and non-negative")
     fine = [0.0]
     targets = {}
@@ -134,17 +160,18 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
             points[-1] = eps  # land on the target exactly
             fine.extend(points)
         targets.setdefault(eps, []).append(j)
-    current = np.array(m.omega, dtype=complex)
+    current = [complex(w) for w in m.omega]
     out = np.zeros((len(eps_grid), 3), dtype=complex)
     for j in targets.get(0.0, ()):
         out[j] = current
-    for eps in fine[1:]:
-        vals = np.array(linalg.eigenvalues(omega_matrix(m, eps)))
+    spectra = linalg.eigenvalues(omega_matrix(m, fine[1:])).tolist()
+    for eps, vals in zip(fine[1:], spectra):
+        dist = [[abs(v - c) for v in vals] for c in current]
         best = min(
-            permutations(range(3)),
-            key=lambda p: sum(abs(vals[p[i]] - current[i]) for i in range(3)),
+            _PERMUTATIONS,
+            key=lambda p: dist[0][p[0]] + dist[1][p[1]] + dist[2][p[2]],
         )
-        current = vals[list(best)]
+        current = [vals[i] for i in best]
         for j in targets.get(eps, ()):
             out[j] = current
     return out
@@ -157,6 +184,43 @@ def true_eigenfrequencies(
     eps = m.epsilon if epsilon is None else float(epsilon)
     row = matched_path(m, [eps])[0]
     return (complex(row[0]), complex(row[1]), complex(row[2]))
+
+
+@dataclass(frozen=True)
+class SpectralGrid:
+    """Matched true eigenfrequencies and all nine estimates over an eps grid.
+
+    true_values[j] holds (lambda_1, lambda_2, lambda_3) at epsilon[j].
+    estimates[j] holds (app0, app1, app2) for modes 1, 2 and 3 in turn, or
+    the DegenerateFrequencies error that refused the estimates there.
+    """
+
+    epsilon: tuple[float, ...]
+    true_values: np.ndarray
+    estimates: tuple
+
+
+def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
+    """The truth (one matched_path) and the estimates at every grid point.
+
+    Raises:
+        ValueError: grid unsorted or outside [0, 1].
+    """
+    eps_values = tuple(float(e) for e in eps_grid)
+    if not all(0.0 <= e <= 1.0 for e in eps_values):
+        raise ValueError("every epsilon must lie in [0, 1]")
+    true_values = matched_path(m, eps_values)
+    estimates = []
+    for eps in eps_values:
+        try:
+            freqs = shifted_frequencies(m.omega, m.d, eps)
+        except DegenerateFrequencies as exc:
+            estimates.append(exc)
+            continue
+        estimates.append(
+            tuple(_nested(*_increments(freqs, m.a, eps, which)) for which in (1, 2, 3))
+        )
+    return SpectralGrid(eps_values, true_values, tuple(estimates))
 
 
 def is_real_mode(value: complex) -> bool:
@@ -197,21 +261,27 @@ def transition_epsilon(
 
 
 def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:
-    """All nine estimates, the matched true values, and per-mode errors."""
-    at_eps = m.at_epsilon(eps)
-    true_vals = true_eigenfrequencies(at_eps)
+    """All nine estimates, the matched true values, and per-mode errors.
+
+    Raises:
+        DegenerateFrequencies: the estimates are refused at eps.
+    """
+    grid = spectral_grid(m, [eps])
+    ests = grid.estimates[0]
+    if isinstance(ests, DegenerateFrequencies):
+        raise ests
+    true_vals = tuple(grid.true_values[0].tolist())
     mode_real = tuple(is_real_mode(v) for v in true_vals)
     estimates = {}
     abs_errors = {}
-    for level in LEVELS:
-        ests = tuple(estimate(at_eps, which, level) for which in (1, 2, 3))
-        estimates[level] = ests
+    for i, level in enumerate(LEVELS):
+        estimates[level] = tuple(ests[mode][i] for mode in range(3))
         abs_errors[level] = tuple(
-            abs(true_vals[i].real - ests[i]) if mode_real[i] else None
-            for i in range(3)
+            abs(true_vals[mode].real - ests[mode][i]) if mode_real[mode] else None
+            for mode in range(3)
         )
     return EigenfrequencyReport(
-        epsilon=eps,
+        epsilon=grid.epsilon[0],
         true_values=true_vals,
         estimates=estimates,
         abs_errors=abs_errors,

@@ -2,8 +2,8 @@
 
 Everything downstream (time-ordered expansions, eigenfrequency matching,
 series resummation checks) is validated against the three operations here:
-eigenvalues, the unitary-style propagator exp(-i*M*t) applied to a vector,
-and the principal matrix square root.
+eigenvalues (of one matrix or of a stack of them) and the unitary-style
+propagator exp(-i*M*t), alone or applied to a vector.
 
 Matrices and vectors are plain numpy arrays (complex128 internally).  All
 operations are pure functions of their value inputs and never mutate them,
@@ -15,12 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonConvergence,
-    NotDiagonalizable,
-    SingularTransform,
-)
+from .errors import DimensionMismatch, NonConvergence
 
 # Pade-13 numerator coefficients and the matching 1-norm threshold for
 # scaling-and-squaring (Higham 2005 constants, double precision).
@@ -41,10 +36,6 @@ _PADE13_B = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
-
-# Eigenvector condition-number cap above which a matrix is treated as not
-# diagonalizable for square-root purposes.
-DIAGONALIZABILITY_CAP = 1e8
 
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -73,61 +64,80 @@ def _check_finite_result(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
-def eigenvalues(m, tol: float = 1e-10) -> list[complex]:
+def eigenvalues(m, tol: float = 1e-10):
     """All eigenvalues of a square matrix, with algebraic multiplicity.
 
-    Returned unsorted.  For dimension <= 3 the result is additionally checked
-    against the characteristic polynomial: each root must satisfy
-    |p(lam)| <= tol * scale, where scale is a norm-based magnitude bound.
+    Returned unsorted, as a list of complex.  An (N, n, n) stack of matrices
+    is solved in one LAPACK batch and gives an (N, n) complex array whose
+    row k holds the eigenvalues of m[k]; an empty stack calls no LAPACK.
+    For dimension <= 3 the result is additionally checked against the
+    characteristic polynomial: each root must satisfy |p(lam)| <= tol * scale,
+    where scale is a norm-based magnitude bound of its matrix.
 
     Raises:
         NonConvergence: if the underlying QR iteration fails, or the
             characteristic-polynomial residual check fails for n <= 3.
     """
-    arr = as_square_matrix(m)
+    arr = np.asarray(m, dtype=complex)
+    single = arr.ndim != 3
+    if single:
+        arr = as_square_matrix(arr)[None]
+    elif arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise DimensionMismatch(f"matrix stack must be (N, n, n), got shape {arr.shape}")
+    elif not np.all(np.isfinite(arr)):
+        raise ValueError("matrix stack contains non-finite entries")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    n = arr.shape[1]
+    if arr.shape[0] == 0:
+        return np.empty((0, n), dtype=complex)
     try:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
     _check_finite_result(vals, "eigenvalues")
-    n = arr.shape[0]
     if n <= 3:
         coeffs = _charpoly_coeffs(arr)
-        scale = max(1.0, float(np.linalg.norm(arr))) ** n
-        for lam in vals:
-            residual = abs(np.polyval(coeffs, lam))
-            if residual > tol * scale:
-                raise NonConvergence(
-                    f"eigenvalue {lam} has characteristic residual {residual:.3e} "
-                    f"above {tol:.1e} * {scale:.3e}"
-                )
-    return [complex(v) for v in vals]
+        scale = np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2))) ** n
+        residual = np.zeros_like(vals)
+        for k in range(n + 1):  # Horner, as np.polyval
+            residual = residual * vals + coeffs[:, k, None]
+        residual = np.abs(residual)
+        bad = np.argwhere(residual > tol * scale[:, None])
+        if bad.size:
+            k, i = bad[0]
+            raise NonConvergence(
+                f"eigenvalue {vals[k, i]} has characteristic residual "
+                f"{residual[k, i]:.3e} above {tol:.1e} * {scale[k]:.3e}"
+            )
+    return [complex(v) for v in vals[0]] if single else vals
 
 
 def _charpoly_coeffs(arr: np.ndarray) -> np.ndarray:
     """Characteristic polynomial coefficients (monic, highest power first)
-    for n <= 3, assembled from trace / principal minors / determinant."""
-    n = arr.shape[0]
+    of each matrix in an (N, n, n) stack with n <= 3, assembled from trace,
+    principal minors and determinant; shape (N, n + 1)."""
+    n = arr.shape[1]
+    a = [[arr[:, i, j] for j in range(n)] for i in range(n)]
+    one = np.ones(arr.shape[0], dtype=complex)
     if n == 1:
-        return np.array([1.0, -arr[0, 0]])
+        return np.stack([one, -a[0][0]], axis=1)
     if n == 2:
-        tr = arr[0, 0] + arr[1, 1]
-        det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-        return np.array([1.0, -tr, det])
-    tr = np.trace(arr)
-    minors = 0.0 + 0.0j
-    for i in range(3):
-        idx = [j for j in range(3) if j != i]
-        sub = arr[np.ix_(idx, idx)]
-        minors += sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    det = (
-        arr[0, 0] * (arr[1, 1] * arr[2, 2] - arr[1, 2] * arr[2, 1])
-        - arr[0, 1] * (arr[1, 0] * arr[2, 2] - arr[1, 2] * arr[2, 0])
-        + arr[0, 2] * (arr[1, 0] * arr[2, 1] - arr[1, 1] * arr[2, 0])
+        tr = a[0][0] + a[1][1]
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        return np.stack([one, -tr, det], axis=1)
+    tr = a[0][0] + a[1][1] + a[2][2]
+    minors = (
+        (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        + (a[0][0] * a[2][2] - a[0][2] * a[2][0])
+        + (a[0][0] * a[1][1] - a[0][1] * a[1][0])
     )
-    return np.array([1.0, -tr, minors, -det])
+    det = (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+    return np.stack([one, -tr, minors, -det], axis=1)
 
 
 def _expm_pade13(a: np.ndarray) -> np.ndarray:
@@ -190,40 +200,3 @@ def matrix_exponential_apply(m, t: float, v) -> np.ndarray:
     arr = as_square_matrix(m)
     vec = as_vector(v, arr.shape[0])
     return propagator(arr, t) @ vec
-
-
-def principal_sqrt(m, tol: float = 1e-10) -> np.ndarray:
-    """Principal square root S of a diagonalizable matrix, S @ S == m.
-
-    Eigenvalues of S sit on the principal branch: nonnegative real part,
-    and the +i branch for negative-real eigenvalues of m.  The reconstruction
-    residual ||S@S - m|| <= tol * ||m|| is asserted before returning.
-
-    Raises:
-        NotDiagonalizable: eigenvector condition number above the cap, or
-            residual check failure.
-        SingularTransform: eigenvector matrix not invertible.
-    """
-    arr = as_square_matrix(m)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    w, vecs = np.linalg.eig(arr)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > DIAGONALIZABILITY_CAP:
-        raise NotDiagonalizable(
-            f"eigenvector condition number {cond:.3e} exceeds cap "
-            f"{DIAGONALIZABILITY_CAP:.1e}"
-        )
-    roots = np.sqrt(w.astype(complex))
-    try:
-        s = vecs @ np.diag(roots) @ np.linalg.inv(vecs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransform(f"eigenvector matrix not invertible: {exc}") from exc
-    norm_m = float(np.linalg.norm(arr))
-    residual = float(np.linalg.norm(s @ s - arr))
-    if residual > tol * max(norm_m, 1e-30):
-        raise NotDiagonalizable(
-            f"square-root residual {residual:.3e} above tol*||m|| = "
-            f"{tol * norm_m:.3e}"
-        )
-    return s

@@ -134,7 +134,12 @@ def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
         DegenerateFrequencies: if any pairwise gap is below the configured
             fraction of the largest effective frequency.
     """
-    freqs = tuple(w + m.epsilon * d for w, d in zip(m.omega, m.d))
+    return shifted_frequencies(m.omega, m.d, m.epsilon)
+
+
+def shifted_frequencies(omega, d, epsilon: float) -> tuple[float, float, float]:
+    """effective_frequencies from raw parameters, without building a model."""
+    freqs = tuple(w + epsilon * dw for w, dw in zip(omega, d))
     gap = DEGENERACY_GAP_FACTOR * max(1e-12, max(abs(f) for f in freqs))
     for i in range(3):
         for j in range(i + 1, 3):
@@ -146,14 +151,18 @@ def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
     return freqs
 
 
-def omega_matrix(m: ThreeModeModel, epsilon: float | None = None) -> np.ndarray:
-    """Full system matrix Omega(eps) as a real 3x3 array."""
-    eps = m.epsilon if epsilon is None else float(epsilon)
+def omega_matrix(m: ThreeModeModel, epsilon=None) -> np.ndarray:
+    """Full system matrix Omega(eps) as a real 3x3 array.
+
+    A 1-D array of epsilon values gives the (N, 3, 3) stack of Omega(eps_k).
+    """
+    eps = np.asarray(m.epsilon if epsilon is None else epsilon, dtype=float)
     a1, a2, a3 = m.a
-    mat = np.diag([w + eps * d for w, d in zip(m.omega, m.d)]).astype(float)
-    mat[0, 2] = -eps * a3
-    mat[1, 0] = -eps * a1
-    mat[2, 1] = -eps * a2
+    mat = np.zeros(eps.shape + (3, 3))
+    mat[..., (0, 1, 2), (0, 1, 2)] = np.add(m.omega, eps[..., None] * np.array(m.d))
+    mat[..., 0, 2] = -eps * a3
+    mat[..., 1, 0] = -eps * a1
+    mat[..., 2, 1] = -eps * a2
     return mat
 
 
@@ -253,14 +262,6 @@ def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
         )
         * vec[0]
     )
-
-
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
-    out = 1.0
-    for i in range(k):
-        out *= x + i
-    return out
 
 
 def neg_binomial(n: int, k: int) -> int:

@@ -11,13 +11,21 @@ rather than tautology:
                        (corner entry of exp of a bidiagonal matrix, evaluated
                        with mpmath at 50 digits)
 * brute_force_pfq    — direct 50-digit summation of a hypergeometric series
+* per_point_sweep    — the per-point spectral path the batched ε-grid path
+                       replaced: one eigensolve per refined grid point and
+                       one relabeled model per estimate
 """
 from __future__ import annotations
 
 import cmath
+import math
+from itertools import permutations
 
 import mpmath
 import numpy as np
+
+from oscpert import eigenfreq, linalg, threemode
+from oscpert.errors import OscPertError
 
 
 def rk4_evolution(mat, t: float, v, dt: float = 1e-4) -> np.ndarray:
@@ -125,3 +133,73 @@ def brute_force_pfq(a_params, b_params, z: complex, terms: int = 200, dps: int =
                 den *= mpmath.rf(b, ell)
             total += num / den * zz**ell / mpmath.factorial(ell)
         return complex(total)
+
+
+def per_point_increments(m, which: int) -> tuple[float, float, float]:
+    """(base+W, inc1, inc2) of one mode, through the relabeled model object."""
+    view, _ = threemode.cyclic_view(m, {1: "psi1", 2: "psi2", 3: "psi3"}[which])
+    w1, w2, w3 = threemode.effective_frequencies(view)
+    w = threemode.xyz(view).X
+    p = w3 - w1
+    q = w1 - w2
+    base = w1 + w
+    inc1 = w**2 / p - w**2 / q
+    inc2 = (
+        2 * w**3 / p**2
+        - 3 * w**3 / (p * q)
+        + 2 * w**3 / q**2
+        + (10.0 / 3.0) * w**4 / p**3
+        - 10 * w**4 / (p**2 * q)
+        + 10 * w**4 / (p * q**2)
+        - (10.0 / 3.0) * w**4 / q**3
+    )
+    return base, inc1, inc2
+
+
+def per_point_path(m, eps_grid) -> np.ndarray:
+    """matched_path with one linalg.eigenvalues call per refined point."""
+    eps_grid = [float(e) for e in eps_grid]
+    fine = [0.0]
+    targets = {}
+    for j, eps in enumerate(eps_grid):
+        prev = fine[-1]
+        if eps > prev:
+            extra = int(math.ceil((eps - prev) / eigenfreq.CONTINUATION_STEP))
+            points = [prev + (eps - prev) * (i + 1) / extra for i in range(extra)]
+            points[-1] = eps
+            fine.extend(points)
+        targets.setdefault(eps, []).append(j)
+    current = np.array(m.omega, dtype=complex)
+    out = np.zeros((len(eps_grid), 3), dtype=complex)
+    for j in targets.get(0.0, ()):
+        out[j] = current
+    for eps in fine[1:]:
+        vals = np.array(linalg.eigenvalues(threemode.omega_matrix(m, eps)))
+        best = min(
+            permutations(range(3)),
+            key=lambda p: sum(abs(vals[p[i]] - current[i]) for i in range(3)),
+        )
+        current = vals[list(best)]
+        for j in targets.get(eps, ()):
+            out[j] = current
+    return out
+
+
+def per_point_sweep(m, eps_grid):
+    """(true values, estimates) as the per-point path computes them.
+
+    estimates[j] holds (app0, app1, app2) for modes 1..3, or the name of the
+    OscPertError that refused them at eps_grid[j].
+    """
+    estimates = []
+    for eps in eps_grid:
+        at_eps = m.at_epsilon(eps)
+        try:
+            incs = [per_point_increments(at_eps, which) for which in (1, 2, 3)]
+        except OscPertError as exc:
+            estimates.append(type(exc).__name__)
+            continue
+        estimates.append(
+            tuple((base, base + inc1, base + inc1 + inc2) for base, inc1, inc2 in incs)
+        )
+    return per_point_path(m, eps_grid), estimates

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from oscpert.cli import CSV_HEADER, main
+from oscpert import eigenfreq
+from oscpert.benchmarks import registry
+from oscpert.cli import CSV_HEADER, main, sweep_rows
 
 FIG1_GRAPH = {
     "n": 3,
@@ -75,6 +77,33 @@ class TestSweep:
             "sweep", "--model", f"@{model_file}", "--steps", "3", "--out", str(out)
         ) == 0
         assert len(out.read_text().strip().splitlines()) == 10
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_rows_equal_estimate(self, mid):
+        # every printed level is exactly what eigenfreq.estimate returns
+        model = registry(mid)
+        rows = sweep_rows(model, np.linspace(0.0, 1.0, 101), eigenfreq.LEVELS)
+        assert len(rows) == 303
+        for row in rows:
+            at_eps = model.at_epsilon(row["epsilon"])
+            for level in eigenfreq.LEVELS:
+                assert row[level] == eigenfreq.estimate(at_eps, row["mode"], level)
+
+    def test_degenerate_rows_name_the_refusal(self, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(
+            {"omega": [1, 2, 3.5], "a": [0.1, 0.2, 0.3], "d": [1, 0, 0]}
+        ))
+        out = tmp_path / "degenerate.csv"
+        assert run(
+            "sweep", "--model", f"@{model_file}", "--steps", "11", "--out", str(out)
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 33
+        for cells in rows:
+            refused = float(cells[0]) == 1.0
+            assert cells[11] == ("DegenerateFrequencies" if refused else "ok")
+            assert (cells[4] == "nan") == refused
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run(
@@ -151,3 +180,8 @@ class TestXyzAndTerm:
         payload = json.loads(capsys.readouterr().out)
         assert payload["psi1_deviation"] < 1e-10
         assert len(payload["term"]) == 3
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_term_non_finite_time_is_usage_error(self, t, capsys):
+        assert run("term", "--model", "s", "--order", "1", f"--t={t}") == 2
+        assert capsys.readouterr().out == ""

@@ -4,7 +4,14 @@ import pytest
 
 from oscpert import eigenfreq as ef, threemode as tm
 from oscpert.benchmarks import registry
-from oscpert.errors import NoTransition
+from oscpert.errors import DegenerateFrequencies, NoTransition
+
+from oracles import per_point_increments, per_point_sweep
+
+# Effective frequencies 1 + eps, 2, 3.5: modes 1 and 2 coincide at eps = 1.
+DEGENERATE_AT_ONE = tm.ThreeModeModel(
+    omega=(1, 2, 3.5), a=(0.1, 0.2, 0.3), d=(1, 0, 0), epsilon=0.0
+)
 
 
 class TestEstimate:
@@ -148,3 +155,71 @@ class TestReport:
                     errs.append(abs(true.real - ef.estimate(at_eps, which, "app0")))
                 slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
                 assert slope >= 2.7
+
+
+def _assert_grid_matches_per_point_path(model, eps_grid):
+    grid = ef.spectral_grid(model, eps_grid)
+    true_ref, est_ref = per_point_sweep(model, eps_grid)
+    assert grid.epsilon == tuple(float(e) for e in eps_grid)
+    assert grid.true_values.tobytes() == true_ref.tobytes()
+    assert np.array_equal(ef.matched_path(model, eps_grid), true_ref)
+    assert len(grid.estimates) == len(est_ref)
+    for got, ref in zip(grid.estimates, est_ref):
+        if isinstance(ref, str):
+            assert type(got).__name__ == ref
+        else:
+            assert got == ref  # bitwise: float equality, no tolerance
+    return grid
+
+
+class TestGridPathAgainstPerPointPath:
+    """The batched eps-grid path reproduces the per-point path bit for bit."""
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_benchmark_models_1001_points(self, mid):
+        _assert_grid_matches_per_point_path(registry(mid), np.linspace(0.0, 1.0, 1001))
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_refinement_between_grid_points(self, mid):
+        # gaps of 0.1 are refined into several continuation steps each
+        _assert_grid_matches_per_point_path(registry(mid), np.linspace(0.3, 0.9, 7))
+
+    def test_duplicate_epsilon_values(self):
+        grid = _assert_grid_matches_per_point_path(
+            registry("l"), [0.0, 0.0, 0.25, 0.46, 0.46, 0.46, 1.0, 1.0]
+        )
+        assert np.array_equal(grid.true_values[3], grid.true_values[5])
+
+    def test_epsilon_zero_alone(self):
+        grid = _assert_grid_matches_per_point_path(registry("m"), [0.0])
+        assert grid.true_values.tolist() == [[9.0, 6.0, 0.0]]
+
+    def test_degenerate_points_are_refused(self):
+        grid = _assert_grid_matches_per_point_path(
+            DEGENERATE_AT_ONE, np.linspace(0.0, 1.0, 11)
+        )
+        assert isinstance(grid.estimates[-1], DegenerateFrequencies)
+        assert all(isinstance(e, tuple) for e in grid.estimates[:-1])
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_public_estimators_match_per_point_path(self, mid):
+        for eps in np.linspace(0.0, 1.0, 21):
+            at_eps = registry(mid).at_epsilon(float(eps))
+            for which in (1, 2, 3):
+                assert ef.estimate_increments(at_eps, which) == per_point_increments(
+                    at_eps, which
+                )
+
+    def test_grid_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError):
+            ef.spectral_grid(registry("s"), [0.5, 1.5])
+        with pytest.raises(ValueError):
+            ef.spectral_grid(registry("s"), [0.5, 0.2])
+        with pytest.raises(ValueError):
+            ef.spectral_grid(registry("s"), [0.5, float("nan")])
+        with pytest.raises(ValueError):
+            ef.matched_path(registry("s"), [float("nan")])
+
+    def test_report_refuses_degenerate_point(self):
+        with pytest.raises(DegenerateFrequencies):
+            ef.report(DEGENERATE_AT_ONE, 1.0)

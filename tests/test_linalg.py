@@ -1,12 +1,11 @@
 """Tests for the dense complex linear-algebra layer."""
-import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from oscpert import linalg
-from oscpert.errors import DimensionMismatch, NotDiagonalizable
+from oscpert.errors import DimensionMismatch, NonConvergence
 
 from oracles import cardano_roots, charpoly3, rk4_evolution
 
@@ -61,6 +60,31 @@ class TestEigenvalues:
             linalg.eigenvalues(np.eye(2), tol=0.0)
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.array([[np.nan, 0], [0, 1]]))
+
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 4):
+            stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+            got = linalg.eigenvalues(stack)
+            assert isinstance(got, np.ndarray) and got.shape == (5, n)
+            for k in range(5):
+                assert got[k].tolist() == linalg.eigenvalues(stack[k])
+
+    def test_empty_stack(self):
+        got = linalg.eigenvalues(np.zeros((0, 3, 3)))
+        assert got.shape == (0, 3) and got.dtype == complex
+
+    def test_stack_residual_check_refuses(self):
+        stack = np.stack([OMEGA1_LARGE, OMEGA1_SMALL])
+        with pytest.raises(NonConvergence):
+            linalg.eigenvalues(stack, tol=1e-30)
+
+    def test_stack_rejects_bad_input(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.eigenvalues(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError):
+            linalg.eigenvalues(np.full((2, 3, 3), np.inf))
 
 
 class TestPropagator:
@@ -124,31 +148,3 @@ class TestPropagator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.matrix_exponential_apply(np.eye(3), 1.0, [1.0, 2.0])
-
-
-class TestPrincipalSqrt:
-    def test_diagonal(self):
-        s = linalg.principal_sqrt(np.diag([9.0, 6.0, 0.0]))
-        assert np.allclose(np.diag(s), [3.0, math.sqrt(6.0), 0.0], atol=1e-12)
-
-    def test_identity(self):
-        assert np.allclose(linalg.principal_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
-
-    def test_negative_real_takes_plus_i_branch(self):
-        s = linalg.principal_sqrt(np.diag([-4.0 + 0.0j, 1.0]))
-        assert abs(s[0, 0] - 2.0j) < 1e-12
-
-    def test_round_trip_from_squared_matrix(self):
-        lam = OMEGA1_SMALL @ OMEGA1_SMALL
-        s = linalg.principal_sqrt(lam, tol=1e-10)
-        residual = np.linalg.norm(s @ s - lam)
-        assert residual <= 1e-10 * np.linalg.norm(lam)
-        # squared spectrum matches the generating matrix (branch-free check)
-        got = sorted(abs(v) ** 2 for v in linalg.eigenvalues(s))
-        expected = sorted(abs(v) ** 2 for v in linalg.eigenvalues(OMEGA1_SMALL))
-        for g, e in zip(got, expected):
-            assert abs(g - e) < 1e-8 * np.linalg.norm(lam)
-
-    def test_defective_matrix_rejected(self):
-        with pytest.raises(NotDiagonalizable):
-            linalg.principal_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -8,8 +8,10 @@ Verbs:
     term       — one expansion-order coefficient (quadrature + closed form)
 
 Exit codes: 0 success, 1 verification/validation failure, 2 usage or I/O
-error.  Output files are byte-deterministic for a fixed invocation: floats
-are printed with 17 significant digits and row order is fixed.
+error.  Output is byte-deterministic for a fixed invocation: the sweep CSV
+prints floats with 17 significant digits in a fixed row order, and the
+decompose JSON is exactly json.dumps(..., sort_keys=True, indent=2) of the
+nested lists, so floats take their shortest round-trip form.
 
 The environment variable OSC_PERT_TOL, when set to a float, overrides every
 verification tolerance used by `verify` (documented defaults apply when it
@@ -267,6 +269,31 @@ def _cmd_verify(args) -> int:
     return 0 if all(results) else 1
 
 
+def _decomposition_json(arrays: dict) -> str:
+    """json.dumps(nested lists, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    of a dict of float64 arrays.
+
+    The json module falls back to its pure-Python encoder whenever `indent`
+    is set; joining float.__repr__ of each row writes the same bytes for
+    finite floats at a fraction of the cost.
+    """
+    fields = []
+    for key in sorted(arrays):
+        if not np.isfinite(arrays[key]).all():
+            raise ValueError(f"Out of range float values are not JSON compliant in {key}")
+        fields.append(f'  "{key}": ' + _json_array(arrays[key].tolist(), "  "))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _json_array(items: list, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(items[0], list):
+        body = [_json_array(row, inner) for row in items]
+    else:
+        body = map(float.__repr__, items)
+    return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+
+
 def _cmd_decompose(args) -> int:
     with open(args.graph, encoding="utf-8") as fh:
         g = graph.WeightedDigraph.from_json(fh.read())
@@ -274,21 +301,16 @@ def _cmd_decompose(args) -> int:
     li = None
     if args.li is not None:
         with open(args.li, encoding="utf-8") as fh:
-            li = np.array(json.load(fh), dtype=float)
+            rows = json.load(fh)
+        try:
+            li = np.array(rows, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"LI JSON must be a list of number rows: {exc}") from exc
     dec = graph.decompose(lap, li=li)
     graph.validate_decomposition(dec)
-    payload = json.dumps(
-        {
-            "L": graph.matrix_to_json(dec.L),
-            "L0": graph.matrix_to_json(dec.L0),
-            "LI": graph.matrix_to_json(dec.LI),
-            "certificate": [float(x) for x in dec.certificate],
-            "scaling": [float(x) for x in dec.scaling],
-        },
-        sort_keys=True,
-        indent=2,
-        allow_nan=False,
-    ) + "\n"
+    payload = _decomposition_json(
+        {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}
+    )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

@@ -43,11 +43,17 @@ class WeightedDigraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(
+                self, "edges", tuple((int(s), int(d), float(w)) for s, d, w in self.edges)
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"graph needs an integer n and (src, dst, weight) number triples: {exc}"
+            ) from exc
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        object.__setattr__(
-            self, "edges", tuple((int(s), int(d), float(w)) for s, d, w in self.edges)
-        )
         seen = set()
         for src, dst, weight in self.edges:
             if not (0 <= src < self.n and 0 <= dst < self.n):
@@ -62,9 +68,15 @@ class WeightedDigraph:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedDigraph":
-        """Parse {"n": int, "edges": [[src, dst, weight], ...]}."""
+        """Parse {"n": int, "edges": [[src, dst, weight], ...]}.
+
+        Raises:
+            ValueError: if the text does not follow that schema.
+        """
         data = json.loads(text)
-        return cls(n=int(data["n"]), edges=tuple(tuple(e) for e in data["edges"]))
+        if not (isinstance(data, dict) and {"n", "edges"} <= data.keys()):
+            raise ValueError('graph JSON must be an object with keys "n" and "edges"')
+        return cls(n=data["n"], edges=data["edges"])
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
@@ -94,13 +106,12 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     row sums to zero exactly in floating point.
     """
     lap = np.zeros((g.n, g.n))
-    for src, dst, weight in g.edges:
-        lap[src, dst] -= weight
-    np.fill_diagonal(lap, 0.0)
+    if g.edges:
+        src, dst, weight = zip(*g.edges)
+        lap[src, dst] = np.negative(weight)
     # the diagonal is bitwise the negated off-diagonal row sum; re-summing a
     # row in a different association can still leave a sub-ulp residue
-    for i in range(g.n):
-        lap[i, i] = -lap[i].sum()
+    np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 
@@ -128,7 +139,7 @@ def _as_real_square(mat, name: str = "matrix") -> np.ndarray:
 def _check_zero_row_sums(arr: np.ndarray, tol: float, name: str) -> None:
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
     worst = float(np.abs(arr.sum(axis=1)).max(initial=0.0))
-    if worst > tol * scale:
+    if not worst <= tol * scale:
         raise InvalidDecomposition(
             f"{name} row sums deviate from zero by {worst:.3e} (tol {tol:.1e})"
         )
@@ -137,9 +148,12 @@ def _check_zero_row_sums(arr: np.ndarray, tol: float, name: str) -> None:
 def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray:
     """Positive balance vector m with m[i]*L0[i,j] == m[j]*L0[j,i] for i != j.
 
-    The vector is found by propagating entry ratios over a spanning forest
-    of the symmetrized support and then verifying every non-tree edge; it is
-    normalized per connected component so the smallest component is 1.
+    The vector is found by propagating entry ratios over a depth-first
+    spanning forest of the symmetrized support and verifying every non-tree
+    edge; each visited node handles all its neighbours in one array step, in
+    ascending order, so the first failing pair is the one a scan of j = 0..n-1
+    would meet.  The vector is normalized per connected component so the
+    smallest component is 1.
     diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is then symmetric.
 
     Raises:
@@ -152,6 +166,9 @@ def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
         raise ValueError("L0 must have zero row sums within tol")
 
+    nonzero = arr != 0.0
+    np.fill_diagonal(nonzero, False)
+    linked = nonzero | nonzero.T
     m = np.zeros(n)
     parent = [-1] * n
     for root in range(n):
@@ -162,35 +179,46 @@ def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray
         stack = [root]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                if j == i or (arr[i, j] == 0.0 and arr[j, i] == 0.0):
-                    continue
-                if arr[i, j] == 0.0 or arr[j, i] == 0.0:
-                    raise NotSymmetrizable(
-                        f"pair ({i},{j}) has a one-sided entry; no positive "
-                        "scaling balances it",
-                        witness=(i, j),
-                    )
-                if m[j] == 0.0:
-                    ratio = arr[i, j] / arr[j, i]
-                    if not ratio > 0:
-                        raise NotSymmetrizable(
-                            f"pair ({i},{j}) needs a non-positive ratio {ratio}",
-                            witness=(i, j),
-                        )
-                    m[j] = m[i] * ratio
-                    parent[j] = i
-                    component.append(j)
-                    stack.append(j)
-                else:
-                    lhs = m[i] * arr[i, j]
-                    rhs = m[j] * arr[j, i]
-                    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs), 1.0):
-                        raise NotSymmetrizable(
-                            f"cycle through edge ({i},{j}) violates the "
-                            f"balance condition: {lhs:.6g} != {rhs:.6g}",
-                            witness=_tree_cycle(parent, i, j),
-                        )
+            # every neighbour j of i in one step, in ascending order: an
+            # unvisited j takes m[i] * ratio and is pushed, a visited j must
+            # balance, and the first j that fails is the one refused
+            js = np.flatnonzero(linked[i])
+            a_ij, a_ji = arr[i, js], arr[js, i]
+            fresh = m[js] == 0.0
+            with np.errstate(all="ignore"):
+                ratio = a_ij / a_ji
+                lhs, rhs = m[i] * a_ij, m[js] * a_ji
+                unbalanced = np.abs(lhs - rhs) > tol * np.maximum(
+                    np.maximum(np.abs(lhs), np.abs(rhs)), 1.0
+                )
+            bad = (a_ij == 0.0) | (a_ji == 0.0) | np.where(fresh, ~(ratio > 0), unbalanced)
+            stop = int(np.argmax(bad)) if bad.any() else len(js)
+            take = fresh[:stop]
+            new = js[:stop][take]
+            m[new] = m[i] * ratio[:stop][take]
+            for j in new.tolist():
+                parent[j] = i
+                component.append(j)
+                stack.append(j)
+            if stop == len(js):
+                continue
+            j = int(js[stop])
+            if a_ij[stop] == 0.0 or a_ji[stop] == 0.0:
+                raise NotSymmetrizable(
+                    f"pair ({i},{j}) has a one-sided entry; no positive "
+                    "scaling balances it",
+                    witness=(i, j),
+                )
+            if fresh[stop]:
+                raise NotSymmetrizable(
+                    f"pair ({i},{j}) needs a non-positive ratio {ratio[stop]}",
+                    witness=(i, j),
+                )
+            raise NotSymmetrizable(
+                f"cycle through edge ({i},{j}) violates the balance condition: "
+                f"{lhs[stop]:.6g} != {rhs[stop]:.6g}",
+                witness=_tree_cycle(parent, i, j),
+            )
         comp = np.array(component)
         m[comp] /= m[comp].min()
     return m
@@ -224,14 +252,14 @@ def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
     With ``li`` given (explicit mode), L0 = L - LI is formed and every
     invariant is validated, including symmetrizability of L0.  Without it,
     the pairwise-minimum heuristic keeps min(w_ij, w_ji) on each pair as the
-    symmetric part and routes the surplus |w_ij - w_ji| into LI one-way;
-    the symmetric remainder is trivially symmetrizable.
+    symmetric part and routes the surplus |w_ij - w_ji| into LI one-way
+    (both as whole-matrix operations); the symmetric remainder is trivially
+    symmetrizable.
 
     Raises:
         InvalidDecomposition: if the explicit LI breaks any invariant.
     """
     lap = _as_real_square(L, "L")
-    n = lap.shape[0]
     scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
     if float(np.abs(lap.sum(axis=1)).max(initial=0.0)) > tol * scale:
         raise ValueError("L must have zero row sums")
@@ -264,21 +292,13 @@ def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
                 f"remainder L - LI is not symmetrizable: {exc}"
             ) from exc
     else:
-        sym_part = np.zeros_like(lap)
-        one_way = np.zeros_like(lap)
-        for i in range(n):
-            for j in range(i + 1, n):
-                w_ij = -lap[i, j]
-                w_ji = -lap[j, i]
-                shared = min(w_ij, w_ji)
-                sym_part[i, j] = sym_part[j, i] = -shared
-                if w_ij > w_ji:
-                    one_way[i, j] = -(w_ij - w_ji)
-                elif w_ji > w_ij:
-                    one_way[j, i] = -(w_ji - w_ij)
+        weight = -lap
+        sym_part = -np.minimum(weight, weight.T)
+        surplus = weight - weight.T
+        one_way = np.where(surplus > 0, -surplus, 0.0)
         for part in (sym_part, one_way):
-            for i in range(n):
-                part[i, i] = -(part[i].sum() - part[i, i])
+            np.fill_diagonal(part, 0.0)
+            np.fill_diagonal(part, -part.sum(axis=1))
             part += 0.0  # normalize negative zeros
         cert = symmetrizability_certificate(sym_part)
 
@@ -292,32 +312,31 @@ def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
 
 
 def _check_one_way(one_way: np.ndarray) -> None:
-    n = one_way.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if one_way[i, j] != 0.0 and one_way[j, i] != 0.0:
-                raise InvalidDecomposition(
-                    f"LI carries both directions on pair ({i},{j})"
-                )
+    both = np.triu((one_way != 0.0) & (one_way.T != 0.0), k=1)
+    if both.any():
+        i, j = np.argwhere(both)[0]  # first pair in row-major order
+        raise InvalidDecomposition(f"LI carries both directions on pair ({i},{j})")
 
 
 def validate_decomposition(dec: LaplacianDecomposition, tol: float = IDENTITY_TOL) -> None:
-    """Re-verify every LaplacianDecomposition invariant; raises on failure."""
+    """Re-verify every LaplacianDecomposition invariant; raises on failure.
+
+    Every comparison is written so that a NaN fails it.
+    """
     scale = max(1.0, float(np.abs(dec.L).max(initial=0.0)))
-    if float(np.abs(dec.L - dec.L0 - dec.LI).max(initial=0.0)) > tol * scale:
+    if not float(np.abs(dec.L - dec.L0 - dec.LI).max(initial=0.0)) <= tol * scale:
         raise InvalidDecomposition("L != L0 + LI")
     for name, part in (("L", dec.L), ("L0", dec.L0), ("LI", dec.LI)):
         _check_zero_row_sums(part, tol, name)
     _check_one_way(dec.LI)
+    for name in ("certificate", "scaling"):
+        vec = getattr(dec, name)
+        if vec is not None and not np.all(np.isfinite(vec)):
+            raise InvalidDecomposition(f"{name} vector has non-finite entries")
     if dec.scaling is not None:
         s = np.asarray(dec.scaling, dtype=float)
         if not np.all(s > 0):
             raise InvalidDecomposition("scaling vector must be positive")
         conj = np.diag(s) @ dec.L0 @ np.diag(1.0 / s)
-        if float(np.abs(conj - conj.T).max(initial=0.0)) > 1e-10 * scale:
+        if not float(np.abs(conj - conj.T).max(initial=0.0)) <= 1e-10 * scale:
             raise InvalidDecomposition("scaling does not symmetrize L0")
-
-
-def matrix_to_json(mat: np.ndarray) -> list[list[float]]:
-    """Row-major nested-list form used by the JSON interfaces."""
-    return [[float(x) for x in row] for row in np.asarray(mat, dtype=float)]

@@ -65,7 +65,10 @@ class ThreeModeModel:
 
     def __post_init__(self):
         for name in ("omega", "a", "d"):
-            vals = tuple(float(x) for x in getattr(self, name))
+            try:
+                vals = tuple(float(x) for x in getattr(self, name))
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"{name} must be a sequence of numbers: {exc}") from exc
             if len(vals) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
             if not all(math.isfinite(x) for x in vals):
@@ -87,12 +90,19 @@ class ThreeModeModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ThreeModeModel":
-        return cls(
-            omega=tuple(data["omega"]),
-            a=tuple(data["a"]),
-            d=tuple(data["d"]),
-            epsilon=float(data.get("epsilon", 0.0)),
-        )
+        """Parse {"omega": [3 numbers], "a": [...], "d": [...], "epsilon": number}.
+
+        ``epsilon`` is optional and defaults to 0.
+
+        Raises:
+            ValueError: if ``data`` does not follow that schema.
+        """
+        if not (isinstance(data, dict) and {"omega", "a", "d"} <= data.keys()):
+            raise ValueError('model JSON must be an object with keys "omega", "a" and "d"')
+        epsilon = data.get("epsilon", 0.0)
+        if not isinstance(epsilon, (int, float)):
+            raise ValueError(f"model epsilon must be a number, got {epsilon!r}")
+        return cls(omega=data["omega"], a=data["a"], d=data["d"], epsilon=float(epsilon))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ rather than tautology:
 * per_point_sweep    — the per-point spectral path the batched ε-grid path
                        replaced: one eigensolve per refined grid point and
                        one relabeled model per estimate
+* loop_laplacian, loop_pairwise_split, loop_check_one_way,
+  loop_certificate   — the element-by-element graph kernels the array
+                       kernels in oscpert.graph replaced
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from itertools import permutations
 import mpmath
 import numpy as np
 
-from oscpert import eigenfreq, linalg, threemode
-from oscpert.errors import OscPertError
+from oscpert import eigenfreq, graph, linalg, threemode
+from oscpert.errors import InvalidDecomposition, NotSymmetrizable, OscPertError
 
 
 def rk4_evolution(mat, t: float, v, dt: float = 1e-4) -> np.ndarray:
@@ -203,3 +206,98 @@ def per_point_sweep(m, eps_grid):
             tuple((base, base + inc1, base + inc1 + inc2) for base, inc1, inc2 in incs)
         )
     return per_point_path(m, eps_grid), estimates
+
+
+def loop_laplacian(g) -> np.ndarray:
+    """graph.laplacian one edge and one diagonal entry at a time."""
+    lap = np.zeros((g.n, g.n))
+    for src, dst, weight in g.edges:
+        lap[src, dst] -= weight
+    np.fill_diagonal(lap, 0.0)
+    for i in range(g.n):
+        lap[i, i] = -lap[i].sum()
+    return lap
+
+
+def loop_pairwise_split(lap) -> tuple[np.ndarray, np.ndarray]:
+    """(L0, LI) of graph.decompose's pairwise-minimum heuristic, pair by pair."""
+    n = lap.shape[0]
+    sym_part = np.zeros_like(lap)
+    one_way = np.zeros_like(lap)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w_ij = -lap[i, j]
+            w_ji = -lap[j, i]
+            shared = min(w_ij, w_ji)
+            sym_part[i, j] = sym_part[j, i] = -shared
+            if w_ij > w_ji:
+                one_way[i, j] = -(w_ij - w_ji)
+            elif w_ji > w_ij:
+                one_way[j, i] = -(w_ji - w_ij)
+    for part in (sym_part, one_way):
+        for i in range(n):
+            part[i, i] = -(part[i].sum() - part[i, i])
+        part += 0.0
+    return sym_part, one_way
+
+
+def loop_check_one_way(one_way) -> None:
+    """graph._check_one_way over the upper-triangle pairs in row-major order."""
+    n = one_way.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if one_way[i, j] != 0.0 and one_way[j, i] != 0.0:
+                raise InvalidDecomposition(
+                    f"LI carries both directions on pair ({i},{j})"
+                )
+
+
+def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
+    """graph.symmetrizability_certificate visiting one (i, j) entry at a time."""
+    arr = graph._as_real_square(L0, "L0")
+    n = arr.shape[0]
+    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
+        raise ValueError("L0 must have zero row sums within tol")
+    m = np.zeros(n)
+    parent = [-1] * n
+    for root in range(n):
+        if m[root] != 0.0:
+            continue
+        m[root] = 1.0
+        component = [root]
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or (arr[i, j] == 0.0 and arr[j, i] == 0.0):
+                    continue
+                if arr[i, j] == 0.0 or arr[j, i] == 0.0:
+                    raise NotSymmetrizable(
+                        f"pair ({i},{j}) has a one-sided entry; no positive "
+                        "scaling balances it",
+                        witness=(i, j),
+                    )
+                if m[j] == 0.0:
+                    ratio = arr[i, j] / arr[j, i]
+                    if not ratio > 0:
+                        raise NotSymmetrizable(
+                            f"pair ({i},{j}) needs a non-positive ratio {ratio}",
+                            witness=(i, j),
+                        )
+                    m[j] = m[i] * ratio
+                    parent[j] = i
+                    component.append(j)
+                    stack.append(j)
+                else:
+                    lhs = m[i] * arr[i, j]
+                    rhs = m[j] * arr[j, i]
+                    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs), 1.0):
+                        raise NotSymmetrizable(
+                            f"cycle through edge ({i},{j}) violates the "
+                            f"balance condition: {lhs:.6g} != {rhs:.6g}",
+                            witness=graph._tree_cycle(parent, i, j),
+                        )
+        comp = np.array(component)
+        m[comp] /= m[comp].min()
+    return m

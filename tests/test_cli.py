@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oscpert import eigenfreq
+from oscpert import eigenfreq, graph
 from oscpert.benchmarks import registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
 
@@ -165,6 +165,105 @@ class TestDecompose:
     def test_missing_file(self, tmp_path):
         assert run("decompose", "--graph", str(tmp_path / "nope.json")) == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 3}',
+        '[[0, 1, 2.0]]',
+        '{"n": null, "edges": []}',
+        '{"n": 2, "edges": {"0": [1, 2.0]}}',
+        '{"n": 2, "edges": [[0, 1]]}',
+        '{"n": 2, "edges": [[0, 1, null]]}',
+        '{"n": 1e400, "edges": []}',
+    ])
+    def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(text)
+        assert run("decompose", "--graph", str(gpath)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ['{"0": [1, -1]}', '[{"0": 1}, [0, 0]]', '[[1, -1], [0]]'])
+    def test_malformed_li_is_usage_error(self, tmp_path, capsys, text):
+        gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
+        gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
+        lpath.write_text(text)
+        assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_certificate_is_refused(self, tmp_path, capsys):
+        # each link multiplies the balance vector by 1e10: 1e390 overflows
+        n = 40
+        edges = [[i, i + 1, 1e10] for i in range(n - 1)] + [[i + 1, i, 1.0] for i in range(n - 1)]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": n, "edges": edges}))
+        lpath.write_text(json.dumps([[0.0] * n] * n))
+        assert run(
+            "decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)
+        ) == 1
+        assert "InvalidDecomposition" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _random_graph(seed, n, density):
+    rng = np.random.default_rng(seed)
+    edges = [
+        [i, j, float(rng.uniform(0.1, 3.0))]
+        for i in range(n) for j in range(n) if i != j and rng.random() < density
+    ]
+    return {"n": n, "edges": edges}
+
+
+class TestDecomposeBytes:
+    """decompose writes exactly what json.dumps writes for the nested lists."""
+
+    CASES = {
+        "fig1": (FIG1_GRAPH, None),
+        "fig1-li": (FIG1_GRAPH, FIG1_LI),
+        "single-node": ({"n": 1, "edges": []}, None),
+        "negative-zero-li": (FIG1_GRAPH, [[1, -1, -0.0], [-0.0, 1, -1], [-1, -0.0, 1]]),
+        "random-30": (_random_graph(30, 30, 0.3), None),
+    }
+
+    @staticmethod
+    def expected(graph_dict, li):
+        g = graph.WeightedDigraph.from_json(json.dumps(graph_dict))
+        dec = graph.decompose(graph.laplacian(g), li=None if li is None else np.array(li, float))
+        return json.dumps(
+            {
+                "L": dec.L.tolist(),
+                "L0": dec.L0.tolist(),
+                "LI": dec.LI.tolist(),
+                "certificate": dec.certificate.tolist(),
+                "scaling": dec.scaling.tolist(),
+            },
+            sort_keys=True,
+            indent=2,
+            allow_nan=False,
+        ) + "\n"
+
+    def write_inputs(self, tmp_path, name):
+        graph_dict, li = self.CASES[name]
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph_dict))
+        argv = ["decompose", "--graph", str(gpath)]
+        if li is not None:
+            lpath = tmp_path / "li.json"
+            lpath.write_text(json.dumps(li))
+            argv += ["--li", str(lpath)]
+        return argv, self.expected(graph_dict, li)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_file(self, tmp_path, capsys, name):
+        argv, want = self.write_inputs(tmp_path, name)
+        out = tmp_path / "dec.json"
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == want.encode()
+        if name == "negative-zero-li":
+            assert "-0.0" in want
+
+    def test_stdout(self, tmp_path, capsys):
+        argv, want = self.write_inputs(tmp_path, "fig1-li")
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestXyzAndTerm:
     def test_xyz_reference_rounding(self, capsys):
@@ -180,6 +279,19 @@ class TestXyzAndTerm:
         payload = json.loads(capsys.readouterr().out)
         assert payload["psi1_deviation"] < 1e-10
         assert len(payload["term"]) == 3
+
+    @pytest.mark.parametrize("text", [
+        '{"omega": [9, 6, 0], "a": [1, 2, 1]}',
+        '[[9, 6, 0], [1, 2, 1], [1.5, 1.6, 0.025]]',
+        '{"omega": 9, "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": [9, 6, null], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025], "epsilon": null}',
+    ])
+    def test_malformed_model_is_usage_error(self, tmp_path, capsys, text):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(text)
+        assert run("xyz", "--model", f"@{model_file}") == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_term_non_finite_time_is_usage_error(self, t, capsys):

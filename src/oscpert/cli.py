@@ -66,6 +66,8 @@ def _parse_psi0(text: str) -> np.ndarray:
         parts = [complex(p.strip().replace("i", "j")) for p in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"cannot parse psi0 {text!r}: {exc}") from exc
+    if len(parts) != 3:
+        raise ValueError(f"psi0 needs 3 components, got {len(parts)} in {text!r}")
     return np.array(parts, dtype=complex)
 
 
@@ -322,8 +324,6 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_xyz(args) -> int:
     model = _load_model(args.model, epsilon=args.epsilon)
-    if not args.model.startswith("@"):
-        model = model.at_epsilon(args.epsilon)
     ratios = threemode.xyz(model)
     print(
         json.dumps(
@@ -344,8 +344,6 @@ def _cmd_xyz(args) -> int:
 
 def _cmd_term(args) -> int:
     model = _load_model(args.model, epsilon=args.epsilon)
-    if not args.model.startswith("@"):
-        model = model.at_epsilon(args.epsilon)
     psi0 = _parse_psi0(args.psi0)
     system = threemode.perturbed_system(model)
     coeff = dyson.term(system, args.order, args.t, psi0, args.steps)

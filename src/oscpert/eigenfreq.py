@@ -70,21 +70,6 @@ class EigenfrequencyReport:
     mode_real: tuple[bool, bool, bool]
     real_spectrum: bool
 
-    def csv_rows(self) -> list[tuple]:
-        """One row per mode: (epsilon, mode, true_re, true_im, app0, app1,
-        app2, err0, err1, err2); missing errors surface as NaN."""
-        rows = []
-        for i in range(3):
-            true = self.true_values[i]
-            row = [self.epsilon, i + 1, true.real, true.imag]
-            row += [self.estimates[level][i] for level in LEVELS]
-            row += [
-                err if (err := self.abs_errors[level][i]) is not None else math.nan
-                for level in LEVELS
-            ]
-            rows.append(tuple(row))
-        return rows
-
 
 def _nested(base: float, inc1: float, inc2: float) -> tuple[float, float, float]:
     """(app0, app1, app2) from the increments: each level adds its own."""
@@ -118,14 +103,10 @@ def _increments(freqs, a, eps: float, which: int) -> tuple[float, float, float]:
     return base, inc1, inc2
 
 
-def estimate_increments(
-    m: ThreeModeModel, which: int, up_to: str = "app2"
-) -> tuple[float, float, float]:
+def estimate_increments(m: ThreeModeModel, which: int) -> tuple[float, float, float]:
     """(base+W, app1 increment, app2 increment) for the requested mode."""
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    if up_to not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {up_to!r}")
     return _increments(effective_frequencies(m), m.a, m.epsilon, which)
 
 
@@ -177,12 +158,9 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
     return out
 
 
-def true_eigenfrequencies(
-    m: ThreeModeModel, epsilon: float | None = None
-) -> tuple[complex, complex, complex]:
+def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]:
     """Eigenvalues of Omega(eps), matched to modes 1..3 by continuity."""
-    eps = m.epsilon if epsilon is None else float(epsilon)
-    row = matched_path(m, [eps])[0]
+    row = matched_path(m, [m.epsilon])[0]
     return (complex(row[0]), complex(row[1]), complex(row[2]))
 
 

@@ -10,23 +10,7 @@ class DimensionMismatch(OscPertError):
 
 
 class NonConvergence(OscPertError):
-    """An iterative routine exceeded its iteration cap.
-
-    Attributes:
-        iterations: number of iterations performed before giving up.
-    """
-
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
-
-
-class NotDiagonalizable(OscPertError):
-    """Input matrix is too far from diagonalizable for the requested tolerance."""
-
-
-class SingularTransform(OscPertError):
-    """An eigenvector matrix (or similar transform) could not be inverted."""
+    """A LAPACK or Pade solve failed, or its result missed its residual check."""
 
 
 class NotSymmetrizable(OscPertError):

@@ -104,8 +104,14 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
     The diagonal is assembled as the negated off-diagonal row sum, so every
     row sums to zero exactly in floating point.
+
+    Raises:
+        ValueError: the dense n x n matrix cannot be allocated.
     """
-    lap = np.zeros((g.n, g.n))
+    try:
+        lap = np.zeros((g.n, g.n))
+    except MemoryError as exc:
+        raise ValueError(f"cannot allocate a dense Laplacian for n={g.n} nodes") from exc
     if g.edges:
         src, dst, weight = zip(*g.edges)
         lap[src, dst] = np.negative(weight)

@@ -21,10 +21,14 @@ B1, B3, B2, C1, C3, C2) built from the cyclic coupling ratios
     Y = a1 a2 a3 eps^3 / ((w2'-w3') (w3'-w1'))
     Z = a1 a2 a3 eps^3 / ((w1'-w2') (w2'-w3'))
 
-with 2F2 hypergeometric inner sums.  Solutions for psi_3 and psi_2 follow by
-the cyclic relabeling 1 -> 3 -> 2 -> 1 (with X -> Y -> Z -> X), exposed as
-cyclic_view.  All denominators assume pairwise-distinct effective
-frequencies; degenerate models are refused rather than regularized.
+with 2F2 hypergeometric inner sums.  The blocks differ only in integer
+offsets, a sign rule and a prefactor, so they are the rows of one table
+(_BLOCKS) read by one block sum; psi1_infinite computes the frequencies,
+ratios and prefactors once per call and sums all nine rows.  Solutions for
+psi_3 and psi_2 follow by the cyclic relabeling 1 -> 3 -> 2 -> 1 (with
+X -> Y -> Z -> X), exposed as cyclic_view.  All denominators assume
+pairwise-distinct effective frequencies; degenerate models are refused
+rather than regularized.
 """
 from __future__ import annotations
 
@@ -46,7 +50,6 @@ from .errors import (
 # Degeneracy refusal gap, as a fraction of the largest effective frequency.
 DEGENERACY_GAP_FACTOR = 1e-6
 
-BLOCK_NAMES = ("A1", "A3", "A2", "B1", "B3", "B2", "C1", "C3", "C2")
 TARGETS = ("psi1", "psi3", "psi2")
 
 # Relabeling rows of the cyclic substitution 1 -> 3 -> 2 -> 1: position mu of
@@ -197,13 +200,8 @@ def perturbed_system(m: ThreeModeModel) -> PerturbedSystem:
 
 def xyz(m: ThreeModeModel) -> XYZ:
     """The coupling ratios X, Y, Z of the model at its epsilon."""
-    w1, w2, w3 = effective_frequencies(m)
-    num = m.a[0] * m.a[1] * m.a[2] * m.epsilon**3
-    return XYZ(
-        X=num / ((w1 - w2) * (w3 - w1)),
-        Y=num / ((w2 - w3) * (w3 - w1)),
-        Z=num / ((w1 - w2) * (w2 - w3)),
-    )
+    _, families = _block_geometry(m)
+    return XYZ(X=families["A"][0], Y=families["B"][0], Z=families["C"][0])
 
 
 def cyclic_view(
@@ -368,94 +366,114 @@ def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
     return uppers, lowers
 
 
-# Block definitions.  Each cell (k, l) of a block is
-#   sign * prefactor * (ratio1 ** k) * (ratio2 ** l) * C(b1t, b1b) * C(b2t, b2b)
-#     * 2F2(u1, u2; lo1, lo2; -1j * W * t)
-# where W is the block's coupling ratio and the integer parameters depend on
-# (k, l) as tabulated below.  B1, C1, C3 start at k = 1 and stop l at k - 1.
+# Block table.  Cell (k, l) of a block is
+#   (-1)**(sk*k + l + s0) * prefactor * ratio1**k * ratio2**l
+#     * C(2k-l+x, k-l+y) * C(k+l+z, l)
+#     * 2F2(2k-l+u1, k+l+u2; k+v1, k+v2; -1j * W * t)
+# for 0 <= l <= k, k = 0 .. k_max; rows with first = 1 start at k = 1 and
+# stop l at k - 1.  The family letter A/B/C selects W = X/Y/Z, ratio1 and
+# ratio2.  The order offset 0/1/2 selects the prefactor, and names the
+# initial component the block multiplies (p1/p3/p2): cell (k, inner term
+# ell) is of expansion order 3*(k + ell) + offset.
+_BLOCKS = {
+    #      sk s0   x   y   z u1 u2 v1 v2 first offset
+    "A1": (0, 0, -1,  0, -1, 0, 0, 0, 0, 0, 0),
+    "A3": (0, 0,  0,  0, -1, 1, 0, 0, 1, 0, 1),
+    "A2": (0, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
+    "B1": (1, 1, -1, -1, -1, 0, 0, 0, 1, 1, 0),
+    "B3": (1, 1,  0,  0, -1, 1, 0, 0, 1, 0, 1),
+    "B2": (1, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
+    "C1": (0, 1, -1, -1, -1, 0, 0, 0, 1, 1, 0),
+    "C3": (0, 0, -1, -1,  0, 0, 1, 1, 1, 1, 1),
+    # sign alternates in l only; the (k+l)-alternation used by the
+    # B-family contradicts the order-5 expansion and breaks the t=0
+    # recombination identity here.
+    "C2": (0, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
+}
+BLOCK_NAMES = tuple(_BLOCKS)
 
 
-def _block_spec(m: ThreeModeModel, block: str):
-    w1, w2, w3 = effective_frequencies(m)
-    ratios = xyz(m)
+def _block_geometry(m: ThreeModeModel):
+    """Effective frequencies, and per block family the tuple
+    (W, ratio1, ratio2, prefactors indexed by order offset).
+
+    Raises:
+        DegenerateFrequencies: as effective_frequencies does.
+    """
+    freqs = w1, w2, w3 = effective_frequencies(m)
     p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
     a1, a2, a3 = m.a
     eps = m.epsilon
-    if block in ("A1", "A3", "A2"):
-        w_ratio, denom_pow, denom_ratio = ratios.X, p31, p31 / p12
-    elif block in ("B1", "B3", "B2"):
-        w_ratio, denom_pow, denom_ratio = ratios.Y, p31, p31 / p23
-    else:
-        w_ratio, denom_pow, denom_ratio = ratios.Z, p12, p12 / p23
-    spec = {
-        "W": w_ratio,
-        "ratio1": w_ratio / denom_pow,
-        "ratio2": denom_ratio,
-        "k_start": 1 if block in ("B1", "C1", "C3") else 0,
-        "l_excludes_k": block in ("B1", "C1", "C3"),
+    num = a1 * a2 * a3 * eps**3
+    lin = a3 * eps
+    quad = a2 * a3 * eps**2
+    X = num / (p12 * p31)
+    Y = num / (p23 * p31)
+    Z = num / (p12 * p23)
+    families = {
+        "A": (X, X / p31, p31 / p12, (1.0, lin / p31, quad / (p12 * p31))),
+        "B": (Y, Y / p31, p31 / p23, (1.0, lin / p31, quad / (p23 * p31))),
+        "C": (Z, Z / p12, p12 / p23, (1.0, lin / p23, quad / (p12 * p23))),
     }
+    return freqs, families
+
+
+def _block_sum(
+    block: str,
+    families: dict,
+    t: float,
+    trunc: SeriesTruncation,
+    shell_tol: float | None,
+    order_cap: int | None,
+) -> complex:
+    """series_block on a precomputed _block_geometry family map."""
+    sk, s0, x, y, z, u1, u2, v1, v2, first, offset = _BLOCKS[block]
+    w_ratio, ratio1, ratio2, prefactors = families[block[0]]
+    prefactor = prefactors[offset]
+    arg = -1j * w_ratio * t
+    total = 0.0 + 0.0j
+    last_shell = 0.0
+    for k in range(first, trunc.k_max + 1):
+        max_ell = None
+        if order_cap is not None:
+            max_ell = (order_cap - offset - 3 * k) // 3
+            if max_ell < 0:
+                continue
+        shell = 0.0 + 0.0j
+        for l in range(0, k - first + 1):
+            if block == "A1" and k == 0:
+                shell += 1.0
+                continue
+            coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
+            if coeff == 0:
+                continue
+            uppers, lowers = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
+            shell += (
+                (-1) ** (sk * k + l + s0)
+                * prefactor
+                * ratio1**k
+                * ratio2**l
+                * coeff
+                * _hyp_series(uppers, lowers, arg, trunc, max_ell=max_ell)
+            )
+        total += shell
+        last_shell = abs(shell)
     if block == "A1":
-        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** l)
-        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l), (k + l - 1, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k)))
-    elif block == "A3":
-        spec.update(prefactor=a3 * eps / p31, sign=lambda k, l: (-1) ** l)
-        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l - 1, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
-    elif block == "A2":
-        spec.update(
-            prefactor=a2 * a3 * eps**2 / (p12 * p31),
-            sign=lambda k, l: (-1) ** (l + 1),
+        if order_cap is None:
+            total += cmath.exp(arg) - 1.0
+        else:
+            closure = 0.0 + 0.0j
+            argpow = 1.0 + 0.0j
+            for power in range(1, order_cap // 3 + 1):
+                argpow *= arg / power
+                closure += argpow
+            total += closure
+    if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
+        raise TruncationNotConverged(
+            f"block {block}: shell k={trunc.k_max} still contributes "
+            f"{last_shell:.3e} against total {abs(total):.3e}"
         )
-        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
-    elif block == "B1":
-        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** (k + l + 1))
-        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l - 1, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k + 1)))
-    elif block == "B3":
-        spec.update(
-            prefactor=a3 * eps / p31, sign=lambda k, l: (-1) ** (k + l + 1)
-        )
-        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l - 1, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
-    elif block == "B2":
-        spec.update(
-            prefactor=a2 * a3 * eps**2 / (p23 * p31),
-            sign=lambda k, l: (-1) ** (k + l + 1),
-        )
-        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
-    elif block == "C1":
-        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** (l + 1))
-        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l - 1, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k + 1)))
-    elif block == "C3":
-        spec.update(prefactor=a3 * eps / p23, sign=lambda k, l: (-1) ** l)
-        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l, k + l + 1), (k + 1, k + 1)))
-    elif block == "C2":
-        # sign alternates in l only; the (k+l)-alternation used by the
-        # B-family contradicts the order-5 expansion and breaks the t=0
-        # recombination identity here.
-        spec.update(
-            prefactor=a2 * a3 * eps**2 / (p12 * p23),
-            sign=lambda k, l: (-1) ** (l + 1),
-        )
-        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
-        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
-    else:
-        raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
-    return spec
-
-
-# Expansion order of the (k, inner-term ell) cell is 3*(k + ell) plus this
-# per-block offset (which initial component the block multiplies).
-_BLOCK_ORDER_OFFSET = {
-    "A1": 0, "B1": 0, "C1": 0,
-    "A3": 1, "B3": 1, "C3": 1,
-    "A2": 2, "B2": 2, "C2": 2,
-}
+    return total
 
 
 def series_block(
@@ -478,60 +496,16 @@ def series_block(
     against fixed-order quadrature sums).
 
     Raises:
+        ValueError: block is not one of BLOCK_NAMES.
         TruncationNotConverged: only when shell_tol is given and the last
             retained shell still contributes more than shell_tol relative
             to the accumulated sum (deliberate fixed-depth truncations pass
             shell_tol=None).
     """
-    spec = _block_spec(m, block)
-    offset = _BLOCK_ORDER_OFFSET[block]
-    z = -1j * spec["W"] * t
-    total = 0.0 + 0.0j
-    last_shell = 0.0
-    for k in range(spec["k_start"], trunc.k_max + 1):
-        max_ell = None
-        if order_cap is not None:
-            max_ell = (order_cap - offset - 3 * k) // 3
-            if max_ell < 0:
-                continue
-        shell = 0.0 + 0.0j
-        l_stop = k - 1 if spec["l_excludes_k"] else k
-        for l in range(0, l_stop + 1):
-            if block == "A1" and k == 0:
-                shell += 1.0
-                continue
-            (b1t, b1b), (b2t, b2b) = spec["binoms"](k, l)
-            coeff = neg_binomial(b1t, b1b) * neg_binomial(b2t, b2b)
-            if coeff == 0:
-                continue
-            uppers, lowers = _cancel_params(*spec["hyp"](k, l))
-            cell = (
-                spec["sign"](k, l)
-                * spec["prefactor"]
-                * spec["ratio1"] ** k
-                * spec["ratio2"] ** l
-                * coeff
-                * _hyp_series(uppers, lowers, z, trunc, max_ell=max_ell)
-            )
-            shell += cell
-        total += shell
-        last_shell = abs(shell)
-    if block == "A1":
-        if order_cap is None:
-            total += cmath.exp(z) - 1.0
-        else:
-            closure = 0.0 + 0.0j
-            zpow = 1.0 + 0.0j
-            for power in range(1, order_cap // 3 + 1):
-                zpow *= z / power
-                closure += zpow
-            total += closure
-    if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
-        raise TruncationNotConverged(
-            f"block {block}: shell k={trunc.k_max} still contributes "
-            f"{last_shell:.3e} against total {abs(total):.3e}"
-        )
-    return total
+    _, families = _block_geometry(m)
+    if block not in BLOCK_NAMES:
+        raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
+    return _block_sum(block, families, t, trunc, shell_tol, order_cap)
 
 
 def psi1_infinite(
@@ -550,9 +524,9 @@ def psi1_infinite(
     with p_mu = psi_mu(0).
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
-    w1, w2, w3 = effective_frequencies(m)
+    (w1, w2, w3), families = _block_geometry(m)
     blocks = {
-        name: series_block(m, name, t, trunc, shell_tol=shell_tol, order_cap=order_cap)
+        name: _block_sum(name, families, t, trunc, shell_tol, order_cap)
         for name in BLOCK_NAMES
     }
     p1, p2, p3 = vec[0], vec[1], vec[2]

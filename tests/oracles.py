@@ -17,6 +17,10 @@ rather than tautology:
 * loop_laplacian, loop_pairwise_split, loop_check_one_way,
   loop_certificate   — the element-by-element graph kernels the array
                        kernels in oscpert.graph replaced
+* loop_series_block, loop_psi1_infinite
+                     — the per-block if chain of lambdas that the block
+                       table in oscpert.threemode replaced, recomputing the
+                       frequencies and ratios for every block
 """
 from __future__ import annotations
 
@@ -28,7 +32,12 @@ import mpmath
 import numpy as np
 
 from oscpert import eigenfreq, graph, linalg, threemode
-from oscpert.errors import InvalidDecomposition, NotSymmetrizable, OscPertError
+from oscpert.errors import (
+    InvalidDecomposition,
+    NotSymmetrizable,
+    OscPertError,
+    TruncationNotConverged,
+)
 
 
 def rk4_evolution(mat, t: float, v, dt: float = 1e-4) -> np.ndarray:
@@ -301,3 +310,157 @@ def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
         comp = np.array(component)
         m[comp] /= m[comp].min()
     return m
+
+
+def _branch_block_spec(m, block: str) -> dict:
+    """The per-block if chain of lambdas that threemode's block table replaced."""
+    w1, w2, w3 = threemode.effective_frequencies(m)
+    num = m.a[0] * m.a[1] * m.a[2] * m.epsilon**3
+    X = num / ((w1 - w2) * (w3 - w1))
+    Y = num / ((w2 - w3) * (w3 - w1))
+    Z = num / ((w1 - w2) * (w2 - w3))
+    p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
+    a1, a2, a3 = m.a
+    eps = m.epsilon
+    if block in ("A1", "A3", "A2"):
+        w_ratio, denom_pow, denom_ratio = X, p31, p31 / p12
+    elif block in ("B1", "B3", "B2"):
+        w_ratio, denom_pow, denom_ratio = Y, p31, p31 / p23
+    else:
+        w_ratio, denom_pow, denom_ratio = Z, p12, p12 / p23
+    spec = {
+        "W": w_ratio,
+        "ratio1": w_ratio / denom_pow,
+        "ratio2": denom_ratio,
+        "k_start": 1 if block in ("B1", "C1", "C3") else 0,
+        "l_excludes_k": block in ("B1", "C1", "C3"),
+    }
+    if block == "A1":
+        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** l)
+        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l), (k + l - 1, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k)))
+    elif block == "A3":
+        spec.update(prefactor=a3 * eps / p31, sign=lambda k, l: (-1) ** l)
+        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l - 1, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
+    elif block == "A2":
+        spec.update(
+            prefactor=a2 * a3 * eps**2 / (p12 * p31),
+            sign=lambda k, l: (-1) ** (l + 1),
+        )
+        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
+    elif block == "B1":
+        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** (k + l + 1))
+        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l - 1, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k + 1)))
+    elif block == "B3":
+        spec.update(
+            prefactor=a3 * eps / p31, sign=lambda k, l: (-1) ** (k + l + 1)
+        )
+        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l - 1, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
+    elif block == "B2":
+        spec.update(
+            prefactor=a2 * a3 * eps**2 / (p23 * p31),
+            sign=lambda k, l: (-1) ** (k + l + 1),
+        )
+        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
+    elif block == "C1":
+        spec.update(prefactor=1.0, sign=lambda k, l: (-1) ** (l + 1))
+        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l - 1, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l, k + l), (k, k + 1)))
+    elif block == "C3":
+        spec.update(prefactor=a3 * eps / p23, sign=lambda k, l: (-1) ** l)
+        spec.update(binoms=lambda k, l: ((2 * k - l - 1, k - l - 1), (k + l, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l, k + l + 1), (k + 1, k + 1)))
+    elif block == "C2":
+        spec.update(
+            prefactor=a2 * a3 * eps**2 / (p12 * p23),
+            sign=lambda k, l: (-1) ** (l + 1),
+        )
+        spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
+        spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l + 1), (k + 1, k + 1)))
+    else:
+        raise ValueError(f"unknown block {block!r}; expected one of {threemode.BLOCK_NAMES}")
+    return spec
+
+
+_LOOP_ORDER_OFFSET = {
+    "A1": 0, "B1": 0, "C1": 0,
+    "A3": 1, "B3": 1, "C3": 1,
+    "A2": 2, "B2": 2, "C2": 2,
+}
+
+
+def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> complex:
+    """threemode.series_block built from the if chain, geometry recomputed per call."""
+    spec = _branch_block_spec(m, block)
+    offset = _LOOP_ORDER_OFFSET[block]
+    z = -1j * spec["W"] * t
+    total = 0.0 + 0.0j
+    last_shell = 0.0
+    for k in range(spec["k_start"], trunc.k_max + 1):
+        max_ell = None
+        if order_cap is not None:
+            max_ell = (order_cap - offset - 3 * k) // 3
+            if max_ell < 0:
+                continue
+        shell = 0.0 + 0.0j
+        l_stop = k - 1 if spec["l_excludes_k"] else k
+        for l in range(0, l_stop + 1):
+            if block == "A1" and k == 0:
+                shell += 1.0
+                continue
+            (b1t, b1b), (b2t, b2b) = spec["binoms"](k, l)
+            coeff = threemode.neg_binomial(b1t, b1b) * threemode.neg_binomial(b2t, b2b)
+            if coeff == 0:
+                continue
+            uppers, lowers = threemode._cancel_params(*spec["hyp"](k, l))
+            cell = (
+                spec["sign"](k, l)
+                * spec["prefactor"]
+                * spec["ratio1"] ** k
+                * spec["ratio2"] ** l
+                * coeff
+                * threemode._hyp_series(uppers, lowers, z, trunc, max_ell=max_ell)
+            )
+            shell += cell
+        total += shell
+        last_shell = abs(shell)
+    if block == "A1":
+        if order_cap is None:
+            total += cmath.exp(z) - 1.0
+        else:
+            closure = 0.0 + 0.0j
+            zpow = 1.0 + 0.0j
+            for power in range(1, order_cap // 3 + 1):
+                zpow *= z / power
+                closure += zpow
+            total += closure
+    if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
+        raise TruncationNotConverged(
+            f"block {block}: shell k={trunc.k_max} still contributes "
+            f"{last_shell:.3e} against total {abs(total):.3e}"
+        )
+    return total
+
+
+def loop_psi1_infinite(m, t, psi0, trunc, shell_tol=None, order_cap=None) -> complex:
+    """threemode.psi1_infinite as nine loop_series_block calls."""
+    vec = linalg.as_vector(psi0, 3, "psi0")
+    w1, w2, w3 = threemode.effective_frequencies(m)
+    blocks = {
+        name: loop_series_block(m, name, t, trunc, shell_tol=shell_tol, order_cap=order_cap)
+        for name in threemode.BLOCK_NAMES
+    }
+    p1, p2, p3 = vec[0], vec[1], vec[2]
+    return (
+        (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)
+        * cmath.exp(-1j * w1 * t)
+        + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2)
+        * cmath.exp(-1j * w3 * t)
+        + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
+        * cmath.exp(-1j * w2 * t)
+    )

@@ -188,6 +188,13 @@ class TestDecompose:
         assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unallocatable_node_count_is_usage_error(self, tmp_path, capsys):
+        # the 8e18-byte request for the dense Laplacian fails at once
+        gpath = tmp_path / "g.json"
+        gpath.write_text('{"n": 1000000000, "edges": []}')
+        assert run("decompose", "--graph", str(gpath)) == 2
+        assert "n=1000000000" in capsys.readouterr().err
+
     def test_overflowing_certificate_is_refused(self, tmp_path, capsys):
         # each link multiplies the balance vector by 1e10: 1e390 overflows
         n = 40
@@ -297,3 +304,10 @@ class TestXyzAndTerm:
     def test_term_non_finite_time_is_usage_error(self, t, capsys):
         assert run("term", "--model", "s", "--order", "1", f"--t={t}") == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("psi0", ["1,0", "1,0,0,0"])
+    def test_term_wrong_length_psi0_is_usage_error(self, psi0, capsys):
+        assert run("term", "--model", "s", "--order", "1", "--t", "0.5", "--psi0", psi0) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: psi0 needs 3 components")

@@ -131,16 +131,6 @@ class TestReport:
                 if not rep.mode_real[i]:
                     assert rep.abs_errors[level][i] is None
 
-    def test_csv_rows_shape(self):
-        rep = ef.report(registry("l"), 1.0)
-        rows = rep.csv_rows()
-        assert len(rows) == 3
-        for i, row in enumerate(rows):
-            assert row[0] == 1.0 and row[1] == i + 1 and len(row) == 10
-        nonreal = [i for i in range(3) if not rep.mode_real[i]]
-        for i in nonreal:
-            assert np.isnan(rows[i][7])  # err0 missing for non-real modes
-
     def test_app0_error_cubic_in_coupling(self):
         # app0 captures the coupling ratio exactly, so its error falls at
         # least as fast as eps^3 (measured slopes sit near 6)

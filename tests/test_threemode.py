@@ -1,5 +1,7 @@
 """Tests for the cyclic 3-mode model, closed forms, and series blocks."""
 import cmath
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from oscpert.errors import (
     DegenerateFrequencies,
     InvalidLowerParameter,
     MaxTermsExceeded,
+    OscPertError,
     TruncationNotConverged,
 )
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
-from oracles import brute_force_pfq, path_term
+from oracles import brute_force_pfq, loop_psi1_infinite, loop_series_block, path_term
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
 TIGHT = SeriesTruncation(k_max=4, tail_tol=1e-13)
@@ -204,6 +207,65 @@ class TestSeriesBlocks:
         with pytest.raises(TruncationNotConverged):
             tm.series_block(
                 registry("l"), "A1", 1.0, SeriesTruncation(k_max=4, tail_tol=1e-10), shell_tol=1e-6
+            )
+
+
+def _outcome(fn, *args, **kwargs):
+    """("value", exact bits of the result), or the refusal's type and message."""
+    try:
+        value = complex(fn(*args, **kwargs))
+    except (OscPertError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "value", value.real.hex(), value.imag.hex()
+
+
+def _differential_models():
+    rng = random.Random(20211)
+    models = [registry(mid) for mid in ("s", "m", "l")]
+    for _ in range(20):
+        models.append(
+            ThreeModeModel(
+                omega=[rng.uniform(-10.0, 10.0) for _ in range(3)],
+                a=[rng.uniform(-6.0, 6.0) for _ in range(3)],
+                d=[rng.uniform(-4.0, 4.0) for _ in range(3)],
+                epsilon=rng.random(),
+            )
+        )
+    degenerate = ThreeModeModel(omega=(5.0, 5.0, 1.0), a=(1.0, 1.0, 1.0), d=(0.0, 0.0, 0.0), epsilon=0.0)
+    return models + [degenerate]
+
+
+class TestBlockTableAgainstBranches:
+    """The block table reproduces the per-block if chain it replaced, bit for bit."""
+
+    def test_blocks_and_psi1_infinite_bitwise(self):
+        kinds = set()
+        for m in _differential_models():
+            for t, k_max, order_cap, shell_tol in itertools.product(
+                (0.0, 0.25, 7.3), (1, 4), (None, 9), (None, 1e-6)
+            ):
+                trunc = SeriesTruncation(k_max=k_max, tail_tol=1e-12)
+                kwargs = dict(shell_tol=shell_tol, order_cap=order_cap)
+                for name in tm.BLOCK_NAMES + ("D1",):
+                    got = _outcome(tm.series_block, m, name, t, trunc, **kwargs)
+                    want = _outcome(loop_series_block, m, name, t, trunc, **kwargs)
+                    assert got == want, (m, name, t, k_max, order_cap, shell_tol)
+                    kinds.add(got[0])
+                got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc, **kwargs)
+                want = _outcome(loop_psi1_infinite, m, t, PSI0, trunc, **kwargs)
+                assert got == want, (m, t, k_max, order_cap, shell_tol)
+        # the grid reaches values and each of these refusals
+        assert kinds == {"value", "ValueError", "DegenerateFrequencies", "TruncationNotConverged"}
+
+    def test_xyz_keeps_its_operation_order(self):
+        for m in _differential_models()[:-1]:
+            r = tm.xyz(m)
+            w1, w2, w3 = tm.effective_frequencies(m)
+            num = m.a[0] * m.a[1] * m.a[2] * m.epsilon**3
+            assert (r.X, r.Y, r.Z) == (
+                num / ((w1 - w2) * (w3 - w1)),
+                num / ((w2 - w3) * (w3 - w1)),
+                num / ((w1 - w2) * (w2 - w3)),
             )
 
 

@@ -13,9 +13,9 @@ prints floats with 17 significant digits in a fixed row order, and the
 decompose JSON is exactly json.dumps(..., sort_keys=True, indent=2) of the
 nested lists, so floats take their shortest round-trip form.
 
-The environment variable OSC_PERT_TOL, when set to a float, overrides every
-verification tolerance used by `verify` (documented defaults apply when it
-is unset).
+The environment variable OSC_PERT_TOL, when set to a finite positive float,
+overrides every verification tolerance used by `verify` (documented defaults
+apply when it is unset; any other value is a usage error).
 """
 from __future__ import annotations
 
@@ -172,6 +172,10 @@ def _verify_tolerances() -> dict:
     if override is None:
         return dict(VERIFY_TOLERANCES)
     value = float(override)
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"OSC_PERT_TOL must be a finite positive float, got {override!r}"
+        )
     return {key: value for key in VERIFY_TOLERANCES}
 
 
@@ -206,10 +210,11 @@ def _cmd_verify(args) -> int:
     for eps in (0.3, 1.0):
         at_eps = model.at_epsilon(eps)
         system = threemode.perturbed_system(at_eps)
+        coeffs = {t: dyson.terms(system, 3, t, psi0, 2000) for t in (0.5, 1.0)}
         for order in range(4):
             for t in (0.5, 1.0):
                 closed = threemode.psi1_analytic(at_eps, order, t, psi0)
-                quad = (eps**order) * dyson.term(system, order, t, psi0, 2000)[0]
+                quad = (eps**order) * coeffs[t][order][0]
                 worst_rel = max(
                     worst_rel, abs(closed - quad) / max(abs(closed), 1e-14)
                 )

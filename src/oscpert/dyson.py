@@ -14,6 +14,9 @@ composite Simpson pairs plus a single-interval cubic end correction at odd
 nodes, so the global quadrature error is O(steps^-4).  Nothing is ever
 linearly interpolated.
 
+One trajectory build yields every order up to the highest one asked for, so
+`terms` returns psi_0(t) .. psi_n(t) for the cost of psi_n(t) alone.
+
 All functions are pure; independent (order, epsilon) evaluations may run
 concurrently.
 """
@@ -76,19 +79,25 @@ def _running_integral(values: np.ndarray, dx: float) -> np.ndarray:
     n_nodes = values.shape[0]
     if n_nodes < 5:
         raise ValueError("running integral needs at least 4 intervals")
-    out = np.zeros_like(values)
-    pair = (dx / 3.0) * (values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
-    out[2::2] = np.cumsum(pair, axis=0)
+    # in-place steps, in the operation order of the textbook formulas, so the
+    # bits match them with fewer temporaries
+    out = np.empty_like(values)
+    out[0] = 0.0
+    pair = 4.0 * values[1:-1:2]
+    pair += values[0:-2:2]
+    pair += values[2::2]
+    pair *= dx / 3.0
+    np.cumsum(pair, axis=0, out=out[2::2])
     # odd nodes: previous even node plus one cubic interval
     out[1] = (dx / 24.0) * (
         9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3]
     )
-    out[3::2] = out[2:-1:2] + (dx / 24.0) * (
-        values[0:-3:2]
-        - 5.0 * values[1:-2:2]
-        + 19.0 * values[2:-1:2]
-        + 9.0 * values[3::2]
-    )
+    odd = 5.0 * values[1:-2:2]
+    np.subtract(values[0:-3:2], odd, out=odd)
+    odd += 19.0 * values[2:-1:2]
+    odd += 9.0 * values[3::2]
+    odd *= dx / 24.0
+    np.add(out[2:-1:2], odd, out=out[3::2])
     return out
 
 
@@ -102,10 +111,11 @@ def _rotating_trajectories(
     omega0 = np.array(sys.omega0)
     # rows of exp(-i W0 s) at each node, one column per mode
     phase = np.exp(-1j * grid[:, None] * omega0[None, :])
+    rotate_back = -1j * np.conj(phase)
     trajectories = [np.broadcast_to(psi0, (n_fine + 1, sys.dim)).copy()]
     for _ in range(1, max_order + 1):
         prev = trajectories[-1]
-        integrand = -1j * np.conj(phase) * ((phase * prev) @ sys.omegaI.T)
+        integrand = rotate_back * ((phase * prev) @ sys.omegaI.T)
         trajectories.append(_running_integral(integrand, dx))
     return trajectories
 
@@ -122,6 +132,23 @@ def _validate_term_args(sys, order, t, psi0, steps):
     return linalg.as_vector(psi0, sys.dim, "psi0")
 
 
+def terms(
+    sys: PerturbedSystem, max_order: int, t: float, psi0, steps: int
+) -> list[np.ndarray]:
+    """Coefficients psi_0(t) .. psi_max_order(t) from one trajectory build.
+
+    Raises:
+        ResolutionTooCoarse: when steps < 10 * max_order.
+    """
+    vec = _validate_term_args(sys, max_order, t, psi0, steps)
+    final_phase = np.exp(-1j * np.array(sys.omega0) * t)
+    if max_order == 0 or t == 0.0:
+        zeros = [np.zeros(sys.dim, dtype=complex) for _ in range(max_order)]
+        return [final_phase * vec] + zeros
+    trajectories = _rotating_trajectories(sys, max_order, t, vec, steps)
+    return [final_phase * traj[-1] for traj in trajectories]
+
+
 def term(
     sys: PerturbedSystem, order: int, t: float, psi0, steps: int
 ) -> np.ndarray:
@@ -130,13 +157,7 @@ def term(
     Raises:
         ResolutionTooCoarse: when steps < 10 * order.
     """
-    vec = _validate_term_args(sys, order, t, psi0, steps)
-    if order == 0 or t == 0.0:
-        if order > 0:
-            return np.zeros(sys.dim, dtype=complex)
-        return np.exp(-1j * np.array(sys.omega0) * t) * vec
-    trajectories = _rotating_trajectories(sys, order, t, vec, steps)
-    return np.exp(-1j * np.array(sys.omega0) * t) * trajectories[order][-1]
+    return terms(sys, order, t, psi0, steps)[order]
 
 
 def partial_sum(
@@ -189,11 +210,13 @@ def convergence_report(
     eps_grid = tuple(float(e) for e in eps_grid)
     if not orders or not eps_grid:
         raise ValueError("orders and eps_grid must be non-empty")
-    max_order = max(orders)
-    vec = _validate_term_args(sys, max_order, t, psi0, steps)
-    trajectories = _rotating_trajectories(sys, max_order, t, vec, steps)
-    final_phase = np.exp(-1j * np.array(sys.omega0) * t)
-    coeffs = [final_phase * traj[-1] for traj in trajectories]
+    if min(orders) < 0:
+        raise ValueError("order must be >= 0")
+    for eps in eps_grid:
+        if not 0.0 <= eps <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
+    coeffs = terms(sys, max(orders), t, psi0, steps)
+    vec = linalg.as_vector(psi0, sys.dim, "psi0")
 
     residuals = np.zeros((len(orders), len(eps_grid)))
     for j, eps in enumerate(eps_grid):

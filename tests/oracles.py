@@ -21,6 +21,11 @@ rather than tautology:
                      — the per-block if chain of lambdas that the block
                        table in oscpert.threemode replaced, recomputing the
                        frequencies and ratios for every block
+* loop_term, loop_partial_sum, loop_convergence_residuals
+                     — the per-order Dyson quadrature that dyson.terms
+                       replaced: every coefficient rebuilds the trajectories
+                       of orders 1..n, forms the rotation factor per order and
+                       integrates with one temporary per formula
 """
 from __future__ import annotations
 
@@ -36,6 +41,7 @@ from oscpert.errors import (
     InvalidDecomposition,
     NotSymmetrizable,
     OscPertError,
+    ResolutionTooCoarse,
     TruncationNotConverged,
 )
 
@@ -464,3 +470,85 @@ def loop_psi1_infinite(m, t, psi0, trunc, shell_tol=None, order_cap=None) -> com
         + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
         * cmath.exp(-1j * w2 * t)
     )
+
+
+def _loop_running_integral(values: np.ndarray, dx: float) -> np.ndarray:
+    """dyson._running_integral as plain array formulas, one temporary each."""
+    out = np.zeros_like(values)
+    pair = (dx / 3.0) * (values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
+    out[2::2] = np.cumsum(pair, axis=0)
+    out[1] = (dx / 24.0) * (
+        9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3]
+    )
+    out[3::2] = out[2:-1:2] + (dx / 24.0) * (
+        values[0:-3:2]
+        - 5.0 * values[1:-2:2]
+        + 19.0 * values[2:-1:2]
+        + 9.0 * values[3::2]
+    )
+    return out
+
+
+def _loop_trajectories(sys, max_order, t, vec, steps) -> list[np.ndarray]:
+    """Rotating-frame trajectories with the rotation factor formed per order."""
+    n_fine = 2 * steps
+    grid = np.linspace(0.0, t, n_fine + 1)
+    dx = t / n_fine if n_fine else 0.0
+    omega0 = np.array(sys.omega0)
+    phase = np.exp(-1j * grid[:, None] * omega0[None, :])
+    trajectories = [np.broadcast_to(vec, (n_fine + 1, sys.dim)).copy()]
+    for _ in range(1, max_order + 1):
+        prev = trajectories[-1]
+        integrand = -1j * np.conj(phase) * ((phase * prev) @ sys.omegaI.T)
+        trajectories.append(_loop_running_integral(integrand, dx))
+    return trajectories
+
+
+def _loop_validate(sys, order, t, psi0, steps) -> np.ndarray:
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if steps < 10 * order:
+        raise ResolutionTooCoarse(
+            f"steps={steps} too coarse for order {order}; need >= {10 * order}"
+        )
+    return linalg.as_vector(psi0, sys.dim, "psi0")
+
+
+def loop_term(sys, order, t, psi0, steps) -> np.ndarray:
+    """dyson.term with orders 1..order rebuilt on every call."""
+    vec = _loop_validate(sys, order, t, psi0, steps)
+    if order == 0 or t == 0.0:
+        if order > 0:
+            return np.zeros(sys.dim, dtype=complex)
+        return np.exp(-1j * np.array(sys.omega0) * t) * vec
+    trajectories = _loop_trajectories(sys, order, t, vec, steps)
+    return np.exp(-1j * np.array(sys.omega0) * t) * trajectories[order][-1]
+
+
+def loop_partial_sum(sys, max_order, t, psi0, steps) -> np.ndarray:
+    """dyson.partial_sum on the loop_term trajectories."""
+    vec = _loop_validate(sys, max_order, t, psi0, steps)
+    if max_order == 0 or t == 0.0:
+        total_phi = vec
+    else:
+        trajectories = _loop_trajectories(sys, max_order, t, vec, steps)
+        weights = sys.epsilon ** np.arange(max_order + 1)
+        total_phi = sum(w * traj[-1] for w, traj in zip(weights, trajectories))
+    return np.exp(-1j * np.array(sys.omega0) * t) * total_phi
+
+
+def loop_convergence_residuals(sys, t, psi0, orders, eps_grid, steps) -> np.ndarray:
+    """dyson.convergence_report residuals from one loop trajectory build."""
+    vec = _loop_validate(sys, max(orders), t, psi0, steps)
+    trajectories = _loop_trajectories(sys, max(orders), t, vec, steps)
+    final_phase = np.exp(-1j * np.array(sys.omega0) * t)
+    coeffs = [final_phase * traj[-1] for traj in trajectories]
+    residuals = np.zeros((len(orders), len(eps_grid)))
+    for j, eps in enumerate(eps_grid):
+        exact = linalg.matrix_exponential_apply(sys.full_matrix(eps), t, vec)
+        for i, order in enumerate(orders):
+            approx = sum(eps**n * coeffs[n] for n in range(order + 1))
+            residuals[i, j] = float(np.linalg.norm(approx - exact))
+    return residuals

@@ -131,6 +131,14 @@ class TestVerify:
         monkeypatch.setenv("OSC_PERT_TOL", "1e-20")
         assert run("verify", "--model", "s") == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc"])
+    def test_bad_tolerance_override_is_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("OSC_PERT_TOL", value)
+        assert run("verify", "--model", "s") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestDecompose:
     def test_explicit_worked_example(self, tmp_path, capsys):

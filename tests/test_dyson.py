@@ -7,7 +7,12 @@ from oscpert.benchmarks import registry
 from oscpert.dyson import PerturbedSystem
 from oscpert.errors import ResolutionTooCoarse
 
-from oracles import path_term
+from oracles import (
+    loop_convergence_residuals,
+    loop_partial_sum,
+    loop_term,
+    path_term,
+)
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
 
@@ -82,6 +87,81 @@ class TestTerm:
     def test_resolution_too_coarse(self):
         with pytest.raises(ResolutionTooCoarse):
             dyson.term(small_system(), 4, 1.0, PSI0, steps=39)
+
+
+class TestTerms:
+    def test_every_order_equals_term(self):
+        sys = small_system(0.3)
+        for n in (0, 1, 3, 5):
+            coeffs = dyson.terms(sys, n, 0.9, PSI0, 10 * n + 20)
+            assert len(coeffs) == n + 1
+            for k, coeff in enumerate(coeffs):
+                expected = dyson.term(sys, k, 0.9, PSI0, 10 * n + 20)
+                assert coeff.tobytes() == expected.tobytes()
+
+    def test_resolution_too_coarse(self):
+        with pytest.raises(ResolutionTooCoarse):
+            dyson.terms(small_system(), 4, 1.0, PSI0, steps=39)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestAgainstPerOrderLoop:
+    """The one-pass path reproduces the per-order loop oracle bit for bit."""
+
+    MAX_ORDER = 6
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 7.3])
+    def test_bitwise_equal(self, mid, eps, t):
+        sys = threemode.perturbed_system(registry(mid).at_epsilon(eps))
+        orders = range(self.MAX_ORDER + 1)
+        for order in orders:
+            coarsest = 10 * order
+            assert _same_bits(
+                dyson.term(sys, order, t, PSI0, coarsest),
+                loop_term(sys, order, t, PSI0, coarsest),
+            )
+        for steps in (10 * self.MAX_ORDER, 100, 2000):
+            coeffs = dyson.terms(sys, self.MAX_ORDER, t, PSI0, steps)
+            for order in orders:
+                expected = loop_term(sys, order, t, PSI0, steps)
+                assert _same_bits(coeffs[order], expected)
+                assert _same_bits(dyson.term(sys, order, t, PSI0, steps), expected)
+                assert _same_bits(
+                    dyson.partial_sum(sys, order, t, PSI0, steps),
+                    loop_partial_sum(sys, order, t, PSI0, steps),
+                )
+            rep = dyson.convergence_report(
+                sys, t, PSI0, orders=orders, eps_grid=[0.0, 0.3, 1.0], steps=steps
+            )
+            expected = loop_convergence_residuals(
+                sys, t, PSI0, tuple(orders), (0.0, 0.3, 1.0), steps
+            )
+            assert _same_bits(rep.residuals, expected)
+
+    @pytest.mark.parametrize(
+        "order, t, steps",
+        [(-1, 1.0, 100), (2, -0.5, 100), (2, float("nan"), 100),
+         (2, float("inf"), 100), (4, 1.0, 39)],
+    )
+    def test_same_refusals(self, order, t, steps):
+        sys = small_system()
+        with pytest.raises((ValueError, ResolutionTooCoarse)) as expected:
+            loop_term(sys, order, t, PSI0, steps)
+
+        def report(sys, order, t, psi0, steps):
+            return dyson.convergence_report(
+                sys, t, psi0, orders=(0, order), eps_grid=[0.5], steps=steps
+            )
+
+        for call in (dyson.terms, dyson.term, dyson.partial_sum, report):
+            with pytest.raises(expected.type) as got:
+                call(sys, order, t, PSI0, steps)
+            assert str(got.value) == str(expected.value)
 
 
 class TestPartialSum:
@@ -163,6 +243,19 @@ class TestConvergenceReport:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             dyson.convergence_report(small_system(), 1.0, PSI0, orders=(), eps_grid=[0.5])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            dyson.convergence_report(
+                small_system(), 1.0, PSI0, orders=(-1, 2), eps_grid=[0.5], steps=100
+            )
+
+    @pytest.mark.parametrize("eps", [1.5, -0.2, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            dyson.convergence_report(
+                small_system(), 1.0, PSI0, orders=(0, 2), eps_grid=[0.5, eps], steps=100
+            )
 
 
 class TestPerturbedSystem:

@@ -47,10 +47,6 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _load_model(spec: str, epsilon: float = 1.0) -> ThreeModeModel:
     """Benchmark alias (m/s/l or full id) or @path to a model JSON file."""
     if spec.startswith("@"):
@@ -71,64 +67,37 @@ def _parse_psi0(text: str) -> np.ndarray:
     return np.array(parts, dtype=complex)
 
 
-def sweep_rows(model: ThreeModeModel, eps_values, levels) -> list[dict]:
-    """One row dict per (epsilon, mode), estimates restricted to `levels`.
+def sweep_rows(model: ThreeModeModel, eps_values, levels) -> dict[str, list]:
+    """The sweep table as columns named as in CSV_HEADER, in its order.
 
+    Entry r of every column belongs to row r, one row per (epsilon, mode).
     Formats eigenfreq.spectral_grid: the truth comes from one batched
-    eigensolve along the grid, the estimates from the estimator kernel.  A
-    grid point whose estimates are refused keeps its true values, carries
-    NaN estimates and names the refusal in `status`.
+    eigensolve along the grid, the estimates from the estimator kernel;
+    levels not in `levels` are NaN.  A grid point whose estimates are
+    refused keeps its true values, carries NaN estimates and names the
+    refusal in `status`.
     """
     grid = eigenfreq.spectral_grid(model, eps_values)
+    true = grid.true_values.reshape(-1)
+    real = eigenfreq.is_real_mode(true)
     wanted = [name in levels for name in eigenfreq.LEVELS]
-    rows = []
-    for eps, true_vals, ests in zip(grid.epsilon, grid.true_values.tolist(), grid.estimates):
-        refused = isinstance(ests, OscPertError)
-        status = type(ests).__name__ if refused else "ok"
-        for mode, true in enumerate(true_vals, start=1):
-            real = eigenfreq.is_real_mode(true)
-            row = {
-                "epsilon": eps,
-                "mode": mode,
-                "true_re": true.real,
-                "true_im": true.imag,
-                "real_spectrum": real,
-                "status": status,
-            }
-            for i, name in enumerate(eigenfreq.LEVELS):
-                if not refused and wanted[i]:
-                    est = ests[mode - 1][i]
-                    row[name] = est
-                    row[f"err{i}"] = abs(true.real - est) if real else math.nan
-                else:
-                    row[name] = math.nan
-                    row[f"err{i}"] = math.nan
-            rows.append(row)
-    return rows
+    ests = np.where(wanted, grid.estimates.reshape(-1, 3), np.nan)
+    errs = np.where(real[:, None], np.abs(true.real[:, None] - ests), np.nan)
+    status = ["ok" if r is None else type(r).__name__ for r in grid.refusals for _ in range(3)]
+    return {
+        "epsilon": np.repeat(grid.epsilon, 3).tolist(),
+        "mode": [1, 2, 3] * len(grid.epsilon),
+        "true_re": true.real.tolist(),
+        "true_im": true.imag.tolist(),
+        **dict(zip(eigenfreq.LEVELS, ests.T.tolist())),
+        **dict(zip(("err0", "err1", "err2"), errs.T.tolist())),
+        "real_spectrum": real.tolist(),
+        "status": status,
+    }
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r["epsilon"]),
-                    str(r["mode"]),
-                    _fmt(r["true_re"]),
-                    _fmt(r["true_im"]),
-                    _fmt(r["app0"]),
-                    _fmt(r["app1"]),
-                    _fmt(r["app2"]),
-                    _fmt(r["err0"]),
-                    _fmt(r["err1"]),
-                    _fmt(r["err2"]),
-                    "true" if r["real_spectrum"] else "false",
-                    r["status"],
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+# One CSV row; "%.17g" prints what f"{x:.17g}" prints, nan and -0 included.
+_CSV_ROW = "%.17g,%d" + ",%.17g" * 8 + ",%s,%s"
 
 
 def _cmd_sweep(args) -> int:
@@ -141,15 +110,21 @@ def _cmd_sweep(args) -> int:
     for name in levels:
         if name not in eigenfreq.LEVELS:
             raise ValueError(f"unknown level {name!r}")
-    eps_values = np.linspace(args.eps_start, args.eps_end, args.steps)
-    rows = sweep_rows(model, eps_values, levels)
+    try:
+        eps_values = np.linspace(args.eps_start, args.eps_end, args.steps)
+    except MemoryError as exc:
+        raise ValueError(f"--steps {args.steps}: cannot allocate the epsilon grid") from exc
+    columns = sweep_rows(model, eps_values, levels)
     if args.format == "csv":
-        payload = _rows_to_csv(rows)
+        real = ["true" if r else "false" for r in columns["real_spectrum"]]
+        rows = zip(*dict(columns, real_spectrum=real).values())
+        payload = "\n".join([CSV_HEADER] + [_CSV_ROW % row for row in rows]) + "\n"
     else:
-        clean = [
-            {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in r.items()}
-            for r in rows
-        ]
+        nulled = {
+            k: [None if isinstance(v, float) and math.isnan(v) else v for v in column]
+            for k, column in columns.items()
+        }
+        clean = [dict(zip(nulled, row)) for row in zip(*nulled.values())]
         payload = json.dumps(
             {"model": model.to_json_dict(), "rows": clean},
             sort_keys=True,
@@ -158,7 +133,7 @@ def _cmd_sweep(args) -> int:
         ) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
-    print(f"wrote {len(rows)} rows ({args.steps} grid points) to {args.out}")
+    print(f"wrote {len(columns['mode'])} rows ({args.steps} grid points) to {args.out}")
     return 0
 
 

@@ -19,22 +19,23 @@ exact by construction.
 True eigenfrequencies are matched to modes 1..3 by continuity in eps from
 the uncoupled limit (nearest-assignment continuation with step <= 0.01),
 because plain magnitude sorting swaps branches where curves cross.
-spectral_grid gives both over a whole eps grid: one batched eigensolve for
-the truth and a float-level estimator kernel at each point.
+spectral_grid gives both over a whole eps grid: one batched eigensolve and
+one cost table of all assignments for the truth, and one array evaluation
+of the estimator formulas for the estimates.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, repeat
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFrequencies, NoTransition
+from .errors import DegenerateFrequencies, EstimateOverflow, NoTransition
 from .threemode import (
+    DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
-    effective_frequencies,
     omega_matrix,
     shifted_frequencies,
 )
@@ -47,11 +48,15 @@ CONTINUATION_STEP = 0.01
 # A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
 IMAG_THRESHOLD = 1e-8
 
-# 0-based original modes that play roles 1, 2, 3 in the model relabeled for
-# mode mu: the index map of threemode.cyclic_view(m, f"psi{mu}"), less one.
-_RELABELING = {1: (0, 1, 2), 3: (2, 0, 1), 2: (1, 2, 0)}
+# Per mode mu = 1, 2, 3: the 0-based original modes that play roles 1, 2, 3
+# in cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
+_RELABELING = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_ROLES = np.array(_RELABELING).T  # _ROLES[r - 1][mode - 1]: who plays role r
+_UPSTREAM = [2, 0, 1]  # 0-based upstream neighbour of each mode in 1 -> 2 -> 3 -> 1
 
-_PERMUTATIONS = tuple(permutations(range(3)))
+# The six assignments of eigenvalues to modes, in itertools.permutations
+# order; row 0 is the identity.
+_PERMUTATIONS = np.array(tuple(permutations(range(3))))
 
 
 @dataclass(frozen=True)
@@ -71,48 +76,89 @@ class EigenfrequencyReport:
     real_spectrum: bool
 
 
-def _nested(base: float, inc1: float, inc2: float) -> tuple[float, float, float]:
-    """(app0, app1, app2) from the increments: each level adds its own."""
-    return base, base + inc1, base + inc1 + inc2
-
-
-def _increments(freqs, a, eps: float, which: int) -> tuple[float, float, float]:
-    """The estimator kernel on plain floats.
-
-    It evaluates the mode-1 formula on the model relabeled as
-    cyclic_view(m, f"psi{which}") does, by indexing instead of building that
-    model, with the operations of effective_frequencies and xyz in their
-    order.
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n per element with Python's float power (libm pow), inf where that
+    overflows: np.power, and x*x for squares, differ from it in the last ulp
+    on some inputs, and the estimates keep the scalar formula's bits.
     """
-    i, j, k = _RELABELING[which]
-    w1, w2, w3 = freqs[i], freqs[j], freqs[k]
-    p = w3 - w1
-    q = w1 - w2
-    w = a[i] * a[j] * a[k] * eps**3 / (q * p)
-    base = w1 + w
-    inc1 = w**2 / p - w**2 / q
-    inc2 = (
-        2 * w**3 / p**2
-        - 3 * w**3 / (p * q)
-        + 2 * w**3 / q**2
-        + (10.0 / 3.0) * w**4 / p**3
-        - 10 * w**4 / (p**2 * q)
-        + 10 * w**4 / (p * q**2)
-        - (10.0 / 3.0) * w**4 / q**3
-    )
-    return base, inc1, inc2
+    values = x.ravel().tolist()
+    try:
+        out = np.array(list(map(pow, values, repeat(n))), dtype=float)
+    except OverflowError:
+        out = np.array([_pow_or_inf(v, n) for v in values], dtype=float)
+    return out.reshape(x.shape)
+
+
+def _pow_or_inf(v: float, n: int) -> float:
+    try:
+        return v**n
+    except OverflowError:
+        return math.inf
+
+
+def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
+    """The estimator kernel: (N, 3, 3) increments [point, mode, (base + W,
+    inc1, inc2)] at every eps of a 1-D array, NaN where refused, and each
+    point's refusal (DegenerateFrequencies, EstimateOverflow when a power or
+    an increment is not finite) or None.  Mode mu is the mode-1 formula on
+    the model relabeled by indexing as cyclic_view(m, f"psi{mu}") would,
+    with the operations of effective_frequencies and xyz in their order.
+    """
+    freqs = np.add(m.omega, eps[:, None] * np.array(m.d))
+    w1, w2, w3 = (freqs[:, role] for role in _ROLES)  # (N, 3): [point, mode]
+    q = w1 - w2  # the three pairwise gaps
+    # Degeneracy is threemode's rule; it refuses only points whose smallest
+    # gap is below its floor, so points below twice the floor are handed to it.
+    floor = DEGENERACY_GAP_FACTOR * np.maximum(1e-12, np.abs(freqs).max(axis=1))
+    refusals = [None] * len(eps)
+    for n in np.flatnonzero(np.abs(q).min(axis=1) < 2 * floor).tolist():
+        try:
+            shifted_frequencies(m.omega, m.d, eps[n].item())
+        except DegenerateFrequencies as exc:
+            refusals[n] = exc
+    coupling = np.array([m.a[i] * m.a[j] * m.a[k] for i, j, k in _RELABELING])
+    with np.errstate(all="ignore"):
+        p = w3 - w1  # the very difference q of the upstream mode: p's powers are q's
+        w = coupling * _power(eps, 3)[:, None] / (q * p)
+        powers = ((w, 2), (w, 3), (w, 4), (q, 2), (q, 3))
+        terms = w_2, w_3, w_4, q_2, q_3 = [_power(x, n) for x, n in powers]
+        p_2, p_3 = q_2[:, _UPSTREAM], q_3[:, _UPSTREAM]
+        out = np.stack([
+            w1 + w,
+            w_2 / p - w_2 / q,
+            2 * w_3 / p_2
+            - 3 * w_3 / (p * q)
+            + 2 * w_3 / q_2
+            + (10.0 / 3.0) * w_4 / p_3
+            - 10 * w_4 / (p_2 * q)
+            + 10 * w_4 / (p * q_2)
+            - (10.0 / 3.0) * w_4 / q_3,
+        ], axis=2)
+    finite = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(terms).all(axis=(0, 2))
+    for n in np.flatnonzero(~finite).tolist():
+        if refusals[n] is None:
+            refusals[n] = EstimateOverflow(f"estimator terms are not finite at eps={eps[n]!s}")
+    out[[r is not None for r in refusals]] = math.nan
+    return out, refusals
 
 
 def estimate_increments(m: ThreeModeModel, which: int) -> tuple[float, float, float]:
-    """(base+W, app1 increment, app2 increment) for the requested mode."""
+    """(base+W, app1 increment, app2 increment) for the requested mode.
+
+    Raises:
+        DegenerateFrequencies, EstimateOverflow: the estimates are refused.
+    """
     if which not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
-    return _increments(effective_frequencies(m), m.a, m.epsilon, which)
+    incs, refusals = _increments(m, np.array([m.epsilon]))
+    if refusals[0] is not None:
+        raise refusals[0]
+    return tuple(incs[0, int(which) - 1].tolist())
 
 
 def estimate(m: ThreeModeModel, which: int, level: str) -> float:
     """Perturbative estimate of eigenfrequency `which` at the given depth."""
-    levels = _nested(*estimate_increments(m, which))
+    levels = np.cumsum(estimate_increments(m, which)).tolist()
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     return levels[LEVELS.index(level)]
@@ -126,36 +172,39 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
     eigenvalue call.  Row j holds (lambda_1, lambda_2, lambda_3) at
     eps_grid[j], where branch mu starts at omega_mu at eps = 0.  Each step
     takes the assignment of least summed distance to the previous one; on a
-    tie the first in itertools.permutations order wins.
+    tie the first in itertools.permutations order wins.  The costs of all
+    assignments at every step, given each assignment at the step before,
+    form one (N, 6, 6) table summed in mode order, so its first minimum is
+    the per-step loop's; a walk through the chosen assignments remains.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if not all(e >= 0 for e in eps_grid) or eps_grid != sorted(eps_grid):
+    eps = np.asarray(eps_grid, dtype=float)
+    if not (np.all(eps >= 0) and np.all(eps[1:] >= eps[:-1])):
         raise ValueError("eps_grid must be sorted and non-negative")
-    fine = [0.0]
-    targets = {}
-    for j, eps in enumerate(eps_grid):
-        prev = fine[-1]
-        if eps > prev:
-            extra = int(math.ceil((eps - prev) / CONTINUATION_STEP))
-            points = [prev + (eps - prev) * (i + 1) / extra for i in range(extra)]
-            points[-1] = eps  # land on the target exactly
-            fine.extend(points)
-        targets.setdefault(eps, []).append(j)
-    current = [complex(w) for w in m.omega]
-    out = np.zeros((len(eps_grid), 3), dtype=complex)
-    for j in targets.get(0.0, ()):
-        out[j] = current
-    spectra = linalg.eigenvalues(omega_matrix(m, fine[1:])).tolist()
-    for eps, vals in zip(fine[1:], spectra):
-        dist = [[abs(v - c) for v in vals] for c in current]
-        best = min(
-            _PERMUTATIONS,
-            key=lambda p: dist[0][p[0]] + dist[1][p[1]] + dist[2][p[2]],
-        )
-        current = [vals[i] for i in best]
-        for j in targets.get(eps, ()):
-            out[j] = current
-    return out
+    # Each new grid value ends a segment of equal steps from the previous one.
+    new = eps > np.concatenate(([0.0], eps[:-1]))
+    ends = eps[new]
+    starts = np.concatenate(([0.0], ends[:-1]))
+    steps = np.ceil((ends - starts) / CONTINUATION_STEP).astype(int)
+    last = np.cumsum(steps)
+    seg = np.repeat(np.arange(len(ends)), steps)
+    k = np.arange(1, len(seg) + 1) - np.repeat(last - steps, steps)
+    fine = starts[seg] + (ends - starts)[seg] * k / steps[seg]
+    fine[last - 1] = ends  # land on the targets exactly
+
+    # row 0 is eps = 0, where the eigenvalues are omega in mode order
+    raw = np.concatenate(([m.omega], linalg.eigenvalues(omega_matrix(m, fine))))
+    diff = raw[1:, None, :] - raw[:-1, :, None]  # [n, a, b]: raw_n+1[b] - raw_n[a]
+    # hypot is bitwise abs() of a Python complex; np.abs of a complex array is not
+    dist = np.hypot(diff.real, diff.imag)
+    p, c = _PERMUTATIONS[None, :], _PERMUTATIONS[:, None]
+    cost = (
+        dist[:, c[..., 0], p[..., 0]] + dist[:, c[..., 1], p[..., 1]]
+    ) + dist[:, c[..., 2], p[..., 2]]
+    chosen = [0]
+    for best in cost.argmin(axis=2).tolist():
+        chosen.append(best[chosen[-1]])
+    path = np.take_along_axis(raw, _PERMUTATIONS[chosen], axis=1)
+    return path[np.concatenate(([0], last))[np.cumsum(new)]]
 
 
 def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]:
@@ -168,14 +217,16 @@ def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]
 class SpectralGrid:
     """Matched true eigenfrequencies and all nine estimates over an eps grid.
 
-    true_values[j] holds (lambda_1, lambda_2, lambda_3) at epsilon[j].
-    estimates[j] holds (app0, app1, app2) for modes 1, 2 and 3 in turn, or
-    the DegenerateFrequencies error that refused the estimates there.
+    true_values[j] holds (lambda_1, lambda_2, lambda_3) at epsilon[j], and
+    estimates[j, mode - 1] holds (app0, app1, app2) of that mode.
+    refusals[j] is the OscPertError that refused the estimates at
+    epsilon[j] (they are NaN there), or None.
     """
 
     epsilon: tuple[float, ...]
     true_values: np.ndarray
-    estimates: tuple
+    estimates: np.ndarray
+    refusals: tuple
 
 
 def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
@@ -184,30 +235,23 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
     Raises:
         ValueError: grid unsorted or outside [0, 1].
     """
-    eps_values = tuple(float(e) for e in eps_grid)
-    if not all(0.0 <= e <= 1.0 for e in eps_values):
+    eps = np.asarray(eps_grid, dtype=float)
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError("every epsilon must lie in [0, 1]")
-    true_values = matched_path(m, eps_values)
-    estimates = []
-    for eps in eps_values:
-        try:
-            freqs = shifted_frequencies(m.omega, m.d, eps)
-        except DegenerateFrequencies as exc:
-            estimates.append(exc)
-            continue
-        estimates.append(
-            tuple(_nested(*_increments(freqs, m.a, eps, which)) for which in (1, 2, 3))
-        )
-    return SpectralGrid(eps_values, true_values, tuple(estimates))
+    true_values = matched_path(m, eps)
+    incs, refusals = _increments(m, eps)
+    return SpectralGrid(
+        tuple(eps.tolist()), true_values, np.cumsum(incs, axis=2), tuple(refusals)
+    )
 
 
-def is_real_mode(value: complex) -> bool:
-    return abs(value.imag) <= IMAG_THRESHOLD * (1.0 + abs(value))
+def is_real_mode(value):
+    """Whether a complex value (or each entry of a complex array) is real."""
+    return np.abs(value.imag) <= IMAG_THRESHOLD * (1.0 + np.hypot(value.real, value.imag))
 
 
 def _spectrum_nonreal(m: ThreeModeModel, eps: float) -> bool:
-    vals = linalg.eigenvalues(omega_matrix(m, eps))
-    return any(not is_real_mode(v) for v in vals)
+    return not is_real_mode(np.array(linalg.eigenvalues(omega_matrix(m, eps)))).all()
 
 
 def transition_epsilon(
@@ -242,27 +286,26 @@ def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:
     """All nine estimates, the matched true values, and per-mode errors.
 
     Raises:
-        DegenerateFrequencies: the estimates are refused at eps.
+        OscPertError: the estimates are refused at eps (DegenerateFrequencies
+            or EstimateOverflow).
     """
     grid = spectral_grid(m, [eps])
-    ests = grid.estimates[0]
-    if isinstance(ests, DegenerateFrequencies):
-        raise ests
+    if grid.refusals[0] is not None:
+        raise grid.refusals[0]
     true_vals = tuple(grid.true_values[0].tolist())
-    mode_real = tuple(is_real_mode(v) for v in true_vals)
-    estimates = {}
-    abs_errors = {}
-    for i, level in enumerate(LEVELS):
-        estimates[level] = tuple(ests[mode][i] for mode in range(3))
-        abs_errors[level] = tuple(
-            abs(true_vals[mode].real - ests[mode][i]) if mode_real[mode] else None
-            for mode in range(3)
-        )
+    mode_real = tuple(is_real_mode(grid.true_values[0]).tolist())
+    by_level = dict(zip(LEVELS, grid.estimates[0].T.tolist()))
     return EigenfrequencyReport(
         epsilon=grid.epsilon[0],
         true_values=true_vals,
-        estimates=estimates,
-        abs_errors=abs_errors,
+        estimates={level: tuple(ests) for level, ests in by_level.items()},
+        abs_errors={
+            level: tuple(
+                abs(true.real - est) if real else None
+                for true, est, real in zip(true_vals, ests, mode_real)
+            )
+            for level, ests in by_level.items()
+        },
         mode_real=mode_real,
         real_spectrum=all(mode_real),
     )

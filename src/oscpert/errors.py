@@ -38,6 +38,10 @@ class DegenerateFrequencies(OscPertError):
     """Effective mode frequencies are closer than the configured gap."""
 
 
+class EstimateOverflow(OscPertError):
+    """An eigenfrequency estimate or one of its terms is not a finite float."""
+
+
 class InvalidLowerParameter(OscPertError):
     """A lower hypergeometric parameter hits a non-positive integer before the
     series terminates."""

@@ -12,8 +12,13 @@ rather than tautology:
                        with mpmath at 50 digits)
 * brute_force_pfq    — direct 50-digit summation of a hypergeometric series
 * per_point_sweep    — the per-point spectral path the batched ε-grid path
-                       replaced: one eigensolve per refined grid point and
+                       replaced: one eigensolve per refined grid point, one
+                       itertools.permutations matching loop per step and
                        one relabeled model per estimate
+* sweep_row_dicts, rows_to_csv, rows_to_json
+                     — the row-dict sweep writer the column writer in
+                       oscpert.cli replaced: one dict per (ε, mode) row and
+                       one f-string per value, fed by per_point_sweep
 * loop_laplacian, loop_pairwise_split, loop_check_one_way,
   loop_certificate   — the element-by-element graph kernels the array
                        kernels in oscpert.graph replaced
@@ -30,6 +35,7 @@ rather than tautology:
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from itertools import permutations
 
@@ -174,8 +180,12 @@ def per_point_increments(m, which: int) -> tuple[float, float, float]:
     return base, inc1, inc2
 
 
-def per_point_path(m, eps_grid) -> np.ndarray:
-    """matched_path with one linalg.eigenvalues call per refined point."""
+def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
+    """matched_path with one linalg.eigenvalues call per refined point.
+
+    When `margins` is a list, each continuation step appends to it the cost
+    of its second-best assignment less that of its best.
+    """
     eps_grid = [float(e) for e in eps_grid]
     fine = [0.0]
     targets = {}
@@ -193,10 +203,14 @@ def per_point_path(m, eps_grid) -> np.ndarray:
         out[j] = current
     for eps in fine[1:]:
         vals = np.array(linalg.eigenvalues(threemode.omega_matrix(m, eps)))
-        best = min(
-            permutations(range(3)),
-            key=lambda p: sum(abs(vals[p[i]] - current[i]) for i in range(3)),
-        )
+        costs = {
+            p: sum(abs(vals[p[i]] - current[i]) for i in range(3))
+            for p in permutations(range(3))
+        }
+        best = min(costs, key=costs.get)
+        if margins is not None:
+            first, second = sorted(costs.values())[:2]
+            margins.append(second - first)
         current = vals[list(best)]
         for j in targets.get(eps, ()):
             out[j] = current
@@ -221,6 +235,68 @@ def per_point_sweep(m, eps_grid):
             tuple((base, base + inc1, base + inc1 + inc2) for base, inc1, inc2 in incs)
         )
     return per_point_path(m, eps_grid), estimates
+
+
+def sweep_row_dicts(m, eps_values, levels) -> list[dict]:
+    """One row dict per (epsilon, mode), estimates restricted to `levels`."""
+    true_path, estimates = per_point_sweep(m, eps_values)
+    rows = []
+    for eps, true_vals, ests in zip(eps_values, true_path.tolist(), estimates):
+        refused = isinstance(ests, str)
+        status = ests if refused else "ok"
+        for mode, true in enumerate(true_vals, start=1):
+            real = abs(true.imag) <= eigenfreq.IMAG_THRESHOLD * (1.0 + abs(true))
+            row = {
+                "epsilon": float(eps),
+                "mode": mode,
+                "true_re": true.real,
+                "true_im": true.imag,
+                "real_spectrum": real,
+                "status": status,
+            }
+            for i, name in enumerate(eigenfreq.LEVELS):
+                if not refused and name in levels:
+                    est = ests[mode - 1][i]
+                    row[name] = est
+                    row[f"err{i}"] = abs(true.real - est) if real else math.nan
+                else:
+                    row[name] = math.nan
+                    row[f"err{i}"] = math.nan
+            rows.append(row)
+    return rows
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    lines = [
+        "epsilon,mode,true_re,true_im,app0,app1,app2,err0,err1,err2,"
+        "real_spectrum,status"
+    ]
+    for r in rows:
+        lines.append(
+            ",".join(
+                [fmt(r["epsilon"]), str(r["mode"])]
+                + [fmt(r[k]) for k in ("true_re", "true_im", "app0", "app1", "app2")]
+                + [fmt(r[k]) for k in ("err0", "err1", "err2")]
+                + ["true" if r["real_spectrum"] else "false", r["status"]]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def rows_to_json(m, rows: list[dict]) -> str:
+    clean = [
+        {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in r.items()}
+        for r in rows
+    ]
+    return json.dumps(
+        {"model": m.to_json_dict(), "rows": clean},
+        sort_keys=True,
+        indent=2,
+        allow_nan=False,
+    ) + "\n"
 
 
 def loop_laplacian(g) -> np.ndarray:

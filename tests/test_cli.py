@@ -7,6 +7,9 @@ import pytest
 from oscpert import eigenfreq, graph
 from oscpert.benchmarks import registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
+from oscpert.threemode import ThreeModeModel
+
+from oracles import rows_to_csv, rows_to_json, sweep_row_dicts
 
 FIG1_GRAPH = {
     "n": 3,
@@ -82,12 +85,13 @@ class TestSweep:
     def test_rows_equal_estimate(self, mid):
         # every printed level is exactly what eigenfreq.estimate returns
         model = registry(mid)
-        rows = sweep_rows(model, np.linspace(0.0, 1.0, 101), eigenfreq.LEVELS)
-        assert len(rows) == 303
-        for row in rows:
-            at_eps = model.at_epsilon(row["epsilon"])
+        columns = sweep_rows(model, np.linspace(0.0, 1.0, 101), eigenfreq.LEVELS)
+        assert list(columns) == CSV_HEADER.split(",")
+        assert all(len(column) == 303 for column in columns.values())
+        for r, (eps, mode) in enumerate(zip(columns["epsilon"], columns["mode"])):
+            at_eps = model.at_epsilon(eps)
             for level in eigenfreq.LEVELS:
-                assert row[level] == eigenfreq.estimate(at_eps, row["mode"], level)
+                assert columns[level][r] == eigenfreq.estimate(at_eps, mode, level)
 
     def test_degenerate_rows_name_the_refusal(self, tmp_path):
         model_file = tmp_path / "model.json"
@@ -105,11 +109,69 @@ class TestSweep:
             assert cells[11] == ("DegenerateFrequencies" if refused else "ok")
             assert (cells[4] == "nan") == refused
 
+    @pytest.mark.parametrize("a, eps_zero_status", [(1e60, "ok"), (1e110, "EstimateOverflow")])
+    def test_overflowing_estimates_name_the_refusal(self, tmp_path, a, eps_zero_status):
+        # a = 1e60: W**2 overflows once eps > 0; a = 1e110: a1*a2*a3 is
+        # already inf, so eps = 0 gives inf * 0 = nan
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"omega": [1, 2, 3.5], "a": [a] * 3, "d": [0, 0, 0]}))
+        out = tmp_path / "overflow.csv"
+        assert run(
+            "sweep", "--model", f"@{model_file}", "--steps", "11", "--out", str(out)
+        ) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 33
+        for cells in rows:
+            refused = float(cells[0]) > 0.0 or eps_zero_status != "ok"
+            assert cells[11] == ("EstimateOverflow" if refused else "ok")
+            assert all((cell == "nan") == refused for cell in cells[4:7])
+            assert all(cell not in ("inf", "-inf") for cell in cells)
+
+    def test_unallocatable_steps_is_usage_error(self, tmp_path, capsys):
+        # the 7 PiB request for the epsilon grid fails at once
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--model", "s", "--steps", "1000000000000000", "--out", str(out)) == 2
+        assert "--steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run(
             "sweep", "--model", "s", "--eps-start", "0.9", "--eps-end", "0.1",
             "--out", str(tmp_path / "x.csv"),
         ) == 2
+
+
+DEGENERATE_MODEL = {"omega": [1, 2, 3.5], "a": [0.1, 0.2, 0.3], "d": [1, 0, 0]}
+
+
+class TestSweepBytes:
+    """sweep writes exactly what the row-dict writer writes for the per-point path."""
+
+    CASES = [
+        (mid, steps, "app0,app1,app2") for mid in ("s", "m", "l") for steps in (101, 10001)
+    ] + [
+        (mid, 101, levels) for mid in ("s", "m", "l") for levels in ("app0", "app1,app2")
+    ] + [
+        ("degenerate", 11, levels) for levels in ("app0,app1,app2", "app0", "app1,app2")
+    ]
+
+    @pytest.mark.parametrize("mid, steps, levels", CASES)
+    def test_csv_and_json(self, tmp_path, mid, steps, levels):
+        if mid == "degenerate":
+            spec = tmp_path / "model.json"
+            spec.write_text(json.dumps(DEGENERATE_MODEL))
+            model = ThreeModeModel.from_json_dict(DEGENERATE_MODEL).at_epsilon(1.0)
+            mid = f"@{spec}"
+        else:
+            model = registry(mid)
+        rows = sweep_row_dicts(model, np.linspace(0.0, 1.0, steps), levels.split(","))
+        for fmt, expected in (("csv", rows_to_csv(rows)), ("json", rows_to_json(model, rows))):
+            out = tmp_path / f"sweep.{fmt}"
+            assert run(
+                "sweep", "--model", mid, "--steps", str(steps), "--levels", levels,
+                "--format", fmt, "--out", str(out),
+            ) == 0
+            assert out.read_bytes() == expected.encode()
 
 
 class TestVerify:

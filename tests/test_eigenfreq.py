@@ -4,13 +4,21 @@ import pytest
 
 from oscpert import eigenfreq as ef, threemode as tm
 from oscpert.benchmarks import registry
-from oscpert.errors import DegenerateFrequencies, NoTransition
+from oscpert.errors import DegenerateFrequencies, EstimateOverflow, NoTransition
 
-from oracles import per_point_increments, per_point_sweep
+from oracles import per_point_increments, per_point_path, per_point_sweep
 
 # Effective frequencies 1 + eps, 2, 3.5: modes 1 and 2 coincide at eps = 1.
 DEGENERATE_AT_ONE = tm.ThreeModeModel(
     omega=(1, 2, 3.5), a=(0.1, 0.2, 0.3), d=(1, 0, 0), epsilon=0.0
+)
+# W = a1 a2 a3 eps^3 / (P Q) is about 1e180 at eps = 1, so W**2 overflows.
+OVERFLOWING_POWER = tm.ThreeModeModel(
+    omega=(1, 2, 3.5), a=(1e60, 1e60, 1e60), d=(0, 0, 0), epsilon=1.0
+)
+# a1 a2 a3 itself overflows, so even eps = 0 gives inf * 0 = nan.
+OVERFLOWING_COUPLING = tm.ThreeModeModel(
+    omega=(1, 2, 3.5), a=(1e110, 1e110, 1e110), d=(0, 0, 0), epsilon=0.0
 )
 
 
@@ -153,12 +161,15 @@ def _assert_grid_matches_per_point_path(model, eps_grid):
     assert grid.epsilon == tuple(float(e) for e in eps_grid)
     assert grid.true_values.tobytes() == true_ref.tobytes()
     assert np.array_equal(ef.matched_path(model, eps_grid), true_ref)
-    assert len(grid.estimates) == len(est_ref)
-    for got, ref in zip(grid.estimates, est_ref):
+    assert grid.estimates.shape == (len(est_ref), 3, 3)
+    assert len(grid.refusals) == len(est_ref)
+    for got, refusal, ref in zip(grid.estimates, grid.refusals, est_ref):
         if isinstance(ref, str):
-            assert type(got).__name__ == ref
+            assert type(refusal).__name__ == ref
+            assert np.isnan(got).all()
         else:
-            assert got == ref  # bitwise: float equality, no tolerance
+            assert refusal is None
+            assert got.tobytes() == np.array(ref).tobytes()  # bitwise, no tolerance
     return grid
 
 
@@ -188,8 +199,19 @@ class TestGridPathAgainstPerPointPath:
         grid = _assert_grid_matches_per_point_path(
             DEGENERATE_AT_ONE, np.linspace(0.0, 1.0, 11)
         )
-        assert isinstance(grid.estimates[-1], DegenerateFrequencies)
-        assert all(isinstance(e, tuple) for e in grid.estimates[:-1])
+        assert isinstance(grid.refusals[-1], DegenerateFrequencies)
+        assert all(r is None for r in grid.refusals[:-1])
+
+    @pytest.mark.parametrize("third, refused", [(2.000003, False), (2.0000015, True)])
+    def test_gaps_near_the_floor(self, third, refused):
+        # the floor is 1e-6 * max|w| ~ 2e-6: a gap of 3e-6 is kept and one of
+        # 1.5e-6 refused, both within the factor 2 that hands a point to the
+        # scalar rule
+        model = tm.ThreeModeModel(
+            omega=(1, 2, third), a=(0.1, 0.2, 0.3), d=(0, 0, 0), epsilon=0.0
+        )
+        grid = _assert_grid_matches_per_point_path(model, [0.0, 0.5])
+        assert [r is not None for r in grid.refusals] == [refused, refused]
 
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
     def test_public_estimators_match_per_point_path(self, mid):
@@ -213,3 +235,59 @@ class TestGridPathAgainstPerPointPath:
     def test_report_refuses_degenerate_point(self):
         with pytest.raises(DegenerateFrequencies):
             ef.report(DEGENERATE_AT_ONE, 1.0)
+
+
+def _random_model(seed):
+    rng = np.random.default_rng(seed)
+    return tm.ThreeModeModel(
+        omega=rng.uniform(0.0, 10.0, 3),
+        a=rng.uniform(0.1, 3.0, 3),
+        d=rng.uniform(-2.0, 2.0, 3),
+        epsilon=0.0,
+    )
+
+
+class TestCostTableAgainstPermutationLoop:
+    """The (N, 6, 6) cost table picks what the permutations loop picks."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_models_1001_points(self, seed):
+        model = _random_model(seed)
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert ef.matched_path(model, grid).tobytes() == per_point_path(model, grid).tobytes()
+
+    def test_exact_tie_on_large_model(self):
+        # modes 1 and 2 become a conjugate pair near eps = 0.452; there two
+        # assignments cost exactly the same and the first one wins
+        model, grid = registry("l"), np.linspace(0.0, 1.0, 1001)
+        margins = []
+        ref = per_point_path(model, grid, margins)
+        assert len(margins) == 1000
+        assert min(margins) == 0.0
+        assert ef.matched_path(model, grid).tobytes() == ref.tobytes()
+
+
+class TestEstimateOverflow:
+    """Estimates whose terms leave the double range are refused, not garbage."""
+
+    @pytest.mark.parametrize("model", [OVERFLOWING_POWER, OVERFLOWING_COUPLING])
+    def test_public_estimators_refuse(self, model):
+        with pytest.raises(EstimateOverflow):
+            ef.estimate_increments(model, 1)
+        with pytest.raises(EstimateOverflow):
+            ef.estimate(model, 2, "app0")
+        with pytest.raises(EstimateOverflow):
+            ef.report(model, model.epsilon)
+
+    def test_grid_refuses_overflowing_points(self):
+        grid = ef.spectral_grid(OVERFLOWING_POWER, [0.0, 0.5, 1.0])
+        assert grid.refusals[0] is None
+        assert np.isfinite(grid.estimates[0]).all()
+        assert all(isinstance(r, EstimateOverflow) for r in grid.refusals[1:])
+        assert np.isnan(grid.estimates[1:]).all()
+
+    def test_overflowing_coupling_refuses_eps_zero(self):
+        grid = ef.spectral_grid(OVERFLOWING_COUPLING, [0.0, 1.0])
+        assert all(isinstance(r, EstimateOverflow) for r in grid.refusals)
+        assert np.isnan(grid.estimates).all()
+        assert np.isfinite(grid.true_values).all()

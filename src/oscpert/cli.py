@@ -13,9 +13,12 @@ prints floats with 17 significant digits in a fixed row order, and the
 decompose JSON is exactly json.dumps(..., sort_keys=True, indent=2) of the
 nested lists, so floats take their shortest round-trip form.
 
-The environment variable OSC_PERT_TOL, when set to a finite positive float,
-overrides every verification tolerance used by `verify` (documented defaults
-apply when it is unset; any other value is a usage error).
+`verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
+one PASS/FAIL line per row: the quick rows always, the full rows at --depth
+full, and the series rows at --depth full when every |X|,|Y|,|Z| < 1;
+otherwise one SKIP line follows the last row that ran.  The environment
+variable OSC_PERT_TOL, when set to a finite positive float, overrides every
+row's tolerance (any other value is a usage error, raised before any output).
 """
 from __future__ import annotations
 
@@ -36,15 +39,6 @@ CSV_HEADER = (
     "epsilon,mode,true_re,true_im,app0,app1,app2,err0,err1,err2,"
     "real_spectrum,status"
 )
-
-VERIFY_TOLERANCES = {
-    "coupling_table": 5e-4,
-    "zero_eigenvalue": 1e-9,
-    "analytic_vs_quadrature": 1e-7,
-    "block_equivalence": 1e-5,
-    "resummation_vs_propagator": 5e-4,
-    "expansion_vs_propagator": 1e-5,
-}
 
 
 def _load_model(spec: str, epsilon: float = 1.0) -> ThreeModeModel:
@@ -71,18 +65,17 @@ def sweep_rows(model: ThreeModeModel, eps_values, levels) -> dict[str, list]:
     """The sweep table as columns named as in CSV_HEADER, in its order.
 
     Entry r of every column belongs to row r, one row per (epsilon, mode).
-    Formats eigenfreq.spectral_grid: the truth comes from one batched
-    eigensolve along the grid, the estimates from the estimator kernel;
-    levels not in `levels` are NaN.  A grid point whose estimates are
-    refused keeps its true values, carries NaN estimates and names the
-    refusal in `status`.
+    Formats eigenfreq.spectral_grid, which holds the matched truth, the
+    estimates, and each mode's reality and errors; levels not in `levels`
+    are NaN.  A grid point whose estimates are refused keeps its true
+    values, carries NaN estimates and names the refusal in `status`.
     """
     grid = eigenfreq.spectral_grid(model, eps_values)
     true = grid.true_values.reshape(-1)
-    real = eigenfreq.is_real_mode(true)
+    real = grid.mode_real.reshape(-1)
     wanted = [name in levels for name in eigenfreq.LEVELS]
     ests = np.where(wanted, grid.estimates.reshape(-1, 3), np.nan)
-    errs = np.where(real[:, None], np.abs(true.real[:, None] - ests), np.nan)
+    errs = np.where(wanted, grid.errors.reshape(-1, 3), np.nan)
     status = ["ok" if r is None else type(r).__name__ for r in grid.refusals for _ in range(3)]
     return {
         "epsilon": np.repeat(grid.epsilon, 3).tolist(),
@@ -137,117 +130,112 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str, results: list) -> None:
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+# The initial state of every time-domain check.
+PSI0 = np.array([0.6 + 0.2j, -0.3 + 0.4j, 0.5 - 0.1j])
 
 
-def _verify_tolerances() -> dict:
-    override = os.environ.get("OSC_PERT_TOL")
-    if override is None:
-        return dict(VERIFY_TOLERANCES)
-    value = float(override)
-    if not 0.0 < value < math.inf:
-        raise ValueError(
-            f"OSC_PERT_TOL must be a finite positive float, got {override!r}"
-        )
-    return {key: value for key in VERIFY_TOLERANCES}
-
-
-def _cmd_verify(args) -> int:
-    tols = _verify_tolerances()
-    key = canonical_id(args.model)
-    model = registry(key)
-    results: list[bool] = []
-
+def _abs_ratios(model: ThreeModeModel) -> tuple[float, float, float]:
     ratios = threemode.xyz(model)
-    got = (abs(ratios.X), abs(ratios.Y), abs(ratios.Z))
-    expected = COUPLING_TABLE[key]
-    worst = max(abs(g - e) for g, e in zip(got, expected))
-    _check(
-        "coupling-table",
-        worst <= tols["coupling_table"],
-        f"|X|,|Y|,|Z| within {worst:.2e} of {expected}",
-        results,
-    )
+    return (abs(ratios.X), abs(ratios.Y), abs(ratios.Z))
 
+
+def _coupling_table(key, model, tol):
+    expected = COUPLING_TABLE[key]
+    worst = max(abs(g - e) for g, e in zip(_abs_ratios(model), expected))
+    return worst <= tol, f"|X|,|Y|,|Z| within {worst:.2e} of {expected}"
+
+
+def _zero_eigenvalue(key, model, tol):
     eigs = linalg.eigenvalues(threemode.omega_matrix(model, 1.0))
     smallest = min(abs(v) for v in eigs)
-    _check(
-        "zero-eigenvalue",
-        smallest < tols["zero_eigenvalue"],
-        f"min |lambda(Omega(1))| = {smallest:.2e}",
-        results,
-    )
+    return smallest < tol, f"min |lambda(Omega(1))| = {smallest:.2e}"
 
-    psi0 = np.array([0.6 + 0.2j, -0.3 + 0.4j, 0.5 - 0.1j])
-    worst_rel = 0.0
+
+def _analytic_vs_quadrature(key, model, tol):
+    worst = 0.0
     for eps in (0.3, 1.0):
         at_eps = model.at_epsilon(eps)
         system = threemode.perturbed_system(at_eps)
-        coeffs = {t: dyson.terms(system, 3, t, psi0, 2000) for t in (0.5, 1.0)}
+        coeffs = {t: dyson.terms(system, 3, t, PSI0, 2000) for t in (0.5, 1.0)}
         for order in range(4):
             for t in (0.5, 1.0):
-                closed = threemode.psi1_analytic(at_eps, order, t, psi0)
+                closed = threemode.psi1_analytic(at_eps, order, t, PSI0)
                 quad = (eps**order) * coeffs[t][order][0]
-                worst_rel = max(
-                    worst_rel, abs(closed - quad) / max(abs(closed), 1e-14)
-                )
-    _check(
-        "analytic-vs-quadrature",
-        worst_rel <= tols["analytic_vs_quadrature"],
-        f"orders 0..3 worst relative deviation {worst_rel:.2e}",
-        results,
+                worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-14))
+    return worst <= tol, f"orders 0..3 worst relative deviation {worst:.2e}"
+
+
+def _expansion_vs_propagator(key, model, tol):
+    system = threemode.perturbed_system(model.at_epsilon(0.2))
+    report = dyson.convergence_report(
+        system, 1.0, PSI0, orders=(0, 2, 4, 6, 8), eps_grid=[0.2], steps=1000
+    )
+    final, monotone = float(report.residuals[-1, 0]), report.monotone[0]
+    return (
+        final <= tol and monotone,
+        f"order-8 residual {final:.2e} at eps=0.2, monotone={monotone}",
     )
 
-    if args.depth == "full":
-        exact_sys = threemode.perturbed_system(model.at_epsilon(0.2))
-        report = dyson.convergence_report(
-            exact_sys, 1.0, psi0, orders=(0, 2, 4, 6, 8), eps_grid=[0.2], steps=1000
-        )
-        final = float(report.residuals[-1, 0])
-        _check(
-            "expansion-vs-propagator",
-            final <= tols["expansion_vs_propagator"] and report.monotone[0],
-            f"order-8 residual {final:.2e} at eps=0.2, monotone={report.monotone[0]}",
-            results,
-        )
-        converging = max(got) < 1.0
-        if not converging:
-            print(
-                "SKIP block-equivalence / resummation: coupling ratios "
-                f"{got} outside the convergence regime"
-            )
-        else:
-            trunc = SeriesTruncation(k_max=3, tail_tol=1e-12)
-            system = threemode.perturbed_system(model)
-            worst = 0.0
-            for t in (0.25, 0.5, 1.0):
-                blocks = threemode.psi1_infinite(model, t, psi0, trunc, order_cap=9)
-                quad = dyson.partial_sum(system, 9, t, psi0, 4000)[0]
-                worst = max(worst, abs(blocks - quad))
-            _check(
-                "block-equivalence",
-                worst <= tols["block_equivalence"],
-                f"nine blocks vs order-9 quadrature, worst {worst:.2e}",
-                results,
-            )
-            trunc4 = SeriesTruncation(k_max=4, tail_tol=1e-12)
-            full = threemode.omega_matrix(model)
-            worst = 0.0
-            for t in (0.25, 0.5, 1.0):
-                resummed = threemode.psi1_infinite(model, t, psi0, trunc4)
-                exact = linalg.matrix_exponential_apply(full, t, psi0)[0]
-                worst = max(worst, abs(resummed - exact))
-            _check(
-                "resummation-vs-propagator",
-                worst <= tols["resummation_vs_propagator"],
-                f"k_max=4 resummation vs propagator, worst {worst:.2e}",
-                results,
-            )
 
-    passed = sum(results)
-    print(f"{passed}/{len(results)} checks passed for model '{key}'")
+def _block_equivalence(key, model, tol):
+    trunc = SeriesTruncation(k_max=3, tail_tol=1e-12)
+    system = threemode.perturbed_system(model)
+    worst = 0.0
+    for t in (0.25, 0.5, 1.0):
+        blocks = threemode.psi1_infinite(model, t, PSI0, trunc, order_cap=9)
+        quad = dyson.partial_sum(system, 9, t, PSI0, 4000)[0]
+        worst = max(worst, abs(blocks - quad))
+    return worst <= tol, f"nine blocks vs order-9 quadrature, worst {worst:.2e}"
+
+
+def _resummation_vs_propagator(key, model, tol):
+    trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+    full = threemode.omega_matrix(model)
+    worst = 0.0
+    for t in (0.25, 0.5, 1.0):
+        resummed = threemode.psi1_infinite(model, t, PSI0, trunc)
+        exact = linalg.matrix_exponential_apply(full, t, PSI0)[0]
+        worst = max(worst, abs(resummed - exact))
+    return worst <= tol, f"k_max=4 resummation vs propagator, worst {worst:.2e}"
+
+
+# The verify suite, run in this order: (printed name, default tolerance,
+# depth, check).  "quick" rows always run, "full" rows at --depth full, and
+# "series" rows at --depth full only when every |X|,|Y|,|Z| < 1, the regime
+# where the infinite-order series converge.  A check maps
+# (benchmark id, model, tolerance) to (passed, detail).
+VERIFY_CHECKS = (
+    ("coupling-table", 5e-4, "quick", _coupling_table),
+    ("zero-eigenvalue", 1e-9, "quick", _zero_eigenvalue),
+    ("analytic-vs-quadrature", 1e-7, "quick", _analytic_vs_quadrature),
+    ("expansion-vs-propagator", 1e-5, "full", _expansion_vs_propagator),
+    ("block-equivalence", 1e-5, "series", _block_equivalence),
+    ("resummation-vs-propagator", 5e-4, "series", _resummation_vs_propagator),
+)
+
+
+def _cmd_verify(args) -> int:
+    override = os.environ.get("OSC_PERT_TOL")
+    forced = None if override is None else float(override)
+    if forced is not None and not 0.0 < forced < math.inf:
+        raise ValueError(f"OSC_PERT_TOL must be a finite positive float, got {override!r}")
+    key = canonical_id(args.model)
+    model = registry(key)
+    ratios = _abs_ratios(model)
+    full = args.depth == "full"
+    runs = {"quick": True, "full": full, "series": full and max(ratios) < 1.0}
+    results = []
+    for name, tol, depth, check in VERIFY_CHECKS:
+        if runs[depth]:
+            ok, detail = check(key, model, tol if forced is None else forced)
+            results.append(ok)
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    if full and not runs["series"]:
+        print(
+            "SKIP block-equivalence / resummation: coupling ratios "
+            f"{ratios} outside the convergence regime"
+        )
+    print(f"{sum(results)}/{len(results)} checks passed for model '{key}'")
     return 0 if all(results) else 1
 
 

@@ -22,7 +22,6 @@ concurrently.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,14 +182,6 @@ class ConvergenceReport:
     eps_grid: tuple[float, ...]
     residuals: np.ndarray  # shape (len(orders), len(eps_grid))
     monotone: tuple[bool, ...]  # per epsilon: residual non-increasing in order
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("order,epsilon,residual\n")
-        for i, order in enumerate(self.orders):
-            for j, eps in enumerate(self.eps_grid):
-                buf.write(f"{order},{eps:.17g},{self.residuals[i, j]:.17g}\n")
-        return buf.getvalue()
 
 
 def convergence_report(

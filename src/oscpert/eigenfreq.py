@@ -219,13 +219,17 @@ class SpectralGrid:
 
     true_values[j] holds (lambda_1, lambda_2, lambda_3) at epsilon[j], and
     estimates[j, mode - 1] holds (app0, app1, app2) of that mode.
-    refusals[j] is the OscPertError that refused the estimates at
-    epsilon[j] (they are NaN there), or None.
+    mode_real[j, mode - 1] tells whether that true value is real, and
+    errors[j, mode - 1] holds |Re(true) - estimate| per level, NaN where the
+    mode is not real.  refusals[j] is the OscPertError that refused the
+    estimates at epsilon[j] (they and their errors are NaN there), or None.
     """
 
     epsilon: tuple[float, ...]
     true_values: np.ndarray
     estimates: np.ndarray
+    mode_real: np.ndarray
+    errors: np.ndarray
     refusals: tuple
 
 
@@ -240,8 +244,11 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
         raise ValueError("every epsilon must lie in [0, 1]")
     true_values = matched_path(m, eps)
     incs, refusals = _increments(m, eps)
+    estimates = np.cumsum(incs, axis=2)
+    real = is_real_mode(true_values)
+    errors = np.where(real[..., None], np.abs(true_values.real[..., None] - estimates), np.nan)
     return SpectralGrid(
-        tuple(eps.tolist()), true_values, np.cumsum(incs, axis=2), tuple(refusals)
+        tuple(eps.tolist()), true_values, estimates, real, errors, tuple(refusals)
     )
 
 
@@ -292,19 +299,14 @@ def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:
     grid = spectral_grid(m, [eps])
     if grid.refusals[0] is not None:
         raise grid.refusals[0]
-    true_vals = tuple(grid.true_values[0].tolist())
-    mode_real = tuple(is_real_mode(grid.true_values[0]).tolist())
-    by_level = dict(zip(LEVELS, grid.estimates[0].T.tolist()))
+    mode_real = tuple(grid.mode_real[0].tolist())
     return EigenfrequencyReport(
         epsilon=grid.epsilon[0],
-        true_values=true_vals,
-        estimates={level: tuple(ests) for level, ests in by_level.items()},
+        true_values=tuple(grid.true_values[0].tolist()),
+        estimates=dict(zip(LEVELS, map(tuple, grid.estimates[0].T.tolist()))),
         abs_errors={
-            level: tuple(
-                abs(true.real - est) if real else None
-                for true, est, real in zip(true_vals, ests, mode_real)
-            )
-            for level, ests in by_level.items()
+            level: tuple(err if real else None for err, real in zip(errs, mode_real))
+            for level, errs in zip(LEVELS, grid.errors[0].T.tolist())
         },
         mode_real=mode_real,
         real_spectrum=all(mode_real),

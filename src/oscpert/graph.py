@@ -78,9 +78,6 @@ class WeightedDigraph:
             raise ValueError('graph JSON must be an object with keys "n" and "edges"')
         return cls(n=data["n"], edges=data["edges"])
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
-
 
 @dataclass(frozen=True)
 class LaplacianDecomposition:
@@ -119,18 +116,6 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     # row in a different association can still leave a sub-ulp residue
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
-
-
-def graph_from_laplacian(lap: np.ndarray) -> WeightedDigraph:
-    """Recover the digraph whose Laplacian is ``lap`` (inverse of laplacian)."""
-    arr = _as_real_square(lap)
-    n = arr.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and arr[i, j] != 0.0:
-                edges.append((i, j, -arr[i, j]))
-    return WeightedDigraph(n=n, edges=tuple(edges))
 
 
 def _as_real_square(mat, name: str = "matrix") -> np.ndarray:
@@ -201,7 +186,8 @@ def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray
             stop = int(np.argmax(bad)) if bad.any() else len(js)
             take = fresh[:stop]
             new = js[:stop][take]
-            m[new] = m[i] * ratio[:stop][take]
+            with np.errstate(over="ignore"):  # validate_decomposition refuses inf
+                m[new] = m[i] * ratio[:stop][take]
             for j in new.tolist():
                 parent[j] = i
                 component.append(j)

@@ -72,7 +72,9 @@ def eigenvalues(m, tol: float = 1e-10):
     row k holds the eigenvalues of m[k]; an empty stack calls no LAPACK.
     For dimension <= 3 the result is additionally checked against the
     characteristic polynomial: each root must satisfy |p(lam)| <= tol * scale,
-    where scale is a norm-based magnitude bound of its matrix.
+    where scale is a norm-based magnitude bound of its matrix; the test is
+    made on the matrix and roots divided by their largest entry part (or 1),
+    so it stays finite for entries of any size.
 
     Raises:
         NonConvergence: if the underlying QR iteration fails, or the
@@ -97,11 +99,17 @@ def eigenvalues(m, tol: float = 1e-10):
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
     _check_finite_result(vals, "eigenvalues")
     if n <= 3:
-        coeffs = _charpoly_coeffs(arr)
-        scale = np.maximum(1.0, np.linalg.norm(arr, axis=(1, 2))) ** n
-        residual = np.zeros_like(vals)
+        # the check runs on M/s and lam/s, s the largest of 1 and every |Re|
+        # and |Im| of an entry: the same test in exact arithmetic (the norm
+        # bounds s), but no power, product or residual can overflow
+        parts = np.maximum(np.abs(arr.real), np.abs(arr.imag))
+        s = np.maximum(1.0, parts.max(axis=(1, 2)))
+        unit, roots = arr / s[:, None, None], vals / s[:, None]
+        coeffs = _charpoly_coeffs(unit)
+        scale = np.maximum(1.0, np.linalg.norm(unit, axis=(1, 2))) ** n
+        residual = np.zeros_like(roots)
         for k in range(n + 1):  # Horner, as np.polyval
-            residual = residual * vals + coeffs[:, k, None]
+            residual = residual * roots + coeffs[:, k, None]
         residual = np.abs(residual)
         bad = np.argwhere(residual > tol * scale[:, None])
         if bad.size:

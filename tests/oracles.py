@@ -31,18 +31,23 @@ rather than tautology:
                        replaced: every coefficient rebuilds the trajectories
                        of orders 1..n, forms the rotation factor per order and
                        integrates with one temporary per formula
+* inline_verify      — the `verify` command as inline checks, each with its
+                       own tolerance lookup and PASS/FAIL line, that the
+                       check table in oscpert.cli replaced
 """
 from __future__ import annotations
 
 import cmath
 import json
 import math
+import os
 from itertools import permutations
 
 import mpmath
 import numpy as np
 
-from oscpert import eigenfreq, graph, linalg, threemode
+from oscpert import dyson, eigenfreq, graph, linalg, threemode
+from oscpert.benchmarks import COUPLING_TABLE, canonical_id, registry
 from oscpert.errors import (
     InvalidDecomposition,
     NotSymmetrizable,
@@ -628,3 +633,128 @@ def loop_convergence_residuals(sys, t, psi0, orders, eps_grid, steps) -> np.ndar
             approx = sum(eps**n * coeffs[n] for n in range(order + 1))
             residuals[i, j] = float(np.linalg.norm(approx - exact))
     return residuals
+
+
+INLINE_VERIFY_TOLERANCES = {
+    "coupling_table": 5e-4,
+    "zero_eigenvalue": 1e-9,
+    "analytic_vs_quadrature": 1e-7,
+    "block_equivalence": 1e-5,
+    "resummation_vs_propagator": 5e-4,
+    "expansion_vs_propagator": 1e-5,
+}
+
+
+def _inline_check(name: str, ok: bool, detail: str, results: list) -> None:
+    results.append(ok)
+    print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+
+
+def _inline_verify_tolerances() -> dict:
+    override = os.environ.get("OSC_PERT_TOL")
+    if override is None:
+        return dict(INLINE_VERIFY_TOLERANCES)
+    value = float(override)
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"OSC_PERT_TOL must be a finite positive float, got {override!r}"
+        )
+    return {key: value for key in INLINE_VERIFY_TOLERANCES}
+
+
+def inline_verify(args) -> int:
+    """The `verify` command body (args.model, args.depth) as inline checks."""
+    tols = _inline_verify_tolerances()
+    key = canonical_id(args.model)
+    model = registry(key)
+    results: list[bool] = []
+
+    ratios = threemode.xyz(model)
+    got = (abs(ratios.X), abs(ratios.Y), abs(ratios.Z))
+    expected = COUPLING_TABLE[key]
+    worst = max(abs(g - e) for g, e in zip(got, expected))
+    _inline_check(
+        "coupling-table",
+        worst <= tols["coupling_table"],
+        f"|X|,|Y|,|Z| within {worst:.2e} of {expected}",
+        results,
+    )
+
+    eigs = linalg.eigenvalues(threemode.omega_matrix(model, 1.0))
+    smallest = min(abs(v) for v in eigs)
+    _inline_check(
+        "zero-eigenvalue",
+        smallest < tols["zero_eigenvalue"],
+        f"min |lambda(Omega(1))| = {smallest:.2e}",
+        results,
+    )
+
+    psi0 = np.array([0.6 + 0.2j, -0.3 + 0.4j, 0.5 - 0.1j])
+    worst_rel = 0.0
+    for eps in (0.3, 1.0):
+        at_eps = model.at_epsilon(eps)
+        system = threemode.perturbed_system(at_eps)
+        coeffs = {t: dyson.terms(system, 3, t, psi0, 2000) for t in (0.5, 1.0)}
+        for order in range(4):
+            for t in (0.5, 1.0):
+                closed = threemode.psi1_analytic(at_eps, order, t, psi0)
+                quad = (eps**order) * coeffs[t][order][0]
+                worst_rel = max(
+                    worst_rel, abs(closed - quad) / max(abs(closed), 1e-14)
+                )
+    _inline_check(
+        "analytic-vs-quadrature",
+        worst_rel <= tols["analytic_vs_quadrature"],
+        f"orders 0..3 worst relative deviation {worst_rel:.2e}",
+        results,
+    )
+
+    if args.depth == "full":
+        exact_sys = threemode.perturbed_system(model.at_epsilon(0.2))
+        report = dyson.convergence_report(
+            exact_sys, 1.0, psi0, orders=(0, 2, 4, 6, 8), eps_grid=[0.2], steps=1000
+        )
+        final = float(report.residuals[-1, 0])
+        _inline_check(
+            "expansion-vs-propagator",
+            final <= tols["expansion_vs_propagator"] and report.monotone[0],
+            f"order-8 residual {final:.2e} at eps=0.2, monotone={report.monotone[0]}",
+            results,
+        )
+        converging = max(got) < 1.0
+        if not converging:
+            print(
+                "SKIP block-equivalence / resummation: coupling ratios "
+                f"{got} outside the convergence regime"
+            )
+        else:
+            trunc = threemode.SeriesTruncation(k_max=3, tail_tol=1e-12)
+            system = threemode.perturbed_system(model)
+            worst = 0.0
+            for t in (0.25, 0.5, 1.0):
+                blocks = threemode.psi1_infinite(model, t, psi0, trunc, order_cap=9)
+                quad = dyson.partial_sum(system, 9, t, psi0, 4000)[0]
+                worst = max(worst, abs(blocks - quad))
+            _inline_check(
+                "block-equivalence",
+                worst <= tols["block_equivalence"],
+                f"nine blocks vs order-9 quadrature, worst {worst:.2e}",
+                results,
+            )
+            trunc4 = threemode.SeriesTruncation(k_max=4, tail_tol=1e-12)
+            full = threemode.omega_matrix(model)
+            worst = 0.0
+            for t in (0.25, 0.5, 1.0):
+                resummed = threemode.psi1_infinite(model, t, psi0, trunc4)
+                exact = linalg.matrix_exponential_apply(full, t, psi0)[0]
+                worst = max(worst, abs(resummed - exact))
+            _inline_check(
+                "resummation-vs-propagator",
+                worst <= tols["resummation_vs_propagator"],
+                f"k_max=4 resummation vs propagator, worst {worst:.2e}",
+                results,
+            )
+
+    passed = sum(results)
+    print(f"{passed}/{len(results)} checks passed for model '{key}'")
+    return 0 if all(results) else 1

@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from oscpert import eigenfreq, graph
+from oscpert import cli, eigenfreq, graph
 from oscpert.benchmarks import registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
 from oscpert.threemode import ThreeModeModel
 
-from oracles import rows_to_csv, rows_to_json, sweep_row_dicts
+from oracles import inline_verify, rows_to_csv, rows_to_json, sweep_row_dicts
 
 FIG1_GRAPH = {
     "n": 3,
@@ -93,6 +93,22 @@ class TestSweep:
             for level in eigenfreq.LEVELS:
                 assert columns[level][r] == eigenfreq.estimate(at_eps, mode, level)
 
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_errors_equal_report(self, mid):
+        # one code path: report and sweep_rows format the same grid errors
+        model = registry(mid)
+        nonreal = 0
+        for eps in (0.0, 0.3, 0.7, 1.0):
+            rep = eigenfreq.report(model, eps)
+            columns = sweep_rows(model, [eps], eigenfreq.LEVELS)
+            assert columns["real_spectrum"] == list(rep.mode_real)
+            for i, level in enumerate(eigenfreq.LEVELS):
+                errs = np.array(columns[f"err{i}"])
+                want = np.array([np.nan if e is None else e for e in rep.abs_errors[level]])
+                assert errs.tobytes() == want.tobytes()
+            nonreal += rep.mode_real.count(False)
+        assert (nonreal > 0) == (mid == "l")
+
     def test_degenerate_rows_name_the_refusal(self, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(
@@ -110,7 +126,7 @@ class TestSweep:
             assert (cells[4] == "nan") == refused
 
     @pytest.mark.parametrize("a, eps_zero_status", [(1e60, "ok"), (1e110, "EstimateOverflow")])
-    def test_overflowing_estimates_name_the_refusal(self, tmp_path, a, eps_zero_status):
+    def test_overflowing_estimates_name_the_refusal(self, tmp_path, capsys, a, eps_zero_status):
         # a = 1e60: W**2 overflows once eps > 0; a = 1e110: a1*a2*a3 is
         # already inf, so eps = 0 gives inf * 0 = nan
         model_file = tmp_path / "model.json"
@@ -119,6 +135,7 @@ class TestSweep:
         assert run(
             "sweep", "--model", f"@{model_file}", "--steps", "11", "--out", str(out)
         ) == 0
+        assert capsys.readouterr().err == ""
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert len(rows) == 33
         for cells in rows:
@@ -192,6 +209,25 @@ class TestVerify:
     def test_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("OSC_PERT_TOL", "1e-20")
         assert run("verify", "--model", "s") == 1
+
+    @pytest.mark.parametrize("tol", [None, "1e-20", "3e-4", "inf", "nan", "0", "-1", "abc"])
+    @pytest.mark.parametrize("depth", ["quick", "full"])
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_same_bytes_as_inline_checks(self, mid, depth, tol, monkeypatch, capsys):
+        if tol is None:
+            monkeypatch.delenv("OSC_PERT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("OSC_PERT_TOL", tol)
+        argv = ("verify", "--model", mid, "--depth", depth)
+        code = run(*argv)
+        out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_cmd_verify", inline_verify)
+        assert run(*argv) == code
+        assert capsys.readouterr().out == out
+        if tol in ("inf", "nan", "0", "-1", "abc"):
+            assert code == 2 and out == ""
+        elif tol == "3e-4":  # the coupling table fails, the rest pass
+            assert code == 1 and "\nPASS " in out and out.startswith("FAIL coupling-table")
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc"])
     def test_bad_tolerance_override_is_usage_error(self, value, monkeypatch, capsys):

@@ -230,16 +230,6 @@ class TestConvergenceReport:
         assert any(res[i + 1] >= res[i] for i in range(len(res) - 1))
         assert rep.monotone == (False,)
 
-    def test_csv_format(self):
-        rep = dyson.convergence_report(
-            small_system(), 0.5, PSI0, orders=(0, 1), eps_grid=[0.2, 0.9], steps=100
-        )
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0] == "order,epsilon,residual"
-        assert len(lines) == 1 + 2 * 2
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.2
-
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             dyson.convergence_report(small_system(), 1.0, PSI0, orders=(), eps_grid=[0.5])

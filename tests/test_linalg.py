@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oscpert import linalg
+from oscpert import linalg, threemode
 from oscpert.errors import DimensionMismatch, NonConvergence
+from oscpert.threemode import ThreeModeModel
 
 from oracles import cardano_roots, charpoly3, rk4_evolution
 
@@ -79,6 +80,34 @@ class TestEigenvalues:
         stack = np.stack([OMEGA1_LARGE, OMEGA1_SMALL])
         with pytest.raises(NonConvergence):
             linalg.eigenvalues(stack, tol=1e-30)
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_large_entries_keep_the_residual_check(self, stack, monkeypatch):
+        # max(1, ||M||)**3 and the residual of the unscaled check overflow
+        # here, which once let every root pass
+        big = np.diag([1e200, 2e200, 3e200])
+        m = np.stack([big, 0.5 * big]) if stack else big
+        got = np.asarray(linalg.eigenvalues(m))
+        diagonal = np.diagonal(m, axis1=-2, axis2=-1)
+        assert np.array_equal(np.sort(got.real.ravel()), np.sort(diagonal.ravel()))
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: 1.5 * eigvals(a))
+        with pytest.raises(NonConvergence):
+            linalg.eigenvalues(m)
+
+    def test_large_coupling_stack_is_checked(self, monkeypatch):
+        # a1*a2*a3 = 1e330 is past the double range, M/s is not
+        model = ThreeModeModel(omega=(1.0, 2.0, 3.5), a=(1e110,) * 3, d=(0.0, 0.0, 0.0), epsilon=1.0)
+        stack = threemode.omega_matrix(model, np.array([0.25, 0.5, 1.0]))
+        got = linalg.eigenvalues(stack)
+        for k, eps in enumerate((0.25, 0.5, 1.0)):
+            # omega is lost to rounding: the spectrum is eps * 1e110 times
+            # the cube roots of -1
+            assert np.allclose((got[k] / (eps * 1e110)) ** 3, -1.0, rtol=1e-9)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: 1.5 * eigvals(a))
+        with pytest.raises(NonConvergence):
+            linalg.eigenvalues(stack)
 
     def test_stack_rejects_bad_input(self):
         with pytest.raises(DimensionMismatch):

@@ -244,24 +244,37 @@ def _decomposition_json(arrays: dict) -> str:
     of a dict of float64 arrays.
 
     The json module falls back to its pure-Python encoder whenever `indent`
-    is set; joining float.__repr__ of each row writes the same bytes for
-    finite floats at a fraction of the cost.
+    is set, and most entries are zeros or repeats: so +0.0 is written as
+    "0.0", float.__repr__ runs once per distinct non-zero bit pattern (bits,
+    so -0.0 keeps its sign) across all arrays, and each array's words are
+    picked from that table by index and joined.
     """
-    fields = []
-    for key in sorted(arrays):
+    keys = sorted(arrays)
+    for key in keys:
         if not np.isfinite(arrays[key]).all():
             raise ValueError(f"Out of range float values are not JSON compliant in {key}")
-        fields.append(f'  "{key}": ' + _json_array(arrays[key].tolist(), "  "))
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    bits = [arrays[key].reshape(-1).view(np.int64) for key in keys]
+    where = [np.flatnonzero(b) for b in bits]
+    table, index = np.unique(np.concatenate([b[w] for b, w in zip(bits, where)]), return_inverse=True)
+    words = np.array(["0.0", *map(float.__repr__, table.view(np.float64).tolist())], dtype=object)
+    fields = []
+    for key, w, idx in zip(keys, where, np.split(index + 1, np.cumsum([len(w) for w in where])[:-1])):
+        word_index = np.zeros(arrays[key].shape, np.intp)
+        word_index.flat[w] = idx
+        head = ("" if fields else "{\n") + f'  "{key}": '
+        fields.append(_json_array(words[word_index].tolist(), "  ", head))
+    fields[-1] += "\n}\n"
+    return ",\n".join(fields)
 
 
-def _json_array(items: list, indent: str) -> str:
+def _json_array(items: list, indent: str, head: str = "") -> str:
+    """head + JSON array of nested lists of words, brackets put on the end items."""
     inner = indent + "  "
     if isinstance(items[0], list):
-        body = [_json_array(row, inner) for row in items]
-    else:
-        body = map(float.__repr__, items)
-    return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+        items = [_json_array(row, inner) for row in items]
+    items[0] = head + "[\n" + inner + items[0]
+    items[-1] += "\n" + indent + "]"
+    return (",\n" + inner).join(items)
 
 
 def _cmd_decompose(args) -> int:

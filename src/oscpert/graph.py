@@ -31,40 +31,55 @@ CERTIFICATE_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Directed graph with positive real edge weights.
 
-    edges are (src, dst, weight) triples; self-loops and repeated ordered
-    pairs are rejected.
+    edges is a read-only (k, 3) float array of (src, dst, weight) rows with
+    whole-number nodes; self-loops and repeated ordered pairs are rejected.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    edges: np.ndarray
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "n", int(self.n))
-            object.__setattr__(
-                self, "edges", tuple((int(s), int(d), float(w)) for s, d, w in self.edges)
-            )
+            n = int(self.n)
+            n_is_whole = float(self.n) == float(n)
+            edges = np.array(self.edges, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(
                 f"graph needs an integer n and (src, dst, weight) number triples: {exc}"
             ) from exc
-        if self.n < 1:
+        edges = edges.reshape(0, 3) if edges.shape == (0,) else edges
+        if edges.shape[1:] != (3,):
+            raise ValueError(f"graph edges must be (src, dst, weight) triples, got shape {edges.shape}")
+        nodes = edges[:, :2]
+        whole = (np.isfinite(nodes) & (nodes == np.floor(nodes))).all(axis=1)
+        if not (n_is_whole and whole.all()):
+            bad = nodes[np.argmin(whole)].tolist() if n_is_whole else self.n
+            raise ValueError(f"node count and node indices must be whole numbers, got {bad!r}")
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        seen = set()
-        for src, dst, weight in self.edges:
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise ValueError(f"edge ({src},{dst}) out of range for n={self.n}")
-            if src == dst:
-                raise ValueError(f"self-loop at node {src}")
-            if (src, dst) in seen:
-                raise ValueError(f"duplicate edge ({src},{dst})")
-            if not weight > 0:
-                raise ValueError(f"edge ({src},{dst}) has non-positive weight {weight}")
-            seen.add((src, dst))
+        src, dst, weight = edges.T
+        order = np.lexsort((dst, src))  # stable: a repeated pair follows its first edge
+        duplicate = np.zeros(len(edges), bool)
+        duplicate[order[1:]] = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+        # the refusal of the first bad edge, each edge checked in this order
+        checks = (
+            (~((0 <= src) & (src < n) & (0 <= dst) & (dst < n)), "edge ({s},{d}) out of range for n={n}"),
+            (src == dst, "self-loop at node {s}"),
+            (duplicate, "duplicate edge ({s},{d})"),
+            (~(weight > 0), "edge ({s},{d}) has non-positive weight {w}"),
+        )
+        bad = np.any([mask for mask, _ in checks], axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            message = next(text for mask, text in checks if mask[i])
+            raise ValueError(message.format(s=int(src[i]), d=int(dst[i]), w=float(weight[i]), n=n))
+        edges.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedDigraph":
@@ -103,18 +118,22 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     row sums to zero exactly in floating point.
 
     Raises:
-        ValueError: the dense n x n matrix cannot be allocated.
+        ValueError: the dense n x n matrix cannot be allocated, or a node's
+            out-weights sum past the largest float.
     """
     try:
         lap = np.zeros((g.n, g.n))
     except MemoryError as exc:
         raise ValueError(f"cannot allocate a dense Laplacian for n={g.n} nodes") from exc
-    if g.edges:
-        src, dst, weight = zip(*g.edges)
-        lap[src, dst] = np.negative(weight)
+    src, dst, weight = g.edges.T
+    lap[src.astype(np.intp), dst.astype(np.intp)] = np.negative(weight)
+    with np.errstate(over="ignore"):
+        out_weight = -lap.sum(axis=1)
+    if not np.isfinite(out_weight).all():
+        raise ValueError(f"out-weights of node {np.argmin(np.isfinite(out_weight))} sum past the largest float")
     # the diagonal is bitwise the negated off-diagonal row sum; re-summing a
     # row in a different association can still leave a sub-ulp residue
-    np.fill_diagonal(lap, -lap.sum(axis=1))
+    np.fill_diagonal(lap, out_weight)
     return lap
 
 

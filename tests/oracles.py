@@ -19,9 +19,12 @@ rather than tautology:
                      — the row-dict sweep writer the column writer in
                        oscpert.cli replaced: one dict per (ε, mode) row and
                        one f-string per value, fed by per_point_sweep
-* loop_laplacian, loop_pairwise_split, loop_check_one_way,
+* loop_edges, loop_laplacian, loop_pairwise_split, loop_check_one_way,
   loop_certificate   — the element-by-element graph kernels the array
-                       kernels in oscpert.graph replaced
+                       kernels in oscpert.graph replaced; loop_edges is the
+                       per-edge validation of WeightedDigraph
+* repr_json          — the decompose JSON emitter that the word table in
+                       oscpert.cli replaced: float.__repr__ of every entry
 * loop_series_block, loop_psi1_infinite
                      — the per-block if chain of lambdas that the block
                        table in oscpert.threemode replaced, recomputing the
@@ -304,11 +307,50 @@ def rows_to_json(m, rows: list[dict]) -> str:
     ) + "\n"
 
 
+def loop_edges(n, edges) -> tuple[tuple[int, int, float], ...]:
+    """WeightedDigraph's edge checks, one edge at a time: each edge is
+    checked for range, then self-loop, then duplicate, then weight, and the
+    first failure is raised.  Returns the (src, dst, weight) triples."""
+    n = int(n)
+    edges = tuple((int(s), int(d), float(w)) for s, d, w in edges)
+    seen = set()
+    for src, dst, weight in edges:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"edge ({src},{dst}) out of range for n={n}")
+        if src == dst:
+            raise ValueError(f"self-loop at node {src}")
+        if (src, dst) in seen:
+            raise ValueError(f"duplicate edge ({src},{dst})")
+        if not weight > 0:
+            raise ValueError(f"edge ({src},{dst}) has non-positive weight {weight}")
+        seen.add((src, dst))
+    return edges
+
+
+def repr_json(arrays: dict) -> str:
+    """cli._decomposition_json with one float.__repr__ per entry."""
+
+    def array(items, indent):
+        inner = indent + "  "
+        if isinstance(items[0], list):
+            body = [array(row, inner) for row in items]
+        else:
+            body = map(float.__repr__, items)
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+
+    fields = []
+    for key in sorted(arrays):
+        if not np.isfinite(arrays[key]).all():
+            raise ValueError(f"Out of range float values are not JSON compliant in {key}")
+        fields.append(f'  "{key}": ' + array(arrays[key].tolist(), "  "))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def loop_laplacian(g) -> np.ndarray:
     """graph.laplacian one edge and one diagonal entry at a time."""
     lap = np.zeros((g.n, g.n))
-    for src, dst, weight in g.edges:
-        lap[src, dst] -= weight
+    for src, dst, weight in g.edges.tolist():
+        lap[int(src), int(dst)] -= weight
     np.fill_diagonal(lap, 0.0)
     for i in range(g.n):
         lap[i, i] = -lap[i].sum()

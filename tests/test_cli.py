@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from oscpert.benchmarks import registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
 from oscpert.threemode import ThreeModeModel
 
-from oracles import inline_verify, rows_to_csv, rows_to_json, sweep_row_dicts
+from oracles import inline_verify, repr_json, rows_to_csv, rows_to_json, sweep_row_dicts
+from test_graph import _bench_style_graph
 
 FIG1_GRAPH = {
     "n": 3,
@@ -279,12 +281,16 @@ class TestDecompose:
         '{"n": 2, "edges": [[0, 1]]}',
         '{"n": 2, "edges": [[0, 1, null]]}',
         '{"n": 1e400, "edges": []}',
+        '{"n": 2.7, "edges": []}',
+        '{"n": 2, "edges": [[0, 1.9, 1.0]]}',
+        '{"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308]]}',
     ])
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
         gpath = tmp_path / "g.json"
         gpath.write_text(text)
         assert run("decompose", "--graph", str(gpath)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ['{"0": [1, -1]}', '[{"0": 1}, [0, 0]]', '[[1, -1], [0]]'])
     def test_malformed_li_is_usage_error(self, tmp_path, capsys, text):
@@ -324,6 +330,16 @@ def _random_graph(seed, n, density):
     return {"n": n, "edges": edges}
 
 
+def _bench_graph_dict(seed):
+    """The decompose benchmark's shape: n=200, a balanced two-way core plus
+    one-way links; returns the graph file's dict and the LI rows."""
+    g, li = _bench_style_graph(seed)
+    return {"n": g.n, "edges": [[int(s), int(d), w] for s, d, w in g.edges.tolist()]}, li.tolist()
+
+
+BENCH_200 = _bench_graph_dict(5)
+
+
 class TestDecomposeBytes:
     """decompose writes exactly what json.dumps writes for the nested lists."""
 
@@ -333,6 +349,10 @@ class TestDecomposeBytes:
         "single-node": ({"n": 1, "edges": []}, None),
         "negative-zero-li": (FIG1_GRAPH, [[1, -1, -0.0], [-0.0, 1, -1], [-1, -0.0, 1]]),
         "random-30": (_random_graph(30, 30, 0.3), None),
+        # node 2 has no out-edges, so its L diagonal is -0.0
+        "sink-node": ({"n": 3, "edges": [[0, 1, 2.0], [1, 0, 1.0], [0, 2, 1.5]]}, None),
+        "bench-200": (BENCH_200[0], None),
+        "bench-200-li": BENCH_200,
     }
 
     @staticmethod
@@ -369,13 +389,62 @@ class TestDecomposeBytes:
         out = tmp_path / "dec.json"
         assert run(*argv, "--out", str(out)) == 0
         assert out.read_bytes() == want.encode()
-        if name == "negative-zero-li":
+        if name in ("negative-zero-li", "sink-node"):
             assert "-0.0" in want
 
     def test_stdout(self, tmp_path, capsys):
         argv, want = self.write_inputs(tmp_path, "fig1-li")
         assert run(*argv) == 0
         assert capsys.readouterr().out == want
+
+
+def _emitted(emit, arrays):
+    """emit's JSON text, or its refusal."""
+    try:
+        return emit(arrays)
+    except ValueError as exc:
+        return "refused", str(exc)
+
+
+class TestDecompositionJson:
+    """The word-table emitter writes the bytes of one float.__repr__ per entry."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1e16, 0.1, -0.1, 1.0, 3.0]
+
+    def test_same_bytes_as_repr_emitter(self):
+        rng = np.random.default_rng(31)
+        refused = 0
+        for _ in range(2000):
+            # a few values per case, so entries repeat within and across keys
+            pool = self.SPECIAL + (rng.normal(size=4) * 10.0 ** rng.integers(-8, 9, 4)).tolist()
+            arrays = {}
+            for key in rng.choice(["L", "L0", "LI", "certificate", "scaling"], int(rng.integers(1, 6)), replace=False):
+                shape = tuple(int(v) for v in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+                arrays[str(key)] = rng.choice(pool, shape)
+            if rng.random() < 0.1:
+                key = str(rng.choice(sorted(arrays)))
+                arrays[key].flat[int(rng.integers(arrays[key].size))] = rng.choice([np.nan, np.inf, -np.inf])
+            want = _emitted(repr_json, arrays)
+            assert _emitted(cli._decomposition_json, arrays) == want
+            refused += isinstance(want, tuple)
+        assert 100 < refused < 400
+
+    def test_bench_size_peak_memory(self):
+        # the word table and one array's words at a time: no larger than
+        # formatting every entry, whose peak is ~3x the 1.5 MB payload
+        g, li = _bench_style_graph(5)
+        dec = graph.decompose(graph.laplacian(g))
+        arrays = {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}
+        peaks = []
+        for emit in (repr_json, cli._decomposition_json):
+            emit(arrays)
+            tracemalloc.start()
+            try:
+                emit(arrays)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 class TestXyzAndTerm:

@@ -7,7 +7,9 @@ import pytest
 from oscpert import graph, linalg
 from oscpert.errors import InvalidDecomposition, NotSymmetrizable
 
-from oracles import loop_certificate, loop_check_one_way, loop_laplacian, loop_pairwise_split
+from oracles import (
+    loop_certificate, loop_check_one_way, loop_edges, loop_laplacian, loop_pairwise_split,
+)
 
 FIG1_L = np.array([[3.0, -2.0, -1.0], [-3.0, 6.0, -3.0], [-4.0, -2.0, 6.0]])
 FIG1_LI = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
@@ -31,8 +33,59 @@ class TestWeightedDigraph:
             graph.WeightedDigraph(n=2, edges=((0, 5, 1.0),))  # out of range
 
     def test_json_round_trip(self):
-        text = json.dumps({"n": 3, "edges": [list(e) for e in FIG1_GRAPH.edges]})
-        assert graph.WeightedDigraph.from_json(text) == FIG1_GRAPH
+        edges = [[int(s), int(d), w] for s, d, w in FIG1_GRAPH.edges.tolist()]
+        g = graph.WeightedDigraph.from_json(json.dumps({"n": 3, "edges": edges}))
+        assert g.n == FIG1_GRAPH.n == 3
+        assert g.edges.tolist() == FIG1_GRAPH.edges.tolist() == [
+            [0, 1, 2.0], [0, 2, 1.0], [1, 0, 3.0], [1, 2, 3.0], [2, 0, 4.0], [2, 1, 2.0]
+        ]
+
+    def test_edges_are_read_only(self):
+        with pytest.raises(ValueError):
+            FIG1_GRAPH.edges[0, 2] = 5.0
+
+    def test_whole_number_nodes(self):
+        g = graph.WeightedDigraph(n=2.0, edges=(("0", 1.0, "2.5"),))
+        assert g.n == 2 and g.edges.tolist() == [[0.0, 1.0, 2.5]]
+        assert graph.WeightedDigraph(n="3", edges=()).n == 3
+        for n, edges in ((2.7, ()), (2, ((0, 1.9, 1.0),)), (3, ((0, 1, 1.0), (0.5, 2, 1.0)))):
+            with pytest.raises(ValueError, match="must be whole numbers"):
+                graph.WeightedDigraph(n=n, edges=edges)
+
+
+class TestEdgesAgainstLoop:
+    """The array edge checks refuse what the per-edge loop refuses, first error first."""
+
+    def test_same_refusal_and_message(self):
+        rng = np.random.default_rng(909)
+        seen = set()
+        for _ in range(1500):
+            n = int(rng.integers(2, 7))
+            edges = [
+                [i, j, float(rng.uniform(0.1, 3.0))]
+                for i in range(n) for j in range(n) if i != j and rng.random() < 0.5
+            ]
+            rng.shuffle(edges)
+            for _ in range(int(rng.integers(0, 4))):  # faults anywhere in the list
+                i = int(rng.integers(n))
+                j = (i + int(rng.integers(1, n))) % n
+                fault = int(rng.integers(4))
+                if fault == 0:
+                    k = int(rng.choice([-1, n, n + 3]))
+                    bad = [[i, k, 1.0], [k, i, 1.0], [k, k, 1.0]][int(rng.integers(3))]
+                elif fault == 1:
+                    bad = [i, i, 1.0]
+                elif fault == 2 and edges:
+                    bad = [*edges[int(rng.integers(len(edges)))][:2], 2.0]
+                else:
+                    bad = [i, j, float(rng.choice([0.0, -0.0, -1.5, np.nan]))]
+                edges.insert(int(rng.integers(len(edges) + 1)), bad)
+            want = _outcome(lambda: [list(e) for e in loop_edges(n, edges)])
+            got = _outcome(lambda: graph.WeightedDigraph(n=n, edges=edges).edges.tolist())
+            assert got == want, edges
+            kinds = ("out of range", "self-loop", "duplicate", "non-positive")
+            seen.add(next(k for k in kinds if k in want[1]) if isinstance(want, tuple) else "ok")
+        assert seen == {"ok", "out of range", "self-loop", "duplicate", "non-positive"}
 
 
 class TestLaplacian:
@@ -46,6 +99,11 @@ class TestLaplacian:
     def test_empty_graph(self):
         g = graph.WeightedDigraph(n=3, edges=())
         assert np.array_equal(graph.laplacian(g), np.zeros((3, 3)))
+
+    def test_overflowing_out_weight_sum_is_refused(self):
+        g = graph.WeightedDigraph(n=3, edges=((0, 1, 1.0), (1, 0, 1e308), (1, 2, 1e308)))
+        with pytest.raises(ValueError, match="node 1 sum past the largest float"):
+            graph.laplacian(g)
 
     def test_diagonal_is_negated_offdiagonal_sum(self):
         g = graph.WeightedDigraph(

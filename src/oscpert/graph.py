@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidDecomposition, NotSymmetrizable
 
-CERTIFICATE_TOL = 1e-9
-IDENTITY_TOL = 1e-12
+CERTIFICATE_TOL = 1e-9  # the balance condition of the certificate search
+IDENTITY_TOL = 1e-12  # L = L0 + LI, zero row sums, off-diagonal signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +71,7 @@ class WeightedDigraph:
             (src == dst, "self-loop at node {s}"),
             (duplicate, "duplicate edge ({s},{d})"),
             (~(weight > 0), "edge ({s},{d}) has non-positive weight {w}"),
+            (weight == np.inf, "edge ({s},{d}) has infinite weight"),
         )
         bad = np.any([mask for mask, _ in checks], axis=0)
         if bad.any():
@@ -139,23 +140,26 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
 def _as_real_square(mat, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def _check_zero_row_sums(arr: np.ndarray, tol: float, name: str) -> None:
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+def _check_laplacian(arr: np.ndarray, name: str, scale: float, error: type) -> None:
+    """Raise ``error`` unless arr's rows sum to zero, against its own scale,
+    and its off-diagonal entries are non-positive, against ``scale`` (that of
+    L).  Both comparisons are written so that a NaN fails them."""
+    own = max(1.0, float(np.abs(arr).max(initial=0.0)))
     worst = float(np.abs(arr.sum(axis=1)).max(initial=0.0))
-    if not worst <= tol * scale:
-        raise InvalidDecomposition(
-            f"{name} row sums deviate from zero by {worst:.3e} (tol {tol:.1e})"
-        )
+    if not worst <= IDENTITY_TOL * own:
+        raise error(f"{name} row sums deviate from zero by {worst:.3e} (tol {IDENTITY_TOL:.1e})")
+    if not (arr - np.diag(np.diag(arr))).max(initial=0.0) <= IDENTITY_TOL * scale:
+        raise error(f"{name} has positive off-diagonal entries")
 
 
-def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray:
+def symmetrizability_certificate(L0) -> np.ndarray:
     """Positive balance vector m with m[i]*L0[i,j] == m[j]*L0[j,i] for i != j.
 
     The vector is found by propagating entry ratios over a depth-first
@@ -173,7 +177,7 @@ def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray
     arr = _as_real_square(L0, "L0")
     n = arr.shape[0]
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-    if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
+    if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > CERTIFICATE_TOL * scale:
         raise ValueError("L0 must have zero row sums within tol")
 
     nonzero = arr != 0.0
@@ -198,7 +202,7 @@ def symmetrizability_certificate(L0, tol: float = CERTIFICATE_TOL) -> np.ndarray
             with np.errstate(all="ignore"):
                 ratio = a_ij / a_ji
                 lhs, rhs = m[i] * a_ij, m[js] * a_ji
-                unbalanced = np.abs(lhs - rhs) > tol * np.maximum(
+                unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(
                     np.maximum(np.abs(lhs), np.abs(rhs)), 1.0
                 )
             bad = (a_ij == 0.0) | (a_ji == 0.0) | np.where(fresh, ~(ratio > 0), unbalanced)
@@ -257,26 +261,23 @@ def scaling_from_certificate(m: np.ndarray) -> np.ndarray:
     return s / s.min()
 
 
-def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
+def decompose(L, li=None) -> LaplacianDecomposition:
     """Split a Laplacian into a symmetrizable part plus a one-way part.
 
     With ``li`` given (explicit mode), L0 = L - LI is formed and every
     invariant is validated, including symmetrizability of L0.  Without it,
     the pairwise-minimum heuristic keeps min(w_ij, w_ji) on each pair as the
     symmetric part and routes the surplus |w_ij - w_ji| into LI one-way
-    (both as whole-matrix operations); the symmetric remainder is trivially
-    symmetrizable.
+    (both as whole-matrix operations); the symmetric remainder needs no
+    balance search, its certificate is all ones.
 
     Raises:
+        ValueError: if L is not a finite square Laplacian.
         InvalidDecomposition: if the explicit LI breaks any invariant.
     """
     lap = _as_real_square(L, "L")
     scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
-    if float(np.abs(lap.sum(axis=1)).max(initial=0.0)) > tol * scale:
-        raise ValueError("L must have zero row sums")
-    off = lap - np.diag(np.diag(lap))
-    if off.max(initial=0.0) > tol * scale:
-        raise ValueError("L must have non-positive off-diagonal entries")
+    _check_laplacian(lap, "L", scale, ValueError)
 
     if li is not None:
         one_way = _as_real_square(li, "LI")
@@ -284,18 +285,10 @@ def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
             raise InvalidDecomposition(
                 f"LI shape {one_way.shape} does not match L shape {lap.shape}"
             )
-        _check_zero_row_sums(one_way, tol, "LI")
+        _check_laplacian(one_way, "LI", scale, InvalidDecomposition)
         _check_one_way(one_way)
-        li_off = one_way - np.diag(np.diag(one_way))
-        if li_off.max(initial=0.0) > tol * scale:
-            raise InvalidDecomposition("LI has positive off-diagonal entries")
         sym_part = lap - one_way
-        sym_off = sym_part - np.diag(np.diag(sym_part))
-        if sym_off.max(initial=0.0) > tol * scale:
-            raise InvalidDecomposition(
-                "remainder L - LI has positive off-diagonal entries"
-            )
-        _check_zero_row_sums(sym_part, tol, "L0")
+        _check_laplacian(sym_part, "L0", scale, InvalidDecomposition)
         try:
             cert = symmetrizability_certificate(sym_part)
         except NotSymmetrizable as exc:
@@ -311,7 +304,8 @@ def decompose(L, li=None, tol: float = IDENTITY_TOL) -> LaplacianDecomposition:
             np.fill_diagonal(part, 0.0)
             np.fill_diagonal(part, -part.sum(axis=1))
             part += 0.0  # normalize negative zeros
-        cert = symmetrizability_certificate(sym_part)
+        # -min(W, W^T) is exactly symmetric: every balance ratio is 1
+        cert = np.ones(len(lap))
 
     return LaplacianDecomposition(
         L=lap,
@@ -329,16 +323,17 @@ def _check_one_way(one_way: np.ndarray) -> None:
         raise InvalidDecomposition(f"LI carries both directions on pair ({i},{j})")
 
 
-def validate_decomposition(dec: LaplacianDecomposition, tol: float = IDENTITY_TOL) -> None:
+def validate_decomposition(dec: LaplacianDecomposition) -> None:
     """Re-verify every LaplacianDecomposition invariant; raises on failure.
 
-    Every comparison is written so that a NaN fails it.
+    L, L0 and LI each need zero row sums and non-positive off-diagonal
+    entries.  Every comparison is written so that a NaN fails it.
     """
     scale = max(1.0, float(np.abs(dec.L).max(initial=0.0)))
-    if not float(np.abs(dec.L - dec.L0 - dec.LI).max(initial=0.0)) <= tol * scale:
+    if not float(np.abs(dec.L - dec.L0 - dec.LI).max(initial=0.0)) <= IDENTITY_TOL * scale:
         raise InvalidDecomposition("L != L0 + LI")
     for name, part in (("L", dec.L), ("L0", dec.L0), ("LI", dec.LI)):
-        _check_zero_row_sums(part, tol, name)
+        _check_laplacian(part, name, scale, InvalidDecomposition)
     _check_one_way(dec.LI)
     for name in ("certificate", "scaling"):
         vec = getattr(dec, name)
@@ -348,6 +343,6 @@ def validate_decomposition(dec: LaplacianDecomposition, tol: float = IDENTITY_TO
         s = np.asarray(dec.scaling, dtype=float)
         if not np.all(s > 0):
             raise InvalidDecomposition("scaling vector must be positive")
-        conj = np.diag(s) @ dec.L0 @ np.diag(1.0 / s)
+        conj = s[:, None] * dec.L0 * (1.0 / s)
         if not float(np.abs(conj - conj.T).max(initial=0.0)) <= 1e-10 * scale:
             raise InvalidDecomposition("scaling does not symmetrize L0")

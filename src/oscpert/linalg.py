@@ -37,6 +37,8 @@ _PADE13_B = (
 )
 _PADE13_THETA = 5.371920351148152
 
+RESIDUAL_TOL = 1e-10  # relative characteristic-polynomial residual, n <= 3
+
 
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return ``m`` as a square complex128 array."""
@@ -64,17 +66,17 @@ def _check_finite_result(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
-def eigenvalues(m, tol: float = 1e-10):
+def eigenvalues(m):
     """All eigenvalues of a square matrix, with algebraic multiplicity.
 
     Returned unsorted, as a list of complex.  An (N, n, n) stack of matrices
     is solved in one LAPACK batch and gives an (N, n) complex array whose
     row k holds the eigenvalues of m[k]; an empty stack calls no LAPACK.
     For dimension <= 3 the result is additionally checked against the
-    characteristic polynomial: each root must satisfy |p(lam)| <= tol * scale,
-    where scale is a norm-based magnitude bound of its matrix; the test is
-    made on the matrix and roots divided by their largest entry part (or 1),
-    so it stays finite for entries of any size.
+    characteristic polynomial: each root must satisfy |p(lam)| <=
+    RESIDUAL_TOL * scale, where scale is a norm-based magnitude bound of its
+    matrix; the test is made on the matrix and roots divided by their largest
+    entry part (or 1), so it stays finite for entries of any size.
 
     Raises:
         NonConvergence: if the underlying QR iteration fails, or the
@@ -88,8 +90,6 @@ def eigenvalues(m, tol: float = 1e-10):
         raise DimensionMismatch(f"matrix stack must be (N, n, n), got shape {arr.shape}")
     elif not np.all(np.isfinite(arr)):
         raise ValueError("matrix stack contains non-finite entries")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     n = arr.shape[1]
     if arr.shape[0] == 0:
         return np.empty((0, n), dtype=complex)
@@ -111,12 +111,12 @@ def eigenvalues(m, tol: float = 1e-10):
         for k in range(n + 1):  # Horner, as np.polyval
             residual = residual * roots + coeffs[:, k, None]
         residual = np.abs(residual)
-        bad = np.argwhere(residual > tol * scale[:, None])
+        bad = np.argwhere(residual > RESIDUAL_TOL * scale[:, None])
         if bad.size:
             k, i = bad[0]
             raise NonConvergence(
                 f"eigenvalue {vals[k, i]} has characteristic residual "
-                f"{residual[k, i]:.3e} above {tol:.1e} * {scale[k]:.3e}"
+                f"{residual[k, i]:.3e} above {RESIDUAL_TOL:.1e} * {scale[k]:.3e}"
             )
     return [complex(v) for v in vals[0]] if single else vals
 

@@ -445,8 +445,6 @@ def _block_sum(
                 shell += 1.0
                 continue
             coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
-            if coeff == 0:
-                continue
             uppers, lowers = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
             shell += (
                 (-1) ** (sk * k + l + s0)

@@ -143,12 +143,12 @@ def test_criterion_09_decomposition_round_trip():
     with _Criterion(9, "worked decomposition round trip with certificate", 1.0):
         lap = np.array([[3.0, -2.0, -1.0], [-3.0, 6.0, -3.0], [-4.0, -2.0, 6.0]])
         one_way = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
-        dec = graph.decompose(lap, li=one_way, tol=1e-12)
+        dec = graph.decompose(lap, li=one_way)
         assert np.allclose(
             dec.L0, [[2.0, -1.0, -1.0], [-3.0, 5.0, -2.0], [-3.0, -2.0, 5.0]], atol=1e-12
         )
         assert np.allclose(dec.certificate, [3.0, 1.0, 1.0], atol=1e-12)
-        graph.validate_decomposition(dec, tol=1e-12)
+        graph.validate_decomposition(dec)
 
 
 def test_criterion_10_randomized_property_suites():

@@ -284,6 +284,7 @@ class TestDecompose:
         '{"n": 2.7, "edges": []}',
         '{"n": 2, "edges": [[0, 1.9, 1.0]]}',
         '{"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308]]}',
+        '{"n": 2, "edges": [[0, 1, 1e999]]}',
     ])
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
         gpath = tmp_path / "g.json"

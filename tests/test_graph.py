@@ -1,5 +1,6 @@
 """Tests for graph construction, certificates, and Laplacian decomposition."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,10 @@ class TestWeightedDigraph:
             graph.WeightedDigraph(n=2, edges=((0, 1, 1.0), (0, 1, 2.0)))  # dup
         with pytest.raises(ValueError):
             graph.WeightedDigraph(n=2, edges=((0, 5, 1.0),))  # out of range
+
+    def test_infinite_weight_names_the_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(0,1\) has infinite weight$"):
+            graph.WeightedDigraph.from_json('{"n": 2, "edges": [[1, 0, 2.0], [0, 1, 1e999]]}')
 
     def test_json_round_trip(self):
         edges = [[int(s), int(d), w] for s, d, w in FIG1_GRAPH.edges.tolist()]
@@ -150,6 +155,10 @@ class TestCertificate:
         conj = np.diag(s) @ FIG1_L0 @ np.diag(1.0 / s)
         assert np.max(np.abs(conj - conj.T)) < 1e-10
 
+    def test_empty_matrix_refused(self):
+        with pytest.raises(ValueError, match="L0 must be a non-empty square matrix"):
+            graph.symmetrizability_certificate(np.zeros((0, 0)))
+
     def test_disconnected_support_per_component(self):
         block = np.zeros((4, 4))
         block[:2, :2] = [[1.0, -1.0], [-3.0, 3.0]]
@@ -178,6 +187,27 @@ class TestDecompose:
         assert np.allclose(dec.L0, expected_l0, atol=1e-12)
         assert np.allclose(dec.LI, expected_li, atol=1e-12)
         graph.validate_decomposition(dec)
+
+    def test_empty_matrix_refused(self):
+        with pytest.raises(ValueError, match="L must be a non-empty square matrix"):
+            graph.decompose(np.zeros((0, 0)))
+
+    def test_heuristic_split_makes_no_certificate_search(self, monkeypatch):
+        g, li = _bench_style_graph(3)
+        lap = graph.laplacian(g)
+        calls = []
+        search = graph.symmetrizability_certificate
+        monkeypatch.setattr(
+            graph, "symmetrizability_certificate", lambda L0: calls.append(1) or search(L0)
+        )
+        dec = graph.decompose(lap)
+        assert calls == []
+        ones = np.ones(g.n)
+        _assert_same(dec.certificate, ones)
+        _assert_same(dec.scaling, ones)
+        graph.validate_decomposition(dec)
+        graph.decompose(lap, li=li)
+        assert calls == [1]  # the explicit split still searches
 
     def test_involution_consistency(self):
         dec = graph.decompose(FIG1_L, li=FIG1_LI)
@@ -212,9 +242,57 @@ class TestDecompose:
             g = graph.WeightedDigraph(n=n, edges=tuple(edges))
             lap = graph.laplacian(g)
             # eigenvalues of a Laplacian sit in the closed right half plane
-            for v in linalg.eigenvalues(lap, tol=1e-8):
+            for v in linalg.eigenvalues(lap):
                 assert v.real > -1e-8 * max(1.0, np.abs(lap).max())
             graph.validate_decomposition(graph.decompose(lap))
+
+
+def _shifted(dec, **moves):
+    """dec with moves[part] = (i, j, delta) added at (i, j) and taken off (i, i)."""
+    parts = {name: getattr(dec, name).copy() for name in moves}
+    for name, (i, j, delta) in moves.items():
+        parts[name][i, j] += delta
+        parts[name][i, i] -= delta
+    return replace(dec, **parts)
+
+
+def _two_way_li():
+    ring = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return graph.LaplacianDecomposition(L=ring, L0=np.zeros((2, 2)), LI=ring)
+
+
+def _off_by_row_sum_li():
+    # L = L0 + LI holds to 1e-9 against |L| = 1e6, but 1e-9 is far off
+    # zero for the row sums of an LI whose entries are 1e-3
+    big = graph.decompose(np.array([[1e6, -1e6], [-1e6 + 1e-3, 1e6 - 1e-3]]))
+    li = big.LI.copy()
+    li[1, 1] += 1e-9
+    return replace(big, LI=li)
+
+
+class TestValidateDecomposition:
+    """Each refusal of validate_decomposition, one fault at a time."""
+
+    @pytest.mark.parametrize("broken, message", [
+        (lambda d: replace(d, L=d.L + 1e-6), r"L != L0 \+ LI"),
+        (lambda d: replace(d, L=d.L + np.eye(3), L0=d.L0 + np.eye(3)), "L row sums"),
+        (lambda d: replace(d, L0=d.L0 + np.eye(3), LI=d.LI - np.eye(3)), "L0 row sums"),
+        (lambda d: _off_by_row_sum_li(), "LI row sums"),
+        (lambda d: _shifted(d, L=(0, 1, 3.0), LI=(0, 1, 3.0)), "L has positive off-diagonal"),
+        (lambda d: _shifted(d, L0=(0, 1, 2.0), LI=(0, 1, -2.0)), "L0 has positive off-diagonal"),
+        (lambda d: _shifted(d, L0=(0, 1, -2.0), LI=(0, 1, 2.0)), "LI has positive off-diagonal"),
+        (lambda d: _two_way_li(), r"LI carries both directions on pair \(0,1\)"),
+        (lambda d: replace(d, certificate=np.array([np.inf, 1.0, 1.0])), "certificate vector has non-finite"),
+        (lambda d: replace(d, scaling=np.array([1.0, np.nan, 1.0])), "scaling vector has non-finite"),
+        (lambda d: replace(d, scaling=np.array([1.0, 0.0, 1.0])), "scaling vector must be positive"),
+        (lambda d: replace(d, scaling=np.array([-1.0, 1.0, 1.0])), "scaling vector must be positive"),
+        (lambda d: replace(d, scaling=np.ones(3)), "scaling does not symmetrize L0"),
+    ])
+    def test_refusal(self, broken, message):
+        dec = graph.decompose(FIG1_L, li=FIG1_LI)
+        graph.validate_decomposition(dec)
+        with pytest.raises(InvalidDecomposition, match=message):
+            graph.validate_decomposition(broken(dec))
 
 
 def _outcome(fn, *args):

@@ -54,11 +54,9 @@ class TestEigenvalues:
             det = np.linalg.det(m)
             assert abs(prod - det) <= 1e-8 * max(abs(det), 1.0)
 
-    def test_rejects_non_square_and_bad_tol(self):
+    def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(DimensionMismatch):
             linalg.eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            linalg.eigenvalues(np.eye(2), tol=0.0)
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.array([[np.nan, 0], [0, 1]]))
 
@@ -75,11 +73,6 @@ class TestEigenvalues:
     def test_empty_stack(self):
         got = linalg.eigenvalues(np.zeros((0, 3, 3)))
         assert got.shape == (0, 3) and got.dtype == complex
-
-    def test_stack_residual_check_refuses(self):
-        stack = np.stack([OMEGA1_LARGE, OMEGA1_SMALL])
-        with pytest.raises(NonConvergence):
-            linalg.eigenvalues(stack, tol=1e-30)
 
     @pytest.mark.parametrize("stack", [False, True])
     def test_large_entries_keep_the_residual_check(self, stack, monkeypatch):

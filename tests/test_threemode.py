@@ -257,6 +257,20 @@ class TestBlockTableAgainstBranches:
         # the grid reaches values and each of these refusals
         assert kinds == {"value", "ValueError", "DegenerateFrequencies", "TruncationNotConverged"}
 
+    def test_every_cell_has_a_coefficient_and_positive_parameters(self):
+        # _block_sum sums every cell: none has a zero binomial product, and
+        # no 2F2 parameter left after cancellation is zero or negative
+        for name, (_, _, x, y, z, u1, u2, v1, v2, first, _) in tm._BLOCKS.items():
+            for k in range(first, 61):
+                for l in range(k - first + 1):
+                    coeff = tm.neg_binomial(2 * k - l + x, k - l + y)
+                    coeff *= tm.neg_binomial(k + l + z, l)
+                    assert coeff != 0, (name, k, l)
+                    uppers, lowers = tm._cancel_params(
+                        (2 * k - l + u1, k + l + u2), (k + v1, k + v2)
+                    )
+                    assert all(p > 0 for p in uppers + lowers), (name, k, l, uppers, lowers)
+
     def test_xyz_keeps_its_operation_order(self):
         for m in _differential_models()[:-1]:
             r = tm.xyz(m)

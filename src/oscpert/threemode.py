@@ -29,12 +29,19 @@ psi_3 and psi_2 follow by the cyclic relabeling 1 -> 3 -> 2 -> 1 (with
 X -> Y -> Z -> X), exposed as cyclic_view.  All denominators assume
 pairwise-distinct effective frequencies; degenerate models are refused
 rather than regularized.
+
+Every 2F2 of a call is a cell of a table built once per (k_max, order_cap),
+and one array recurrence steps all cells together, bitwise equal to summing
+each cell alone.  A non-finite t (or z or parameter of hyp_pfq) raises
+ValueError.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,9 +129,11 @@ class SeriesTruncation:
     """Truncation policy for the block sums.
 
     k_max caps the outer shell index; tail_tol is the relative tolerance for
-    the inner hypergeometric sums (a term is negligible when three
-    consecutive terms fall below tail_tol relative to the partial sum);
-    max_terms_per_hyp caps the inner summation length.
+    the inner hypergeometric sums (a sum stops once three consecutive terms
+    fall below tail_tol relative to the partial sum, or below 1e-300);
+    max_terms_per_hyp caps the inner summation length.  k_max and
+    max_terms_per_hyp must be integers >= 1 and tail_tol a finite positive
+    number; anything else raises ValueError.
     """
 
     k_max: int = 4
@@ -132,12 +141,13 @@ class SeriesTruncation:
     max_terms_per_hyp: int = 500
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        if self.max_terms_per_hyp < 1:
-            raise ValueError("max_terms_per_hyp must be >= 1")
+        for name in ("k_max", "max_terms_per_hyp"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        tol = self.tail_tol
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tail_tol must be a finite positive number, got {tol!r}")
 
 
 def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
@@ -235,6 +245,8 @@ def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
     """
     if n not in (0, 1, 2, 3):
         raise ValueError("closed forms exist for orders 0..3 only")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     vec = linalg.as_vector(psi0, 3, "psi0")
     w1, w2, w3 = effective_frequencies(m)
     a1, a2, a3 = m.a
@@ -293,49 +305,99 @@ def neg_binomial(n: int, k: int) -> int:
     return 0
 
 
-def _hyp_series(
-    uppers: list[float],
-    lowers: list[float],
-    z: complex,
-    trunc: SeriesTruncation,
-    max_ell: int | None = None,
-) -> complex:
-    """Shared summation core: adaptive when max_ell is None, else the exact
-    partial sum of terms 0..max_ell."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    small_streak = 0
-    limit = trunc.max_terms_per_hyp if max_ell is None else max_ell
-    for ell in range(limit):
-        num = 1.0
-        for a in uppers:
-            num *= a + ell
-        if num == 0.0:
-            return total  # a non-positive upper parameter: series terminated
-        den = 1.0
-        for b in lowers:
-            den *= b + ell
-        if den == 0.0:
-            raise InvalidLowerParameter(
-                f"lower parameter hits zero at term {ell} for b={lowers}"
-            )
-        term = term * (num / den) * z / (ell + 1)
-        total += term
-        if max_ell is not None:
-            continue
-        if abs(term) < trunc.tail_tol * abs(total) or abs(term) < 1e-300:
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-    if max_ell is None:
-        raise MaxTermsExceeded(
-            f"no convergence within {trunc.max_terms_per_hyp} terms",
-            partial=total,
-            last_term=term,
-        )
-    return total
+# The cells' series advance together this many term indices per array step.
+_CHUNK = 32
+# Python multiplies and divides a complex by a float x as by complex(x, 0.0):
+# the zero part adds cross terms part * (0.0, -0.0), signed zeros or NaN.
+_CROSS = np.array([[0.0], [-0.0]])
+
+
+def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
+    """Sums of many hypergeometric series, one array step per term index.
+
+    Column c of upper (p, C) and lower (q, C) holds cell c's NaN-padded
+    parameters and of z (2, C) its argument.  Term ell+1 is term ell *
+    (num / den) * z / (ell + 1) in the float operations of Python complex
+    arithmetic, bitwise a scalar loop's; the cross terms and zero real parts
+    of z change no finite sum, so only cells that meet a non-finite sum or
+    end in MaxTermsExceeded are rerun with them (exact).  A cell stops
+    before term ell+1 when num is zero, after term `limit`, and with
+    tail_tol after three consecutive terms below tail_tol * |sum| or 1e-300.
+    Returns per cell its sum, or the refusal to raise when it is reached
+    (InvalidLowerParameter, MaxTermsExceeded, or abs()'s OverflowError).
+    """
+    cells = z.shape[1]
+    limit = np.broadcast_to(limit, (cells,))
+    params = np.concatenate((upper, lower))
+    pad = np.isnan(params)[:, None, :]
+    term = total = np.repeat([[1.0], [0.0]], cells, axis=1)
+    result, errors, redo = total.copy(), {}, np.zeros(cells, bool)
+    flags = np.zeros((2, cells), bool)
+    zr, zw = z[0], np.stack([-z[1], z[1]])
+    real, pending = exact or zr.any(), limit > 0
+    with np.errstate(all="ignore"):
+        end = int(limit.max(initial=0))
+        for start in range(0, end, _CHUNK):
+            ell = np.arange(start, min(start + _CHUNK, end), dtype=float)[:, None]
+            factors = np.where(pad, 1.0, params[:, None, :] + ell)
+            num = np.multiply.reduce(factors[: len(upper)], axis=0, initial=1.0)
+            den = np.multiply.reduce(factors[len(upper) :], axis=0, initial=1.0)
+            sums = np.empty((len(ell) + 1, 2, cells))
+            sums[0], terms = total, sums[1:]
+            for r, row, d in zip(num / den, terms, (ell[:, 0] + 1.0).tolist()):
+                q = term[::-1] * r  # term * r with its parts swapped
+                if exact:
+                    q += term * _CROSS
+                s = q * zw
+                if real:
+                    s += q[::-1] * zr
+                if exact:
+                    s += s[::-1] * _CROSS
+                term = np.divide(s, d, out=row)
+            sums = np.add.accumulate(sums, axis=0)
+            redo |= pending & ~np.isfinite(sums[-1]).all(axis=0)
+            stop = (num == 0) | (den == 0) | (ell + 1 >= limit)
+            done, over = np.ones_like(stop), np.zeros_like(stop)  # the limit ends a sum
+            if tail_tol is not None:
+                mag, size = (np.hypot(x[:, 0], x[:, 1]) for x in (terms, sums[1:]))
+                if not np.isfinite(mag.max() + size.max()):  # abs() overflows: OverflowError
+                    over = np.isinf(mag) & np.isfinite(terms).all(axis=1)
+                    over |= np.isinf(size) & np.isfinite(sums[1:]).all(axis=1)
+                small = np.concatenate((flags, mag < np.fmax(tail_tol * size, 1e-300)))
+                flags, done = small[-2:], small[2:] & small[1:-1] & small[:-2]
+                stop |= done | over
+            cols = np.flatnonzero(pending & stop.any(axis=0))
+            js = stop[:, cols].argmax(axis=0)
+            ended = num[js, cols] == 0
+            zero = ~ended & (den[js, cols] == 0)
+            capped = ~ended & ~zero & ~over[js, cols] & ~done[js, cols]
+            result[:, cols] = sums[js + 1 - ended, :, cols].T
+            for c, j in zip(cols[capped], js[capped]):
+                redo[c] = True
+                errors[c] = MaxTermsExceeded(
+                    f"no convergence within {limit[c]} terms",
+                    partial=complex(*result[:, c]),
+                    last_term=complex(*terms[j, :, c]),
+                )
+            for c in cols[~ended & ~zero & over[js, cols]]:
+                errors[c] = OverflowError("absolute value too large")
+            for c, j in zip(cols[zero], js[zero]):
+                lowers = [b for b in lower[:, c].tolist() if b == b]
+                errors[c] = InvalidLowerParameter(
+                    f"lower parameter hits zero at term {start + j} for b={lowers}"
+                )
+            pending[cols] = False
+            if not pending.any():
+                break
+            total = sums[-1]
+    out = np.ascontiguousarray(result.T).view(complex)[:, 0].tolist()
+    out = [errors.get(c, value) for c, value in enumerate(out)]
+    redo = np.flatnonzero(redo)
+    if redo.size and not exact:
+        again = _hyp_sums(upper[:, redo], lower[:, redo], z[:, redo], limit[redo], tail_tol, True)
+        for c, value in zip(redo, again):
+            out[c] = value
+    return out
 
 
 def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
@@ -345,15 +407,28 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
     (so e.g. 2F2(a, b; a, b; z) reduces to exp(z) and 2F2(1, 0; 0, 1; z)
     likewise).  A remaining non-positive-integer upper parameter terminates
     the series (polynomial case).  Terms accumulate until three consecutive
-    ones fall below tail_tol relative to the partial sum.
+    ones fall below tail_tol relative to the partial sum (or below 1e-300).
 
     Raises:
+        ValueError: z or a parameter is not finite.
         InvalidLowerParameter: a surviving lower parameter hits a
             non-positive integer before the series terminates.
         MaxTermsExceeded: no convergence within max_terms_per_hyp terms.
     """
+    z = complex(z)
     uppers, lowers = _cancel_params(a_params, b_params)
-    return _hyp_series(uppers, lowers, complex(z), trunc)
+    if not (cmath.isfinite(z) and all(map(math.isfinite, uppers + lowers))):
+        raise ValueError("hyp_pfq needs a finite z and finite parameters")
+    (value,) = _hyp_sums(
+        np.array(uppers, dtype=float).reshape(-1, 1),
+        np.array(lowers, dtype=float).reshape(-1, 1),
+        np.array([[z.real], [z.imag]]),
+        trunc.max_terms_per_hyp,
+        trunc.tail_tol,
+    )
+    if not isinstance(value, complex):
+        raise value
+    return value
 
 
 def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
@@ -418,60 +493,82 @@ def _block_geometry(m: ThreeModeModel):
     return freqs, families
 
 
-def _block_sum(
-    block: str,
-    families: dict,
-    t: float,
-    trunc: SeriesTruncation,
-    shell_tol: float | None,
-    order_cap: int | None,
-) -> complex:
-    """series_block on a precomputed _block_geometry family map."""
-    sk, s0, x, y, z, u1, u2, v1, v2, first, offset = _BLOCKS[block]
-    w_ratio, ratio1, ratio2, prefactors = families[block[0]]
-    prefactor = prefactors[offset]
-    arg = -1j * w_ratio * t
-    total = 0.0 + 0.0j
-    last_shell = 0.0
-    for k in range(first, trunc.k_max + 1):
-        max_ell = None
-        if order_cap is not None:
-            max_ell = (order_cap - offset - 3 * k) // 3
-            if max_ell < 0:
+@lru_cache(maxsize=16)
+def _cell_table(k_max: int, order_cap: int | None):
+    """The cells of the nine blocks, for any model and t: per block its
+    shells [(k, [(l, sign, coefficient, cell)])] and cell span; per cell its
+    NaN-padded upper and lower (2, C) parameters left by _cancel_params,
+    family (A/B/C as 0/1/2) and term limit (max_ell, -1 without order_cap,
+    0 for A1's k = l = 0 cell, whose value is 1)."""
+    shells, spans, cells = {}, {}, []
+    for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
+        shells[block], begin = [], len(cells)
+        for k in range(first, k_max + 1):
+            max_ell = -1 if order_cap is None else (order_cap - offset - 3 * k) // 3
+            if order_cap is not None and max_ell < 0:
                 continue
-        shell = 0.0 + 0.0j
-        for l in range(0, k - first + 1):
-            if block == "A1" and k == 0:
-                shell += 1.0
-                continue
-            coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
-            uppers, lowers = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
-            shell += (
-                (-1) ** (sk * k + l + s0)
-                * prefactor
-                * ratio1**k
-                * ratio2**l
-                * coeff
-                * _hyp_series(uppers, lowers, arg, trunc, max_ell=max_ell)
+            row = []
+            shells[block].append((k, row))
+            for l in range(0, k - first + 1):
+                coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
+                row.append((l, (-1) ** (sk * k + l + s0), coeff, len(cells)))
+                params = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
+                params = [p + [math.nan] * (2 - len(p)) for p in params]
+                limit = 0 if block == "A1" and k == 0 else max_ell
+                cells.append(params[0] + params[1] + ["ABC".index(block[0]), limit])
+        spans[block] = (begin, len(cells))
+    cols = np.array(cells, dtype=float).reshape(-1, 6).T
+    return shells, spans, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int)
+
+
+def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
+    """series_block for consecutive BLOCK_NAMES on a _block_geometry family
+    map, from one _hyp_sums pass over their cells.  Each block raises the
+    refusal of its first failing cell in (k, l) order, then its
+    TruncationNotConverged, before the next block is summed.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    shells, spans, upper, lower, family, limit = _cell_table(trunc.k_max, order_cap)
+    cut = slice(spans[names[0]][0], spans[names[-1]][1])
+    args = [-1j * families[f][0] * t for f in "ABC"]
+    z = np.array([[a.real for a in args], [a.imag for a in args]])[:, family[cut]]
+    limit = np.where(limit[cut] < 0, trunc.max_terms_per_hyp, limit[cut])
+    tail_tol = trunc.tail_tol if order_cap is None else None
+    sums = [None] * cut.start + _hyp_sums(upper[:, cut], lower[:, cut], z, limit, tail_tol)
+    blocks = {}
+    for block in names:
+        _, ratio1, ratio2, prefactors = families[block[0]]
+        prefactor = prefactors[_BLOCKS[block][-1]]
+        arg = args["ABC".index(block[0])]
+        total = 0.0 + 0.0j
+        last_shell = 0.0
+        for k, cells in shells[block]:
+            shell = 0.0 + 0.0j
+            for l, sign, coeff, cell in cells:
+                weight = sign * prefactor * ratio1**k * ratio2**l * coeff
+                if not isinstance(sums[cell], complex):
+                    raise sums[cell]
+                shell += weight * sums[cell]
+            total += shell
+            last_shell = abs(shell)
+        if block == "A1":
+            if order_cap is None:
+                total += cmath.exp(arg) - 1.0
+            else:
+                closure = 0.0 + 0.0j
+                argpow = 1.0 + 0.0j
+                for power in range(1, order_cap // 3 + 1):
+                    argpow *= arg / power
+                    closure += argpow
+                total += closure
+        if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
+            raise TruncationNotConverged(
+                f"block {block}: shell k={trunc.k_max} still contributes "
+                f"{last_shell:.3e} against total {abs(total):.3e}"
             )
-        total += shell
-        last_shell = abs(shell)
-    if block == "A1":
-        if order_cap is None:
-            total += cmath.exp(arg) - 1.0
-        else:
-            closure = 0.0 + 0.0j
-            argpow = 1.0 + 0.0j
-            for power in range(1, order_cap // 3 + 1):
-                argpow *= arg / power
-                closure += argpow
-            total += closure
-    if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
-        raise TruncationNotConverged(
-            f"block {block}: shell k={trunc.k_max} still contributes "
-            f"{last_shell:.3e} against total {abs(total):.3e}"
-        )
-    return total
+        blocks[block] = total
+    return blocks
 
 
 def series_block(
@@ -494,7 +591,7 @@ def series_block(
     against fixed-order quadrature sums).
 
     Raises:
-        ValueError: block is not one of BLOCK_NAMES.
+        ValueError: block is not one of BLOCK_NAMES, or t is not finite.
         TruncationNotConverged: only when shell_tol is given and the last
             retained shell still contributes more than shell_tol relative
             to the accumulated sum (deliberate fixed-depth truncations pass
@@ -503,7 +600,7 @@ def series_block(
     _, families = _block_geometry(m)
     if block not in BLOCK_NAMES:
         raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
-    return _block_sum(block, families, t, trunc, shell_tol, order_cap)
+    return _block_sums(families, (block,), t, trunc, shell_tol, order_cap)[block]
 
 
 def psi1_infinite(
@@ -519,14 +616,11 @@ def psi1_infinite(
     Assembles (A1 p1 + A3 p3 + A2 p2) e^{-i w1' t}
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
-    with p_mu = psi_mu(0).
+    with p_mu = psi_mu(0).  Raises as series_block does, block by block.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
     (w1, w2, w3), families = _block_geometry(m)
-    blocks = {
-        name: _block_sum(name, families, t, trunc, shell_tol, order_cap)
-        for name in BLOCK_NAMES
-    }
+    blocks = _block_sums(families, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
     p1, p2, p3 = vec[0], vec[1], vec[2]
     return (
         (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)

@@ -29,6 +29,9 @@ rather than tautology:
                      — the per-block if chain of lambdas that the block
                        table in oscpert.threemode replaced, recomputing the
                        frequencies and ratios for every block
+* loop_hyp_series    — the per-cell scalar loop over the terms of one 2F2
+                       that the array recurrence in oscpert.threemode
+                       replaced; loop_series_block sums its cells with it
 * loop_term, loop_partial_sum, loop_convergence_residuals
                      — the per-order Dyson quadrature that dyson.terms
                        replaced: every coefficient rebuilds the trajectories
@@ -53,6 +56,8 @@ from oscpert import dyson, eigenfreq, graph, linalg, threemode
 from oscpert.benchmarks import COUPLING_TABLE, canonical_id, registry
 from oscpert.errors import (
     InvalidDecomposition,
+    InvalidLowerParameter,
+    MaxTermsExceeded,
     NotSymmetrizable,
     OscPertError,
     ResolutionTooCoarse,
@@ -441,6 +446,45 @@ def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
     return m
 
 
+def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
+    """One hypergeometric sum, term by term: adaptive when max_ell is None,
+    else the exact partial sum of terms 0..max_ell."""
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    small_streak = 0
+    limit = trunc.max_terms_per_hyp if max_ell is None else max_ell
+    for ell in range(limit):
+        num = 1.0
+        for a in uppers:
+            num *= a + ell
+        if num == 0.0:
+            return total  # a non-positive upper parameter: series terminated
+        den = 1.0
+        for b in lowers:
+            den *= b + ell
+        if den == 0.0:
+            raise InvalidLowerParameter(
+                f"lower parameter hits zero at term {ell} for b={lowers}"
+            )
+        term = term * (num / den) * z / (ell + 1)
+        total += term
+        if max_ell is not None:
+            continue
+        if abs(term) < trunc.tail_tol * abs(total) or abs(term) < 1e-300:
+            small_streak += 1
+            if small_streak >= 3:
+                return total
+        else:
+            small_streak = 0
+    if max_ell is None:
+        raise MaxTermsExceeded(
+            f"no convergence within {trunc.max_terms_per_hyp} terms",
+            partial=total,
+            last_term=term,
+        )
+    return total
+
+
 def _branch_block_spec(m, block: str) -> dict:
     """The per-block if chain of lambdas that threemode's block table replaced."""
     w1, w2, w3 = threemode.effective_frequencies(m)
@@ -553,7 +597,7 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
                 * spec["ratio1"] ** k
                 * spec["ratio2"] ** l
                 * coeff
-                * threemode._hyp_series(uppers, lowers, z, trunc, max_ell=max_ell)
+                * loop_hyp_series(uppers, lowers, z, trunc, max_ell=max_ell)
             )
             shell += cell
         total += shell

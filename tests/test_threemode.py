@@ -1,7 +1,9 @@
 """Tests for the cyclic 3-mode model, closed forms, and series blocks."""
 import cmath
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from oscpert.errors import (
 )
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
-from oracles import brute_force_pfq, loop_psi1_infinite, loop_series_block, path_term
+from oracles import (
+    brute_force_pfq,
+    loop_hyp_series,
+    loop_psi1_infinite,
+    loop_series_block,
+    path_term,
+)
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
 TIGHT = SeriesTruncation(k_max=4, tail_tol=1e-13)
@@ -210,13 +218,20 @@ class TestSeriesBlocks:
             )
 
 
+def _bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
 def _outcome(fn, *args, **kwargs):
-    """("value", exact bits of the result), or the refusal's type and message."""
+    """("value", exact bits of the result), or the refusal's type and message,
+    with the exact bits of .partial and .last_term for MaxTermsExceeded."""
     try:
         value = complex(fn(*args, **kwargs))
-    except (OscPertError, ValueError) as exc:
+    except MaxTermsExceeded as exc:
+        return "MaxTermsExceeded", str(exc), _bits(exc.partial), _bits(exc.last_term)
+    except (OscPertError, ValueError, OverflowError) as exc:
         return type(exc).__name__, str(exc)
-    return "value", value.real.hex(), value.imag.hex()
+    return ("value",) + _bits(value)
 
 
 def _differential_models():
@@ -281,6 +296,141 @@ class TestBlockTableAgainstBranches:
                 num / ((w2 - w3) * (w3 - w1)),
                 num / ((w1 - w2) * (w2 - w3)),
             )
+
+
+class TestArrayRecurrence:
+    """The array recurrence over all cells of a call against the scalar loop
+    over the terms of each 2F2 (tests/oracles.py), bit for bit."""
+
+    def test_resum_band(self):
+        # the resum benchmark's band: `small`, t in [0, 200]
+        m = registry("small")
+        rng = random.Random(2026)
+        times = [0.0, 200.0] + [rng.uniform(0.0, 200.0) for _ in range(10)]
+        for t, k_max in itertools.product(times, range(1, 7)):
+            trunc = SeriesTruncation(k_max=k_max, tail_tol=1e-12)
+            got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc)
+            assert got[0] == "value"
+            assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc), (t, k_max)
+
+    def test_refusals_keep_their_order(self):
+        # at t=100 on `small`, 40 terms sum every A and B cell but no C cell,
+        # 30 terms no A or C cell; shell_tol=1e-30 fails every block's last shell
+        m = registry("small")
+        kinds = set()
+        for cap, shell_tol in itertools.product((30, 40, 500), (None, 1e-30)):
+            trunc = SeriesTruncation(k_max=2, tail_tol=1e-12, max_terms_per_hyp=cap)
+            for name in tm.BLOCK_NAMES:
+                got = _outcome(tm.series_block, m, name, 100.0, trunc, shell_tol=shell_tol)
+                assert got == _outcome(loop_series_block, m, name, 100.0, trunc, shell_tol=shell_tol)
+            got = _outcome(tm.psi1_infinite, m, 100.0, PSI0, trunc, shell_tol=shell_tol)
+            assert got == _outcome(loop_psi1_infinite, m, 100.0, PSI0, trunc, shell_tol=shell_tol)
+            kinds.add((cap, shell_tol, got[0], got[1][:8]))
+        # an earlier block's TruncationNotConverged beats a later MaxTermsExceeded,
+        # and an earlier cell's MaxTermsExceeded beats its block's shell check
+        assert (40, None, "MaxTermsExceeded", "no conve") in kinds
+        assert (40, 1e-30, "TruncationNotConverged", "block A1") in kinds
+        assert (30, 1e-30, "MaxTermsExceeded", "no conve") in kinds
+
+    def test_forced_cap_partial_and_last_term(self):
+        for m, t in ((registry("s"), 7.3), (registry("small"), 150.0), (registry("l"), 0.25)):
+            trunc = SeriesTruncation(k_max=3, tail_tol=1e-14, max_terms_per_hyp=5)
+            got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc)
+            assert got[0] == "MaxTermsExceeded"
+            assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc)
+
+    @pytest.mark.parametrize(
+        "a, b, z",
+        [
+            ([2.0, 2.0], [1.0, 1.0], -0.5j),
+            ([2.0, 5.0], [1.0, 3.0], -10j),
+            ([2.5], [2.5], 0.4 - 1.1j),  # cancels to exp(z)
+            ([2.0, 3.5], [3.5, 2.0], 0.4 - 1.1j),
+            ([], [], 3.0 + 4.0j),
+            ([-2.0], [-4.0], 1.0),  # terminates before the lower parameter hits zero
+            ([-3.0, 1.5], [0.5], 2.0 - 1.0j),
+            ([0.0], [3.0], 2.0),
+            ([1e-200, 2e-200], [3e-200, 4e-200], 0.5),  # num and den underflow: num wins
+            ([1.0], [-2.0], 0.3),  # InvalidLowerParameter
+            ([1.5, 2.0], [-1.0, 4.0], 0.1j),
+            ([1.0, 2.0, 3.0], [1.5, 2.5, 0.5], -0.7 + 0.2j),
+            ([2.0], [1.0], 40.0),
+            ([1.0], [1.5], 800j),  # terms overflow: NaN partial sum at the cap
+            ([1e308], [1.0], 1.3 + 1.3j),  # |term| overflows from finite parts
+        ],
+    )
+    def test_hyp_pfq(self, a, b, z):
+        for trunc in (TIGHT, SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)):
+            want = _outcome(lambda: loop_hyp_series(*tm._cancel_params(a, b), z, trunc))
+            assert _outcome(tm.hyp_pfq, a, b, z, trunc) == want
+
+    def test_term_cap_allocates_nothing_in_proportion(self):
+        m = registry("small")
+        peaks, values = [], []
+        for cap in (500, 10**7):
+            trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=cap)
+            tm.psi1_infinite(m, 150.0, PSI0, trunc)  # fills the cell-table cache
+            tracemalloc.start()
+            values.append(tm.psi1_infinite(m, 150.0, PSI0, trunc))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert values[0] == values[1]
+        assert peaks[1] <= peaks[0] + 200_000, peaks
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t(self, t):
+        m = registry("small")
+        for order_cap in (None, 9):
+            with pytest.raises(ValueError, match="t must be finite"):
+                tm.psi1_infinite(m, t, PSI0, TIGHT, order_cap=order_cap)
+            with pytest.raises(ValueError, match="t must be finite"):
+                tm.series_block(m, "C2", t, TIGHT, order_cap=order_cap)
+        with pytest.raises(ValueError, match="t must be finite"):
+            tm.psi1_analytic(m, 3, t, PSI0)
+
+    @pytest.mark.parametrize(
+        "a, z", [([2.0], complex(math.nan, 0.0)), ([2.0], complex(0.0, math.inf)), ([math.inf], 1.0)]
+    )
+    def test_non_finite_hyp_pfq_input(self, a, z):
+        with pytest.raises(ValueError):
+            tm.hyp_pfq(a, [1.0], z, TIGHT)
+
+    def test_negative_t_is_allowed(self):
+        m = registry("small")
+        got = tm.psi1_infinite(m, -3.0, PSI0, TIGHT)
+        assert _outcome(tm.psi1_infinite, m, -3.0, PSI0, TIGHT) == _outcome(
+            loop_psi1_infinite, m, -3.0, PSI0, TIGHT
+        )
+        exact = linalg.matrix_exponential_apply(tm.omega_matrix(m), -3.0, PSI0)[0]
+        assert abs(got - exact) <= 5e-4
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(k_max=2.5),
+            dict(k_max=0),
+            dict(k_max=True),
+            dict(k_max="4"),
+            dict(max_terms_per_hyp=7.5),
+            dict(max_terms_per_hyp=0),
+            dict(tail_tol=math.inf),
+            dict(tail_tol=math.nan),
+            dict(tail_tol=0.0),
+            dict(tail_tol=-1e-12),
+            dict(tail_tol="1e-12"),
+        ],
+    )
+    def test_bad_truncation(self, kwargs):
+        with pytest.raises(ValueError):
+            SeriesTruncation(**kwargs)
+
+    def test_numpy_scalars_are_accepted(self):
+        trunc = SeriesTruncation(k_max=np.int64(3), tail_tol=np.float64(1e-12), max_terms_per_hyp=np.int32(50))
+        assert tm.psi1_infinite(registry("s"), 0.5, PSI0, trunc) == tm.psi1_infinite(
+            registry("s"), 0.5, PSI0, SeriesTruncation(k_max=3, tail_tol=1e-12, max_terms_per_hyp=50)
+        )
 
 
 class TestPsi1Infinite:

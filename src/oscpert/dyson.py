@@ -7,18 +7,17 @@ solution expands as psi(t) = sum_n eps^n psi_n(t) with
     psi_n(t) = integral_0^t exp(-i W0 (t-s)) (-i WI) psi_{n-1}(s) ds.
 
 The recursion is evaluated in the rotating frame phi_n(s) = exp(+i W0 s)
-psi_n(s), where each order is a plain running integral of the previous
-trajectory.  Trajectories are cached at the nodes of a uniform grid with
-half-node resolution (2*steps intervals over [0, t]); running integrals use
+psi_n(s), where each order is a plain running integral of the previous one
+on a uniform grid with half-node resolution (2*steps intervals over [0, t]):
 composite Simpson pairs plus a single-interval cubic end correction at odd
-nodes, so the global quadrature error is O(steps^-4).  Nothing is ever
-linearly interpolated.
+nodes (no linear interpolation), so the global quadrature error is O(steps^-4).
 
-One trajectory build yields every order up to the highest one asked for, so
-`terms` returns psi_0(t) .. psi_n(t) for the cost of psi_n(t) alone.
-
-All functions are pure; independent (order, epsilon) evaluations may run
-concurrently.
+One build on two reused trajectory buffers yields every order up to the
+highest one asked for, so `terms` returns psi_0(t) .. psi_n(t) for the cost
+of psi_n(t) alone, in memory that does not grow with n.  Results are bitwise
+those of the per-order textbook formulas for a real-valued WI (every
+ThreeModeModel), within an ulp or so for a complex one.  A coefficient that
+is not finite raises NonFiniteResult.  All functions are pure.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ResolutionTooCoarse
+from .errors import NonFiniteResult, ResolutionTooCoarse
 
 DEFAULT_REPORT_STEPS = 2000
 
@@ -68,60 +67,55 @@ class PerturbedSystem:
         return np.diag(np.array(self.omega0, dtype=complex)) + eps * self.omegaI
 
 
-def _running_integral(values: np.ndarray, dx: float) -> np.ndarray:
-    """Prefix integrals of sampled values at every node, 4th order.
-
-    Even nodes accumulate composite Simpson pairs; odd nodes add a cubic
-    one-interval correction built from four neighboring nodes.
-    Needs at least 4 intervals.
-    """
-    n_nodes = values.shape[0]
-    if n_nodes < 5:
-        raise ValueError("running integral needs at least 4 intervals")
-    # in-place steps, in the operation order of the textbook formulas, so the
-    # bits match them with fewer temporaries
-    out = np.empty_like(values)
-    out[0] = 0.0
-    pair = 4.0 * values[1:-1:2]
-    pair += values[0:-2:2]
-    pair += values[2::2]
-    pair *= dx / 3.0
-    np.cumsum(pair, axis=0, out=out[2::2])
-    # odd nodes: previous even node plus one cubic interval
-    out[1] = (dx / 24.0) * (
-        9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] + values[3]
-    )
-    odd = 5.0 * values[1:-2:2]
-    np.subtract(values[0:-3:2], odd, out=odd)
-    odd += 19.0 * values[2:-1:2]
-    odd += 9.0 * values[3::2]
-    odd *= dx / 24.0
-    np.add(out[2:-1:2], odd, out=out[3::2])
-    return out
-
-
-def _rotating_trajectories(
+def _rotating_orders(
     sys: PerturbedSystem, max_order: int, t: float, psi0: np.ndarray, steps: int
 ) -> list[np.ndarray]:
-    """Rotating-frame trajectories phi_n at all fine grid nodes, n <= max_order."""
+    """Rotating-frame values phi_0(t) .. phi_max_order(t), max_order >= 1.
+
+    Arrays are (modes, nodes); each order is written over the order before
+    the previous one, whose columns first hold the Simpson pairs and odd
+    corrections.  Products take out= in the formulas' operand order: numpy
+    rounds a complex a*b and b*a apart, and may swap them when it reuses a
+    large temporary.  The last order needs only its last (even) node.
+    """
     n_fine = 2 * steps
-    grid = np.linspace(0.0, t, n_fine + 1)
-    dx = t / n_fine if n_fine else 0.0
-    omega0 = np.array(sys.omega0)
-    # rows of exp(-i W0 s) at each node, one column per mode
-    phase = np.exp(-1j * grid[:, None] * omega0[None, :])
+    dx = t / n_fine
+    phase = np.exp(-1j * np.linspace(0.0, t, n_fine + 1) * np.array(sys.omega0)[:, None])
     rotate_back = -1j * np.conj(phase)
-    trajectories = [np.broadcast_to(psi0, (n_fine + 1, sys.dim)).copy()]
-    for _ in range(1, max_order + 1):
-        prev = trajectories[-1]
-        integrand = rotate_back * ((phase * prev) @ sys.omegaI.T)
-        trajectories.append(_running_integral(integrand, dx))
-    return trajectories
+    prev, cur, integrand = np.empty_like(phase), np.empty_like(phase), np.empty_like(phase)
+    prev[:] = psi0[:, None]
+    finals = [psi0]
+    for order in range(1, max_order + 1):
+        np.multiply(phase, prev, out=prev)
+        np.matmul(sys.omegaI, prev, out=integrand)
+        v = np.multiply(rotate_back, integrand, out=integrand)
+        pair, odd = prev[:, :steps], prev[:, steps : 2 * steps - 1]
+        np.multiply(4.0, v[:, 1:-1:2], out=pair)
+        pair += v[:, 0:-2:2]
+        pair += v[:, 2::2]
+        pair *= dx / 3.0
+        np.cumsum(pair, axis=1, out=cur[:, 2::2])
+        finals.append(cur[:, -1].copy())
+        if order == max_order:
+            break
+        cur[:, 0] = 0.0
+        cur[:, 1] = (dx / 24.0) * (9.0 * v[:, 0] + 19.0 * v[:, 1] - 5.0 * v[:, 2] + v[:, 3])
+        np.multiply(5.0, v[:, 1:-2:2], out=odd)
+        np.subtract(v[:, 0:-3:2], odd, out=odd)
+        scaled = pair[:, :-1]
+        for weight, nodes in ((19.0, v[:, 2:-1:2]), (9.0, v[:, 3::2])):
+            odd += np.multiply(weight, nodes, out=scaled)
+        odd *= dx / 24.0
+        np.add(cur[:, 2:-1:2], odd, out=cur[:, 3::2])
+        prev, cur = cur, prev
+    return finals
 
 
 def _validate_term_args(sys, order, t, psi0, steps):
     if order < 0:
         raise ValueError("order must be >= 0")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if steps < 10 * order:
@@ -138,14 +132,19 @@ def terms(
 
     Raises:
         ResolutionTooCoarse: when steps < 10 * max_order.
+        NonFiniteResult: naming the first order that is not finite.
     """
     vec = _validate_term_args(sys, max_order, t, psi0, steps)
-    final_phase = np.exp(-1j * np.array(sys.omega0) * t)
-    if max_order == 0 or t == 0.0:
-        zeros = [np.zeros(sys.dim, dtype=complex) for _ in range(max_order)]
-        return [final_phase * vec] + zeros
-    trajectories = _rotating_trajectories(sys, max_order, t, vec, steps)
-    return [final_phase * traj[-1] for traj in trajectories]
+    with np.errstate(all="ignore"):
+        final_phase = np.exp(-1j * np.array(sys.omega0) * t)
+        if max_order == 0 or t == 0.0:
+            coeffs = [final_phase * vec] + [np.zeros(sys.dim, complex) for _ in range(max_order)]
+        else:
+            coeffs = [final_phase * phi for phi in _rotating_orders(sys, max_order, t, vec, steps)]
+    for order, coeff in enumerate(coeffs):
+        if not np.isfinite(coeff).all():
+            raise NonFiniteResult(f"order {order} is not finite at t={t:g}")
+    return coeffs
 
 
 def term(
@@ -155,6 +154,7 @@ def term(
 
     Raises:
         ResolutionTooCoarse: when steps < 10 * order.
+        NonFiniteResult: when an order up to `order` is not finite.
     """
     return terms(sys, order, t, psi0, steps)[order]
 
@@ -162,15 +162,19 @@ def term(
 def partial_sum(
     sys: PerturbedSystem, max_order: int, t: float, psi0, steps: int
 ) -> np.ndarray:
-    """sum_{n=0}^{max_order} eps^n psi_n(t)."""
+    """sum_{n=0}^{max_order} eps^n psi_n(t); NonFiniteResult if not finite."""
     vec = _validate_term_args(sys, max_order, t, psi0, steps)
-    if max_order == 0 or t == 0.0:
-        total_phi = vec
-    else:
-        trajectories = _rotating_trajectories(sys, max_order, t, vec, steps)
-        weights = sys.epsilon ** np.arange(max_order + 1)
-        total_phi = sum(w * traj[-1] for w, traj in zip(weights, trajectories))
-    return np.exp(-1j * np.array(sys.omega0) * t) * total_phi
+    with np.errstate(all="ignore"):
+        if max_order == 0 or t == 0.0:
+            total_phi = vec
+        else:
+            finals = _rotating_orders(sys, max_order, t, vec, steps)
+            weights = sys.epsilon ** np.arange(max_order + 1)
+            total_phi = sum(w * phi for w, phi in zip(weights, finals))
+        total = np.exp(-1j * np.array(sys.omega0) * t) * total_phi
+    if not np.isfinite(total).all():
+        raise NonFiniteResult(f"partial sum through order {max_order} is not finite at t={t:g}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -224,9 +228,5 @@ def convergence_report(
         for j in range(len(eps_grid))
     )
     return ConvergenceReport(
-        t=t,
-        orders=orders,
-        eps_grid=eps_grid,
-        residuals=residuals,
-        monotone=monotone,
+        t=t, orders=orders, eps_grid=eps_grid, residuals=residuals, monotone=monotone
     )

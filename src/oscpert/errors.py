@@ -72,3 +72,7 @@ class UnknownModel(OscPertError):
 
 class NoTransition(OscPertError):
     """Spectrum reality does not change across the supplied bracket."""
+
+
+class NonFiniteResult(OscPertError):
+    """A computed coefficient or sum overflowed or is NaN."""

@@ -209,7 +209,7 @@ def symmetrizability_certificate(L0) -> np.ndarray:
             stop = int(np.argmax(bad)) if bad.any() else len(js)
             take = fresh[:stop]
             new = js[:stop][take]
-            with np.errstate(over="ignore"):  # validate_decomposition refuses inf
+            with np.errstate(over="ignore"):  # left as inf; decompose refuses it
                 m[new] = m[i] * ratio[:stop][take]
             for j in new.tolist():
                 parent[j] = i
@@ -265,7 +265,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
     """Split a Laplacian into a symmetrizable part plus a one-way part.
 
     With ``li`` given (explicit mode), L0 = L - LI is formed and every
-    invariant is validated, including symmetrizability of L0.  Without it,
+    invariant is validated, including symmetrizability of L0 with a finite
+    certificate, so the result needs no validate_decomposition.  Without it,
     the pairwise-minimum heuristic keeps min(w_ij, w_ji) on each pair as the
     symmetric part and routes the surplus |w_ij - w_ji| into LI one-way
     (both as whole-matrix operations); the symmetric remainder needs no
@@ -295,6 +296,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
             raise InvalidDecomposition(
                 f"remainder L - LI is not symmetrizable: {exc}"
             ) from exc
+        if not np.isfinite(cert).all():
+            raise InvalidDecomposition("certificate vector has non-finite entries")
     else:
         weight = -lap
         sym_part = -np.minimum(weight, weight.T)

@@ -51,6 +51,7 @@ from .errors import (
     DegenerateFrequencies,
     InvalidLowerParameter,
     MaxTermsExceeded,
+    NonFiniteResult,
     TruncationNotConverged,
 )
 
@@ -324,7 +325,8 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
     before term ell+1 when num is zero, after term `limit`, and with
     tail_tol after three consecutive terms below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached
-    (InvalidLowerParameter, MaxTermsExceeded, or abs()'s OverflowError).
+    (InvalidLowerParameter, MaxTermsExceeded, or NonFiniteResult where a
+    scalar loop's abs() would overflow).
     """
     cells = z.shape[1]
     limit = np.broadcast_to(limit, (cells,))
@@ -360,7 +362,7 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
             done, over = np.ones_like(stop), np.zeros_like(stop)  # the limit ends a sum
             if tail_tol is not None:
                 mag, size = (np.hypot(x[:, 0], x[:, 1]) for x in (terms, sums[1:]))
-                if not np.isfinite(mag.max() + size.max()):  # abs() overflows: OverflowError
+                if not np.isfinite(mag.max() + size.max()):  # abs() overflows
                     over = np.isinf(mag) & np.isfinite(terms).all(axis=1)
                     over |= np.isinf(size) & np.isfinite(sums[1:]).all(axis=1)
                 small = np.concatenate((flags, mag < np.fmax(tail_tol * size, 1e-300)))
@@ -379,8 +381,11 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
                     partial=complex(*result[:, c]),
                     last_term=complex(*terms[j, :, c]),
                 )
-            for c in cols[~ended & ~zero & over[js, cols]]:
-                errors[c] = OverflowError("absolute value too large")
+            overflowed = ~ended & ~zero & over[js, cols]
+            for c, j in zip(cols[overflowed], js[overflowed]):
+                errors[c] = NonFiniteResult(
+                    f"|term {start + j + 1}| or |partial sum| overflows from finite parts"
+                )
             for c, j in zip(cols[zero], js[zero]):
                 lowers = [b for b in lower[:, c].tolist() if b == b]
                 errors[c] = InvalidLowerParameter(
@@ -414,6 +419,7 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
         InvalidLowerParameter: a surviving lower parameter hits a
             non-positive integer before the series terminates.
         MaxTermsExceeded: no convergence within max_terms_per_hyp terms.
+        NonFiniteResult: a term or partial sum overflows from finite parts.
     """
     z = complex(z)
     uppers, lowers = _cancel_params(a_params, b_params)

@@ -58,6 +58,7 @@ from oscpert.errors import (
     InvalidDecomposition,
     InvalidLowerParameter,
     MaxTermsExceeded,
+    NonFiniteResult,
     NotSymmetrizable,
     OscPertError,
     ResolutionTooCoarse,
@@ -470,7 +471,13 @@ def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
         total += term
         if max_ell is not None:
             continue
-        if abs(term) < trunc.tail_tol * abs(total) or abs(term) < 1e-300:
+        try:
+            small = abs(term) < trunc.tail_tol * abs(total) or abs(term) < 1e-300
+        except OverflowError:
+            raise NonFiniteResult(
+                f"|term {ell + 1}| or |partial sum| overflows from finite parts"
+            ) from None
+        if small:
             small_streak += 1
             if small_streak >= 3:
                 return total

@@ -321,6 +321,19 @@ class TestDecompose:
         assert "InvalidDecomposition" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_trusts_what_decompose_built(self, tmp_path, capsys, monkeypatch, explicit):
+        def refuse(dec):
+            raise AssertionError("decompose results are not re-validated")
+
+        monkeypatch.setattr(graph, "validate_decomposition", refuse)
+        gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
+        gpath.write_text(json.dumps(FIG1_GRAPH))
+        lpath.write_text(json.dumps(FIG1_LI))
+        args = ("--li", str(lpath)) if explicit else ()
+        assert run("decompose", "--graph", str(gpath), *args) == 0
+        assert json.loads(capsys.readouterr().out)["L"]
+
 
 def _random_graph(seed, n, density):
     rng = np.random.default_rng(seed)
@@ -480,6 +493,27 @@ class TestXyzAndTerm:
     def test_term_non_finite_time_is_usage_error(self, t, capsys):
         assert run("term", "--model", "s", "--order", "1", f"--t={t}") == 2
         assert capsys.readouterr().out == ""
+
+    def test_term_negative_steps_is_usage_error(self, capsys):
+        assert run("term", "--model", "s", "--order", "0", "--t", "0.5", "--steps", "-3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: steps must be >= 0\n"
+
+    def test_term_unallocatable_steps_is_usage_error(self, capsys):
+        # the 16 TB request for the quadrature grid fails at once
+        assert run("term", "--model", "s", "--order", "2", "--t", "0.5", "--steps", "1000000000000") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --steps 1000000000000")
+        assert captured.err.count("\n") == 1
+
+    def test_term_non_finite_coefficient_is_refused(self, capsys):
+        # psi_2 overflows at t=1e200; RuntimeWarnings fail tier-1, so none is emitted
+        assert run("term", "--model", "s", "--order", "2", "--t", "1e200", "--steps", "20") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: NonFiniteResult: order 2 is not finite at t=1e+200\n"
 
     @pytest.mark.parametrize("psi0", ["1,0", "1,0,0,0"])
     def test_term_wrong_length_psi0_is_usage_error(self, psi0, capsys):

@@ -1,11 +1,13 @@
 """Tests for the order-by-order expansion engine."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oscpert import dyson, linalg, threemode
+from oscpert import cli, dyson, linalg, threemode
 from oscpert.benchmarks import registry
 from oscpert.dyson import PerturbedSystem
-from oscpert.errors import ResolutionTooCoarse
+from oscpert.errors import NonFiniteResult, ResolutionTooCoarse
 
 from oracles import (
     loop_convergence_residuals,
@@ -162,6 +164,101 @@ class TestAgainstPerOrderLoop:
             with pytest.raises(expected.type) as got:
                 call(sys, order, t, PSI0, steps)
             assert str(got.value) == str(expected.value)
+
+
+def _random_system(rng, dim, complex_coupling):
+    coupling = rng.normal(size=(dim, dim))
+    if complex_coupling:
+        coupling = coupling + 1j * rng.normal(size=(dim, dim))
+    omega0 = tuple(rng.uniform(-6.0, 6.0, dim))
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return PerturbedSystem(omega0=omega0, omegaI=coupling, epsilon=0.7), psi0
+
+
+class TestTwoBufferKernel:
+    """The (modes, nodes) kernel against the per-order loop oracle."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_random_real_couplings_bitwise(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for max_order, t, steps in ((1, 0.3, 10), (4, 1.7, 40), (6, 0.9, 75)):
+            sys, psi0 = _random_system(rng, dim, complex_coupling=False)
+            coeffs = dyson.terms(sys, max_order, t, psi0, steps)
+            for order, coeff in enumerate(coeffs):
+                assert _same_bits(coeff, loop_term(sys, order, t, psi0, steps))
+            assert _same_bits(
+                dyson.partial_sum(sys, max_order, t, psi0, steps),
+                loop_partial_sum(sys, max_order, t, psi0, steps),
+            )
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_verify_shapes_bitwise(self, mid):
+        psi0 = cli.PSI0
+        for eps in (0.3, 1.0):
+            sys = threemode.perturbed_system(registry(mid).at_epsilon(eps))
+            cases = [(9, t, 4000) for t in (0.25, 0.5, 1.0)] + [(3, t, 2000) for t in (0.5, 1.0)]
+            for max_order, t, steps in cases:
+                coeffs = dyson.terms(sys, max_order, t, psi0, steps)
+                for order, coeff in enumerate(coeffs):
+                    assert _same_bits(coeff, loop_term(sys, order, t, psi0, steps))
+                assert _same_bits(
+                    dyson.partial_sum(sys, max_order, t, psi0, steps),
+                    loop_partial_sum(sys, max_order, t, psi0, steps),
+                )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_complex_couplings_within_an_ulp(self, dim):
+        # the matrix product rounds in another operand layout; measured
+        # worst relative deviation over such draws: 8.4e-16
+        rng = np.random.default_rng(200 + dim)
+        for _ in range(3):
+            sys, psi0 = _random_system(rng, dim, complex_coupling=True)
+            coeffs = dyson.terms(sys, 6, 1.1, psi0, 90)
+            for order, coeff in enumerate(coeffs):
+                expected = loop_term(sys, order, 1.1, psi0, 90)
+                assert np.max(np.abs(coeff - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_peak_memory_does_not_grow_with_order(self):
+        sys = small_system()
+        peaks = []
+        for order in (1, 9):
+            dyson.terms(sys, order, 1.0, cli.PSI0, 4000)
+            tracemalloc.start()
+            dyson.terms(sys, order, 1.0, cli.PSI0, 4000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+class TestRefusals:
+    def _calls(self):
+        def report(sys, order, t, psi0, steps):
+            return dyson.convergence_report(
+                sys, t, psi0, orders=(0, order), eps_grid=[0.5], steps=steps
+            )
+
+        return (dyson.terms, dyson.term, dyson.partial_sum, report)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_negative_steps(self, order):
+        for call in self._calls():
+            with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+                call(small_system(), order, 1.0, PSI0, -3)
+
+    def test_non_finite_coefficient_names_first_order(self):
+        # |psi_1| ~ 1e200 is finite, psi_2 overflows; the build warns nothing
+        for call in (dyson.terms, dyson.term, self._calls()[-1]):
+            with pytest.raises(NonFiniteResult, match=r"^order 2 is not finite at t=1e\+200$"):
+                call(small_system(), 2, 1e200, PSI0, 20)
+        with pytest.raises(NonFiniteResult, match="partial sum through order 2"):
+            dyson.partial_sum(small_system(), 2, 1e200, PSI0, 20)
+
+    def test_non_finite_phase_is_order_zero(self):
+        # omega0 * t overflows to inf, so exp(-i W0 t) is NaN
+        with pytest.raises(NonFiniteResult, match="^order 0 "):
+            dyson.terms(small_system(), 0, 1e308, PSI0, 0)
+        with pytest.raises(NonFiniteResult, match="partial sum through order 0"):
+            dyson.partial_sum(small_system(), 0, 1e308, PSI0, 0)
 
 
 class TestPartialSum:

@@ -209,6 +209,16 @@ class TestDecompose:
         graph.decompose(lap, li=li)
         assert calls == [1]  # the explicit split still searches
 
+    def test_overflowing_certificate_is_refused(self):
+        # each link multiplies the balance vector by 1e10: 1e390 overflows
+        n = 40
+        lap = np.zeros((n, n))
+        for i in range(n - 1):
+            lap[i, i + 1], lap[i + 1, i] = -1e10, -1.0
+        np.fill_diagonal(lap, -lap.sum(axis=1))
+        with pytest.raises(InvalidDecomposition, match="certificate vector has non-finite"):
+            graph.decompose(lap, li=np.zeros((n, n)))
+
     def test_involution_consistency(self):
         dec = graph.decompose(FIG1_L, li=FIG1_LI)
         assert np.max(np.abs(dec.L0 + FIG1_LI - FIG1_L)) <= 1e-12

@@ -14,6 +14,7 @@ from oscpert.errors import (
     DegenerateFrequencies,
     InvalidLowerParameter,
     MaxTermsExceeded,
+    NonFiniteResult,
     OscPertError,
     TruncationNotConverged,
 )
@@ -229,7 +230,7 @@ def _outcome(fn, *args, **kwargs):
         value = complex(fn(*args, **kwargs))
     except MaxTermsExceeded as exc:
         return "MaxTermsExceeded", str(exc), _bits(exc.partial), _bits(exc.last_term)
-    except (OscPertError, ValueError, OverflowError) as exc:
+    except (OscPertError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return ("value",) + _bits(value)
 
@@ -363,6 +364,10 @@ class TestArrayRecurrence:
         for trunc in (TIGHT, SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)):
             want = _outcome(lambda: loop_hyp_series(*tm._cancel_params(a, b), z, trunc))
             assert _outcome(tm.hyp_pfq, a, b, z, trunc) == want
+
+    def test_magnitude_overflow_is_a_typed_refusal(self):
+        with pytest.raises(NonFiniteResult, match=r"^\|term 1\| or \|partial sum\| overflows"):
+            tm.hyp_pfq([1e308], [1.0], 1.3 + 1.3j, SeriesTruncation())
 
     def test_term_cap_allocates_nothing_in_proportion(self):
         m = registry("small")

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDecomposition, NotSymmetrizable
+from .errors import InvalidDecomposition, NonFiniteResult, NotSymmetrizable
 
-CERTIFICATE_TOL = 1e-9  # the balance condition of the certificate search
+CERTIFICATE_TOL = 1e-10  # balance of the certificate search, symmetry of a scaled L0
 IDENTITY_TOL = 1e-12  # L = L0 + LI, zero row sums, off-diagonal signs
 
 
@@ -162,17 +162,18 @@ def _check_laplacian(arr: np.ndarray, name: str, scale: float, error: type) -> N
 def symmetrizability_certificate(L0) -> np.ndarray:
     """Positive balance vector m with m[i]*L0[i,j] == m[j]*L0[j,i] for i != j.
 
-    The vector is found by propagating entry ratios over a depth-first
-    spanning forest of the symmetrized support and verifying every non-tree
-    edge; each visited node handles all its neighbours in one array step, in
-    ascending order, so the first failing pair is the one a scan of j = 0..n-1
-    would meet.  The vector is normalized per connected component so the
-    smallest component is 1.
-    diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is then symmetric.
+    A depth-first walk of the symmetrized support gives each unvisited
+    neighbour j of a popped node i, over a usable pair (both entries
+    non-zero, positive ratio), m[j] = m[i] * L0[i,j] / L0[j,i], pushing them
+    in ascending order.  One array pass then checks every pair and refuses
+    the first bad one in walk order, the one a scan of j = 0..n-1 at each
+    popped node would meet.  m is normalized per connected component so its
+    smallest entry is 1; diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is symmetric.
 
     Raises:
         NotSymmetrizable: with a witness cycle (or one-sided pair) whose
             constraint cannot be met by any positive vector.
+        NonFiniteResult: an entry of m over- or underflows a float.
     """
     arr = _as_real_square(L0, "L0")
     n = arr.shape[0]
@@ -180,62 +181,75 @@ def symmetrizability_certificate(L0) -> np.ndarray:
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > CERTIFICATE_TOL * scale:
         raise ValueError("L0 must have zero row sums within tol")
 
-    nonzero = arr != 0.0
-    np.fill_diagonal(nonzero, False)
-    linked = nonzero | nonzero.T
+    # the symmetrized support as CSR rows, each row's js ascending
+    linked = arr != 0.0
+    np.fill_diagonal(linked, False)
+    linked |= linked.T
+    rows, cols = np.nonzero(linked)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    a_ij, a_ji = arr[rows, cols], arr[cols, rows]
+    one_sided = (a_ij == 0.0) | (a_ji == 0.0)
     m = np.zeros(n)
-    parent = [-1] * n
-    for root in range(n):
-        if m[root] != 0.0:
-            continue
-        m[root] = 1.0
-        component = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            # every neighbour j of i in one step, in ascending order: an
-            # unvisited j takes m[i] * ratio and is pushed, a visited j must
-            # balance, and the first j that fails is the one refused
-            js = np.flatnonzero(linked[i])
-            a_ij, a_ji = arr[i, js], arr[js, i]
-            fresh = m[js] == 0.0
-            with np.errstate(all="ignore"):
-                ratio = a_ij / a_ji
-                lhs, rhs = m[i] * a_ij, m[js] * a_ji
-                unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(
-                    np.maximum(np.abs(lhs), np.abs(rhs)), 1.0
-                )
-            bad = (a_ij == 0.0) | (a_ji == 0.0) | np.where(fresh, ~(ratio > 0), unbalanced)
-            stop = int(np.argmax(bad)) if bad.any() else len(js)
-            take = fresh[:stop]
-            new = js[:stop][take]
-            with np.errstate(over="ignore"):  # left as inf; decompose refuses it
-                m[new] = m[i] * ratio[:stop][take]
-            for j in new.tolist():
-                parent[j] = i
-                component.append(j)
-                stack.append(j)
-            if stop == len(js):
+    visited = np.zeros(n, bool)
+    fresh = np.zeros(len(cols), bool)  # j was unvisited when i met it
+    parent = np.full(n, -1)
+    order = []  # nodes in pop order; each component is one run of it
+    runs = []  # where each component's run starts in it
+    with np.errstate(all="ignore"):  # an m out of float range is refused below
+        ratio = a_ij / a_ji
+        usable = ~one_sided & (ratio > 0)
+        for root in range(n):
+            if visited[root]:
                 continue
-            j = int(js[stop])
-            if a_ij[stop] == 0.0 or a_ji[stop] == 0.0:
-                raise NotSymmetrizable(
-                    f"pair ({i},{j}) has a one-sided entry; no positive "
-                    "scaling balances it",
-                    witness=(i, j),
-                )
-            if fresh[stop]:
-                raise NotSymmetrizable(
-                    f"pair ({i},{j}) needs a non-positive ratio {ratio[stop]}",
-                    witness=(i, j),
-                )
+            m[root], visited[root] = 1.0, True
+            runs.append(len(order))
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                order.append(i)
+                lo, hi = indptr[i], indptr[i + 1]
+                js = cols[lo:hi]
+                fresh[lo:hi] = unseen = ~visited[js]
+                take = unseen & usable[lo:hi]
+                new = js[take]
+                m[new] = m[i] * ratio[lo:hi][take]
+                visited[new] = True
+                parent[new] = i
+                stack += new.tolist()
+        lhs, rhs = m[rows] * a_ij, m[cols] * a_ji
+        unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(
+            np.maximum(np.abs(lhs), np.abs(rhs)), 1.0
+        )
+        order = np.array(order)  # lhs and rhs keep the raw m that refusals quote
+        m[order] /= np.repeat(np.minimum.reduceat(m[order], runs), np.diff(runs + [n]))
+    bad = np.where(fresh, ~usable, one_sided | unbalanced)
+    if bad.any():
+        rank = np.empty(n, np.intp)
+        rank[order] = np.arange(n)
+        at = np.flatnonzero(bad)
+        k = int(at[np.argmin(rank[rows[at]] * n + cols[at])])
+        i, j = int(rows[k]), int(cols[k])
+        if one_sided[k]:
             raise NotSymmetrizable(
-                f"cycle through edge ({i},{j}) violates the balance condition: "
-                f"{lhs[stop]:.6g} != {rhs[stop]:.6g}",
-                witness=_tree_cycle(parent, i, j),
+                f"pair ({i},{j}) has a one-sided entry; no positive "
+                "scaling balances it",
+                witness=(i, j),
             )
-        comp = np.array(component)
-        m[comp] /= m[comp].min()
+        if fresh[k]:
+            raise NotSymmetrizable(
+                f"pair ({i},{j}) needs a non-positive ratio {ratio[k]}",
+                witness=(i, j),
+            )
+        raise NotSymmetrizable(
+            f"cycle through edge ({i},{j}) violates the balance condition: "
+            f"{lhs[k]:.6g} != {rhs[k]:.6g}",
+            witness=_tree_cycle(parent.tolist(), i, j),
+        )
+    if not np.isfinite(m).all():
+        raise NonFiniteResult(
+            "certificate vector has non-finite entries: the balance ratios "
+            "along the spanning forest over- or underflow a float"
+        )
     return m
 
 
@@ -296,8 +310,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
             raise InvalidDecomposition(
                 f"remainder L - LI is not symmetrizable: {exc}"
             ) from exc
-        if not np.isfinite(cert).all():
-            raise InvalidDecomposition("certificate vector has non-finite entries")
+        except NonFiniteResult as exc:
+            raise InvalidDecomposition(str(exc)) from exc
     else:
         weight = -lap
         sym_part = -np.minimum(weight, weight.T)
@@ -347,5 +361,5 @@ def validate_decomposition(dec: LaplacianDecomposition) -> None:
         if not np.all(s > 0):
             raise InvalidDecomposition("scaling vector must be positive")
         conj = s[:, None] * dec.L0 * (1.0 / s)
-        if not float(np.abs(conj - conj.T).max(initial=0.0)) <= 1e-10 * scale:
+        if not float(np.abs(conj - conj.T).max(initial=0.0)) <= CERTIFICATE_TOL * scale:
             raise InvalidDecomposition("scaling does not symmetrize L0")

@@ -11,7 +11,7 @@ from oscpert.cli import CSV_HEADER, main, sweep_rows
 from oscpert.threemode import ThreeModeModel
 
 from oracles import inline_verify, repr_json, rows_to_csv, rows_to_json, sweep_row_dicts
-from test_graph import _bench_style_graph
+from test_graph import _bench_style_graph, _run_apart
 
 FIG1_GRAPH = {
     "n": 3,
@@ -319,6 +319,36 @@ class TestDecompose:
             "decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)
         ) == 1
         assert "InvalidDecomposition" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_underflowing_certificate_is_refused(self, tmp_path):
+        # the mirror of the overflowing chain: each link divides the balance
+        # vector by 1e10; a search that mistakes an underflowed 0.0 for an
+        # unvisited node never ends, so the run gets its own process and a
+        # time limit
+        n = 40
+        edges = [[i, i + 1, 1.0] for i in range(n - 1)] + [[i + 1, i, 1e10] for i in range(n - 1)]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": n, "edges": edges}))
+        lpath.write_text(json.dumps([[0.0] * n] * n))
+        proc = _run_apart(
+            "-m", "oscpert.cli", "decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: InvalidDecomposition: certificate vector has non-finite")
+        assert not out.exists()
+
+    def test_balance_and_symmetry_share_one_tolerance(self, tmp_path, capsys):
+        # the 3-cycle's weight products differ by 5e-10: out of balance for
+        # the search as for validate_decomposition's symmetry check
+        edges = [[0, 1, 1], [1, 0, 1], [1, 2, 1], [2, 1, 1], [0, 2, 1], [2, 0, 1 + 5e-10]]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": edges}))
+        lpath.write_text(json.dumps([[0.0] * 3] * 3))
+        assert run(
+            "decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)
+        ) == 1
+        assert "InvalidDecomposition: remainder L - LI is not symmetrizable" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("explicit", [False, True])

@@ -1,12 +1,16 @@
 """Tests for graph construction, certificates, and Laplacian decomposition."""
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oscpert import graph, linalg
-from oscpert.errors import InvalidDecomposition, NotSymmetrizable
+from oscpert.errors import InvalidDecomposition, NonFiniteResult, NotSymmetrizable
 
 from oracles import (
     loop_certificate, loop_check_one_way, loop_edges, loop_laplacian, loop_pairwise_split,
@@ -122,6 +126,25 @@ class TestLaplacian:
         assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12 * np.abs(lap).max()
 
 
+def _chain(n, forward, back):
+    """Laplacian of an n-node path: weight forward on i -> i+1, back on i+1 -> i."""
+    lap = np.zeros((n, n))
+    for i in range(n - 1):
+        lap[i, i + 1], lap[i + 1, i] = -forward, -back
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
+
+
+def _run_apart(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args in a fresh process under a time limit, so that a
+    search that never ends fails the test instead of hanging the suite."""
+    paths = (Path(graph.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
 class TestCertificate:
     def test_worked_example_balance_vector(self):
         m = graph.symmetrizability_certificate(FIG1_L0)
@@ -165,6 +188,24 @@ class TestCertificate:
         block[2:, 2:] = [[2.0, -2.0], [-2.0, 2.0]]
         m = graph.symmetrizability_certificate(block)
         assert np.allclose(m, [3.0, 1.0, 1.0, 1.0])  # each component min-1
+
+    def test_overflowing_certificate_is_refused(self):
+        # each link multiplies the balance vector by 1e10: 1e390 is past the
+        # largest float, where 9 of the 40 entries used to come back inf
+        with pytest.raises(NonFiniteResult, match="certificate vector has non-finite"):
+            graph.symmetrizability_certificate(_chain(40, 1e10, 1.0))
+
+    def test_underflowing_certificate_is_refused(self):
+        # each link divides the balance vector by 1e10: past 1e-323 it is 0.0,
+        # which a search that marks unvisited nodes by m == 0 pushes forever
+        proc = _run_apart(
+            "-c",
+            "from oscpert import graph; from test_graph import _chain; "
+            "graph.symmetrizability_certificate(_chain(40, 1.0, 1e10))",
+        )
+        assert proc.returncode == 1
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("oscpert.errors.NonFiniteResult: certificate vector has non-finite")
 
 
 class TestDecompose:
@@ -455,3 +496,11 @@ class TestArrayKernelsAgainstLoops:
         want = _outcome(loop_check_one_way, both)
         assert isinstance(want, tuple)
         _assert_same(_outcome(graph._check_one_way, both), want)
+        # all pairs linked, balanced and then with one entry off by 1e-6
+        dense = _with_zero_row_sums(_balanced(np.random.default_rng(11), 200, 1.0))
+        _assert_same(graph.symmetrizability_certificate(dense), loop_certificate(dense))
+        dense[57, 143] *= 1.0 + 1e-6
+        dense = _with_zero_row_sums(dense)
+        want = _outcome(loop_certificate, dense)
+        assert want[0] is NotSymmetrizable and len(want[2]) >= 3  # a cycle witness
+        _assert_same(_outcome(graph.symmetrizability_certificate, dense), want)

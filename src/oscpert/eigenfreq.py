@@ -16,24 +16,28 @@ modes 3 and 2.  Estimates for modes 2 and 3 are literally the mode-1 formula
 run on the cyclically relabeled model, which makes the relabeling identity
 exact by construction.
 
-True eigenfrequencies are matched to modes 1..3 by continuity in eps from
-the uncoupled limit (nearest-assignment continuation with step <= 0.01),
-because plain magnitude sorting swaps branches where curves cross.
-spectral_grid gives both over a whole eps grid: one batched eigensolve and
-one cost table of all assignments for the truth, and one array evaluation
-of the estimator formulas for the estimates.
+True eigenfrequencies are labeled with modes 1..3 from the exceptional
+points (EPs), the real roots of the discriminant of det(lambda - Omega(eps)),
+where two eigenvalues meet.  Labels keep their slots between two EPs, and at
+an EP two tie rules decide them: the lower mode of a new conjugate pair takes
+Im > 0, and the Im > 0 mode of a pair that turns real takes the larger real
+part.  So a label depends on eps alone.  transition_epsilon is the first EP
+in its bracket.  spectral_grid gives truth and estimates over a whole eps
+grid: one batched eigensolve and one array evaluation of the estimators.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import repeat
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import linalg
 from .errors import DegenerateFrequencies, EstimateOverflow, NoTransition
 from .threemode import (
+    _SUBSCRIPT_ROWS,
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
     omega_matrix,
@@ -42,21 +46,14 @@ from .threemode import (
 
 LEVELS = ("app0", "app1", "app2")
 
-# Continuation step for eigenvalue branch tracking.
-CONTINUATION_STEP = 0.01
-
 # A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
 IMAG_THRESHOLD = 1e-8
 
 # Per mode mu = 1, 2, 3: the 0-based original modes that play roles 1, 2, 3
 # in cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
-_RELABELING = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_RELABELING = [[i - 1 for i in _SUBSCRIPT_ROWS[f"psi{mu}"]] for mu in (1, 2, 3)]
 _ROLES = np.array(_RELABELING).T  # _ROLES[r - 1][mode - 1]: who plays role r
 _UPSTREAM = [2, 0, 1]  # 0-based upstream neighbour of each mode in 1 -> 2 -> 3 -> 1
-
-# The six assignments of eigenvalues to modes, in itertools.permutations
-# order; row 0 is the identity.
-_PERMUTATIONS = np.array(tuple(permutations(range(3))))
 
 
 @dataclass(frozen=True)
@@ -158,53 +155,65 @@ def estimate_increments(m: ThreeModeModel, which: int) -> tuple[float, float, fl
 
 def estimate(m: ThreeModeModel, which: int, level: str) -> float:
     """Perturbative estimate of eigenfrequency `which` at the given depth."""
-    levels = np.cumsum(estimate_increments(m, which)).tolist()
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    return levels[LEVELS.index(level)]
+    return np.cumsum(estimate_increments(m, which)).tolist()[LEVELS.index(level)]
+
+
+def exceptional_points(m: ThreeModeModel) -> np.ndarray:
+    """The real eps, ascending, at which two eigenvalues of Omega(eps) meet.
+
+    They are the real roots of the discriminant in lambda of
+    det(lambda - Omega(eps)) = prod(lambda - w_i - eps d_i) + eps^3 a1 a2 a3,
+    a polynomial of degree <= 6 in eps.  It is built on Omega/s, s the
+    largest of 1 and every |w|, |d| and |a|, which moves no root and keeps
+    every coefficient finite.  The spectrum changes reality at a simple root.
+    """
+    s = max(1.0, *map(abs, m.omega + m.d + m.a))
+    w1, w2, w3 = (Polynomial([w / s, shift / s]) for w, shift in zip(m.omega, m.d))
+    b = -(w1 + w2 + w3)
+    c = w1 * w2 + w1 * w3 + w2 * w3
+    d = Polynomial([0.0, 0.0, 0.0, math.prod(a / s for a in m.a)]) - w1 * w2 * w3
+    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    # drop leading coefficients too small to divide by (they only add roots past 1e50)
+    roots = (disc / (np.abs(disc.coef).max() or 1.0)).trim(np.finfo(float).tiny).roots()
+    return np.sort(roots[roots.imag == 0].real)
 
 
 def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
-    """Eigenvalues of Omega(eps) along eps_grid, matched by continuity.
+    """Eigenvalues of Omega(eps) along eps_grid, labeled from the EPs.
 
-    The grid is refined internally so no continuation step exceeds
-    CONTINUATION_STEP, and all refined points are solved in one batched
-    eigenvalue call.  Row j holds (lambda_1, lambda_2, lambda_3) at
-    eps_grid[j], where branch mu starts at omega_mu at eps = 0.  Each step
-    takes the assignment of least summed distance to the previous one; on a
-    tie the first in itertools.permutations order wins.  The costs of all
-    assignments at every step, given each assignment at the step before,
-    form one (N, 6, 6) table summed in mode order, so its first minimum is
-    the per-step loop's; a walk through the chosen assignments remains.
+    Row j holds (lambda_1, lambda_2, lambda_3) at eps_grid[j]; mode mu starts
+    at omega_mu at eps = 0.  The grid and the EPs up to its end take one
+    batched eigenvalue call.  The EPs cut the grid into intervals, real and
+    non-real in turn.  An interval's slots are the ascending real parts, or
+    the real value, the Im > 0 and the Im < 0 member of the pair; it assigns
+    them to modes once.  At an EP the values tell whether the third lies
+    above or below the two that meet, and the two tie rules of the module
+    docstring assign the meeting modes.
     """
     eps = np.asarray(eps_grid, dtype=float)
     if not (np.all(eps >= 0) and np.all(eps[1:] >= eps[:-1])):
         raise ValueError("eps_grid must be sorted and non-negative")
-    # Each new grid value ends a segment of equal steps from the previous one.
-    new = eps > np.concatenate(([0.0], eps[:-1]))
-    ends = eps[new]
-    starts = np.concatenate(([0.0], ends[:-1]))
-    steps = np.ceil((ends - starts) / CONTINUATION_STEP).astype(int)
-    last = np.cumsum(steps)
-    seg = np.repeat(np.arange(len(ends)), steps)
-    k = np.arange(1, len(seg) + 1) - np.repeat(last - steps, steps)
-    fine = starts[seg] + (ends - starts)[seg] * k / steps[seg]
-    fine[last - 1] = ends  # land on the targets exactly
-
-    # row 0 is eps = 0, where the eigenvalues are omega in mode order
-    raw = np.concatenate(([m.omega], linalg.eigenvalues(omega_matrix(m, fine))))
-    diff = raw[1:, None, :] - raw[:-1, :, None]  # [n, a, b]: raw_n+1[b] - raw_n[a]
-    # hypot is bitwise abs() of a Python complex; np.abs of a complex array is not
-    dist = np.hypot(diff.real, diff.imag)
-    p, c = _PERMUTATIONS[None, :], _PERMUTATIONS[:, None]
-    cost = (
-        dist[:, c[..., 0], p[..., 0]] + dist[:, c[..., 1], p[..., 1]]
-    ) + dist[:, c[..., 2], p[..., 2]]
-    chosen = [0]
-    for best in cost.argmin(axis=2).tolist():
-        chosen.append(best[chosen[-1]])
-    path = np.take_along_axis(raw, _PERMUTATIONS[chosen], axis=1)
-    return path[np.concatenate(([0], last))[np.cumsum(new)]]
+    points = exceptional_points(m)
+    points = points[(points > 0) & (points <= eps.max(initial=0.0))]
+    vals = linalg.eigenvalues(omega_matrix(m, np.concatenate((eps, points))))
+    modes = [np.argsort(m.omega, kind="stable")]  # modes[k][slot]: interval k's labels
+    for k, at in enumerate(np.sort(vals[len(eps) :].real).tolist()):
+        above = at[1] - at[0] < at[2] - at[1]  # the third value lies above the pair
+        prev = modes[-1]
+        if k % 2 == 0:  # two real values meet: the lower mode takes Im > 0
+            third, pair = (prev[2], prev[:2]) if above else (prev[0], prev[1:])
+            modes.append([third, *sorted(pair)])
+        else:  # the pair turns real: its Im > 0 mode takes the larger real part
+            real, up, down = prev
+            modes.append([down, up, real] if above else [real, down, up])
+    vals, interval = vals[: len(eps)], np.searchsorted(points, eps)
+    by_imag = np.argsort(vals.imag, axis=1)[:, [1, 2, 0]]  # real, Im > 0, Im < 0
+    slots = np.where((interval % 2 == 1)[:, None], by_imag, np.argsort(vals.real, axis=1))
+    path = np.empty_like(vals)
+    np.put_along_axis(path, np.array(modes)[interval], np.take_along_axis(vals, slots, 1), 1)
+    return path
 
 
 def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]:
@@ -257,36 +266,21 @@ def is_real_mode(value):
     return np.abs(value.imag) <= IMAG_THRESHOLD * (1.0 + np.hypot(value.real, value.imag))
 
 
-def _spectrum_nonreal(m: ThreeModeModel, eps: float) -> bool:
-    return not is_real_mode(np.array(linalg.eigenvalues(omega_matrix(m, eps)))).all()
-
-
-def transition_epsilon(
-    m: ThreeModeModel, eps_lo: float, eps_hi: float, tol: float = 1e-3
-) -> float:
-    """Onset of non-real eigenfrequencies, bisected to within tol.
+def transition_epsilon(m: ThreeModeModel, eps_lo: float, eps_hi: float) -> float:
+    """The first exceptional point in [eps_lo, eps_hi], where two
+    eigenfrequencies meet and the spectrum changes reality.
 
     Raises:
-        NoTransition: spectrum reality is the same at both bracket ends.
+        NoTransition: no exceptional point lies in the bracket.
         ValueError: empty or inverted bracket.
     """
     if not eps_lo < eps_hi:
         raise ValueError(f"need eps_lo < eps_hi, got [{eps_lo}, {eps_hi}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    lo_nonreal = _spectrum_nonreal(m, eps_lo)
-    hi_nonreal = _spectrum_nonreal(m, eps_hi)
-    if lo_nonreal == hi_nonreal:
-        state = "non-real" if lo_nonreal else "real"
-        raise NoTransition(f"spectrum is {state} at both bracket ends")
-    lo, hi = eps_lo, eps_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _spectrum_nonreal(m, mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    points = exceptional_points(m)
+    inside = points[(points >= eps_lo) & (points <= eps_hi)]
+    if not inside.size:
+        raise NoTransition(f"no exceptional point in [{eps_lo}, {eps_hi}]")
+    return inside[0].item()
 
 
 def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence
+from .errors import DimensionMismatch, NonConvergence, NonFiniteResult
 
 # Pade-13 numerator coefficients and the matching 1-norm threshold for
 # scaling-and-squaring (Higham 2005 constants, double precision).
@@ -62,7 +62,7 @@ def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 def _check_finite_result(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        raise ArithmeticError(f"non-finite values produced by {context}")
+        raise NonFiniteResult(f"non-finite values produced by {context}")
     return arr
 
 
@@ -148,6 +148,7 @@ def _charpoly_coeffs(arr: np.ndarray) -> np.ndarray:
     return np.stack([one, -tr, minors, -det], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the caller refuses inf and NaN
 def _expm_pade13(a: np.ndarray) -> np.ndarray:
     """exp(a) via scaling-and-squaring with a degree-13 Pade approximant."""
     n = a.shape[0]
@@ -188,7 +189,8 @@ def propagator(m, t: float) -> np.ndarray:
     """The full matrix exp(-1j * m * t).
 
     Diagonal inputs short-circuit to an entrywise exponential, which keeps
-    the unperturbed-mode evolution exact to rounding.
+    the unperturbed-mode evolution exact to rounding.  An exponential that
+    overflows raises NonFiniteResult.
     """
     arr = as_square_matrix(m)
     if not np.isfinite(t):

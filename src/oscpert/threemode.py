@@ -480,6 +480,7 @@ def _block_geometry(m: ThreeModeModel):
 
     Raises:
         DegenerateFrequencies: as effective_frequencies does.
+        NonFiniteResult: a ratio or prefactor overflows (or is NaN).
     """
     freqs = w1, w2, w3 = effective_frequencies(m)
     p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
@@ -496,6 +497,8 @@ def _block_geometry(m: ThreeModeModel):
         "B": (Y, Y / p31, p31 / p23, (1.0, lin / p31, quad / (p23 * p31))),
         "C": (Z, Z / p12, p12 / p23, (1.0, lin / p23, quad / (p12 * p23))),
     }
+    if not all(math.isfinite(x) for f in families.values() for x in (*f[:3], *f[3])):
+        raise NonFiniteResult(f"coupling ratios or prefactors are not finite: X={X}, Y={Y}, Z={Z}")
     return freqs, families
 
 

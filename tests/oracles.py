@@ -13,8 +13,13 @@ rather than tautology:
 * brute_force_pfq    — direct 50-digit summation of a hypergeometric series
 * per_point_sweep    — the per-point spectral path the batched ε-grid path
                        replaced: one eigensolve per refined grid point, one
-                       itertools.permutations matching loop per step and
-                       one relabeled model per estimate
+                       itertools.permutations matching loop per step
+                       (per_point_path, continuation step CONTINUATION_STEP)
+                       and one relabeled model per estimate; its labels go
+                       through pair_rule, the tie rule of a conjugate pair
+* bisect_transition  — the bisection on spectrum reality that the
+                       discriminant roots of eigenfreq.exceptional_points
+                       replaced
 * sweep_row_dicts, rows_to_csv, rows_to_json
                      — the row-dict sweep writer the column writer in
                        oscpert.cli replaced: one dict per (ε, mode) row and
@@ -194,8 +199,15 @@ def per_point_increments(m, which: int) -> tuple[float, float, float]:
     return base, inc1, inc2
 
 
+# Largest eps step of the continuation walk in per_point_path.
+CONTINUATION_STEP = 0.01
+
+
 def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
-    """matched_path with one linalg.eigenvalues call per refined point.
+    """Eigenvalues matched to modes by nearest-assignment continuation from
+    eps = 0, with steps of at most CONTINUATION_STEP and one
+    linalg.eigenvalues call per step; on a tie the first assignment in
+    itertools.permutations order wins, so LAPACK's order decides it.
 
     When `margins` is a list, each continuation step appends to it the cost
     of its second-best assignment less that of its best.
@@ -206,7 +218,7 @@ def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
     for j, eps in enumerate(eps_grid):
         prev = fine[-1]
         if eps > prev:
-            extra = int(math.ceil((eps - prev) / eigenfreq.CONTINUATION_STEP))
+            extra = int(math.ceil((eps - prev) / CONTINUATION_STEP))
             points = [prev + (eps - prev) * (i + 1) / extra for i in range(extra)]
             points[-1] = eps
             fine.extend(points)
@@ -231,8 +243,39 @@ def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
     return out
 
 
+def pair_rule(path) -> np.ndarray:
+    """path with each row's conjugate pair ordered so that the lower mode
+    holds Im > 0: the tie a continuation walk leaves to LAPACK's order where
+    two real eigenvalues meet and turn into a pair."""
+    path = np.array(path)
+    for row in path:
+        pair = np.flatnonzero(~eigenfreq.is_real_mode(row))
+        if pair.size and row[pair[0]].imag < row[pair[1]].imag:
+            row[pair] = row[pair[::-1]]
+    return path
+
+
+def bisect_transition(m, eps_lo: float, eps_hi: float, tol: float) -> float:
+    """Onset of non-real eigenvalues, bisected on spectrum reality to tol."""
+
+    def nonreal(eps):
+        vals = np.array(linalg.eigenvalues(threemode.omega_matrix(m, eps)))
+        return not eigenfreq.is_real_mode(vals).all()
+
+    lo, hi = eps_lo, eps_hi
+    assert nonreal(lo) != nonreal(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if nonreal(mid) == nonreal(hi):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def per_point_sweep(m, eps_grid):
-    """(true values, estimates) as the per-point path computes them.
+    """(true values, estimates) as the per-point path computes them, the
+    true values through pair_rule.
 
     estimates[j] holds (app0, app1, app2) for modes 1..3, or the name of the
     OscPertError that refused them at eps_grid[j].
@@ -248,7 +291,7 @@ def per_point_sweep(m, eps_grid):
         estimates.append(
             tuple((base, base + inc1, base + inc1 + inc2) for base, inc1, inc2 in incs)
         )
-    return per_point_path(m, eps_grid), estimates
+    return pair_rule(per_point_path(m, eps_grid)), estimates
 
 
 def sweep_row_dicts(m, eps_values, levels) -> list[dict]:

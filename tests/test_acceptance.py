@@ -60,7 +60,7 @@ def test_criterion_02_zero_eigenvalue_feature():
 
 def test_criterion_03_real_to_complex_transition():
     with _Criterion(3, "spectrum reality: onset bracket and real sweeps", 5.0):
-        onset = ef.transition_epsilon(registry("large"), 0.40, 0.50, tol=1e-3)
+        onset = ef.transition_epsilon(registry("large"), 0.40, 0.50)
         assert 0.40 < onset < 0.50, onset
         for mid in ("small", "moderate"):
             model = registry(mid)

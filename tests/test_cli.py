@@ -193,6 +193,22 @@ class TestSweepBytes:
             assert out.read_bytes() == expected.encode()
 
 
+    @pytest.mark.parametrize("steps", [101, 1001, 10001])
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_lapack_order_does_not_matter(self, tmp_path, monkeypatch, mid, steps):
+        # the labels come from the exceptional points, so eigenvalues
+        # returned in the reverse order give the same bytes
+        csv = []
+        for flip in (False, True):
+            if flip:
+                eigvals = np.linalg.eigvals
+                monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a)[..., ::-1])
+            out = tmp_path / f"sweep{flip}.csv"
+            assert run("sweep", "--model", mid, "--steps", str(steps), "--out", str(out)) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1]
+
+
 class TestVerify:
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
     def test_quick_passes(self, mid, capsys):
@@ -518,6 +534,16 @@ class TestXyzAndTerm:
         model_file.write_text(text)
         assert run("xyz", "--model", f"@{model_file}") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overflowing_coupling_ratios_are_refused(self, tmp_path, capsys):
+        # a1*a2*a3 = 1e600: the ratios are infinite, which JSON cannot hold
+        model_file = tmp_path / "big.json"
+        model_file.write_text(json.dumps({"omega": [1, 2, 3.5], "a": [1e200] * 3, "d": [0, 0, 0]}))
+        assert run("xyz", "--model", f"@{model_file}") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonFiniteResult: coupling ratios")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_term_non_finite_time_is_usage_error(self, t, capsys):

@@ -6,7 +6,13 @@ from oscpert import eigenfreq as ef, threemode as tm
 from oscpert.benchmarks import registry
 from oscpert.errors import DegenerateFrequencies, EstimateOverflow, NoTransition
 
-from oracles import per_point_increments, per_point_path, per_point_sweep
+from oracles import (
+    bisect_transition,
+    pair_rule,
+    per_point_increments,
+    per_point_path,
+    per_point_sweep,
+)
 
 # Effective frequencies 1 + eps, 2, 3.5: modes 1 and 2 coincide at eps = 1.
 DEGENERATE_AT_ONE = tm.ThreeModeModel(
@@ -69,6 +75,8 @@ class TestEstimate:
             ef.estimate(registry("m"), 4, "app0")
         with pytest.raises(ValueError):
             ef.estimate(registry("m"), 1, "app9")
+        with pytest.raises(ValueError):  # checked before the estimates overflow
+            ef.estimate(OVERFLOWING_POWER, 1, "app9")
 
 
 class TestTrueEigenfrequencies:
@@ -98,8 +106,19 @@ class TestTrueEigenfrequencies:
 
 class TestTransition:
     def test_large_model_onset(self):
-        onset = ef.transition_epsilon(registry("l"), 0.40, 0.50, tol=1e-4)
+        onset = ef.transition_epsilon(registry("l"), 0.40, 0.50)
         assert 0.40 < onset < 0.50
+        assert abs(onset - bisect_transition(registry("l"), 0.40, 0.50, 1e-14)) <= 1e-12
+
+    def test_exceptional_points_of_benchmarks(self):
+        # only `large` meets a pair in [0, 1]; `moderate` just past it
+        inside = {
+            mid: [e for e in ef.exceptional_points(registry(mid)).tolist() if 0 <= e <= 1.1]
+            for mid in ("s", "m", "l")
+        }
+        assert inside["s"] == []
+        assert [round(e, 3) for e in inside["m"]] == [1.006]
+        assert [round(e, 11) for e in inside["l"]] == [0.45133666959]
 
     def test_small_model_no_transition(self):
         with pytest.raises(NoTransition):
@@ -248,23 +267,90 @@ def _random_model(seed):
 
 
 class TestCostTableAgainstPermutationLoop:
-    """The (N, 6, 6) cost table picks what the permutations loop picks."""
+    """The labels from the EPs are those of the permutations loop once its
+    conjugate pairs follow the pair rule."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_models_1001_points(self, seed):
         model = _random_model(seed)
         grid = np.linspace(0.0, 1.0, 1001)
-        assert ef.matched_path(model, grid).tobytes() == per_point_path(model, grid).tobytes()
+        want = pair_rule(per_point_path(model, grid))
+        assert ef.matched_path(model, grid).tobytes() == want.tobytes()
 
     def test_exact_tie_on_large_model(self):
-        # modes 1 and 2 become a conjugate pair near eps = 0.452; there two
-        # assignments cost exactly the same and the first one wins
+        # modes 1 and 2 become a conjugate pair near eps = 0.4513; there two
+        # assignments cost exactly the same and LAPACK's order picks one
         model, grid = registry("l"), np.linspace(0.0, 1.0, 1001)
         margins = []
         ref = per_point_path(model, grid, margins)
         assert len(margins) == 1000
         assert min(margins) == 0.0
-        assert ef.matched_path(model, grid).tobytes() == ref.tobytes()
+        assert ef.matched_path(model, grid).tobytes() == pair_rule(ref).tobytes()
+
+
+def _pair_modes(row):
+    return np.flatnonzero(~ef.is_real_mode(row)).tolist()
+
+
+class TestLabelsFromExceptionalPoints:
+    """Labels change only at the EPs, by the pair rule and the re-split rule."""
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_report_equals_grid_row(self, mid):
+        eps = np.linspace(0.0, 1.0, 101)
+        grid = ef.spectral_grid(registry(mid), eps)
+        for row, e in zip(grid.true_values.tolist(), eps.tolist()):
+            assert list(ef.report(registry(mid), e).true_values) == row
+
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        calls = []
+        eigenvalues = ef.linalg.eigenvalues
+        monkeypatch.setattr(ef.linalg, "eigenvalues", lambda m: calls.append(1) or eigenvalues(m))
+        ef.matched_path(registry("l"), np.linspace(0.0, 1.0, 1001))
+        assert len(calls) == 1
+
+    def test_pair_that_turns_real_again(self):
+        # the pair of modes 1 and 3 lives on (0.1532, 0.1694); after it mode 1,
+        # which held Im > 0, takes the larger real part
+        model, grid = _random_model(25), np.linspace(0.0, 1.0, 1001)
+        first, second = ef.exceptional_points(model)[-2:]
+        assert 0.153 < first < second < 0.17
+        path = ef.matched_path(model, grid)
+        ref = pair_rule(per_point_path(model, grid))
+        before = grid <= second
+        assert path[before].tobytes() == ref[before].tobytes()
+        assert np.array_equal(np.sort_complex(path), np.sort_complex(ref))
+        for row in path[(grid > first) & (grid < second)]:
+            assert _pair_modes(row) == [0, 2] and row[0].imag > 0
+        for row in path[grid > second]:
+            assert _pair_modes(row) == []
+        assert path[grid > second][0, 0].real > path[grid > second][0, 2].real
+
+    def test_two_exceptional_points_in_one_grid_gap(self):
+        # modes 1 and 3 meet at 0.000541 and split at 0.000561, both between
+        # the grid points 0 and 0.001: the labels there are those of a grid
+        # that steps through the pair
+        model = _random_model(86)
+        first, second = ef.exceptional_points(model)[1:3]
+        assert 0.0 < first < second < 0.001
+        coarse = ef.matched_path(model, [0.0, 0.001, 1.0])
+        fine = ef.matched_path(model, [0.0, (first + second) / 2, 0.001, 1.0])
+        assert coarse.tobytes() == fine[[0, 2, 3]].tobytes()
+        assert _pair_modes(fine[1]) == [0, 2] and fine[1, 0].imag > 0
+        assert coarse[1, 0].real > coarse[1, 2].real  # mode 1 had Im > 0
+
+    @pytest.mark.parametrize("a", [1e110, 1e-52])
+    def test_extreme_couplings_stay_finite(self, a):
+        # a1*a2*a3 = 1e330 overflows, and 1e-156 leaves a leading discriminant
+        # coefficient below the normal range: neither overflows a
+        # coefficient or the companion matrix, or raises a RuntimeWarning
+        model = tm.ThreeModeModel(omega=(1, 2, 3.5), a=(a,) * 3, d=(0, 0, 0), epsilon=0.0)
+        points, grid = ef.exceptional_points(model), np.linspace(0, 1, 11)
+        path = ef.matched_path(model, grid)
+        assert np.isfinite(points).all() and np.isfinite(path).all()
+        if a < 1:  # too weak for a pair to meet in [0, 1]
+            assert not ((points > 0) & (points <= 1)).any()
+            assert path.tobytes() == pair_rule(per_point_path(model, grid)).tobytes()
 
 
 class TestEstimateOverflow:

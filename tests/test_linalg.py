@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from oscpert import linalg, threemode
-from oscpert.errors import DimensionMismatch, NonConvergence
+from oscpert.benchmarks import registry
+from oscpert.errors import DimensionMismatch, NonConvergence, NonFiniteResult
 from oscpert.threemode import ThreeModeModel
 
 from oracles import cardano_roots, charpoly3, rk4_evolution
@@ -170,3 +171,9 @@ class TestPropagator:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.matrix_exponential_apply(np.eye(3), 1.0, [1.0, 2.0])
+
+    def test_overflow_is_refused_by_type(self):
+        # exp(-i Omega t) of `large` at t = 1000 leaves the double range; the
+        # Pade steps warn nothing (a RuntimeWarning fails tier-1)
+        with pytest.raises(NonFiniteResult, match="propagator"):
+            linalg.matrix_exponential_apply(threemode.omega_matrix(registry("l")), 1000.0, [1, 0, 0])

@@ -81,6 +81,21 @@ class TestXYZ:
             assert abs(value - target) <= 1e-10 * abs(target)
 
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    @pytest.mark.parametrize("a", [(1e200,) * 3, (1e-300, 1e200, 1e200)])
+    def test_overflowing_ratios_are_refused(self, a, eps):
+        # (1e200,)*3: a1*a2*a3 overflows, so the ratios are inf (nan at eps = 0);
+        # (1e-300, 1e200, 1e200): the ratios are finite, a2*a3 in a prefactor is not
+        m = ThreeModeModel(omega=(1, 2, 3.5), a=a, d=(0, 0, 0), epsilon=eps)
+        for call in (
+            lambda: tm.xyz(m),
+            lambda: tm.series_block(m, "A1", 1.0, TIGHT),
+            lambda: tm.psi1_infinite(m, 1.0, PSI0, TIGHT),
+        ):
+            with pytest.raises(NonFiniteResult, match="not finite"):
+                call()
+
+
 class TestClosedForms:
     def test_order_zero_at_time_zero(self):
         assert tm.psi1_analytic(registry("m"), 0, 0.0, PSI0) == PSI0[0]

@@ -23,6 +23,7 @@ row's tolerance (any other value is a usage error, raised before any output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -390,9 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, one per process: parse_args leaves a parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, ValueError, UnknownModel) as exc:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from . import linalg
 from .errors import DegenerateFrequencies, EstimateOverflow, NoTransition
@@ -164,20 +163,28 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     """The real eps, ascending, at which two eigenvalues of Omega(eps) meet.
 
     They are the real roots of the discriminant in lambda of
-    det(lambda - Omega(eps)) = prod(lambda - w_i - eps d_i) + eps^3 a1 a2 a3,
-    a polynomial of degree <= 6 in eps.  It is built on Omega/s, s the
-    largest of 1 and every |w|, |d| and |a|, which moves no root and keeps
-    every coefficient finite.  The spectrum changes reality at a simple root.
+    det(lambda - Omega(eps)) = prod(lambda - w_i - eps d_i) + eps^3 P, with
+    P = a1 a2 a3, a polynomial of degree <= 6 in eps.  It is built on
+    lambda/s, s the largest of 1 and every |w| and |d|, in tau = eps/sigma,
+    sigma = min(1, s/|P|^(1/3)): every coefficient is at most 1, and EPs far
+    below 1 (couplings far above the frequencies) stay resolved.  The
+    spectrum changes reality at a simple root; with P = 0 it never does.
     """
-    s = max(1.0, *map(abs, m.omega + m.d + m.a))
-    w1, w2, w3 = (Polynomial([w / s, shift / s]) for w, shift in zip(m.omega, m.d))
-    b = -(w1 + w2 + w3)
-    c = w1 * w2 + w1 * w3 + w2 * w3
-    d = Polynomial([0.0, 0.0, 0.0, math.prod(a / s for a in m.a)]) - w1 * w2 * w3
-    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    if not all(m.a):
+        return np.empty(0)
+    s = max(1.0, *map(abs, m.omega + m.d))
+    cbrt_p = math.prod(abs(a) ** (1 / 3) for a in m.a)  # |P|^(1/3), P never formed
+    sigma = min(1.0, s / cbrt_p)
+    cv = np.convolve  # the product of two coefficient arrays, highest power first
+    w1, w2, w3 = (np.array([shift * sigma / s, w / s]) for w, shift in zip(m.omega, m.d))
+    b, c = -(w1 + w2 + w3), cv(w1, w2) + cv(w1, w3) + cv(w2, w3)
+    d = np.array([math.copysign((cbrt_p * sigma / s) ** 3, math.prod(m.a)), 0, 0, 0]) - cv(cv(w1, w2), w3)
+    bc = cv(b, c)
+    disc = 18 * cv(bc, d) - 4 * cv(cv(b, b), cv(b, d)) + cv(bc, bc) - 4 * cv(c, cv(c, c)) - 27 * cv(d, d)
+    disc /= np.abs(disc).max() or 1.0
     # drop leading coefficients too small to divide by (they only add roots past 1e50)
-    roots = (disc / (np.abs(disc.coef).max() or 1.0)).trim(np.finfo(float).tiny).roots()
-    return np.sort(roots[roots.imag == 0].real)
+    roots = np.roots(disc[np.argmax(np.abs(disc) > np.finfo(float).tiny) :])
+    return np.sort(sigma * roots[roots.imag == 0].real)
 
 
 def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:

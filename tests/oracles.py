@@ -20,6 +20,11 @@ rather than tautology:
 * bisect_transition  — the bisection on spectrum reality that the
                        discriminant roots of eigenfreq.exceptional_points
                        replaced
+* polynomial_exceptional_points
+                     — the discriminant built from numpy.polynomial
+                       Polynomial objects on Omega/s, s including every
+                       |a|, that the coefficient arrays in
+                       eigenfreq.exceptional_points replaced
 * sweep_row_dicts, rows_to_csv, rows_to_json
                      — the row-dict sweep writer the column writer in
                        oscpert.cli replaced: one dict per (ε, mode) row and
@@ -56,6 +61,7 @@ from itertools import permutations
 
 import mpmath
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from oscpert import dyson, eigenfreq, graph, linalg, threemode
 from oscpert.benchmarks import COUPLING_TABLE, canonical_id, registry
@@ -271,6 +277,20 @@ def bisect_transition(m, eps_lo: float, eps_hi: float, tol: float) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def polynomial_exceptional_points(m) -> np.ndarray:
+    """Real roots, ascending, of the discriminant of det(lambda - Omega(eps)),
+    built as Polynomial objects on Omega/s, s the largest of 1 and every |w|,
+    |d| and |a|."""
+    s = max(1.0, *map(abs, m.omega + m.d + m.a))
+    w1, w2, w3 = (Polynomial([w / s, shift / s]) for w, shift in zip(m.omega, m.d))
+    b = -(w1 + w2 + w3)
+    c = w1 * w2 + w1 * w3 + w2 * w3
+    d = Polynomial([0.0, 0.0, 0.0, math.prod(a / s for a in m.a)]) - w1 * w2 * w3
+    disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    roots = (disc / (np.abs(disc.coef).max() or 1.0)).trim(np.finfo(float).tiny).roots()
+    return np.sort(roots[roots.imag == 0].real)
 
 
 def per_point_sweep(m, eps_grid):

@@ -240,6 +240,8 @@ class TestVerify:
         code = run(*argv)
         out = capsys.readouterr().out
         monkeypatch.setattr(cli, "_cmd_verify", inline_verify)
+        # main's cached parser holds the real command: hand it a fresh one
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
         assert run(*argv) == code
         assert capsys.readouterr().out == out
         if tol in ("inf", "nan", "0", "-1", "abc"):
@@ -577,3 +579,61 @@ class TestXyzAndTerm:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: psi0 needs 3 components")
+
+
+class TestOneParserPerProcess:
+    """main parses every call with one parser, built by its first call."""
+
+    def test_repeated_calls_give_the_same_results(self, tmp_path, capsys):
+        gpath, lpath, big = tmp_path / "graph.json", tmp_path / "li.json", tmp_path / "big.json"
+        gpath.write_text(json.dumps(FIG1_GRAPH))
+        lpath.write_text(json.dumps(FIG1_LI))
+        big.write_text(json.dumps({"omega": [1, 2, 3.5], "a": [1e200] * 3, "d": [0, 0, 0]}))
+        out = tmp_path / "out"
+        calls = [
+            ["verify", "--model", "s", "--depth", "full"],
+            ["sweep", "--model", "l", "--steps", "11", "--out", str(out)],
+            ["decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)],
+            ["decompose", "--graph", str(gpath), "--out", str(out)],
+            ["xyz", "--model", "m", "--epsilon", "0.5"],
+            ["term", "--model", "s", "--order", "2", "--t", "0.7"],
+        ]
+
+        def run_all():
+            seen = []
+            for argv in calls:
+                code = main(argv)
+                seen.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+                out.unlink(missing_ok=True)
+            return seen
+
+        first = run_all()
+        assert [code for code, _, _ in first] == [0] * len(calls)
+        with pytest.raises(SystemExit) as usage:
+            main(["sweep", "--model", "s"])  # --out is required
+        assert usage.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert main(["xyz", "--model", f"@{big}"]) == 1
+        assert capsys.readouterr().err.startswith("error: NonFiniteResult")
+        assert run_all() == first
+
+    def test_main_builds_one_parser(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["xyz", "--model", "s"]) == 0
+            with pytest.raises(SystemExit):
+                main(["xyz"])
+            assert main(["xyz", "--model", "l"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        # a caller that changes its parser leaves main's alone
+        first = cli.build_parser()
+        first.add_argument("--required-elsewhere", required=True)
+        assert cli.build_parser() is not first
+        assert main(["xyz", "--model", "s"]) == 0

@@ -12,7 +12,9 @@ from oracles import (
     per_point_increments,
     per_point_path,
     per_point_sweep,
+    polynomial_exceptional_points,
 )
+from test_graph import _run_apart
 
 # Effective frequencies 1 + eps, 2, 3.5: modes 1 and 2 coincide at eps = 1.
 DEGENERATE_AT_ONE = tm.ThreeModeModel(
@@ -26,6 +28,9 @@ OVERFLOWING_POWER = tm.ThreeModeModel(
 OVERFLOWING_COUPLING = tm.ThreeModeModel(
     omega=(1, 2, 3.5), a=(1e110, 1e110, 1e110), d=(0, 0, 0), epsilon=0.0
 )
+# a1 a2 a3 = 0: the spectrum stays real, and mode 1 (1 + 3 eps) meets mode 2
+# at eps = 1/3 and mode 3 at eps = 5/6.
+ZERO_COUPLING = tm.ThreeModeModel(omega=(1, 2, 3.5), a=(0, 0, 0), d=(3, 0, 0), epsilon=0.0)
 
 
 class TestEstimate:
@@ -119,6 +124,23 @@ class TestTransition:
         assert inside["s"] == []
         assert [round(e, 3) for e in inside["m"]] == [1.006]
         assert [round(e, 11) for e in inside["l"]] == [0.45133666959]
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_same_roots_as_polynomial_objects(self, mid):
+        got = ef.exceptional_points(registry(mid))
+        want = polynomial_exceptional_points(registry(mid))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_numpy_polynomial_is_not_imported(self):
+        done = _run_apart("-c", (
+            "import sys, oscpert\n"
+            "from oscpert.benchmarks import registry\n"
+            "oscpert.eigenfreq.matched_path(registry('l'), [0.0, 0.5, 1.0])\n"
+            "print('numpy.polynomial' in sys.modules)"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_small_model_no_transition(self):
         with pytest.raises(NoTransition):
@@ -348,9 +370,20 @@ class TestLabelsFromExceptionalPoints:
         points, grid = ef.exceptional_points(model), np.linspace(0, 1, 11)
         path = ef.matched_path(model, grid)
         assert np.isfinite(points).all() and np.isfinite(path).all()
+        inside = points[(points > 0) & (points <= 1)]
         if a < 1:  # too weak for a pair to meet in [0, 1]
-            assert not ((points > 0) & (points <= 1)).any()
-            assert path.tobytes() == pair_rule(per_point_path(model, grid)).tobytes()
+            assert inside.size == 0
+        else:  # the pair meets at eps ~ 1e-110, resolved in the rescaled solve
+            assert inside.size == 1 and 1e-111 < inside[0] < 1e-109
+        assert path.tobytes() == pair_rule(per_point_path(model, grid)).tobytes()
+
+    def test_zero_coupling_has_no_exceptional_points(self):
+        # the crossings at eps = 1/3 and 5/6 are exact, not EPs: both bounce
+        assert ef.exceptional_points(ZERO_COUPLING).size == 0
+        path = ef.matched_path(ZERO_COUPLING, np.linspace(0, 1, 25))
+        assert not path.imag.any()
+        assert (np.diff(path.real, axis=1) >= 0).all()
+        assert path[-1].real.tolist() == [2.0, 3.5, 4.0]
 
 
 class TestEstimateOverflow:

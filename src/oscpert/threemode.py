@@ -31,9 +31,10 @@ pairwise-distinct effective frequencies; degenerate models are refused
 rather than regularized.
 
 Every 2F2 of a call is a cell of a table built once per (k_max, order_cap),
-and one array recurrence steps all cells together, bitwise equal to summing
-each cell alone.  A non-finite t (or z or parameter of hyp_pfq) raises
-ValueError.
+and one array recurrence steps all cells together in one pass; each sum it
+returns is bitwise that of summing its cell alone.  A non-finite t (or z or
+parameter of hyp_pfq) raises ValueError, and a 2F2 term or partial sum, a
+block total or a psi_1 that is not finite raises NonFiniteResult.
 """
 from __future__ import annotations
 
@@ -308,35 +309,32 @@ def neg_binomial(n: int, k: int) -> int:
 
 # The cells' series advance together this many term indices per array step.
 _CHUNK = 32
-# Python multiplies and divides a complex by a float x as by complex(x, 0.0):
-# the zero part adds cross terms part * (0.0, -0.0), signed zeros or NaN.
-_CROSS = np.array([[0.0], [-0.0]])
 
 
-def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
+def _hyp_sums(upper, lower, z, limit, tail_tol=None) -> list:
     """Sums of many hypergeometric series, one array step per term index.
 
     Column c of upper (p, C) and lower (q, C) holds cell c's NaN-padded
     parameters and of z (2, C) its argument.  Term ell+1 is term ell *
-    (num / den) * z / (ell + 1) in the float operations of Python complex
-    arithmetic, bitwise a scalar loop's; the cross terms and zero real parts
-    of z change no finite sum, so only cells that meet a non-finite sum or
-    end in MaxTermsExceeded are rerun with them (exact).  A cell stops
+    (num / den) * z / (ell + 1), and every returned sum and .partial is
+    bitwise the scalar loop's in Python complex arithmetic (.last_term is
+    equal in value; the sign of a zero part may differ).  A cell stops
     before term ell+1 when num is zero, after term `limit`, and with
     tail_tol after three consecutive terms below tail_tol * |sum| or 1e-300.
-    Returns per cell its sum, or the refusal to raise when it is reached
-    (InvalidLowerParameter, MaxTermsExceeded, or NonFiniteResult where a
-    scalar loop's abs() would overflow).
+    Returns per cell its sum, or the refusal to raise when it is reached:
+    InvalidLowerParameter, MaxTermsExceeded, or NonFiniteResult at the first
+    term whose value or running sum is not finite or, with tail_tol, whose
+    magnitude overflows from finite parts.
     """
     cells = z.shape[1]
     limit = np.broadcast_to(limit, (cells,))
     params = np.concatenate((upper, lower))
     pad = np.isnan(params)[:, None, :]
     term = total = np.repeat([[1.0], [0.0]], cells, axis=1)
-    result, errors, redo = total.copy(), {}, np.zeros(cells, bool)
+    result, errors = total.copy(), {}
     flags = np.zeros((2, cells), bool)
     zr, zw = z[0], np.stack([-z[1], z[1]])
-    real, pending = exact or zr.any(), limit > 0
+    real, pending = zr.any(), limit > 0
     with np.errstate(all="ignore"):
         end = int(limit.max(initial=0))
         for start in range(0, end, _CHUNK):
@@ -348,44 +346,39 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
             sums[0], terms = total, sums[1:]
             for r, row, d in zip(num / den, terms, (ell[:, 0] + 1.0).tolist()):
                 q = term[::-1] * r  # term * r with its parts swapped
-                if exact:
-                    q += term * _CROSS
                 s = q * zw
                 if real:
                     s += q[::-1] * zr
-                if exact:
-                    s += s[::-1] * _CROSS
                 term = np.divide(s, d, out=row)
             sums = np.add.accumulate(sums, axis=0)
-            redo |= pending & ~np.isfinite(sums[-1]).all(axis=0)
             stop = (num == 0) | (den == 0) | (ell + 1 >= limit)
             done, over = np.ones_like(stop), np.zeros_like(stop)  # the limit ends a sum
+            bad = pending & ~np.isfinite(sums[-1]).all(axis=0)  # never finite again
+            over[:, bad] = ~np.isfinite(sums[1:, :, bad]).all(axis=1)
             if tail_tol is not None:
                 mag, size = (np.hypot(x[:, 0], x[:, 1]) for x in (terms, sums[1:]))
                 if not np.isfinite(mag.max() + size.max()):  # abs() overflows
-                    over = np.isinf(mag) & np.isfinite(terms).all(axis=1)
-                    over |= np.isinf(size) & np.isfinite(sums[1:]).all(axis=1)
+                    over |= np.isinf(mag) | np.isinf(size)
                 small = np.concatenate((flags, mag < np.fmax(tail_tol * size, 1e-300)))
                 flags, done = small[-2:], small[2:] & small[1:-1] & small[:-2]
-                stop |= done | over
+                stop |= done
+            stop |= over
             cols = np.flatnonzero(pending & stop.any(axis=0))
             js = stop[:, cols].argmax(axis=0)
             ended = num[js, cols] == 0
             zero = ~ended & (den[js, cols] == 0)
-            capped = ~ended & ~zero & ~over[js, cols] & ~done[js, cols]
+            overflowed = ~ended & ~zero & over[js, cols]
+            capped = ~ended & ~zero & ~overflowed & ~done[js, cols]
             result[:, cols] = sums[js + 1 - ended, :, cols].T
             for c, j in zip(cols[capped], js[capped]):
-                redo[c] = True
                 errors[c] = MaxTermsExceeded(
                     f"no convergence within {limit[c]} terms",
                     partial=complex(*result[:, c]),
                     last_term=complex(*terms[j, :, c]),
                 )
-            overflowed = ~ended & ~zero & over[js, cols]
             for c, j in zip(cols[overflowed], js[overflowed]):
-                errors[c] = NonFiniteResult(
-                    f"|term {start + j + 1}| or |partial sum| overflows from finite parts"
-                )
+                why = "overflows from finite parts" if np.isfinite(result[:, c]).all() else "is not finite"
+                errors[c] = NonFiniteResult(f"|term {start + j + 1}| or |partial sum| {why}")
             for c, j in zip(cols[zero], js[zero]):
                 lowers = [b for b in lower[:, c].tolist() if b == b]
                 errors[c] = InvalidLowerParameter(
@@ -396,13 +389,7 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None, exact=False) -> list:
                 break
             total = sums[-1]
     out = np.ascontiguousarray(result.T).view(complex)[:, 0].tolist()
-    out = [errors.get(c, value) for c, value in enumerate(out)]
-    redo = np.flatnonzero(redo)
-    if redo.size and not exact:
-        again = _hyp_sums(upper[:, redo], lower[:, redo], z[:, redo], limit[redo], tail_tol, True)
-        for c, value in zip(redo, again):
-            out[c] = value
-    return out
+    return [errors.get(c, value) for c, value in enumerate(out)]
 
 
 def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
@@ -419,7 +406,8 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
         InvalidLowerParameter: a surviving lower parameter hits a
             non-positive integer before the series terminates.
         MaxTermsExceeded: no convergence within max_terms_per_hyp terms.
-        NonFiniteResult: a term or partial sum overflows from finite parts.
+        NonFiniteResult: a term or partial sum is not finite, or its
+            magnitude overflows from finite parts.
     """
     z = complex(z)
     uppers, lowers = _cancel_params(a_params, b_params)
@@ -533,8 +521,9 @@ def _cell_table(k_max: int, order_cap: int | None):
 def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
     """series_block for consecutive BLOCK_NAMES on a _block_geometry family
     map, from one _hyp_sums pass over their cells.  Each block raises the
-    refusal of its first failing cell in (k, l) order, then its
-    TruncationNotConverged, before the next block is summed.
+    refusal of its first failing cell in (k, l) order, then NonFiniteResult
+    for a total that is not finite, then its TruncationNotConverged, before
+    the next block is summed.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
@@ -571,6 +560,8 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
                     argpow *= arg / power
                     closure += argpow
                 total += closure
+        if not cmath.isfinite(total):
+            raise NonFiniteResult(f"block {block} at t={t!r} is not finite: {total}")
         if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
             raise TruncationNotConverged(
                 f"block {block}: shell k={trunc.k_max} still contributes "
@@ -601,6 +592,8 @@ def series_block(
 
     Raises:
         ValueError: block is not one of BLOCK_NAMES, or t is not finite.
+        NonFiniteResult: a cell's term or partial sum, or the block total,
+            is not finite.
         TruncationNotConverged: only when shell_tol is given and the last
             retained shell still contributes more than shell_tol relative
             to the accumulated sum (deliberate fixed-depth truncations pass
@@ -625,17 +618,22 @@ def psi1_infinite(
     Assembles (A1 p1 + A3 p3 + A2 p2) e^{-i w1' t}
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
-    with p_mu = psi_mu(0).  Raises as series_block does, block by block.
+    with p_mu = psi_mu(0).  Raises as series_block does, block by block, and
+    NonFiniteResult when the assembly is not finite.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
     (w1, w2, w3), families = _block_geometry(m)
     blocks = _block_sums(families, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
     p1, p2, p3 = vec[0], vec[1], vec[2]
-    return (
-        (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)
-        * cmath.exp(-1j * w1 * t)
-        + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2)
-        * cmath.exp(-1j * w3 * t)
-        + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
-        * cmath.exp(-1j * w2 * t)
-    )
+    with np.errstate(all="ignore"):
+        value = (
+            (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)
+            * cmath.exp(-1j * w1 * t)
+            + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2)
+            * cmath.exp(-1j * w3 * t)
+            + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
+            * cmath.exp(-1j * w2 * t)
+        )
+    if not cmath.isfinite(value):
+        raise NonFiniteResult(f"psi_1 at t={t!r} is not finite: {value}")
+    return value

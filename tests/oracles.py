@@ -11,6 +11,10 @@ rather than tautology:
                        (corner entry of exp of a bidiagonal matrix, evaluated
                        with mpmath at 50 digits)
 * brute_force_pfq    — direct 50-digit summation of a hypergeometric series
+* lagrange_coefficients
+                     — the exact series of an eigenvalue shift in the
+                       coupling ratio W, by Lagrange inversion in rationals,
+                       that app0..app2 of oscpert.eigenfreq truncate
 * per_point_sweep    — the per-point spectral path the batched ε-grid path
                        replaced: one eigensolve per refined grid point, one
                        itertools.permutations matching loop per step
@@ -42,6 +46,10 @@ rather than tautology:
 * loop_hyp_series    — the per-cell scalar loop over the terms of one 2F2
                        that the array recurrence in oscpert.threemode
                        replaced; loop_series_block sums its cells with it
+* van_loan_orders    — every expansion order psi_0(t)..psi_n(t) at once, as
+                       blocks of the exponential of one block upper-bidiagonal
+                       matrix (Van Loan, IEEE TAC 23, 1978): no quadrature, so
+                       exact to rounding at any t
 * loop_term, loop_partial_sum, loop_convergence_residuals
                      — the per-order Dyson quadrature that dyson.terms
                        replaced: every coefficient rebuilds the trajectories
@@ -57,6 +65,7 @@ import cmath
 import json
 import math
 import os
+from fractions import Fraction
 from itertools import permutations
 
 import mpmath
@@ -182,6 +191,20 @@ def brute_force_pfq(a_params, b_params, z: complex, terms: int = 200, dps: int =
                 den *= mpmath.rf(b, ell)
             total += num / den * zz**ell / mpmath.factorial(ell)
         return complex(total)
+
+
+def lagrange_coefficients(p, q, n_max: int) -> list[Fraction]:
+    """c_1 .. c_n_max, exact for rational p and q, of the root x = sum c_n W^n
+    of x = W phi(x), phi(x) = 1 / ((1 + x/q)(1 - x/p)): the shift x = lambda - w1'
+    of mode 1, with p = w3' - w1', q = w1' - w2' and W = X.  Lagrange
+    inversion gives c_n = [x^(n-1)] phi(x)^n / n."""
+    p, q = Fraction(p), Fraction(q)
+    phi = [sum((-1 / q) ** j * (1 / p) ** (i - j) for j in range(i + 1)) for i in range(n_max)]
+    power, coeffs = [Fraction(1)] + [Fraction(0)] * (n_max - 1), []
+    for n in range(1, n_max + 1):
+        power = [sum(power[j] * phi[i - j] for j in range(i + 1)) for i in range(n_max)]
+        coeffs.append(power[n - 1] / n)
+    return coeffs
 
 
 def per_point_increments(m, which: int) -> tuple[float, float, float]:
@@ -707,6 +730,16 @@ def loop_psi1_infinite(m, t, psi0, trunc, shell_tol=None, order_cap=None) -> com
         + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
         * cmath.exp(-1j * w2 * t)
     )
+
+
+def van_loan_orders(sys, n, t, psi0) -> list[np.ndarray]:
+    """Coefficients psi_0(t) .. psi_n(t) in dyson.terms' convention (no eps
+    weight).  B has W0 on its n+1 diagonal blocks and WI on the blocks above
+    them; order k is block (n-k, n) of linalg.propagator(B, t) applied to psi0."""
+    d = sys.dim
+    big = np.kron(np.eye(n + 1), np.diag(sys.omega0)) + np.kron(np.eye(n + 1, k=1), sys.omegaI)
+    column = linalg.propagator(big, t)[:, n * d :] @ linalg.as_vector(psi0, d, "psi0")
+    return [column[(n - k) * d : (n - k + 1) * d] for k in range(n + 1)]
 
 
 def _loop_running_integral(values: np.ndarray, dx: float) -> np.ndarray:

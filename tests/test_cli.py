@@ -159,6 +159,16 @@ class TestSweep:
             "--out", str(tmp_path / "x.csv"),
         ) == 2
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--steps", "1", "error: steps must be >= 2\n"),
+        ("--levels", "app0,app3", "error: unknown level 'app3'\n"),
+    ])
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--model", "s", option, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
 
 DEGENERATE_MODEL = {"omega": [1, 2, 3.5], "a": [0.1, 0.2, 0.3], "d": [1, 0, 0]}
 
@@ -303,6 +313,7 @@ class TestDecompose:
         '{"n": 2, "edges": [[0, 1.9, 1.0]]}',
         '{"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308]]}',
         '{"n": 2, "edges": [[0, 1, 1e999]]}',
+        '{"n": 0, "edges": []}',
     ])
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
         gpath = tmp_path / "g.json"
@@ -318,6 +329,15 @@ class TestDecompose:
         lpath.write_text(text)
         assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_li_of_the_wrong_shape_is_refused(self, tmp_path, capsys):
+        gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
+        gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
+        lpath.write_text(json.dumps(FIG1_LI))
+        assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 1
+        assert capsys.readouterr().err == (
+            "error: InvalidDecomposition: LI shape (3, 3) does not match L shape (2, 2)\n"
+        )
 
     def test_unallocatable_node_count_is_usage_error(self, tmp_path, capsys):
         # the 8e18-byte request for the dense Laplacian fails at once
@@ -530,6 +550,8 @@ class TestXyzAndTerm:
         '{"omega": 9, "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, null], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025], "epsilon": null}',
+        '{"omega": [9, 6, 0], "a": [1, 2], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": [9, 6, 0], "a": [1, 2, NaN], "d": [1.5, 1.6, 0.025]}',
     ])
     def test_malformed_model_is_usage_error(self, tmp_path, capsys, text):
         model_file = tmp_path / "model.json"
@@ -573,12 +595,13 @@ class TestXyzAndTerm:
         assert captured.out == ""
         assert captured.err == "error: NonFiniteResult: order 2 is not finite at t=1e+200\n"
 
-    @pytest.mark.parametrize("psi0", ["1,0", "1,0,0,0"])
+    @pytest.mark.parametrize("psi0", ["1,0", "1,0,0,0", "1,x,0"])
     def test_term_wrong_length_psi0_is_usage_error(self, psi0, capsys):
         assert run("term", "--model", "s", "--order", "1", "--t", "0.5", "--psi0", psi0) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: psi0 needs 3 components")
+        want = "error: cannot parse psi0 '1,x,0'" if "x" in psi0 else "error: psi0 needs 3 components"
+        assert captured.err.startswith(want)
 
 
 class TestOneParserPerProcess:

@@ -14,6 +14,7 @@ from oracles import (
     loop_partial_sum,
     loop_term,
     path_term,
+    van_loan_orders,
 )
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
@@ -104,6 +105,13 @@ class TestTerms:
     def test_resolution_too_coarse(self):
         with pytest.raises(ResolutionTooCoarse):
             dyson.terms(small_system(), 4, 1.0, PSI0, steps=39)
+
+    @pytest.mark.parametrize("mid", ["small", "moderate"])
+    def test_match_block_exponential(self, mid):
+        sys = threemode.perturbed_system(registry(mid))
+        exact = van_loan_orders(sys, 6, 0.7, PSI0)
+        for got, want in zip(dyson.terms(sys, 6, 0.7, PSI0, steps=4000), exact):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _same_bits(a, b):
@@ -351,6 +359,8 @@ class TestPerturbedSystem:
             PerturbedSystem(omega0=(1.0, 2.0), omegaI=np.zeros((3, 3)), epsilon=0.5)
         with pytest.raises(ValueError):
             PerturbedSystem(omega0=(1.0, 2.0), omegaI=np.zeros((2, 2)), epsilon=1.5)
+        with pytest.raises(ValueError, match="^omega0 contains non-finite entries$"):
+            PerturbedSystem(omega0=(1.0, float("nan")), omegaI=np.zeros((2, 2)), epsilon=0.5)
 
     def test_full_matrix(self):
         sys = small_system()

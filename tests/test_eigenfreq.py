@@ -1,4 +1,7 @@
 """Tests for eigenfrequency estimates, matching, and the transition search."""
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from oscpert.errors import DegenerateFrequencies, EstimateOverflow, NoTransition
 
 from oracles import (
     bisect_transition,
+    lagrange_coefficients,
     pair_rule,
     per_point_increments,
     per_point_path,
@@ -65,6 +69,39 @@ class TestEstimate:
             app2 = ef.estimate(m, which, "app2")
             assert app1 - app0 == pytest.approx(inc1, abs=1e-12)
             assert app2 - app1 == pytest.approx(inc2, abs=1e-12)
+
+    def test_lagrange_coefficients(self):
+        # c_1..c_4 in closed form, at a rational (p, q)
+        p, q = Fraction(3, 7), Fraction(5, 11)
+        assert lagrange_coefficients(p, q, 4) == [
+            1,
+            1 / p - 1 / q,
+            2 / p**2 - 3 / (p * q) + 2 / q**2,
+            5 / p**3 - 10 / (p**2 * q) + 10 / (p * q**2) - 5 / q**3,
+        ]
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_partial_sums_of_the_lagrange_series(self, mid):
+        # app0, app1 and app2 through W^3 are partial sums of the shift's series
+        # sum c_n W^n.  app2's W^4 term, as transcribed, has 10/3 where c_4 has
+        # 5 on 1/p^3 and 1/q^3: app2 - S4 = (10/3 - 5) W^4 (1/p^3 - 1/q^3).
+        # Bounds are rounding of the sum of |terms| of each increment.
+        for eps, which in itertools.product((0.1, 0.2, 0.4, 1.0), (1, 2, 3)):
+            m = registry(mid).at_epsilon(eps)
+            view, _ = tm.cyclic_view(m, f"psi{which}")
+            w1, w2, w3 = tm.effective_frequencies(view)
+            w, p, q = tm.xyz(view).X, w3 - w1, w1 - w2
+            c = [float(x) for x in lagrange_coefficients(p, q, 4)]
+            base, inc1, inc2 = ef.estimate_increments(m, which)
+            assert base == w1 + c[0] * w
+            size1 = w**2 * (1 / abs(p) + 1 / abs(q))
+            assert abs(inc1 - c[1] * w**2) <= 4e-15 * size1
+            pinned = (10 / 3 - 5) * w**4 * (1 / p**3 - 1 / q**3)
+            size2 = abs(w) ** 3 * (2 / p**2 + 3 / abs(p * q) + 2 / q**2)
+            size2 += w**4 * (
+                10 / 3 / abs(p**3) + 10 / abs(p**2 * q) + 10 / abs(p * q**2) + 10 / 3 / abs(q**3)
+            )
+            assert abs(inc2 - c[2] * w**3 - c[3] * w**4 - pinned) <= 4e-15 * size2
 
     def test_relabeling_invariance(self):
         m = registry("l").at_epsilon(0.3)

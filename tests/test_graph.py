@@ -233,6 +233,10 @@ class TestDecompose:
         with pytest.raises(ValueError, match="L must be a non-empty square matrix"):
             graph.decompose(np.zeros((0, 0)))
 
+    def test_non_finite_matrix_refused(self):
+        with pytest.raises(ValueError, match="^L contains non-finite entries$"):
+            graph.decompose(np.where(np.eye(3) > 0, np.nan, FIG1_L))
+
     def test_heuristic_split_makes_no_certificate_search(self, monkeypatch):
         g, li = _bench_style_graph(3)
         lap = graph.laplacian(g)

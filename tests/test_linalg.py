@@ -172,6 +172,12 @@ class TestPropagator:
         with pytest.raises(DimensionMismatch):
             linalg.matrix_exponential_apply(np.eye(3), 1.0, [1.0, 2.0])
 
+    def test_non_finite_inputs(self):
+        with pytest.raises(ValueError, match="^psi0 contains non-finite entries$"):
+            linalg.as_vector([1.0, np.nan, 0.0], 3, "psi0")
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            linalg.propagator(OMEGA1_SMALL, np.nan)
+
     def test_overflow_is_refused_by_type(self):
         # exp(-i Omega t) of `large` at t = 1000 leaves the double range; the
         # Pade steps warn nothing (a RuntimeWarning fails tier-1)

@@ -26,6 +26,7 @@ from oracles import (
     loop_psi1_infinite,
     loop_series_block,
     path_term,
+    van_loan_orders,
 )
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
@@ -227,6 +228,21 @@ class TestSeriesBlocks:
             quad = dyson.partial_sum(sys, 9, t, PSI0, steps=4000)[0]
             assert abs(blocks - quad) <= 1e-5
 
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("mid", ["small", "moderate"])
+    def test_each_order_is_one_expansion_term(self, mid, t):
+        # the block table one order at a time: raising order_cap from n-1 to n
+        # adds exactly eps^n psi_n(t)[0]; k_max=7 holds every order <= 21.
+        # The gap is rounding of the two sums, so it is bounded against them:
+        # at t=1 the high orders fall below that rounding
+        m = registry(mid)
+        trunc = SeriesTruncation(k_max=7)
+        orders = van_loan_orders(tm.perturbed_system(m), 21, t, PSI0)
+        sums = [tm.psi1_infinite(m, t, PSI0, trunc, order_cap=n) for n in range(22)]
+        for n in range(1, 22):
+            gap = sums[n] - sums[n - 1] - m.epsilon**n * orders[n][0]
+            assert abs(gap) <= 1e-13 * max(abs(sums[n]), abs(sums[n - 1])), n
+
     def test_truncation_not_converged_surfaces(self):
         with pytest.raises(TruncationNotConverged):
             tm.series_block(
@@ -240,11 +256,13 @@ def _bits(value: complex) -> tuple[str, str]:
 
 def _outcome(fn, *args, **kwargs):
     """("value", exact bits of the result), or the refusal's type and message,
-    with the exact bits of .partial and .last_term for MaxTermsExceeded."""
+    with the exact bits of .partial and the value of .last_term (+ 0j maps a
+    -0.0 part to 0.0: the array recurrence may differ in the sign of a zero
+    part) for MaxTermsExceeded."""
     try:
         value = complex(fn(*args, **kwargs))
     except MaxTermsExceeded as exc:
-        return "MaxTermsExceeded", str(exc), _bits(exc.partial), _bits(exc.last_term)
+        return "MaxTermsExceeded", str(exc), _bits(exc.partial), _bits(exc.last_term + 0j)
     except (OscPertError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return ("value",) + _bits(value)
@@ -371,14 +389,20 @@ class TestArrayRecurrence:
             ([1.5, 2.0], [-1.0, 4.0], 0.1j),
             ([1.0, 2.0, 3.0], [1.5, 2.5, 0.5], -0.7 + 0.2j),
             ([2.0], [1.0], 40.0),
-            ([1.0], [1.5], 800j),  # terms overflow: NaN partial sum at the cap
+            ([1.0], [1.5], 800j),  # terms overflow: refused where the loop sums NaN
             ([1e308], [1.0], 1.3 + 1.3j),  # |term| overflows from finite parts
         ],
     )
     def test_hyp_pfq(self, a, b, z):
         for trunc in (TIGHT, SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)):
             want = _outcome(lambda: loop_hyp_series(*tm._cancel_params(a, b), z, trunc))
-            assert _outcome(tm.hyp_pfq, a, b, z, trunc) == want
+            got = _outcome(tm.hyp_pfq, a, b, z, trunc)
+            if want[0] == "MaxTermsExceeded" and "nan" in want[2]:
+                # the loop runs to its cap on a NaN partial sum; the recurrence
+                # refuses at the first term whose value or sum is not finite
+                assert got[0] == "NonFiniteResult" and got[1].endswith("is not finite"), got
+            else:
+                assert got == want
 
     def test_magnitude_overflow_is_a_typed_refusal(self):
         with pytest.raises(NonFiniteResult, match=r"^\|term 1\| or \|partial sum\| overflows"):
@@ -416,6 +440,26 @@ class TestRefusedInputs:
     def test_non_finite_hyp_pfq_input(self, a, z):
         with pytest.raises(ValueError):
             tm.hyp_pfq(a, [1.0], z, TIGHT)
+
+    @pytest.mark.parametrize("t", [1e150, 1e200])
+    def test_non_finite_order_capped_total(self, t):
+        # t=1e150: every cell sum is finite but block A1's total overflows;
+        # t=1e200: a cell's second term overflows
+        m = registry("small")
+        trunc = SeriesTruncation(k_max=3)
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            tm.series_block(m, "A1", t, trunc, order_cap=9)
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            tm.psi1_infinite(m, t, PSI0, trunc, order_cap=9)
+
+    def test_non_finite_assembly(self):
+        # at t=1e100 every block is finite; psi0 = 1e20 e1 overflows the sum
+        m = registry("small")
+        trunc = SeriesTruncation(k_max=3)
+        got = tm.psi1_infinite(m, 1e100, [1.0, 0.0, 0.0], trunc, order_cap=9)
+        assert cmath.isfinite(got) and abs(got) > 1e295
+        with pytest.raises(NonFiniteResult, match=r"^psi_1 at t=1e\+100 is not finite"):
+            tm.psi1_infinite(m, 1e100, [1e20, 0.0, 0.0], trunc, order_cap=9)
 
     def test_negative_t_is_allowed(self):
         m = registry("small")

@@ -12,15 +12,16 @@ on a uniform grid with half-node resolution (2*steps intervals over [0, t]):
 composite Simpson pairs plus a single-interval cubic end correction at odd
 nodes (no linear interpolation), so the global quadrature error is O(steps^-4).
 
-One build on two reused trajectory buffers yields every order up to the
-highest one asked for, so `terms` returns psi_0(t) .. psi_n(t) for the cost
-of psi_n(t) alone, in memory that does not grow with n.  Results are bitwise
-those of the per-order textbook formulas for a real-valued WI (every
-ThreeModeModel), within an ulp or so for a complex one.  A coefficient that
-is not finite raises NonFiniteResult.  All functions are pure.
+One build yields every order up to the highest one asked for, so `terms`
+returns psi_0(t) .. psi_n(t) for the cost of psi_n(t) alone, in memory that
+does not grow with n.  Functions are pure; each thread keeps one scratch array
+of its largest build, which no result shares.  Values are bitwise those of
+the per-order formulas for a real-valued WI (every ThreeModeModel), within an
+ulp or so for a complex one.  A non-finite coefficient raises NonFiniteResult.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from . import linalg
 from .errors import NonFiniteResult, ResolutionTooCoarse
 
 DEFAULT_REPORT_STEPS = 2000
+_scratch = threading.local()  # .pool: _rotating_orders' grow-only buffers
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,25 @@ def _rotating_orders(
 ) -> list[np.ndarray]:
     """Rotating-frame values phi_0(t) .. phi_max_order(t), max_order >= 1.
 
-    Arrays are (modes, nodes); each order is written over the order before
-    the previous one, whose columns first hold the Simpson pairs and odd
+    Arrays are (modes, nodes) views of this thread's grow-only scratch, each
+    written before it is read; each order overwrites the order before the
+    previous one, whose columns first hold the Simpson pairs and odd
     corrections.  Products take out= in the formulas' operand order: numpy
     rounds a complex a*b and b*a apart, and may swap them when it reuses a
     large temporary.  The last order needs only its last (even) node.
     """
     n_fine = 2 * steps
     dx = t / n_fine
-    phase = np.exp(-1j * np.linspace(0.0, t, n_fine + 1) * np.array(sys.omega0)[:, None])
-    rotate_back = -1j * np.conj(phase)
-    prev, cur, integrand = np.empty_like(phase), np.empty_like(phase), np.empty_like(phase)
+    size = 5 * len(psi0) * (n_fine + 1)
+    if len(getattr(_scratch, "pool", ())) < size:
+        _scratch.pool = np.empty(size, complex)
+    phase, rotate_back, prev, cur, integrand = _scratch.pool[:size].reshape(5, len(psi0), -1)
+    np.multiply(np.array(sys.omega0)[:, None], np.linspace(0.0, t, n_fine + 1), out=phase.imag)
+    np.subtract(0.0, phase.imag, out=phase.imag)  # 0 - x, not -x: +0 at s=0, as -1j*grid*w
+    phase.real = 0.0
+    np.exp(phase, out=phase)
+    np.negative(phase.imag, out=rotate_back.real)
+    np.negative(phase.real, out=rotate_back.imag)
     prev[:] = psi0[:, None]
     finals = [psi0]
     for order in range(1, max_order + 1):

@@ -581,12 +581,18 @@ class TestXyzAndTerm:
         assert captured.err == "error: steps must be >= 0\n"
 
     def test_term_unallocatable_steps_is_usage_error(self, capsys):
-        # the 16 TB request for the quadrature grid fails at once
-        assert run("term", "--model", "s", "--order", "2", "--t", "0.5", "--steps", "1000000000000") == 2
+        # the 480 TB request for the quadrature scratch fails at once
+        term = ("term", "--model", "s", "--order", "2", "--t", "0.5")
+        assert run(*term) == 0
+        before = capsys.readouterr().out
+        assert run(*term, "--steps", "1000000000000") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --steps 1000000000000")
         assert captured.err.count("\n") == 1
+        # the failed grow leaves the process's scratch usable
+        assert run(*term) == 0
+        assert capsys.readouterr().out == before
 
     def test_term_non_finite_coefficient_is_refused(self, capsys):
         # psi_2 overflows at t=1e200; RuntimeWarnings fail tier-1, so none is emitted

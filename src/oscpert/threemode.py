@@ -311,16 +311,32 @@ def neg_binomial(n: int, k: int) -> int:
 _CHUNK = 32
 
 
-def _hyp_sums(upper, lower, z, limit, tail_tol=None) -> list:
+def _term_ratios(upper, lower, start: int):
+    """Term ratios num / den for ell = start .. start + _CHUNK - 1 of the series
+    whose NaN-padded parameters are the columns of upper and lower (num =
+    prod(a + ell) in order, a pad counting 1), and the masks num == 0, den == 0."""
+    ell = np.arange(start, start + _CHUNK, dtype=float)[:, None]
+    num, den = np.ones((2, _CHUNK, upper.shape[1]))
+    with np.errstate(all="ignore"):
+        for prod, params in ((num, upper), (den, lower)):
+            for p in params:
+                prod *= np.where(np.isnan(p), 1.0, p + ell)
+        return num / den, num == 0, den == 0
+
+
+def _hyp_sums(lower, ratios, z, limit, tail_tol=None) -> list:
     """Sums of many hypergeometric series, one array step per term index.
 
-    Column c of upper (p, C) and lower (q, C) holds cell c's NaN-padded
-    parameters and of z (2, C) its argument.  Term ell+1 is term ell *
-    (num / den) * z / (ell + 1), and every returned sum and .partial is
-    bitwise the scalar loop's in Python complex arithmetic (.last_term is
-    equal in value; the sign of a zero part may differ).  A cell stops
-    before term ell+1 when num is zero, after term `limit`, and with
-    tail_tol after three consecutive terms below tail_tol * |sum| or 1e-300.
+    Column c of z (2, C) holds cell c's argument and of lower (q, C) its
+    NaN-padded lower parameters; ratios(i) gives _term_ratios' rows for
+    chunk i (ell from i * _CHUNK) of these cells: the block table's memo,
+    computed once per (k_max, order_cap) per process, or for hyp_pfq afresh
+    on each call.  Term ell+1 is term ell * (num / den) * z / (ell + 1), and
+    every returned sum and .partial is bitwise the scalar loop's in Python
+    complex arithmetic (.last_term is equal in value; the sign of a zero
+    part may differ).  A cell stops before term ell+1 when num is zero,
+    after term `limit`, and with tail_tol after three consecutive terms
+    below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached:
     InvalidLowerParameter, MaxTermsExceeded, or NonFiniteResult at the first
     term whose value or running sum is not finite or, with tail_tol, whose
@@ -328,30 +344,27 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None) -> list:
     """
     cells = z.shape[1]
     limit = np.broadcast_to(limit, (cells,))
-    params = np.concatenate((upper, lower))
-    pad = np.isnan(params)[:, None, :]
     term = total = np.repeat([[1.0], [0.0]], cells, axis=1)
     result, errors = total.copy(), {}
     flags = np.zeros((2, cells), bool)
+    q, s = np.empty((2, 2, cells))
     zr, zw = z[0], np.stack([-z[1], z[1]])
     real, pending = zr.any(), limit > 0
     with np.errstate(all="ignore"):
         end = int(limit.max(initial=0))
         for start in range(0, end, _CHUNK):
             ell = np.arange(start, min(start + _CHUNK, end), dtype=float)[:, None]
-            factors = np.where(pad, 1.0, params[:, None, :] + ell)
-            num = np.multiply.reduce(factors[: len(upper)], axis=0, initial=1.0)
-            den = np.multiply.reduce(factors[len(upper) :], axis=0, initial=1.0)
+            ratio, num0, den0 = (x[: len(ell)] for x in ratios(start // _CHUNK))
             sums = np.empty((len(ell) + 1, 2, cells))
             sums[0], terms = total, sums[1:]
-            for r, row, d in zip(num / den, terms, (ell[:, 0] + 1.0).tolist()):
-                q = term[::-1] * r  # term * r with its parts swapped
-                s = q * zw
+            for r, row, d in zip(ratio, terms, (ell[:, 0] + 1.0).tolist()):
+                np.multiply(term[::-1], r, out=q)  # term * r with its parts swapped
+                np.multiply(q, zw, out=s)
                 if real:
                     s += q[::-1] * zr
                 term = np.divide(s, d, out=row)
             sums = np.add.accumulate(sums, axis=0)
-            stop = (num == 0) | (den == 0) | (ell + 1 >= limit)
+            stop = num0 | den0 | (ell + 1 >= limit)
             done, over = np.ones_like(stop), np.zeros_like(stop)  # the limit ends a sum
             bad = pending & ~np.isfinite(sums[-1]).all(axis=0)  # never finite again
             over[:, bad] = ~np.isfinite(sums[1:, :, bad]).all(axis=1)
@@ -365,8 +378,8 @@ def _hyp_sums(upper, lower, z, limit, tail_tol=None) -> list:
             stop |= over
             cols = np.flatnonzero(pending & stop.any(axis=0))
             js = stop[:, cols].argmax(axis=0)
-            ended = num[js, cols] == 0
-            zero = ~ended & (den[js, cols] == 0)
+            ended = num0[js, cols]
+            zero = ~ended & den0[js, cols]
             overflowed = ~ended & ~zero & over[js, cols]
             capped = ~ended & ~zero & ~overflowed & ~done[js, cols]
             result[:, cols] = sums[js + 1 - ended, :, cols].T
@@ -413,9 +426,10 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
     uppers, lowers = _cancel_params(a_params, b_params)
     if not (cmath.isfinite(z) and all(map(math.isfinite, uppers + lowers))):
         raise ValueError("hyp_pfq needs a finite z and finite parameters")
+    upper, lower = (np.array(p, dtype=float).reshape(-1, 1) for p in (uppers, lowers))
     (value,) = _hyp_sums(
-        np.array(uppers, dtype=float).reshape(-1, 1),
-        np.array(lowers, dtype=float).reshape(-1, 1),
+        lower,
+        lambda i: _term_ratios(upper, lower, i * _CHUNK),
         np.array([[z.real], [z.imag]]),
         trunc.max_terms_per_hyp,
         trunc.tail_tol,
@@ -496,7 +510,9 @@ def _cell_table(k_max: int, order_cap: int | None):
     shells [(k, [(l, sign, coefficient, cell)])] and cell span; per cell its
     NaN-padded upper and lower (2, C) parameters left by _cancel_params,
     family (A/B/C as 0/1/2) and term limit (max_ell, -1 without order_cap,
-    0 for A1's k = l = 0 cell, whose value is 1)."""
+    0 for A1's k = l = 0 cell, whose value is 1); and the grow-only memo,
+    shared by threads, of the cells' _term_ratios by chunk index, which
+    _block_sums fills on first use (about 38 KB per chunk at k_max=4)."""
     shells, spans, cells = {}, {}, []
     for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
         shells[block], begin = [], len(cells)
@@ -515,7 +531,7 @@ def _cell_table(k_max: int, order_cap: int | None):
                 cells.append(params[0] + params[1] + ["ABC".index(block[0]), limit])
         spans[block] = (begin, len(cells))
     cols = np.array(cells, dtype=float).reshape(-1, 6).T
-    return shells, spans, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int)
+    return shells, spans, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
 
 
 def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
@@ -527,13 +543,19 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    shells, spans, upper, lower, family, limit = _cell_table(trunc.k_max, order_cap)
+    shells, spans, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
     cut = slice(spans[names[0]][0], spans[names[-1]][1])
+
+    def ratios(i):
+        if i not in memo:
+            memo[i] = _term_ratios(upper, lower, i * _CHUNK)
+        return [x[:, cut] for x in memo[i]]
+
     args = [-1j * families[f][0] * t for f in "ABC"]
     z = np.array([[a.real for a in args], [a.imag for a in args]])[:, family[cut]]
     limit = np.where(limit[cut] < 0, trunc.max_terms_per_hyp, limit[cut])
     tail_tol = trunc.tail_tol if order_cap is None else None
-    sums = [None] * cut.start + _hyp_sums(upper[:, cut], lower[:, cut], z, limit, tail_tol)
+    sums = [None] * cut.start + _hyp_sums(lower[:, cut], ratios, z, limit, tail_tol)
     blocks = {}
     for block in names:
         _, ratio1, ratio2, prefactors = families[block[0]]

@@ -3,7 +3,10 @@ import cmath
 import itertools
 import math
 import random
+import sys as _sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -420,6 +423,87 @@ class TestArrayRecurrence:
             tracemalloc.stop()
         assert values[0] == values[1]
         assert peaks[1] <= peaks[0] + 200_000, peaks
+
+
+def _memo(k_max, order_cap=None):
+    return tm._cell_table(k_max, order_cap)[-1]
+
+
+class TestRatioMemo:
+    """The block table's term ratios, filled chunk by chunk on first use and
+    kept for the life of the table."""
+
+    @pytest.mark.parametrize("times", [(800.0, 0.0, 1.0, 25.0, 200.0), (200.0, 25.0, 1.0, 0.0, 800.0)])
+    def test_chunk_boundaries_on_a_cold_memo(self, times):
+        m = registry("small")
+        tm._cell_table.cache_clear()
+        for k_max, order_cap, t in itertools.product((1, 4, 7), (None, 9, 30), times):
+            trunc = SeriesTruncation(k_max=k_max, tail_tol=1e-12)
+            got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc, order_cap=order_cap)
+            want = _outcome(loop_psi1_infinite, m, t, PSI0, trunc, order_cap=order_cap)
+            assert got == want, (k_max, order_cap, t)
+        # t = 800 runs past four chunks; the resum band (t <= 200) reaches three
+        assert len(_memo(4)) >= 5
+
+    def test_two_threads_match_a_serial_run(self):
+        m = registry("small")
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+        lists = [(800.0, 0.0, 150.0, 25.0, 400.0), (400.0, 1.0, 200.0, 75.0, 800.0)]
+
+        def run(times):
+            return [_outcome(tm.psi1_infinite, m, t, PSI0, trunc) for t in times]
+
+        serial = [run(times) for times in lists]
+        start = threading.Barrier(2, timeout=30)
+
+        def worker(times):
+            start.wait()
+            return run(times)
+
+        interval = _sys.getswitchinterval()
+        _sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                for _ in range(20):  # each round races on a cold memo
+                    tm._cell_table.cache_clear()
+                    futures = [executor.submit(worker, times) for times in lists]
+                    assert [f.result(timeout=120) for f in futures] == serial
+                    # a chunk built twice by a race is still stored under its own index
+                    _, _, upper, lower, *_, memo = tm._cell_table(4, None)
+                    assert sorted(memo) == list(range(len(memo)))
+                    for i, rows in memo.items():
+                        want = tm._term_ratios(upper, lower, i * tm._CHUNK)
+                        assert [x.tobytes() for x in rows] == [x.tobytes() for x in want], i
+        finally:
+            _sys.setswitchinterval(interval)
+
+    def test_ratio_rows_are_built_once_per_table(self, monkeypatch):
+        builds = []
+        build = tm._term_ratios
+
+        def counted(upper, lower, start):
+            builds.append(start)
+            return build(upper, lower, start)
+
+        monkeypatch.setattr(tm, "_term_ratios", counted)
+        m = registry("small")
+        reached = []
+        for cap in (500, 10**7):
+            tm._cell_table.cache_clear()
+            trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=cap)
+            tm.psi1_infinite(m, 150.0, PSI0, trunc)
+            assert sorted(builds) == [i * tm._CHUNK for i in range(len(_memo(4)))]
+            del builds[:]
+            tm.psi1_infinite(m, 150.0, PSI0, trunc)
+            assert builds == []
+            reached.append(sorted(_memo(4)))
+        # a cap of 10**7 terms builds only the chunks the sums reach: at t=150
+        # every cell ends within 64 terms
+        assert reached[0] == reached[1] == [0, 1]
+        # hyp_pfq builds its own ratios on every call
+        for _ in range(2):
+            tm.hyp_pfq([2.0, 5.0], [1.0, 3.0], -10j, TIGHT)
+        assert builds == [0, 32] * 2
 
 
 class TestRefusedInputs:

@@ -21,6 +21,7 @@ ulp or so for a complex one.  A non-finite coefficient raises NonFiniteResult.
 """
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -56,6 +57,9 @@ class PerturbedSystem:
             )
         if not np.all(np.isfinite(omega0)):
             raise ValueError("omega0 contains non-finite entries")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 

@@ -100,16 +100,15 @@ class LaplacianDecomposition:
     """Split L = L0 + LI with a symmetrizable L0 and one-way LI.
 
     ``scaling`` is the positive diagonal similarity vector making L0
-    symmetric (None only if construction skipped it); ``certificate`` is the
-    balance vector it is the square root of, normalized so its smallest
-    component is 1.
+    symmetric; ``certificate`` is the balance vector it is the square root
+    of, normalized so its smallest component is 1.
     """
 
     L: np.ndarray
     L0: np.ndarray
     LI: np.ndarray
-    scaling: np.ndarray | None = None
-    certificate: np.ndarray | None = None
+    scaling: np.ndarray
+    certificate: np.ndarray
 
 
 def laplacian(g: WeightedDigraph) -> np.ndarray:
@@ -353,13 +352,11 @@ def validate_decomposition(dec: LaplacianDecomposition) -> None:
         _check_laplacian(part, name, scale, InvalidDecomposition)
     _check_one_way(dec.LI)
     for name in ("certificate", "scaling"):
-        vec = getattr(dec, name)
-        if vec is not None and not np.all(np.isfinite(vec)):
+        if not np.all(np.isfinite(getattr(dec, name))):
             raise InvalidDecomposition(f"{name} vector has non-finite entries")
-    if dec.scaling is not None:
-        s = np.asarray(dec.scaling, dtype=float)
-        if not np.all(s > 0):
-            raise InvalidDecomposition("scaling vector must be positive")
-        conj = s[:, None] * dec.L0 * (1.0 / s)
-        if not float(np.abs(conj - conj.T).max(initial=0.0)) <= CERTIFICATE_TOL * scale:
-            raise InvalidDecomposition("scaling does not symmetrize L0")
+    s = np.asarray(dec.scaling, dtype=float)
+    if not np.all(s > 0):
+        raise InvalidDecomposition("scaling vector must be positive")
+    conj = s[:, None] * dec.L0 * (1.0 / s)
+    if not float(np.abs(conj - conj.T).max(initial=0.0)) <= CERTIFICATE_TOL * scale:
+        raise InvalidDecomposition("scaling does not symmetrize L0")

@@ -30,11 +30,12 @@ X -> Y -> Z -> X), exposed as cyclic_view.  All denominators assume
 pairwise-distinct effective frequencies; degenerate models are refused
 rather than regularized.
 
-Every 2F2 of a call is a cell of a table built once per (k_max, order_cap),
-and one array recurrence steps all cells together in one pass; each sum it
-returns is bitwise that of summing its cell alone.  A non-finite t (or z or
-parameter of hyp_pfq) raises ValueError, and a 2F2 term or partial sum, a
-block total or a psi_1 that is not finite raises NonFiniteResult.
+Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
+array recurrence steps all cells together in one pass, for one block or
+all nine; each sum it returns is bitwise that of summing its cell alone.  A
+non-finite t (or z or parameter of hyp_pfq) raises ValueError, and a 2F2
+term or partial sum, a block total or a psi_1 that is not finite raises
+NonFiniteResult.
 """
 from __future__ import annotations
 
@@ -86,11 +87,14 @@ class ThreeModeModel:
             if not all(math.isfinite(x) for x in vals):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vals)
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
     def at_epsilon(self, epsilon: float) -> "ThreeModeModel":
-        return replace(self, epsilon=float(epsilon))
+        return replace(self, epsilon=epsilon)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,10 +115,7 @@ class ThreeModeModel:
         """
         if not (isinstance(data, dict) and {"omega", "a", "d"} <= data.keys()):
             raise ValueError('model JSON must be an object with keys "omega", "a" and "d"')
-        epsilon = data.get("epsilon", 0.0)
-        if not isinstance(epsilon, (int, float)):
-            raise ValueError(f"model epsilon must be a number, got {epsilon!r}")
-        return cls(omega=data["omega"], a=data["a"], d=data["d"], epsilon=float(epsilon))
+        return cls(omega=data["omega"], a=data["a"], d=data["d"], epsilon=data.get("epsilon", 0.0))
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ class SeriesTruncation:
     fall below tail_tol relative to the partial sum, or below 1e-300);
     max_terms_per_hyp caps the inner summation length.  k_max and
     max_terms_per_hyp must be integers >= 1 and tail_tol a finite positive
-    number; anything else raises ValueError.
+    number (a bool is neither); anything else raises ValueError.
     """
 
     k_max: int = 4
@@ -148,7 +149,8 @@ class SeriesTruncation:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         tol = self.tail_tol
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol > 0):
             raise ValueError(f"tail_tol must be a finite positive number, got {tol!r}")
 
 
@@ -293,9 +295,11 @@ def neg_binomial(n: int, k: int) -> int:
     n < 0 the nonzero regions are k >= 0, where
     C(n, k) = (-1)^k C(k - n - 1, k), and k <= n, where
     C(n, k) = (-1)^(n-k) C(-k - 1, n - k); everything else is zero.
+    A non-integral n or k raises ValueError.
     """
-    n = int(n)
-    k = int(k)
+    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise ValueError(f"neg_binomial needs integral n and k, got {n!r}, {k!r}")
+    n, k = int(n), int(k)
     if n >= 0:
         if 0 <= k <= n:
             return math.comb(n, k)
@@ -324,17 +328,18 @@ def _term_ratios(upper, lower, start: int):
         return num / den, num == 0, den == 0
 
 
-def _hyp_sums(lower, ratios, z, limit, tail_tol=None) -> list:
+def _hyp_sums(upper, lower, memo, z, limit, tail_tol=None) -> list:
     """Sums of many hypergeometric series, one array step per term index.
 
-    Column c of z (2, C) holds cell c's argument and of lower (q, C) its
-    NaN-padded lower parameters; ratios(i) gives _term_ratios' rows for
-    chunk i (ell from i * _CHUNK) of these cells: the block table's memo,
-    computed once per (k_max, order_cap) per process, or for hyp_pfq afresh
-    on each call.  Term ell+1 is term ell * (num / den) * z / (ell + 1), and
-    every returned sum and .partial is bitwise the scalar loop's in Python
-    complex arithmetic (.last_term is equal in value; the sign of a zero
-    part may differ).  A cell stops before term ell+1 when num is zero,
+    Column c of z (2, C) holds cell c's argument and of upper (p, C) and
+    lower (q, C) its NaN-padded parameters.  memo maps chunk index i to
+    _term_ratios(upper, lower, i * _CHUNK) and is filled here on first use
+    of a chunk: the block table's memo lives as long as its table, hyp_pfq
+    passes a fresh one per call.  Term ell+1 is
+    term ell * (num / den) * z / (ell + 1), and every returned sum and
+    .partial is bitwise the scalar loop's in Python complex arithmetic
+    (.last_term is equal in value; the sign of a zero part may differ).
+    A cell stops before term ell+1 when num is zero,
     after term `limit`, and with tail_tol after three consecutive terms
     below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached:
@@ -352,9 +357,11 @@ def _hyp_sums(lower, ratios, z, limit, tail_tol=None) -> list:
     real, pending = zr.any(), limit > 0
     with np.errstate(all="ignore"):
         end = int(limit.max(initial=0))
-        for start in range(0, end, _CHUNK):
+        for i, start in enumerate(range(0, end, _CHUNK)):
             ell = np.arange(start, min(start + _CHUNK, end), dtype=float)[:, None]
-            ratio, num0, den0 = (x[: len(ell)] for x in ratios(start // _CHUNK))
+            if i not in memo:
+                memo[i] = _term_ratios(upper, lower, start)
+            ratio, num0, den0 = (x[: len(ell)] for x in memo[i])
             sums = np.empty((len(ell) + 1, 2, cells))
             sums[0], terms = total, sums[1:]
             for r, row, d in zip(ratio, terms, (ell[:, 0] + 1.0).tolist()):
@@ -427,13 +434,8 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
     if not (cmath.isfinite(z) and all(map(math.isfinite, uppers + lowers))):
         raise ValueError("hyp_pfq needs a finite z and finite parameters")
     upper, lower = (np.array(p, dtype=float).reshape(-1, 1) for p in (uppers, lowers))
-    (value,) = _hyp_sums(
-        lower,
-        lambda i: _term_ratios(upper, lower, i * _CHUNK),
-        np.array([[z.real], [z.imag]]),
-        trunc.max_terms_per_hyp,
-        trunc.tail_tol,
-    )
+    zs = np.array([[z.real], [z.imag]])
+    (value,) = _hyp_sums(upper, lower, {}, zs, trunc.max_terms_per_hyp, trunc.tail_tol)
     if not isinstance(value, complex):
         raise value
     return value
@@ -507,15 +509,16 @@ def _block_geometry(m: ThreeModeModel):
 @lru_cache(maxsize=16)
 def _cell_table(k_max: int, order_cap: int | None):
     """The cells of the nine blocks, for any model and t: per block its
-    shells [(k, [(l, sign, coefficient, cell)])] and cell span; per cell its
-    NaN-padded upper and lower (2, C) parameters left by _cancel_params,
-    family (A/B/C as 0/1/2) and term limit (max_ell, -1 without order_cap,
-    0 for A1's k = l = 0 cell, whose value is 1); and the grow-only memo,
-    shared by threads, of the cells' _term_ratios by chunk index, which
-    _block_sums fills on first use (about 38 KB per chunk at k_max=4)."""
-    shells, spans, cells = {}, {}, []
+    shells [(k, [(l, sign, coefficient, cell)])]; per cell its NaN-padded
+    upper and lower (2, C) parameters left by _cancel_params, family (A/B/C
+    as 0/1/2) and term limit (max_ell, -1 without order_cap); and the
+    grow-only memo, shared by threads, of the cells' _term_ratios by chunk
+    index, which _hyp_sums fills on first use (about 38 KB per chunk at
+    k_max=4, where the table holds 120 cells).  Every cell is a 2F2 like
+    any other: A1's, A3's and A2's k = 0 cells cancel to 0F0 = e^z."""
+    shells, cells = {}, []
     for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
-        shells[block], begin = [], len(cells)
+        shells[block] = []
         for k in range(first, k_max + 1):
             max_ell = -1 if order_cap is None else (order_cap - offset - 3 * k) // 3
             if order_cap is not None and max_ell < 0:
@@ -527,40 +530,30 @@ def _cell_table(k_max: int, order_cap: int | None):
                 row.append((l, (-1) ** (sk * k + l + s0), coeff, len(cells)))
                 params = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
                 params = [p + [math.nan] * (2 - len(p)) for p in params]
-                limit = 0 if block == "A1" and k == 0 else max_ell
-                cells.append(params[0] + params[1] + ["ABC".index(block[0]), limit])
-        spans[block] = (begin, len(cells))
+                cells.append(params[0] + params[1] + ["ABC".index(block[0]), max_ell])
     cols = np.array(cells, dtype=float).reshape(-1, 6).T
-    return shells, spans, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
+    return shells, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
 
 
 def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
-    """series_block for consecutive BLOCK_NAMES on a _block_geometry family
-    map, from one _hyp_sums pass over their cells.  Each block raises the
+    """series_block for each of names on a _block_geometry family map, from
+    one _hyp_sums pass over every cell of the table.  Each block raises the
     refusal of its first failing cell in (k, l) order, then NonFiniteResult
     for a total that is not finite, then its TruncationNotConverged, before
-    the next block is summed.
+    the next block is totalled.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    shells, spans, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
-    cut = slice(spans[names[0]][0], spans[names[-1]][1])
-
-    def ratios(i):
-        if i not in memo:
-            memo[i] = _term_ratios(upper, lower, i * _CHUNK)
-        return [x[:, cut] for x in memo[i]]
-
+    shells, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
     args = [-1j * families[f][0] * t for f in "ABC"]
-    z = np.array([[a.real for a in args], [a.imag for a in args]])[:, family[cut]]
-    limit = np.where(limit[cut] < 0, trunc.max_terms_per_hyp, limit[cut])
+    z = np.array([[a.real for a in args], [a.imag for a in args]])[:, family]
+    limit = np.where(limit < 0, trunc.max_terms_per_hyp, limit)
     tail_tol = trunc.tail_tol if order_cap is None else None
-    sums = [None] * cut.start + _hyp_sums(lower[:, cut], ratios, z, limit, tail_tol)
+    sums = _hyp_sums(upper, lower, memo, z, limit, tail_tol)
     blocks = {}
     for block in names:
         _, ratio1, ratio2, prefactors = families[block[0]]
         prefactor = prefactors[_BLOCKS[block][-1]]
-        arg = args["ABC".index(block[0])]
         total = 0.0 + 0.0j
         last_shell = 0.0
         for k, cells in shells[block]:
@@ -572,16 +565,6 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
                 shell += weight * sums[cell]
             total += shell
             last_shell = abs(shell)
-        if block == "A1":
-            if order_cap is None:
-                total += cmath.exp(arg) - 1.0
-            else:
-                closure = 0.0 + 0.0j
-                argpow = 1.0 + 0.0j
-                for power in range(1, order_cap // 3 + 1):
-                    argpow *= arg / power
-                    closure += argpow
-                total += closure
         if not cmath.isfinite(total):
             raise NonFiniteResult(f"block {block} at t={t!r} is not finite: {total}")
         if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
@@ -603,8 +586,8 @@ def series_block(
 ) -> complex:
     """One of the nine infinite-sum blocks, truncated at trunc.k_max shells.
 
-    A1 carries its series closure exp(-1j*X*t) - 1 in place of the
-    ill-defined k = l = 0 hypergeometric cell (whose value is taken as 1).
+    The cells of all nine blocks are summed in one pass, as for
+    psi1_infinite, and only this block's are totalled.
 
     With order_cap set, every inner series is additionally cut so that no
     retained term exceeds total expansion order eps^order_cap; the block

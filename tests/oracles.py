@@ -676,9 +676,6 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
         shell = 0.0 + 0.0j
         l_stop = k - 1 if spec["l_excludes_k"] else k
         for l in range(0, l_stop + 1):
-            if block == "A1" and k == 0:
-                shell += 1.0
-                continue
             (b1t, b1b), (b2t, b2b) = spec["binoms"](k, l)
             coeff = threemode.neg_binomial(b1t, b1b) * threemode.neg_binomial(b2t, b2b)
             if coeff == 0:
@@ -695,16 +692,6 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
             shell += cell
         total += shell
         last_shell = abs(shell)
-    if block == "A1":
-        if order_cap is None:
-            total += cmath.exp(z) - 1.0
-        else:
-            closure = 0.0 + 0.0j
-            zpow = 1.0 + 0.0j
-            for power in range(1, order_cap // 3 + 1):
-                zpow *= z / power
-                closure += zpow
-            total += closure
     if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
         raise TruncationNotConverged(
             f"block {block}: shell k={trunc.k_max} still contributes "

@@ -550,6 +550,7 @@ class TestXyzAndTerm:
         '{"omega": 9, "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, null], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025], "epsilon": null}',
+        '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025], "epsilon": true}',
         '{"omega": [9, 6, 0], "a": [1, 2], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, 0], "a": [1, 2, NaN], "d": [1.5, 1.6, 0.025]}',
     ])

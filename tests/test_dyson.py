@@ -448,6 +448,13 @@ class TestPerturbedSystem:
         with pytest.raises(ValueError, match="^omega0 contains non-finite entries$"):
             PerturbedSystem(omega0=(1.0, float("nan")), omegaI=np.zeros((2, 2)), epsilon=0.5)
 
+    def test_epsilon_is_stored_as_a_float(self):
+        sys = PerturbedSystem(omega0=(1.0, 2.0), omegaI=np.ones((2, 2)), epsilon=np.float32(0.3))
+        assert type(sys.epsilon) is float and sys.epsilon == float(np.float32(0.3))
+        for eps in ("0.5", True):
+            with pytest.raises(ValueError, match="epsilon must be a real number"):
+                PerturbedSystem(omega0=(1.0, 2.0), omegaI=np.ones((2, 2)), epsilon=eps)
+
     def test_full_matrix(self):
         sys = small_system()
         full = sys.full_matrix()

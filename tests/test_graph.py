@@ -313,7 +313,10 @@ def _shifted(dec, **moves):
 
 def _two_way_li():
     ring = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return graph.LaplacianDecomposition(L=ring, L0=np.zeros((2, 2)), LI=ring)
+    ones = np.ones(2)
+    return graph.LaplacianDecomposition(
+        L=ring, L0=np.zeros((2, 2)), LI=ring, scaling=ones, certificate=ones
+    )
 
 
 def _off_by_row_sum_li():

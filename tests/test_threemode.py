@@ -1,6 +1,7 @@
 """Tests for the cyclic 3-mode model, closed forms, and series blocks."""
 import cmath
 import itertools
+import json
 import math
 import random
 import sys as _sys
@@ -167,6 +168,11 @@ class TestNegBinomial:
                     continue  # the 0-origin is the convention's split point
                 assert tm.neg_binomial(n, k) == tm.neg_binomial(n - 1, k) + tm.neg_binomial(n - 1, k - 1), (n, k)
 
+    def test_non_integral_arguments_are_refused(self):
+        for n, k in ((2.5, 1), (2, 0.5)):
+            with pytest.raises(ValueError, match="integral n and k"):
+                tm.neg_binomial(n, k)
+
 
 class TestHypergeometric:
     def test_unit_at_zero(self):
@@ -245,6 +251,36 @@ class TestSeriesBlocks:
         for n in range(1, 22):
             gap = sums[n] - sums[n - 1] - m.epsilon**n * orders[n][0]
             assert abs(gap) <= 1e-13 * max(abs(sums[n]), abs(sums[n - 1])), n
+
+    def test_a1_against_its_former_closure(self):
+        # A1's k = l = 0 cell is 2F2(0, 0; 0, 0; z) = e^z, summed term by term
+        # like every cell; the reference swaps it back for 1 plus the closure
+        # exp(z) - 1, or its Taylor polynomial through order_cap // 3
+        def closed(m, t, trunc, order_cap=None):
+            z = -1j * tm.xyz(m).X * t
+            max_ell = None if order_cap is None else order_cap // 3
+            total = loop_series_block(m, "A1", t, trunc, order_cap=order_cap)
+            total -= loop_hyp_series([], [], z, trunc, max_ell=max_ell)
+            if order_cap is None:
+                return total + 1.0 + (cmath.exp(z) - 1.0)
+            closure, zpow = 0.0 + 0.0j, 1.0 + 0.0j
+            for power in range(1, max_ell + 1):
+                zpow *= z / power
+                closure += zpow
+            return total + 1.0 + closure
+
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+        rng = random.Random(19)
+        small = registry("small")
+        for t in [0.0, 200.0] + [rng.uniform(0.0, 200.0) for _ in range(20)]:
+            want = closed(small, t, trunc)
+            assert abs(tm.series_block(small, "A1", t, trunc) - want) <= 1e-10 * abs(want), t
+        grid = itertools.product(("s", "m", "l"), (0, 3, 9, 30), (0.0, 0.25, 0.5, 1.0))
+        for mid, order_cap, t in grid:
+            m = registry(mid)
+            want = closed(m, t, trunc, order_cap)
+            got = tm.series_block(m, "A1", t, trunc, order_cap=order_cap)
+            assert abs(got - want) <= 4 * 2.0**-52 * max(abs(want), 1.0), (mid, order_cap, t)
 
     def test_truncation_not_converged_surfaces(self):
         with pytest.raises(TruncationNotConverged):
@@ -469,13 +505,32 @@ class TestRatioMemo:
                     futures = [executor.submit(worker, times) for times in lists]
                     assert [f.result(timeout=120) for f in futures] == serial
                     # a chunk built twice by a race is still stored under its own index
-                    _, _, upper, lower, *_, memo = tm._cell_table(4, None)
+                    _, upper, lower, *_, memo = tm._cell_table(4, None)
                     assert sorted(memo) == list(range(len(memo)))
                     for i, rows in memo.items():
                         want = tm._term_ratios(upper, lower, i * tm._CHUNK)
                         assert [x.tobytes() for x in rows] == [x.tobytes() for x in want], i
         finally:
             _sys.setswitchinterval(interval)
+
+    def test_no_extra_chunk_steps(self, monkeypatch):
+        # every array step of _hyp_sums reads one chunk of the memo; A1's e^z
+        # cell ends with A3's, which has the same argument, so it adds none.
+        # 129 is the count before that cell joined the table
+        class Counting(dict):
+            reads = 0
+
+            def __getitem__(self, i):
+                Counting.reads += 1
+                return super().__getitem__(i)
+
+        table = (*tm._cell_table(4, None)[:-1], Counting())
+        monkeypatch.setattr(tm, "_cell_table", lambda k_max, order_cap: table)
+        m = registry("small")
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+        for i in range(64):
+            tm.psi1_infinite(m, 200.0 * (i + 0.5) / 64, PSI0, trunc)
+        assert 0 < Counting.reads <= 129
 
     def test_ratio_rows_are_built_once_per_table(self, monkeypatch):
         builds = []
@@ -568,6 +623,7 @@ class TestRefusedInputs:
             dict(tail_tol=0.0),
             dict(tail_tol=-1e-12),
             dict(tail_tol="1e-12"),
+            dict(tail_tol=True),
         ],
     )
     def test_bad_truncation(self, kwargs):
@@ -640,3 +696,21 @@ class TestModelValidation:
         m = registry("s").at_epsilon(0.4)
         again = ThreeModeModel.from_json_dict(m.to_json_dict())
         assert again == m
+
+    def test_epsilon_is_stored_as_a_float(self):
+        # a float32 epsilon is the float model of the same value, bit for bit
+        narrow = registry("s", epsilon=np.float32(0.3))
+        wide = registry("s", epsilon=float(np.float32(0.3)))
+        assert type(narrow.epsilon) is float and narrow == wide
+        assert tm.xyz(narrow) == tm.xyz(wide)
+        trunc = SeriesTruncation(k_max=4)
+        assert _bits(tm.psi1_infinite(narrow, 1.0, [1, 0, 0], trunc)) == _bits(
+            tm.psi1_infinite(wide, 1.0, [1, 0, 0], trunc)
+        )
+        assert ThreeModeModel.from_json_dict(json.loads(json.dumps(narrow.to_json_dict()))) == wide
+
+    @pytest.mark.parametrize("eps", ["0.5", True, None, 0.5j])
+    def test_epsilon_must_be_a_real_number(self, eps):
+        for make in (lambda: registry("s", epsilon=eps), lambda: registry("s").at_epsilon(eps)):
+            with pytest.raises(ValueError, match="epsilon must be a real number"):
+                make()

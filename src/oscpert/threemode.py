@@ -31,8 +31,8 @@ pairwise-distinct effective frequencies; degenerate models are refused
 rather than regularized.
 
 Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
-array recurrence steps all cells together in one pass, for one block or
-all nine; each sum it returns is bitwise that of summing its cell alone.  A
+array recurrence steps its distinct series together in one pass, for one
+block or all nine; each cell's sum is bitwise that of summing it alone.  A
 non-finite t (or z or parameter of hyp_pfq) raises ValueError, and a 2F2
 term or partial sum, a block total or a psi_1 that is not finite raises
 NonFiniteResult.
@@ -79,9 +79,12 @@ class ThreeModeModel:
     def __post_init__(self):
         for name in ("omega", "a", "d"):
             try:
-                vals = tuple(float(x) for x in getattr(self, name))
+                vals = tuple(getattr(self, name))
+                if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in vals):
+                    raise TypeError(f"got {vals!r}")
+                vals = tuple(map(float, vals))
             except (TypeError, OverflowError) as exc:
-                raise ValueError(f"{name} must be a sequence of numbers: {exc}") from exc
+                raise ValueError(f"{name} must be a sequence of real numbers: {exc}") from exc
             if len(vals) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
             if not all(math.isfinite(x) for x in vals):
@@ -442,8 +445,7 @@ def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
 
 
 def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
-    uppers = [float(a) for a in a_params]
-    lowers = [float(b) for b in b_params]
+    uppers, lowers = ([float(p) for p in params] for params in (a_params, b_params))
     for a in list(uppers):
         if a in lowers:
             uppers.remove(a)
@@ -509,14 +511,14 @@ def _block_geometry(m: ThreeModeModel):
 @lru_cache(maxsize=16)
 def _cell_table(k_max: int, order_cap: int | None):
     """The cells of the nine blocks, for any model and t: per block its
-    shells [(k, [(l, sign, coefficient, cell)])]; per cell its NaN-padded
-    upper and lower (2, C) parameters left by _cancel_params, family (A/B/C
-    as 0/1/2) and term limit (max_ell, -1 without order_cap); and the
-    grow-only memo, shared by threads, of the cells' _term_ratios by chunk
-    index, which _hyp_sums fills on first use (about 38 KB per chunk at
-    k_max=4, where the table holds 120 cells).  Every cell is a 2F2 like
-    any other: A1's, A3's and A2's k = 0 cells cancel to 0F0 = e^z."""
-    shells, cells = {}, []
+    shells [(k, [(l, sign, coefficient, column)])]; per column, one series
+    in first-occurrence order, its NaN-padded upper and lower (2, C)
+    parameters left by _cancel_params, family (A/B/C as 0/1/2) and term
+    limit (max_ell, -1 without order_cap), which cells equal in all three
+    share (A1's, A3's and A2's k = 0 cells all cancel to e^z; at k_max=4 the
+    120 cells are 64 columns); and the grow-only memo, shared by threads, of
+    the columns' _term_ratios by chunk index, filled by _hyp_sums on first use."""
+    shells, columns = {}, {}
     for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
         shells[block] = []
         for k in range(first, k_max + 1):
@@ -527,21 +529,20 @@ def _cell_table(k_max: int, order_cap: int | None):
             shells[block].append((k, row))
             for l in range(0, k - first + 1):
                 coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
-                row.append((l, (-1) ** (sk * k + l + s0), coeff, len(cells)))
                 params = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
-                params = [p + [math.nan] * (2 - len(p)) for p in params]
-                cells.append(params[0] + params[1] + ["ABC".index(block[0]), max_ell])
-    cols = np.array(cells, dtype=float).reshape(-1, 6).T
+                up, lo = (p + [None] * (2 - len(p)) for p in params)  # None == None; NaN != NaN
+                column = columns.setdefault((*up, *lo, "ABC".index(block[0]), max_ell), len(columns))
+                row.append((l, (-1) ** (sk * k + l + s0), coeff, column))
+    cols = np.array(list(columns), dtype=float).reshape(-1, 6).T
     return shells, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
 
 
 def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
     """series_block for each of names on a _block_geometry family map, from
-    one _hyp_sums pass over every cell of the table.  Each block raises the
-    refusal of its first failing cell in (k, l) order, then NonFiniteResult
-    for a total that is not finite, then its TruncationNotConverged, before
-    the next block is totalled.
-    """
+    one _hyp_sums pass over the table's columns, each cell reading the sum of
+    its column.  Each block raises the refusal of its first failing cell in
+    (k, l) order, then NonFiniteResult for a total that is not finite, then
+    its TruncationNotConverged, before the next block is totalled."""
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     shells, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
@@ -554,15 +555,14 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     for block in names:
         _, ratio1, ratio2, prefactors = families[block[0]]
         prefactor = prefactors[_BLOCKS[block][-1]]
-        total = 0.0 + 0.0j
-        last_shell = 0.0
+        total, last_shell = 0.0 + 0.0j, 0.0
         for k, cells in shells[block]:
             shell = 0.0 + 0.0j
-            for l, sign, coeff, cell in cells:
+            for l, sign, coeff, column in cells:
                 weight = sign * prefactor * ratio1**k * ratio2**l * coeff
-                if not isinstance(sums[cell], complex):
-                    raise sums[cell]
-                shell += weight * sums[cell]
+                if not isinstance(sums[column], complex):
+                    raise sums[column]
+                shell += weight * sums[column]
             total += shell
             last_shell = abs(shell)
         if not cmath.isfinite(total):

@@ -553,12 +553,32 @@ class TestXyzAndTerm:
         '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025], "epsilon": true}',
         '{"omega": [9, 6, 0], "a": [1, 2], "d": [1.5, 1.6, 0.025]}',
         '{"omega": [9, 6, 0], "a": [1, 2, NaN], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": ["9", true, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": [9, 6, 0], "a": [1, true, 1], "d": [1.5, 1.6, 0.025]}',
+        '{"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, "1.6", 0.025]}',
     ])
     def test_malformed_model_is_usage_error(self, tmp_path, capsys, text):
         model_file = tmp_path / "model.json"
         model_file.write_text(text)
         assert run("xyz", "--model", f"@{model_file}") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("verb, extra", [
+        ("xyz", ()),
+        ("sweep", ("--steps", "3", "--out", "{out}")),
+        ("term", ("--order", "1", "--t", "0.5")),
+    ])
+    def test_non_real_model_entry_is_refused(self, tmp_path, capsys, verb, extra):
+        # a string or a bool entry used to be read as float("9") or float(True)
+        model_file = tmp_path / "model.json"
+        model_file.write_text('{"omega": ["9", true, 0], "a": [1, 2, 1], "d": [1.5, 1.6, 0.025]}')
+        out = tmp_path / "out.csv"
+        assert run(verb, "--model", f"@{model_file}", *(x.format(out=out) for x in extra)) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: omega must be a sequence of real numbers")
+        assert captured.err.count("\n") == 1
 
     def test_overflowing_coupling_ratios_are_refused(self, tmp_path, capsys):
         # a1*a2*a3 = 1e600: the ratios are infinite, which JSON cannot hold

@@ -515,7 +515,7 @@ class TestRatioMemo:
 
     def test_no_extra_chunk_steps(self, monkeypatch):
         # every array step of _hyp_sums reads one chunk of the memo; A1's e^z
-        # cell ends with A3's, which has the same argument, so it adds none.
+        # cell is the column of A3's and A2's, so it adds none.
         # 129 is the count before that cell joined the table
         class Counting(dict):
             reads = 0
@@ -559,6 +559,75 @@ class TestRatioMemo:
         for _ in range(2):
             tm.hyp_pfq([2.0, 5.0], [1.0, 3.0], -10j, TIGHT)
         assert builds == [0, 32] * 2
+
+
+def _series(k_max, order_cap):
+    """Per block, the (k, l) cells of the table with each cell's parameters
+    left by _cancel_params, family and term limit, rebuilt from _BLOCKS."""
+    blocks = {}
+    for name, (*_, u1, u2, v1, v2, first, offset) in tm._BLOCKS.items():
+        cells = blocks[name] = []
+        for k in range(first, k_max + 1):
+            limit = -1 if order_cap is None else (order_cap - offset - 3 * k) // 3
+            if order_cap is not None and limit < 0:
+                continue
+            for l in range(k - first + 1):
+                params = tm._cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
+                cells.append(((k, l), (*params, "ABC".index(name[0]), limit)))
+    return blocks
+
+
+class TestDistinctSeries:
+    """The block table sums each distinct series once: cells with the same
+    cancelled parameters, family and term limit read one column."""
+
+    @pytest.mark.parametrize("order_cap", [None, 9, 30])
+    @pytest.mark.parametrize("k_max", range(1, 8))
+    def test_each_cell_reads_its_own_series(self, k_max, order_cap):
+        shells, upper, lower, family, limit, _ = tm._cell_table(k_max, order_cap)
+        columns = []
+        for c in range(upper.shape[1]):
+            up, lo = ([p for p in x[:, c].tolist() if p == p] for x in (upper, lower))  # no NaN pad
+            columns.append((up, lo, int(family[c]), int(limit[c])))
+        assert len(set(map(repr, columns))) == len(columns)  # no two columns alike
+        read = set()
+        for name, cells in _series(k_max, order_cap).items():
+            table = [((k, l), c) for k, row in shells[name] for l, _, _, c in row]
+            assert [kl for kl, _ in table] == [kl for kl, _ in cells], name
+            for ((k, l), c), (_, want) in zip(table, cells):
+                assert columns[c] == want, (name, k, l)
+                read.add(c)
+        assert read == set(range(len(columns)))  # every column is some cell's
+
+    @pytest.mark.parametrize(
+        "k_max, order_cap, cells, columns", [(4, None, 120, 64), (3, 9, 55, 29), (7, None, 300, 199)]
+    )
+    def test_column_counts(self, k_max, order_cap, cells, columns):
+        shells, upper, *_ = tm._cell_table(k_max, order_cap)
+        assert sum(len(row) for rows in shells.values() for _, row in rows) == cells
+        assert upper.shape[1] == columns
+
+    def test_memo_chunks_hold_one_column_per_series(self):
+        tm.psi1_infinite(registry("small"), 150.0, PSI0, SeriesTruncation(k_max=4))
+        assert _memo(4)
+        for chunk in _memo(4).values():
+            assert [x.shape for x in chunk] == [(tm._CHUNK, 64)] * 3
+
+    def test_a_shared_series_refuses_like_each_of_its_cells(self):
+        # at t=25 on `small` a cap of 20 terms stops the e^z series that A1,
+        # A3 and A2 open with, and some C cells, but sums every B cell: each
+        # block and psi_1 refuse, or sum, as the loop over their own cells does
+        m = registry("small")
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=20)
+        with pytest.raises(MaxTermsExceeded):
+            loop_hyp_series([], [], -1j * tm.xyz(m).X * 25.0, trunc)
+        got = {name: _outcome(tm.series_block, m, name, 25.0, trunc) for name in tm.BLOCK_NAMES}
+        for name in tm.BLOCK_NAMES:
+            assert got[name] == _outcome(loop_series_block, m, name, 25.0, trunc), name
+        psi1 = _outcome(tm.psi1_infinite, m, 25.0, PSI0, trunc)
+        assert psi1 == _outcome(loop_psi1_infinite, m, 25.0, PSI0, trunc)
+        assert psi1[0] == "MaxTermsExceeded" and psi1 == got["A1"] == got["A3"] == got["A2"]
+        assert {got[name][0] for name in ("B1", "B3", "B2")} == {"value"}
 
 
 class TestRefusedInputs:
@@ -714,3 +783,23 @@ class TestModelValidation:
         for make in (lambda: registry("s", epsilon=eps), lambda: registry("s").at_epsilon(eps)):
             with pytest.raises(ValueError, match="epsilon must be a real number"):
                 make()
+
+    @pytest.mark.parametrize("entry", ["9", True, np.True_, None, 0.5j, [1.0]])
+    @pytest.mark.parametrize("name", ["omega", "a", "d"])
+    def test_entries_must_be_real_numbers(self, name, entry):
+        fields = {"omega": [9, 6, 0], "a": [1, 2, 1], "d": [0.5, 0.2, 0.1]}
+        fields[name][1] = entry
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of real numbers"):
+            ThreeModeModel(epsilon=0.5, **fields)
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of real numbers"):
+            ThreeModeModel.from_json_dict(fields)
+
+    def test_numpy_and_integer_entries_are_accepted(self):
+        m = ThreeModeModel(
+            omega=[np.float64(9.0), np.int64(6), 0],
+            a=(np.float32(1.0), 2, np.int32(1)),
+            d=np.array([0.5, 0.2, 0.1]),
+            epsilon=0.5,
+        )
+        assert all(type(x) is float for x in m.omega + m.a + m.d)
+        assert m == ThreeModeModel(omega=(9.0, 6.0, 0.0), a=(1.0, 2.0, 1.0), d=(0.5, 0.2, 0.1), epsilon=0.5)

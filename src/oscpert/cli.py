@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 verification/validation failure, 2 usage or I/O
 error.  Output is byte-deterministic for a fixed invocation: the sweep CSV
 prints floats with 17 significant digits in a fixed row order, and the
 decompose JSON is exactly json.dumps(..., sort_keys=True, indent=2) of the
-nested lists, so floats take their shortest round-trip form.
+nested lists (floats in their shortest round-trip form), built in full
+before any of it is written, so a refused decomposition writes nothing.
 
 `verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
 one PASS/FAIL line per row: the quick rows always, the full rows at --depth
@@ -240,42 +241,41 @@ def _cmd_verify(args) -> int:
     return 0 if all(results) else 1
 
 
-def _decomposition_json(arrays: dict) -> str:
+def _decomposition_parts(arrays: dict) -> list[str]:
     """json.dumps(nested lists, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    of a dict of float64 arrays.
+    of a dict of 1-D and 2-D float64 arrays, as one str part per array.
 
-    The json module falls back to its pure-Python encoder whenever `indent`
-    is set, and most entries are zeros or repeats: so +0.0 is written as
-    "0.0", float.__repr__ runs once per distinct non-zero bit pattern (bits,
-    so -0.0 keeps its sign) across all arrays, and each array's words are
-    picked from that table by index and joined.
+    Every array is checked for non-finite entries before any text is built.
+    json.dumps with an indent formats entry by entry in Python; most entries
+    are zeros, so here each array is one join over its breakpoints only: the
+    entries whose bits are non-zero (-0.0 keeps its sign) and the row ends.
+    Each breakpoint's word (float.__repr__ runs once per distinct bit pattern
+    across all arrays) is followed by one joint: its separator (within a row
+    or between rows) and the run of "0.0" lines before the next breakpoint.
     """
     keys = sorted(arrays)
     for key in keys:
         if not np.isfinite(arrays[key]).all():
             raise ValueError(f"Out of range float values are not JSON compliant in {key}")
-    bits = [arrays[key].reshape(-1).view(np.int64) for key in keys]
-    where = [np.flatnonzero(b) for b in bits]
-    table, index = np.unique(np.concatenate([b[w] for b, w in zip(bits, where)]), return_inverse=True)
-    words = np.array(["0.0", *map(float.__repr__, table.view(np.float64).tolist())], dtype=object)
-    fields = []
-    for key, w, idx in zip(keys, where, np.split(index + 1, np.cumsum([len(w) for w in where])[:-1])):
-        word_index = np.zeros(arrays[key].shape, np.intp)
-        word_index.flat[w] = idx
-        head = ("" if fields else "{\n") + f'  "{key}": '
-        fields.append(_json_array(words[word_index].tolist(), "  ", head))
-    fields[-1] += "\n}\n"
-    return ",\n".join(fields)
-
-
-def _json_array(items: list, indent: str, head: str = "") -> str:
-    """head + JSON array of nested lists of words, brackets put on the end items."""
-    inner = indent + "  "
-    if isinstance(items[0], list):
-        items = [_json_array(row, inner) for row in items]
-    items[0] = head + "[\n" + inner + items[0]
-    items[-1] += "\n" + indent + "]"
-    return (",\n" + inner).join(items)
+    rows = [arrays[key].reshape(-1, arrays[key].shape[-1]).view(np.int64) for key in keys]
+    cuts = [np.flatnonzero((r != 0) | (np.arange(r.shape[1]) == r.shape[1] - 1)) for r in rows]
+    table, index = np.unique(np.concatenate([r.reshape(-1)[c] for r, c in zip(rows, cuts)]), return_inverse=True)
+    words = np.array(list(map(float.__repr__, table.view(np.float64).tolist())), dtype=object)
+    parts = []
+    for key, r, cut, idx in zip(keys, rows, cuts, np.split(index, np.cumsum([len(c) for c in cuts])[:-1])):
+        nested = arrays[key].ndim == 2
+        inner = "      " if nested else "    "
+        end = ("\n    ]" if nested else "") + "\n  ]" + ("\n}\n" if key == keys[-1] else ",\n")
+        gaps = np.diff(cut, prepend=-1) - 1
+        runs = [("0.0,\n" + inner) * m if n else "" for m, n in enumerate(np.bincount(gaps).tolist())]
+        joints = np.array([sep + run for sep in (",\n" + inner, "\n    ],\n    [\n      ") for run in runs], dtype=object)
+        pieces = np.empty(2 * len(cut) + 1, dtype=object)
+        pieces[0] = ("" if parts else "{\n") + f'  "{key}": [\n' + ("    [\n" if nested else "") + inner + runs[gaps[0]]
+        pieces[1::2] = words[idx]
+        pieces[2:-1:2] = joints[(cut[:-1] % r.shape[1] == r.shape[1] - 1) * len(runs) + gaps[1:]]
+        pieces[-1] = end
+        parts.append("".join(pieces.tolist()))
+    return parts
 
 
 def _cmd_decompose(args) -> int:
@@ -291,15 +291,15 @@ def _cmd_decompose(args) -> int:
         except TypeError as exc:
             raise ValueError(f"LI JSON must be a list of number rows: {exc}") from exc
     dec = graph.decompose(lap, li=li)
-    payload = _decomposition_json(
+    parts = _decomposition_parts(
         {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            fh.writelines(parts)
         print(f"wrote decomposition to {args.out}")
     else:
-        print(payload, end="")
+        sys.stdout.writelines(parts)
     return 0
 
 

@@ -420,7 +420,7 @@ def loop_edges(n, edges) -> tuple[tuple[int, int, float], ...]:
 
 
 def repr_json(arrays: dict) -> str:
-    """cli._decomposition_json with one float.__repr__ per entry."""
+    """cli._decomposition_parts, joined, with one float.__repr__ per entry."""
 
     def array(items, indent):
         inner = indent + "  "

@@ -402,6 +402,28 @@ class TestDecompose:
         assert run("decompose", "--graph", str(gpath), *args) == 0
         assert json.loads(capsys.readouterr().out)["L"]
 
+    @pytest.mark.parametrize("key", ["L", "scaling"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_refusal_writes_nothing(self, tmp_path, capsys, monkeypatch, key, to_file):
+        # "scaling" is the last array written: every part is built, and so
+        # every array checked, before the output is opened
+        real = graph.decompose
+
+        def non_finite(lap, li=None):
+            dec = real(lap, li=li)
+            getattr(dec, key)[-1] = np.inf
+            return dec
+
+        monkeypatch.setattr(graph, "decompose", non_finite)
+        gpath, out = tmp_path / "g.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps(FIG1_GRAPH))
+        args = ("--out", str(out)) if to_file else ()
+        assert run("decompose", "--graph", str(gpath), *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"not JSON compliant in {key}" in captured.err
+        assert not out.exists()
+
 
 def _random_graph(seed, n, density):
     rng = np.random.default_rng(seed)
@@ -488,8 +510,53 @@ def _emitted(emit, arrays):
         return "refused", str(exc)
 
 
+def _joined(arrays):
+    return "".join(cli._decomposition_parts(arrays))
+
+
+def _with_zeros(rng, shape, zero_frac):
+    """Entries from a small pool with repeats, each zero with probability
+    zero_frac, and about one zero in eight written as -0.0."""
+    values = rng.choice([0.5, -1.25, 3.0, 1e-300, 2.5e-310, 1e16, 0.1], shape) * rng.integers(1, 4, shape)
+    zeros = rng.random(shape) < zero_frac
+    return np.where(zeros, np.where(rng.random(shape) < 0.125, -0.0, 0.0), values)
+
+
+def _run_case(rng, kind):
+    """One dict of arrays that stresses how runs of zeros meet the breakpoints."""
+    keys = ["L", "L0", "LI", "certificate", "scaling"]
+    if kind == "zero-rows":
+        a = _with_zeros(rng, (int(rng.integers(2, 7)), int(rng.integers(1, 7))), 0.5)
+        a[rng.random(a.shape[0]) < 0.5] = 0.0
+        return {"L": a, "scaling": _with_zeros(rng, (int(rng.integers(1, 5)),), 0.5)}
+    if kind == "zero-arrays":
+        return {str(k): np.zeros(tuple(int(v) for v in rng.integers(1, 6, int(rng.integers(1, 3)))))
+                for k in rng.choice(keys, int(rng.integers(1, 6)), replace=False)}
+    if kind == "edge-columns":
+        a = np.zeros((int(rng.integers(1, 6)), int(rng.integers(2, 8))))
+        a[:, 0] = _with_zeros(rng, a.shape[0], 0.3)
+        a[:, -1] = _with_zeros(rng, a.shape[0], 0.3)
+        return {"L0": a, "LI": a[::-1, ::-1].copy(), "certificate": a[0].copy()}
+    if kind == "negative-zero-ends":
+        a = _with_zeros(rng, (int(rng.integers(1, 6)), int(rng.integers(1, 6))), 0.6)
+        a[:, -1] = -0.0
+        b = _with_zeros(rng, (int(rng.integers(1, 6)),), 0.6)
+        b[-1] = -0.0
+        return {"L": a, "scaling": b}
+    if kind == "single-entry":
+        return {"L": _with_zeros(rng, (1, 1), 0.5), "certificate": _with_zeros(rng, (1,), 0.5)}
+    if kind == "non-square":
+        return {str(k): _with_zeros(rng, (int(rng.integers(1, 9)), int(rng.integers(1, 9))), rng.random())
+                for k in rng.choice(keys, int(rng.integers(1, 4)), replace=False)}
+    # bench-sized: n=200 matrices that are 89% zeros, and two vectors
+    n = 200
+    return {"L": _with_zeros(rng, (n, n), 0.89), "L0": _with_zeros(rng, (n, n), 0.89),
+            "LI": _with_zeros(rng, (n, n), 0.89), "certificate": _with_zeros(rng, (n,), 0.5),
+            "scaling": _with_zeros(rng, (n,), 0.0)}
+
+
 class TestDecompositionJson:
-    """The word-table emitter writes the bytes of one float.__repr__ per entry."""
+    """The breakpoint emitter writes the bytes of one float.__repr__ per entry."""
 
     SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1e16, 0.1, -0.1, 1.0, 3.0]
 
@@ -507,7 +574,7 @@ class TestDecompositionJson:
                 key = str(rng.choice(sorted(arrays)))
                 arrays[key].flat[int(rng.integers(arrays[key].size))] = rng.choice([np.nan, np.inf, -np.inf])
             want = _emitted(repr_json, arrays)
-            assert _emitted(cli._decomposition_json, arrays) == want
+            assert _emitted(_joined, arrays) == want
             refused += isinstance(want, tuple)
         assert 100 < refused < 400
 
@@ -518,7 +585,7 @@ class TestDecompositionJson:
         dec = graph.decompose(graph.laplacian(g))
         arrays = {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}
         peaks = []
-        for emit in (repr_json, cli._decomposition_json):
+        for emit in (repr_json, _joined):
             emit(arrays)
             tracemalloc.start()
             try:
@@ -527,6 +594,18 @@ class TestDecompositionJson:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("kind", [
+        "zero-rows", "zero-arrays", "edge-columns", "negative-zero-ends",
+        "single-entry", "non-square", "bench-sized",
+    ])
+    def test_zero_runs_and_breakpoints(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(5 if kind == "bench-sized" else 300):
+            arrays = _run_case(rng, kind)
+            got = _joined(arrays)
+            assert got == repr_json(arrays)
+            assert got == json.dumps({k: a.tolist() for k, a in arrays.items()}, sort_keys=True, indent=2) + "\n"
 
 
 class TestXyzAndTerm:

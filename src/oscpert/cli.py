@@ -8,11 +8,12 @@ Verbs:
     term       — one expansion-order coefficient (quadrature + closed form)
 
 Exit codes: 0 success, 1 verification/validation failure, 2 usage or I/O
-error.  Output is byte-deterministic for a fixed invocation: the sweep CSV
-prints floats with 17 significant digits in a fixed row order, and the
-decompose JSON is exactly json.dumps(..., sort_keys=True, indent=2) of the
-nested lists (floats in their shortest round-trip form), built in full
-before any of it is written, so a refused decomposition writes nothing.
+error (a failed allocation included).  Output is byte-deterministic for a
+fixed invocation: the sweep CSV prints floats with 17 significant digits in
+a fixed row order, and the decompose JSON is exactly
+json.dumps(..., sort_keys=True, indent=2) of the nested lists (floats in
+their shortest round-trip form), built in full before any of it is
+written, so a refused decomposition writes nothing.
 
 `verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
 one PASS/FAIL line per row: the quick rows always, the full rows at --depth
@@ -105,11 +106,7 @@ def _cmd_sweep(args) -> int:
     for name in levels:
         if name not in eigenfreq.LEVELS:
             raise ValueError(f"unknown level {name!r}")
-    try:
-        eps_values = np.linspace(args.eps_start, args.eps_end, args.steps)
-    except MemoryError as exc:
-        raise ValueError(f"--steps {args.steps}: cannot allocate the epsilon grid") from exc
-    columns = sweep_rows(model, eps_values, levels)
+    columns = sweep_rows(model, np.linspace(args.eps_start, args.eps_end, args.steps), levels)
     if args.format == "csv":
         real = ["true" if r else "false" for r in columns["real_spectrum"]]
         rows = zip(*dict(columns, real_spectrum=real).values())
@@ -286,10 +283,9 @@ def _cmd_decompose(args) -> int:
     if args.li is not None:
         with open(args.li, encoding="utf-8") as fh:
             rows = json.load(fh)
-        try:
-            li = np.array(rows, dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"LI JSON must be a list of number rows: {exc}") from exc
+        li = np.array(rows)
+        if li.dtype.kind not in "iuf":
+            raise ValueError(f"LI JSON must be a list of number rows, got {li.dtype} entries")
     dec = graph.decompose(lap, li=li)
     parts = _decomposition_parts(
         {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}
@@ -327,10 +323,7 @@ def _cmd_term(args) -> int:
     model = _load_model(args.model, epsilon=args.epsilon)
     psi0 = _parse_psi0(args.psi0)
     system = threemode.perturbed_system(model)
-    try:
-        coeff = dyson.term(system, args.order, args.t, psi0, args.steps)
-    except MemoryError as exc:
-        raise ValueError(f"--steps {args.steps}: cannot allocate the quadrature grid") from exc
+    coeff = dyson.term(system, args.order, args.t, psi0, args.steps)
     out = {
         "order": args.order,
         "t": args.t,
@@ -401,7 +394,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, UnknownModel) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, UnknownModel, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OscPertError as exc:

@@ -42,11 +42,6 @@ class EstimateOverflow(OscPertError):
     """An eigenfrequency estimate or one of its terms is not a finite float."""
 
 
-class InvalidLowerParameter(OscPertError):
-    """A lower hypergeometric parameter hits a non-positive integer before the
-    series terminates."""
-
-
 class MaxTermsExceeded(OscPertError):
     """Hypergeometric summation hit the term cap before converging.
 

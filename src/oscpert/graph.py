@@ -92,7 +92,15 @@ class WeightedDigraph:
         data = json.loads(text)
         if not (isinstance(data, dict) and {"n", "edges"} <= data.keys()):
             raise ValueError('graph JSON must be an object with keys "n" and "edges"')
-        return cls(n=data["n"], edges=data["edges"])
+        try:
+            n, edges = data["n"], np.array(data["edges"])
+        except ValueError as exc:  # rows of different lengths
+            raise ValueError(f"graph edges must be (src, dst, weight) triples: {exc}") from exc
+        if isinstance(n, (bool, str)) or edges.dtype.kind not in "iuf":
+            raise ValueError(
+                f"graph JSON needs a number n and number edge entries, got n={n!r} and {edges.dtype} edges"
+            )
+        return cls(n=n, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -128,7 +136,7 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     src, dst, weight = g.edges.T
     lap[src.astype(np.intp), dst.astype(np.intp)] = np.negative(weight)
     with np.errstate(over="ignore"):
-        out_weight = -lap.sum(axis=1)
+        out_weight = 0.0 - lap.sum(axis=1)  # +0.0, not -0.0, for a node without out-edges
     if not np.isfinite(out_weight).all():
         raise ValueError(f"out-weights of node {np.argmin(np.isfinite(out_weight))} sum past the largest float")
     # the diagonal is bitwise the negated off-diagonal row sum; re-summing a

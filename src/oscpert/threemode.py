@@ -33,9 +33,8 @@ rather than regularized.
 Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
 array recurrence steps its distinct series together in one pass, for one
 block or all nine; each cell's sum is bitwise that of summing it alone.  A
-non-finite t (or z or parameter of hyp_pfq) raises ValueError, and a 2F2
-term or partial sum, a block total or a psi_1 that is not finite raises
-NonFiniteResult.
+non-finite t raises ValueError, and a 2F2 term or partial sum, a block
+total or a psi_1 that is not finite raises NonFiniteResult.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ from . import linalg
 from .dyson import PerturbedSystem
 from .errors import (
     DegenerateFrequencies,
-    InvalidLowerParameter,
     MaxTermsExceeded,
     NonFiniteResult,
     TruncationNotConverged,
@@ -321,60 +319,55 @@ _CHUNK = 32
 def _term_ratios(upper, lower, start: int):
     """Term ratios num / den for ell = start .. start + _CHUNK - 1 of the series
     whose NaN-padded parameters are the columns of upper and lower (num =
-    prod(a + ell) in order, a pad counting 1), and the masks num == 0, den == 0."""
+    prod(a + ell) in order, a pad counting 1)."""
     ell = np.arange(start, start + _CHUNK, dtype=float)[:, None]
     num, den = np.ones((2, _CHUNK, upper.shape[1]))
-    with np.errstate(all="ignore"):
-        for prod, params in ((num, upper), (den, lower)):
-            for p in params:
-                prod *= np.where(np.isnan(p), 1.0, p + ell)
-        return num / den, num == 0, den == 0
+    for prod, params in ((num, upper), (den, lower)):
+        for p in params:
+            prod *= np.where(np.isnan(p), 1.0, p + ell)
+    return num / den
 
 
-def _hyp_sums(upper, lower, memo, z, limit, tail_tol=None) -> list:
-    """Sums of many hypergeometric series, one array step per term index.
+def _hyp_sums(upper, lower, memo, y, limit, tail_tol=None) -> list:
+    """Sums of the block table's series, one array step per term index.
 
-    Column c of z (2, C) holds cell c's argument and of upper (p, C) and
-    lower (q, C) its NaN-padded parameters.  memo maps chunk index i to
+    Column c holds one series: its argument 1j * y[c], its NaN-padded
+    parameters upper[:, c] and lower[:, c] and its term limit[c].  Every
+    parameter of a block column is an integer >= 1, so no term ratio is
+    zero or infinite.  memo maps chunk index i to
     _term_ratios(upper, lower, i * _CHUNK) and is filled here on first use
-    of a chunk: the block table's memo lives as long as its table, hyp_pfq
-    passes a fresh one per call.  Term ell+1 is
-    term ell * (num / den) * z / (ell + 1), and every returned sum and
-    .partial is bitwise the scalar loop's in Python complex arithmetic
+    of a chunk; the block table's memo lives as long as its table.  Term
+    ell+1 is term ell * (num / den) * z / (ell + 1), and every returned sum
+    and .partial is bitwise the scalar loop's in Python complex arithmetic
     (.last_term is equal in value; the sign of a zero part may differ).
-    A cell stops before term ell+1 when num is zero,
-    after term `limit`, and with tail_tol after three consecutive terms
-    below tail_tol * |sum| or 1e-300.
+    A cell stops after term limit[c] and, with tail_tol, after three
+    consecutive terms below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached:
-    InvalidLowerParameter, MaxTermsExceeded, or NonFiniteResult at the first
-    term whose value or running sum is not finite or, with tail_tol, whose
-    magnitude overflows from finite parts.
+    MaxTermsExceeded, or NonFiniteResult at the first term whose value or
+    running sum is not finite or, with tail_tol, whose magnitude overflows
+    from finite parts.
     """
-    cells = z.shape[1]
-    limit = np.broadcast_to(limit, (cells,))
+    cells = len(y)
     term = total = np.repeat([[1.0], [0.0]], cells, axis=1)
     result, errors = total.copy(), {}
     flags = np.zeros((2, cells), bool)
     q, s = np.empty((2, 2, cells))
-    zr, zw = z[0], np.stack([-z[1], z[1]])
-    real, pending = zr.any(), limit > 0
+    zw, pending = np.stack([-y, y]), limit > 0
     with np.errstate(all="ignore"):
         end = int(limit.max(initial=0))
         for i, start in enumerate(range(0, end, _CHUNK)):
             ell = np.arange(start, min(start + _CHUNK, end), dtype=float)[:, None]
             if i not in memo:
                 memo[i] = _term_ratios(upper, lower, start)
-            ratio, num0, den0 = (x[: len(ell)] for x in memo[i])
+            ratio = memo[i][: len(ell)]
             sums = np.empty((len(ell) + 1, 2, cells))
             sums[0], terms = total, sums[1:]
             for r, row, d in zip(ratio, terms, (ell[:, 0] + 1.0).tolist()):
                 np.multiply(term[::-1], r, out=q)  # term * r with its parts swapped
                 np.multiply(q, zw, out=s)
-                if real:
-                    s += q[::-1] * zr
                 term = np.divide(s, d, out=row)
             sums = np.add.accumulate(sums, axis=0)
-            stop = num0 | den0 | (ell + 1 >= limit)
+            stop = ell + 1 >= limit
             done, over = np.ones_like(stop), np.zeros_like(stop)  # the limit ends a sum
             bad = pending & ~np.isfinite(sums[-1]).all(axis=0)  # never finite again
             over[:, bad] = ~np.isfinite(sums[1:, :, bad]).all(axis=1)
@@ -388,11 +381,9 @@ def _hyp_sums(upper, lower, memo, z, limit, tail_tol=None) -> list:
             stop |= over
             cols = np.flatnonzero(pending & stop.any(axis=0))
             js = stop[:, cols].argmax(axis=0)
-            ended = num0[js, cols]
-            zero = ~ended & den0[js, cols]
-            overflowed = ~ended & ~zero & over[js, cols]
-            capped = ~ended & ~zero & ~overflowed & ~done[js, cols]
-            result[:, cols] = sums[js + 1 - ended, :, cols].T
+            overflowed = over[js, cols]
+            capped = ~overflowed & ~done[js, cols]
+            result[:, cols] = sums[js + 1, :, cols].T
             for c, j in zip(cols[capped], js[capped]):
                 errors[c] = MaxTermsExceeded(
                     f"no convergence within {limit[c]} terms",
@@ -402,46 +393,12 @@ def _hyp_sums(upper, lower, memo, z, limit, tail_tol=None) -> list:
             for c, j in zip(cols[overflowed], js[overflowed]):
                 why = "overflows from finite parts" if np.isfinite(result[:, c]).all() else "is not finite"
                 errors[c] = NonFiniteResult(f"|term {start + j + 1}| or |partial sum| {why}")
-            for c, j in zip(cols[zero], js[zero]):
-                lowers = [b for b in lower[:, c].tolist() if b == b]
-                errors[c] = InvalidLowerParameter(
-                    f"lower parameter hits zero at term {start + j} for b={lowers}"
-                )
             pending[cols] = False
             if not pending.any():
                 break
             total = sums[-1]
     out = np.ascontiguousarray(result.T).view(complex)[:, 0].tolist()
     return [errors.get(c, value) for c, value in enumerate(out)]
-
-
-def hyp_pfq(a_params, b_params, z: complex, trunc: SeriesTruncation) -> complex:
-    """Generalized hypergeometric series pFq(a; b; z).
-
-    Exactly matching upper/lower parameter pairs cancel before summation
-    (so e.g. 2F2(a, b; a, b; z) reduces to exp(z) and 2F2(1, 0; 0, 1; z)
-    likewise).  A remaining non-positive-integer upper parameter terminates
-    the series (polynomial case).  Terms accumulate until three consecutive
-    ones fall below tail_tol relative to the partial sum (or below 1e-300).
-
-    Raises:
-        ValueError: z or a parameter is not finite.
-        InvalidLowerParameter: a surviving lower parameter hits a
-            non-positive integer before the series terminates.
-        MaxTermsExceeded: no convergence within max_terms_per_hyp terms.
-        NonFiniteResult: a term or partial sum is not finite, or its
-            magnitude overflows from finite parts.
-    """
-    z = complex(z)
-    uppers, lowers = _cancel_params(a_params, b_params)
-    if not (cmath.isfinite(z) and all(map(math.isfinite, uppers + lowers))):
-        raise ValueError("hyp_pfq needs a finite z and finite parameters")
-    upper, lower = (np.array(p, dtype=float).reshape(-1, 1) for p in (uppers, lowers))
-    zs = np.array([[z.real], [z.imag]])
-    (value,) = _hyp_sums(upper, lower, {}, zs, trunc.max_terms_per_hyp, trunc.tail_tol)
-    if not isinstance(value, complex):
-        raise value
-    return value
 
 
 def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
@@ -513,11 +470,12 @@ def _cell_table(k_max: int, order_cap: int | None):
     """The cells of the nine blocks, for any model and t: per block its
     shells [(k, [(l, sign, coefficient, column)])]; per column, one series
     in first-occurrence order, its NaN-padded upper and lower (2, C)
-    parameters left by _cancel_params, family (A/B/C as 0/1/2) and term
-    limit (max_ell, -1 without order_cap), which cells equal in all three
-    share (A1's, A3's and A2's k = 0 cells all cancel to e^z; at k_max=4 the
-    120 cells are 64 columns); and the grow-only memo, shared by threads, of
-    the columns' _term_ratios by chunk index, filled by _hyp_sums on first use."""
+    parameters left by _cancel_params (each an integer >= 1), family
+    (A/B/C as 0/1/2) and term limit (max_ell, -1 without order_cap), which
+    cells equal in all three share (A1's, A3's and A2's k = 0 cells all
+    cancel to e^z; at k_max=4 the 120 cells are 64 columns); and the
+    grow-only memo, shared by threads, of the columns' _term_ratios by chunk
+    index, filled by _hyp_sums on first use."""
     shells, columns = {}, {}
     for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
         shells[block] = []
@@ -546,11 +504,11 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     shells, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
-    args = [-1j * families[f][0] * t for f in "ABC"]
-    z = np.array([[a.real for a in args], [a.imag for a in args]])[:, family]
+    # every argument -1j * W * t has a zero real part
+    y = np.array([(-1j * families[f][0] * t).imag for f in "ABC"])[family]
     limit = np.where(limit < 0, trunc.max_terms_per_hyp, limit)
     tail_tol = trunc.tail_tol if order_cap is None else None
-    sums = _hyp_sums(upper, lower, memo, z, limit, tail_tol)
+    sums = _hyp_sums(upper, lower, memo, y, limit, tail_tol)
     blocks = {}
     for block in names:
         _, ratio1, ratio2, prefactors = families[block[0]]

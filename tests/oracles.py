@@ -10,7 +10,6 @@ rather than tautology:
                        3-mode model via confluent divided differences
                        (corner entry of exp of a bidiagonal matrix, evaluated
                        with mpmath at 50 digits)
-* brute_force_pfq    — direct 50-digit summation of a hypergeometric series
 * lagrange_coefficients
                      — the exact series of an eigenvalue shift in the
                        coupling ratio W, by Lagrange inversion in rationals,
@@ -76,7 +75,6 @@ from oscpert import dyson, eigenfreq, graph, linalg, threemode
 from oscpert.benchmarks import COUPLING_TABLE, canonical_id, registry
 from oscpert.errors import (
     InvalidDecomposition,
-    InvalidLowerParameter,
     MaxTermsExceeded,
     NonFiniteResult,
     NotSymmetrizable,
@@ -175,22 +173,6 @@ def path_term(omega_eff, a, n: int, t: float, dps: int = 50) -> complex:
         divdiff = mpmath.expm(-1j * mpmath.mpf(t) * z)[0, n]
         value = (-1) ** n * hops * divdiff
         return complex(value)
-
-
-def brute_force_pfq(a_params, b_params, z: complex, terms: int = 200, dps: int = 50) -> complex:
-    """Direct high-precision summation of sum_l prod(a)_l/prod(b)_l z^l/l!."""
-    with mpmath.workdps(dps):
-        zz = mpmath.mpc(z)
-        total = mpmath.mpc(0)
-        for ell in range(terms):
-            num = mpmath.mpf(1)
-            for a in a_params:
-                num *= mpmath.rf(a, ell)
-            den = mpmath.mpf(1)
-            for b in b_params:
-                den *= mpmath.rf(b, ell)
-            total += num / den * zz**ell / mpmath.factorial(ell)
-        return complex(total)
 
 
 def lagrange_coefficients(p, q, n_max: int) -> list[Fraction]:
@@ -445,7 +427,7 @@ def loop_laplacian(g) -> np.ndarray:
         lap[int(src), int(dst)] -= weight
     np.fill_diagonal(lap, 0.0)
     for i in range(g.n):
-        lap[i, i] = -lap[i].sum()
+        lap[i, i] = 0.0 - lap[i].sum()  # +0.0 for a node without out-edges
     return lap
 
 
@@ -549,10 +531,6 @@ def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
         den = 1.0
         for b in lowers:
             den *= b + ell
-        if den == 0.0:
-            raise InvalidLowerParameter(
-                f"lower parameter hits zero at term {ell} for b={lowers}"
-            )
         term = term * (num / den) * z / (ell + 1)
         total += term
         if max_ell is not None:

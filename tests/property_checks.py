@@ -56,11 +56,19 @@ def check_nesting_identity(model: ThreeModeModel) -> None:
 
 
 def check_hyp_reductions(rng: np.random.Generator) -> None:
+    """On the imaginary axis, where every block column's argument lies, the
+    2F2 engine sums e^z for parameters that all cancel and 1 at z = 0."""
     a = float(rng.uniform(0.5, 4.0))
-    z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-    got = tm.hyp_pfq([a], [a], z, HYP_TRUNC)
-    assert abs(got - cmath.exp(z)) <= 1e-12 * max(1.0, abs(cmath.exp(z)))
-    assert tm.hyp_pfq([a, 2 * a], [a + 1, a + 2], 0.0, HYP_TRUNC) == 1.0
+    # two draws for z, as before block columns fixed its real part at 0,
+    # so that the checks after this one see the same generator state
+    y = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)).imag
+    assert tm._cancel_params([a, 2 * a], [2 * a, a]) == ([], [])
+    pad, limit = np.full((2, 1), np.nan), np.array([HYP_TRUNC.max_terms_per_hyp])
+    (got,) = tm._hyp_sums(pad, pad, {}, np.array([y]), limit, HYP_TRUNC.tail_tol)
+    assert abs(got - cmath.exp(1j * y)) <= 1e-12
+    upper, lower = np.array([[a], [2 * a]]), np.array([[a + 1], [a + 2]])
+    (one,) = tm._hyp_sums(upper, lower, {}, np.zeros(1), limit, HYP_TRUNC.tail_tol)
+    assert one == 1.0
 
 
 def check_group_property(model: ThreeModeModel, rng: np.random.Generator) -> None:

@@ -150,7 +150,21 @@ class TestSweep:
         # the 7 PiB request for the epsilon grid fails at once
         out = tmp_path / "x.csv"
         assert run("sweep", "--model", "s", "--steps", "1000000000000000", "--out", str(out)) == 2
-        assert "--steps" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_late_allocation_failure_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the epsilon grid fits but the spectral grid's (N, 3, 3) arrays do not
+        message = "Unable to allocate 7.45 GiB for an array with shape (111111111, 3, 3) and data type float64"
+
+        def unallocatable(model, eps_values):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(eigenfreq, "spectral_grid", unallocatable)
+        out = tmp_path / "x.csv"
+        assert run("sweep", "--model", "s", "--steps", "3", "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     def test_bad_grid_is_usage_error(self, tmp_path):
@@ -314,6 +328,11 @@ class TestDecompose:
         '{"n": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308]]}',
         '{"n": 2, "edges": [[0, 1, 1e999]]}',
         '{"n": 0, "edges": []}',
+        '{"n": true, "edges": []}',
+        '{"n": "3", "edges": []}',
+        '{"n": 2, "edges": [[0, 1, "2.5"]]}',
+        '{"n": 2, "edges": [[false, true, true]]}',
+        '{"n": 2, "edges": [[0, 1, 1.0], [1, 0]]}',
     ])
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, text):
         gpath = tmp_path / "g.json"
@@ -322,7 +341,13 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("text", ['{"0": [1, -1]}', '[{"0": 1}, [0, 0]]', '[[1, -1], [0]]'])
+    @pytest.mark.parametrize("text", [
+        '{"0": [1, -1]}',
+        '[{"0": 1}, [0, 0]]',
+        '[[1, -1], [0]]',
+        '[["1", "-1"], ["0", "0"]]',
+        '[[true, false], [false, false]]',
+    ])
     def test_malformed_li_is_usage_error(self, tmp_path, capsys, text):
         gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
         gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
@@ -442,6 +467,7 @@ def _bench_graph_dict(seed):
 
 
 BENCH_200 = _bench_graph_dict(5)
+SINK_GRAPH = {"n": 3, "edges": [[0, 1, 2.0], [1, 0, 1.0], [0, 2, 1.5]]}
 
 
 class TestDecomposeBytes:
@@ -453,8 +479,9 @@ class TestDecomposeBytes:
         "single-node": ({"n": 1, "edges": []}, None),
         "negative-zero-li": (FIG1_GRAPH, [[1, -1, -0.0], [-0.0, 1, -1], [-1, -0.0, 1]]),
         "random-30": (_random_graph(30, 30, 0.3), None),
-        # node 2 has no out-edges, so its L diagonal is -0.0
-        "sink-node": ({"n": 3, "edges": [[0, 1, 2.0], [1, 0, 1.0], [0, 2, 1.5]]}, None),
+        # node 2 has no out-edges: its diagonal is 0.0 in L and L0, not -0.0
+        "sink-node": (SINK_GRAPH, None),
+        "sink-node-li": (SINK_GRAPH, [[1.5, 0, -1.5], [0, 0, 0], [0, 0, 0]]),
         "bench-200": (BENCH_200[0], None),
         "bench-200-li": BENCH_200,
     }
@@ -493,8 +520,8 @@ class TestDecomposeBytes:
         out = tmp_path / "dec.json"
         assert run(*argv, "--out", str(out)) == 0
         assert out.read_bytes() == want.encode()
-        if name in ("negative-zero-li", "sink-node"):
-            assert "-0.0" in want
+        if name in ("negative-zero-li", "sink-node", "sink-node-li"):
+            assert ("-0.0" in want) == (name == "negative-zero-li")
 
     def test_stdout(self, tmp_path, capsys):
         argv, want = self.write_inputs(tmp_path, "fig1-li")
@@ -688,7 +715,7 @@ class TestXyzAndTerm:
         assert run(*term, "--steps", "1000000000000") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --steps 1000000000000")
+        assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1
         # the failed grow leaves the process's scratch usable
         assert run(*term) == 0

@@ -107,7 +107,9 @@ class TestLaplacian:
 
     def test_empty_graph(self):
         g = graph.WeightedDigraph(n=3, edges=())
-        assert np.array_equal(graph.laplacian(g), np.zeros((3, 3)))
+        lap = graph.laplacian(g)
+        assert np.array_equal(lap, np.zeros((3, 3)))
+        assert not np.signbit(lap).any()  # a node without out-edges has +0.0 on the diagonal
 
     def test_overflowing_out_weight_sum_is_refused(self):
         g = graph.WeightedDigraph(n=3, edges=((0, 1, 1.0), (1, 0, 1e308), (1, 2, 1e308)))

@@ -9,6 +9,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,6 @@ from oscpert import dyson, linalg, threemode as tm
 from oscpert.benchmarks import registry
 from oscpert.errors import (
     DegenerateFrequencies,
-    InvalidLowerParameter,
     MaxTermsExceeded,
     NonFiniteResult,
     OscPertError,
@@ -25,7 +25,6 @@ from oscpert.errors import (
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
 from oracles import (
-    brute_force_pfq,
     loop_hyp_series,
     loop_psi1_infinite,
     loop_series_block,
@@ -175,37 +174,44 @@ class TestNegBinomial:
 
 
 class TestHypergeometric:
+    """The 2F2 engine on the columns of the block table: parameters that are
+    integers >= 1 and an argument 1j * y."""
+
+    @staticmethod
+    def _sums(y, trunc=TIGHT):
+        _, upper, lower, *_, memo = tm._cell_table(4, None)
+        y, limit = np.full(upper.shape[1], y), np.full(upper.shape[1], trunc.max_terms_per_hyp)
+        return upper, lower, tm._hyp_sums(upper, lower, memo, y, limit, trunc.tail_tol)
+
+    @staticmethod
+    def _params(upper, lower, c):
+        return ([p for p in x[:, c].tolist() if p == p] for x in (upper, lower))  # no NaN pad
+
     def test_unit_at_zero(self):
-        assert tm.hyp_pfq([2.0, 3.0], [1.5, 1.5], 0.0, TIGHT) == 1.0
+        assert self._sums(0.0)[2] == [1.0] * 64
 
     def test_parameter_cancellation_gives_exponential(self):
-        z = 0.4 - 1.1j
-        assert abs(tm.hyp_pfq([2.5], [2.5], z, TIGHT) - cmath.exp(z)) <= 1e-12
-        assert abs(tm.hyp_pfq([2.0, 3.5], [3.5, 2.0], z, TIGHT) - cmath.exp(z)) <= 1e-12
-
-    def test_zero_upper_terminates(self):
-        assert tm.hyp_pfq([0.0], [3.0], 2.0, TIGHT) == 1.0
+        # A1's k = 0 cell is 2F2(0, 0; 0, 0; z), whose parameters all cancel
+        column = tm._cell_table(4, None)[0]["A1"][0][1][0][3]
+        upper, lower, sums = self._sums(-1.1)
+        assert list(self._params(upper, lower, column)) == [[], []]
+        assert abs(sums[column] - cmath.exp(-1.1j)) <= 1e-12
 
     def test_against_brute_force(self):
-        z = -0.5j
-        got = tm.hyp_pfq([2.0, 2.0], [1.0, 1.0], z, TIGHT)
-        ref = brute_force_pfq([2, 2], [1, 1], z)
-        assert abs(got - ref) <= 1e-12
-
-    def test_negative_lower_parameter_rejected(self):
-        with pytest.raises(InvalidLowerParameter):
-            tm.hyp_pfq([1.0], [-2.0], 0.3, TIGHT)
-
-    def test_terminating_before_bad_lower_is_fine(self):
-        # upper -2 stops the series at l = 2, before lower -4 hits zero
-        got = tm.hyp_pfq([-2.0], [-4.0], 1.0, TIGHT)
-        assert abs(got - (1.0 + 0.5 + 1.0 / 12.0)) <= 1e-14
+        # mpmath's pFq as the reference; the rounding of a sum is bounded by
+        # that of the sum of |terms|, which is the series at |y|
+        for y in (-0.5, -10.0):
+            upper, lower, sums = self._sums(y)
+            for c, got in enumerate(sums):
+                up, lo = self._params(upper, lower, c)
+                ref = complex(mpmath.hyper(up, lo, 1j * y))
+                assert abs(got - ref) <= 1e-13 * float(mpmath.hyper(up, lo, abs(y))), (y, up, lo)
 
     def test_max_terms_exceeded(self):
         small = SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)
-        with pytest.raises(MaxTermsExceeded) as excinfo:
-            tm.hyp_pfq([2.0], [1.0], 40.0 + 0.0j, small)
-        assert excinfo.value.partial != 0
+        for got in self._sums(40.0, small)[2]:
+            assert isinstance(got, MaxTermsExceeded)
+            assert got.partial != 0
 
 
 class TestSeriesBlocks:
@@ -412,40 +418,16 @@ class TestArrayRecurrence:
             assert got[0] == "MaxTermsExceeded"
             assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc)
 
-    @pytest.mark.parametrize(
-        "a, b, z",
-        [
-            ([2.0, 2.0], [1.0, 1.0], -0.5j),
-            ([2.0, 5.0], [1.0, 3.0], -10j),
-            ([2.5], [2.5], 0.4 - 1.1j),  # cancels to exp(z)
-            ([2.0, 3.5], [3.5, 2.0], 0.4 - 1.1j),
-            ([], [], 3.0 + 4.0j),
-            ([-2.0], [-4.0], 1.0),  # terminates before the lower parameter hits zero
-            ([-3.0, 1.5], [0.5], 2.0 - 1.0j),
-            ([0.0], [3.0], 2.0),
-            ([1e-200, 2e-200], [3e-200, 4e-200], 0.5),  # num and den underflow: num wins
-            ([1.0], [-2.0], 0.3),  # InvalidLowerParameter
-            ([1.5, 2.0], [-1.0, 4.0], 0.1j),
-            ([1.0, 2.0, 3.0], [1.5, 2.5, 0.5], -0.7 + 0.2j),
-            ([2.0], [1.0], 40.0),
-            ([1.0], [1.5], 800j),  # terms overflow: refused where the loop sums NaN
-            ([1e308], [1.0], 1.3 + 1.3j),  # |term| overflows from finite parts
-        ],
-    )
-    def test_hyp_pfq(self, a, b, z):
-        for trunc in (TIGHT, SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)):
-            want = _outcome(lambda: loop_hyp_series(*tm._cancel_params(a, b), z, trunc))
-            got = _outcome(tm.hyp_pfq, a, b, z, trunc)
-            if want[0] == "MaxTermsExceeded" and "nan" in want[2]:
-                # the loop runs to its cap on a NaN partial sum; the recurrence
-                # refuses at the first term whose value or sum is not finite
-                assert got[0] == "NonFiniteResult" and got[1].endswith("is not finite"), got
-            else:
-                assert got == want
-
     def test_magnitude_overflow_is_a_typed_refusal(self):
-        with pytest.raises(NonFiniteResult, match=r"^\|term 1\| or \|partial sum\| overflows"):
-            tm.hyp_pfq([1e308], [1.0], 1.3 + 1.3j, SeriesTruncation())
+        # a made-up 0F1 column, lower parameter b and z = 1j: term l is
+        # 1j**l / (b)_l.  At b = 5.8e-309 terms 1 and 2 are 1.72e308j and
+        # -0.86e308, both finite, but |partial sum 2| overflows
+        upper, lower = np.empty((0, 1)), np.array([[5.8e-309]])
+        (got,) = tm._hyp_sums(upper, lower, {}, np.array([1.0]), np.array([500]), 1e-12)
+        assert isinstance(got, NonFiniteResult)
+        assert str(got) == "|term 2| or |partial sum| overflows from finite parts"
+        with pytest.raises(NonFiniteResult, match=r"^\|term 2\| or \|partial sum\| overflows"):
+            loop_hyp_series([], [5.8e-309], 1j, SeriesTruncation())
 
     def test_term_cap_allocates_nothing_in_proportion(self):
         m = registry("small")
@@ -507,9 +489,8 @@ class TestRatioMemo:
                     # a chunk built twice by a race is still stored under its own index
                     _, upper, lower, *_, memo = tm._cell_table(4, None)
                     assert sorted(memo) == list(range(len(memo)))
-                    for i, rows in memo.items():
-                        want = tm._term_ratios(upper, lower, i * tm._CHUNK)
-                        assert [x.tobytes() for x in rows] == [x.tobytes() for x in want], i
+                    for i, ratios in memo.items():
+                        assert ratios.tobytes() == tm._term_ratios(upper, lower, i * tm._CHUNK).tobytes(), i
         finally:
             _sys.setswitchinterval(interval)
 
@@ -555,10 +536,6 @@ class TestRatioMemo:
         # a cap of 10**7 terms builds only the chunks the sums reach: at t=150
         # every cell ends within 64 terms
         assert reached[0] == reached[1] == [0, 1]
-        # hyp_pfq builds its own ratios on every call
-        for _ in range(2):
-            tm.hyp_pfq([2.0, 5.0], [1.0, 3.0], -10j, TIGHT)
-        assert builds == [0, 32] * 2
 
 
 def _series(k_max, order_cap):
@@ -611,7 +588,7 @@ class TestDistinctSeries:
         tm.psi1_infinite(registry("small"), 150.0, PSI0, SeriesTruncation(k_max=4))
         assert _memo(4)
         for chunk in _memo(4).values():
-            assert [x.shape for x in chunk] == [(tm._CHUNK, 64)] * 3
+            assert chunk.shape == (tm._CHUNK, 64)
 
     def test_a_shared_series_refuses_like_each_of_its_cells(self):
         # at t=25 on `small` a cap of 20 terms stops the e^z series that A1,
@@ -642,23 +619,27 @@ class TestRefusedInputs:
         with pytest.raises(ValueError, match="t must be finite"):
             tm.psi1_analytic(m, 3, t, PSI0)
 
-    @pytest.mark.parametrize(
-        "a, z", [([2.0], complex(math.nan, 0.0)), ([2.0], complex(0.0, math.inf)), ([math.inf], 1.0)]
-    )
-    def test_non_finite_hyp_pfq_input(self, a, z):
-        with pytest.raises(ValueError):
-            tm.hyp_pfq(a, [1.0], z, TIGHT)
-
     @pytest.mark.parametrize("t", [1e150, 1e200])
     def test_non_finite_order_capped_total(self, t):
-        # t=1e150: every cell sum is finite but block A1's total overflows;
-        # t=1e200: a cell's second term overflows
+        # a term of one of A1's cells overflows: term 3 at t=1e150, term 2 at
+        # t=1e200 (test_non_finite_cell_and_block_total pins the messages)
         m = registry("small")
         trunc = SeriesTruncation(k_max=3)
         with pytest.raises(NonFiniteResult, match="not finite"):
             tm.series_block(m, "A1", t, trunc, order_cap=9)
         with pytest.raises(NonFiniteResult, match="not finite"):
             tm.psi1_infinite(m, t, PSI0, trunc, order_cap=9)
+
+    def test_non_finite_cell_and_block_total(self):
+        # a cell refuses at its first term that is not finite; with couplings
+        # of 10**50.5 every cell is finite at t=1e-200, but A3's weights,
+        # ratio1**k up to about 6e301, overflow its total
+        with pytest.raises(NonFiniteResult, match=r"^\|term 2\| or \|partial sum\| is not finite$"):
+            tm.series_block(registry("small"), "A1", 1e200, SeriesTruncation(k_max=3), order_cap=9)
+        m = ThreeModeModel(omega=(3.0, 2.0, 1.0), a=(10**50.5,) * 3, d=(0.0, 0.0, 0.0), epsilon=1.0)
+        for order_cap in (None, 9):
+            with pytest.raises(NonFiniteResult, match=r"^block A3 at t=1e-200 is not finite"):
+                tm.series_block(m, "A3", 1e-200, SeriesTruncation(k_max=2), order_cap=order_cap)
 
     def test_non_finite_assembly(self):
         # at t=1e100 every block is finite; psi0 = 1e20 e1 overflows the sum

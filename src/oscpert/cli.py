@@ -13,7 +13,11 @@ fixed invocation: the sweep CSV prints floats with 17 significant digits in
 a fixed row order, and the decompose JSON is exactly
 json.dumps(..., sort_keys=True, indent=2) of the nested lists (floats in
 their shortest round-trip form), built in full before any of it is
-written, so a refused decomposition writes nothing.
+written, so a refused decomposition writes nothing.  `sweep` computes its
+whole grid (sweep_rows returns the columns as arrays) before it opens
+--out, so a refused sweep writes nothing either; it then formats and
+writes the CSV one block of _CSV_BLOCK_ROWS rows at a time, and the JSON
+in one piece.
 
 `verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
 one PASS/FAIL line per row: the quick rows always, the full rows at --depth
@@ -64,36 +68,38 @@ def _parse_psi0(text: str) -> np.ndarray:
     return np.array(parts, dtype=complex)
 
 
-def sweep_rows(model: ThreeModeModel, eps_values, levels) -> dict[str, list]:
+def sweep_rows(model: ThreeModeModel, eps_values, levels) -> dict[str, np.ndarray]:
     """The sweep table as columns named as in CSV_HEADER, in its order.
 
-    Entry r of every column belongs to row r, one row per (epsilon, mode).
-    Formats eigenfreq.spectral_grid, which holds the matched truth, the
-    estimates, and each mode's reality and errors; levels not in `levels`
-    are NaN.  A grid point whose estimates are refused keeps its true
-    values, carries NaN estimates and names the refusal in `status`.
+    Entry r of every column (a 1-D array) belongs to row r, one row per
+    (epsilon, mode).  Formats eigenfreq.spectral_grid, which holds the
+    matched truth, the estimates, and each mode's reality and errors; levels
+    not in `levels` are NaN.  A grid point whose estimates are refused keeps
+    its true values, carries NaN estimates and names the refusal in `status`
+    (an object array of str).
     """
     grid = eigenfreq.spectral_grid(model, eps_values)
     true = grid.true_values.reshape(-1)
-    real = grid.mode_real.reshape(-1)
     wanted = [name in levels for name in eigenfreq.LEVELS]
     ests = np.where(wanted, grid.estimates.reshape(-1, 3), np.nan)
     errs = np.where(wanted, grid.errors.reshape(-1, 3), np.nan)
-    status = ["ok" if r is None else type(r).__name__ for r in grid.refusals for _ in range(3)]
+    status = ["ok" if r is None else type(r).__name__ for r in grid.refusals]
     return {
-        "epsilon": np.repeat(grid.epsilon, 3).tolist(),
-        "mode": [1, 2, 3] * len(grid.epsilon),
-        "true_re": true.real.tolist(),
-        "true_im": true.imag.tolist(),
-        **dict(zip(eigenfreq.LEVELS, ests.T.tolist())),
-        **dict(zip(("err0", "err1", "err2"), errs.T.tolist())),
-        "real_spectrum": real.tolist(),
-        "status": status,
+        "epsilon": np.repeat(grid.epsilon, 3),
+        "mode": np.tile([1, 2, 3], len(grid.epsilon)),
+        "true_re": true.real,
+        "true_im": true.imag,
+        **dict(zip(eigenfreq.LEVELS, ests.T)),
+        **dict(zip(("err0", "err1", "err2"), errs.T)),
+        "real_spectrum": grid.mode_real.reshape(-1),
+        "status": np.repeat(np.array(status, dtype=object), 3),
     }
 
 
 # One CSV row; "%.17g" prints what f"{x:.17g}" prints, nan and -0 included.
 _CSV_ROW = "%.17g,%d" + ",%.17g" * 8 + ",%s,%s"
+# Rows formatted and written per write call: 341 grid points of three modes.
+_CSV_BLOCK_ROWS = 1023
 
 
 def _cmd_sweep(args) -> int:
@@ -108,12 +114,16 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown level {name!r}")
     columns = sweep_rows(model, np.linspace(args.eps_start, args.eps_end, args.steps), levels)
     if args.format == "csv":
-        real = ["true" if r else "false" for r in columns["real_spectrum"]]
-        rows = zip(*dict(columns, real_spectrum=real).values())
-        payload = "\n".join([CSV_HEADER] + [_CSV_ROW % row for row in rows]) + "\n"
+        real = np.array(["false", "true"], dtype=object)[columns["real_spectrum"].astype(np.intp)]
+        text = dict(columns, real_spectrum=real).values()
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for start in range(0, len(real), _CSV_BLOCK_ROWS):
+                rows = zip(*[column[start : start + _CSV_BLOCK_ROWS].tolist() for column in text])
+                fh.write("\n".join([_CSV_ROW % row for row in rows]) + "\n")
     else:
         nulled = {
-            k: [None if isinstance(v, float) and math.isnan(v) else v for v in column]
+            k: [None if isinstance(v, float) and math.isnan(v) else v for v in column.tolist()]
             for k, column in columns.items()
         }
         clean = [dict(zip(nulled, row)) for row in zip(*nulled.values())]
@@ -123,8 +133,8 @@ def _cmd_sweep(args) -> int:
             indent=2,
             allow_nan=False,
         ) + "\n"
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
     print(f"wrote {len(columns['mode'])} rows ({args.steps} grid points) to {args.out}")
     return 0
 

@@ -39,6 +39,7 @@ from .threemode import (
     _SUBSCRIPT_ROWS,
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
+    _pow_or_inf,
     omega_matrix,
     shifted_frequencies,
 )
@@ -83,13 +84,6 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     except OverflowError:
         out = np.array([_pow_or_inf(v, n) for v in values], dtype=float)
     return out.reshape(x.shape)
-
-
-def _pow_or_inf(v: float, n: int) -> float:
-    try:
-        return v**n
-    except OverflowError:
-        return math.inf
 
 
 def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:

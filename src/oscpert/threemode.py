@@ -495,6 +495,14 @@ def _cell_table(k_max: int, order_cap: int | None):
     return shells, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
 
 
+def _pow_or_inf(v: float, n: int) -> float:
+    """v**n with Python's float power (libm pow), inf where that overflows."""
+    try:
+        return v**n
+    except OverflowError:
+        return math.inf
+
+
 def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
     """series_block for each of names on a _block_geometry family map, from
     one _hyp_sums pass over the table's columns, each cell reading the sum of
@@ -509,15 +517,21 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     limit = np.where(limit < 0, trunc.max_terms_per_hyp, limit)
     tail_tol = trunc.tail_tol if order_cap is None else None
     sums = _hyp_sums(upper, lower, memo, y, limit, tail_tol)
+    # ratio1**k and ratio2**l per family; an overflow is inf, so the block
+    # total is not finite
+    powers = {
+        f: [[_pow_or_inf(r, k) for k in range(trunc.k_max + 1)] for r in families[f][1:3]]
+        for f in {block[0] for block in names}
+    }
     blocks = {}
     for block in names:
-        _, ratio1, ratio2, prefactors = families[block[0]]
-        prefactor = prefactors[_BLOCKS[block][-1]]
+        pow1, pow2 = powers[block[0]]
+        prefactor = families[block[0]][3][_BLOCKS[block][-1]]
         total, last_shell = 0.0 + 0.0j, 0.0
         for k, cells in shells[block]:
             shell = 0.0 + 0.0j
             for l, sign, coeff, column in cells:
-                weight = sign * prefactor * ratio1**k * ratio2**l * coeff
+                weight = sign * prefactor * pow1[k] * pow2[l] * coeff
                 if not isinstance(sums[column], complex):
                     raise sums[column]
                 shell += weight * sums[column]

@@ -103,7 +103,7 @@ class TestSweep:
         for eps in (0.0, 0.3, 0.7, 1.0):
             rep = eigenfreq.report(model, eps)
             columns = sweep_rows(model, [eps], eigenfreq.LEVELS)
-            assert columns["real_spectrum"] == list(rep.mode_real)
+            assert columns["real_spectrum"].tolist() == list(rep.mode_real)
             for i, level in enumerate(eigenfreq.LEVELS):
                 errs = np.array(columns[f"err{i}"])
                 want = np.array([np.nan if e is None else e for e in rep.abs_errors[level]])
@@ -185,6 +185,101 @@ class TestSweep:
 
 
 DEGENERATE_MODEL = {"omega": [1, 2, 3.5], "a": [0.1, 0.2, 0.3], "d": [1, 0, 0]}
+# degenerate at eps = 0.5 only: grid point 500 of 1001 is refused
+MIDWAY_DEGENERATE_MODEL = {"omega": [1, 2, 3.5], "a": [0.1, 0.2, 0.3], "d": [2, 0, 0]}
+
+
+def _one_join_text(model, columns, fmt):
+    """The sweep file as one "\\n".join (CSV) or one json.dumps (JSON) over
+    list columns, as the whole table was formatted before CSV blocks."""
+    lists = {k: column.tolist() for k, column in columns.items()}
+    if fmt == "csv":
+        real = ["true" if r else "false" for r in lists["real_spectrum"]]
+        rows = zip(*dict(lists, real_spectrum=real).values())
+        return "\n".join([CSV_HEADER] + [cli._CSV_ROW % row for row in rows]) + "\n"
+    nulled = {
+        k: [None if isinstance(v, float) and np.isnan(v) else v for v in column]
+        for k, column in lists.items()
+    }
+    clean = [dict(zip(nulled, row)) for row in zip(*nulled.values())]
+    return json.dumps(
+        {"model": model.to_json_dict(), "rows": clean}, sort_keys=True, indent=2, allow_nan=False
+    ) + "\n"
+
+
+class TestSweepBlocks:
+    """The CSV is written one block of cli._CSV_BLOCK_ROWS rows at a time,
+    with the bytes of one join over the whole table."""
+
+    POINTS = cli._CSV_BLOCK_ROWS // 3  # grid points per block
+
+    def test_a_block_holds_whole_grid_points(self):
+        assert 3 * self.POINTS == cli._CSV_BLOCK_ROWS
+
+    def test_columns_are_arrays(self):
+        columns = sweep_rows(registry("l"), np.linspace(0.0, 1.0, 7), ("app0", "app2"))
+        assert all(isinstance(c, np.ndarray) and c.shape == (21,) for c in columns.values())
+        assert columns["mode"].tolist() == [1, 2, 3] * 7
+        assert columns["real_spectrum"].dtype == bool and columns["status"].dtype == object
+        assert set(columns["status"].tolist()) == {"ok"} and np.isnan(columns["app1"]).all()
+
+    @pytest.mark.parametrize("mid, points", [
+        ("s", 101),  # ends inside the first block
+        ("m", POINTS),  # fills exactly one block
+        ("l", POINTS + 1),  # one grid point into the second block
+        ("s", 2 * POINTS),  # fills exactly two blocks
+        ("m", 3 * POINTS + 17),  # spans four blocks, ends inside the last
+        ("midway", 1001),  # the refused rows lie inside the second block
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_one_join(self, tmp_path, mid, points, fmt):
+        if mid == "midway":
+            spec = tmp_path / "model.json"
+            spec.write_text(json.dumps(MIDWAY_DEGENERATE_MODEL))
+            model = ThreeModeModel.from_json_dict(MIDWAY_DEGENERATE_MODEL).at_epsilon(1.0)
+            mid = f"@{spec}"
+        else:
+            model = registry(mid)
+        columns = sweep_rows(model, np.linspace(0.0, 1.0, points), eigenfreq.LEVELS)
+        if mid.startswith("@"):
+            refused = np.flatnonzero(columns["status"] != "ok").tolist()
+            assert refused == [1500, 1501, 1502]
+            assert all(0 < r % cli._CSV_BLOCK_ROWS < cli._CSV_BLOCK_ROWS - 1 for r in refused)
+        out = tmp_path / f"sweep.{fmt}"
+        assert run("sweep", "--model", mid, "--steps", str(points), "--format", fmt, "--out", str(out)) == 0
+        assert out.read_bytes() == _one_join_text(model, columns, fmt).encode()
+
+    def test_no_write_is_longer_than_a_block(self, tmp_path, monkeypatch):
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", "l", "--steps", "20001", "--out", str(out)) == 0
+        rows, block = 3 * 20001, cli._CSV_BLOCK_ROWS
+        assert "".join(writes).encode() == out.read_bytes()
+        assert writes[0] == CSV_HEADER + "\n"
+        assert [w.count("\n") for w in writes[1:]] == [block] * (rows // block) + [rows % block]
+        assert all(w.endswith("\n") for w in writes)
+        assert max(map(len, writes)) <= block * max(map(len, out.read_text().splitlines(True)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("refusal", [
+        ("--eps-start", "0.9", "--eps-end", "0.1"),
+        ("--steps", "1"),
+        ("--levels", "app0,app3"),
+    ])
+    def test_refusal_leaves_out_untouched(self, tmp_path, capsys, fmt, refusal):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"earlier,output\r\n1,2\n")
+        assert run("sweep", "--model", "s", *refusal, "--format", fmt, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"earlier,output\r\n1,2\n"
 
 
 class TestSweepBytes:

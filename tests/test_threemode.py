@@ -641,6 +641,17 @@ class TestRefusedInputs:
             with pytest.raises(NonFiniteResult, match=r"^block A3 at t=1e-200 is not finite"):
                 tm.series_block(m, "A3", 1e-200, SeriesTruncation(k_max=2), order_cap=order_cap)
 
+    def test_overflowing_ratio_power(self):
+        # X = -5e299 is finite, but ratio1**2 of every family overflows a
+        # float: the weight is inf and the block total is not finite
+        m = ThreeModeModel(omega=(3, 2, 1), a=(1e100,) * 3, d=(0, 0, 0), epsilon=1)
+        trunc = SeriesTruncation(k_max=2)
+        for block in tm.BLOCK_NAMES:
+            with pytest.raises(NonFiniteResult, match=rf"^block {block} at t=1e-300 is not finite"):
+                tm.series_block(m, block, 1e-300, trunc)
+        with pytest.raises(NonFiniteResult, match=r"^block A1 at t=1e-300 is not finite"):
+            tm.psi1_infinite(m, 1e-300, PSI0, trunc)
+
     def test_non_finite_assembly(self):
         # at t=1e100 every block is finite; psi0 = 1e20 e1 overflows the sum
         m = registry("small")

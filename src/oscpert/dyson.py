@@ -14,15 +14,14 @@ nodes (no linear interpolation), so the global quadrature error is O(steps^-4).
 
 One build yields every order up to the highest one asked for, so `terms`
 returns psi_0(t) .. psi_n(t) for the cost of psi_n(t) alone, in memory that
-does not grow with n.  Functions are pure; each thread keeps one scratch array
-of its largest build, which no result shares.  Values are bitwise those of
-the per-order formulas for a real-valued WI (every ThreeModeModel), within an
+does not grow with n.  Functions are pure; each build works in one buffer,
+freed on return, that no result shares.  Values are bitwise those of the
+per-order formulas for a real-valued WI (every ThreeModeModel), within an
 ulp or so for a complex one.  A non-finite coefficient raises NonFiniteResult.
 """
 from __future__ import annotations
 
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from . import linalg
 from .errors import NonFiniteResult, ResolutionTooCoarse
 
 DEFAULT_REPORT_STEPS = 2000
-_scratch = threading.local()  # .pool: _rotating_orders' grow-only buffers
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ def _rotating_orders(
 ) -> list[np.ndarray]:
     """Rotating-frame values phi_0(t) .. phi_max_order(t), max_order >= 1.
 
-    Arrays are (modes, nodes) views of this thread's grow-only scratch, each
-    written before it is read; each order overwrites the order before the
+    Arrays are (modes, nodes) planes of one buffer per build, each written
+    before it is read; each order overwrites the order before the
     previous one, whose columns first hold the Simpson pairs and odd
     corrections.  Products take out= in the formulas' operand order: numpy
     rounds a complex a*b and b*a apart, and may swap them when it reuses a
@@ -87,10 +85,7 @@ def _rotating_orders(
     """
     n_fine = 2 * steps
     dx = t / n_fine
-    size = 5 * len(psi0) * (n_fine + 1)
-    if len(getattr(_scratch, "pool", ())) < size:
-        _scratch.pool = np.empty(size, complex)
-    phase, rotate_back, prev, cur, integrand = _scratch.pool[:size].reshape(5, len(psi0), -1)
+    phase, rotate_back, prev, cur, integrand = np.empty((5, len(psi0), n_fine + 1), complex)
     np.multiply(np.array(sys.omega0)[:, None], np.linspace(0.0, t, n_fine + 1), out=phase.imag)
     np.subtract(0.0, phase.imag, out=phase.imag)  # 0 - x, not -x: +0 at s=0, as -1j*grid*w
     phase.real = 0.0
@@ -125,7 +120,15 @@ def _rotating_orders(
     return finals
 
 
+def _as_integer(name, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_term_args(sys, order, t, psi0, steps):
+    _as_integer("order", order)
+    _as_integer("steps", steps)
     if order < 0:
         raise ValueError("order must be >= 0")
     if steps < 0:
@@ -215,7 +218,7 @@ def convergence_report(
     Order coefficients are computed once and reweighted per epsilon; the
     exact reference is exp(-i (W0 + eps WI) t) psi0.
     """
-    orders = tuple(int(k) for k in orders)
+    orders = tuple(_as_integer("order", k) for k in orders)
     eps_grid = tuple(float(e) for e in eps_grid)
     if not orders or not eps_grid:
         raise ValueError("orders and eps_grid must be non-empty")

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line harness."""
+import hashlib
 import json
+import platform
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,20 @@ FIG1_LI = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
 
 def run(*argv):
     return main(list(argv))
+
+
+def verify_golden():
+    """The verify hashes of bench/golden.json; skips unless this is its environment."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
+    captured = golden["captured"]
+    for key, value in (("python", platform.python_version()), ("numpy", np.__version__)):
+        if captured[key] != value:
+            pytest.skip(f"bench/golden.json was captured with {key} {captured[key]}, not {value}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = f"{blas.get('name')} {blas.get('version')}"
+    if captured["blas"] != blas:
+        pytest.skip(f"bench/golden.json was captured with {captured['blas']}, not {blas}")
+    return golden["verify"]
 
 
 class TestSweep:
@@ -342,6 +359,13 @@ class TestVerify:
 
     def test_unknown_model(self, capsys):
         assert run("verify", "--model", "nope") == 2
+
+    @pytest.mark.parametrize("model", ["small", "moderate", "large"])
+    def test_full_stdout_matches_bench_golden(self, model, monkeypatch, capsys):
+        expected = verify_golden()[model]
+        monkeypatch.delenv("OSC_PERT_TOL", raising=False)
+        assert run("verify", "--model", model, "--depth", "full") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
     def test_tolerance_override(self, monkeypatch):
         monkeypatch.setenv("OSC_PERT_TOL", "1e-20")

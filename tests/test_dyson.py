@@ -264,30 +264,35 @@ def _verify_shape_results():
 
 
 class TestScratch:
-    """Each thread builds in one grow-only scratch array that no result shares."""
+    """Each build works in one buffer of its own, freed on return."""
 
     def test_results_keep_their_bytes_after_later_builds(self):
         sys = small_system()
-        dyson.terms(sys, 9, 1.0, PSI0, 4000)
-        pool = dyson._scratch.pool
         coeffs = dyson.terms(sys, 3, 0.5, PSI0, 100)
         total = dyson.partial_sum(sys, 3, 0.5, PSI0, 100)
         saved = [a.tobytes() for a in coeffs + [total]]
-        dyson.terms(sys, 9, 0.7, PSI0, 2000)  # rewrites the same scratch
-        assert dyson._scratch.pool is pool
-        dyson.terms(sys, 2, 0.7, PSI0, len(pool) // 15 + 1)  # about doubles it
-        assert len(dyson._scratch.pool) > len(pool)
+        later = dyson.terms(sys, 9, 0.7, PSI0, 2000) + dyson.terms(sys, 3, 0.5, PSI0, 100)
+        later.append(dyson.partial_sum(sys, 3, 0.5, PSI0, 100))
         assert [a.tobytes() for a in coeffs + [total]] == saved
-        assert not any(np.shares_memory(a, dyson._scratch.pool) for a in coeffs + [total])
+        assert not any(np.shares_memory(a, b) for a in coeffs + [total] for b in later)
+
+    def test_a_build_holds_no_memory_after_return(self):
+        # 5 planes of 3 x 40001 complex nodes: 9.6 MB while the build runs
+        tracemalloc.start()
+        try:
+            coeffs = dyson.terms(small_system(), 9, 1.0, PSI0, 20000)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 9_000_000 and current <= 100_000, (current, peak)
+        assert len(coeffs) == 10
 
     def test_refused_build_leaves_no_trace(self):
+        # the refused build leaves non-finite values in a block of the same
+        # size as the next build's, which malloc may hand out again
         sys = threemode.perturbed_system(registry("s").at_epsilon(1.0))
-        dyson.terms(sys, 9, 1.0, cli.PSI0, 4000)
-        pool = dyson._scratch.pool
         with pytest.raises(NonFiniteResult):
-            dyson.terms(small_system(), 6, 1e200, PSI0, 60)
-        assert dyson._scratch.pool is pool
-        assert not np.isfinite(pool[: 5 * 3 * 121]).all()
+            dyson.terms(small_system(), 9, 1e200, PSI0, 4000)
         coeffs = dyson.terms(sys, 9, 1.0, cli.PSI0, 4000)
         for order, coeff in enumerate(coeffs):
             assert _same_bits(coeff, loop_term(sys, order, 1.0, cli.PSI0, 4000))
@@ -298,7 +303,7 @@ class TestScratch:
 
         def worker():
             start.wait()
-            return _verify_shape_results(), dyson._scratch.pool
+            return _verify_shape_results()
 
         interval = _sys.getswitchinterval()
         _sys.setswitchinterval(1e-5)
@@ -308,16 +313,16 @@ class TestScratch:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             _sys.setswitchinterval(interval)
-        for got, _ in results:
-            assert got == serial
-        pools = [scratch for _, scratch in results] + [dyson._scratch.pool]
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(pools) for b in pools[i + 1 :])
+        assert results == [serial, serial]
 
     def test_repeated_builds_fault_in_no_pages(self):
-        # freshly allocated buffers cost ~2,500 page faults over these 5 calls
+        # freshly allocated buffers cost ~2,500 page faults over these 5 calls;
+        # the first freed buffer raises glibc's mmap threshold, so the second
+        # build grows the heap once: warm up with two
         resource = pytest.importorskip("resource")
         sys = small_system()
-        dyson.terms(sys, 9, 1.0, PSI0, 4000)
+        for _ in range(2):
+            dyson.terms(sys, 9, 1.0, PSI0, 4000)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(5):
             dyson.terms(sys, 9, 1.0, PSI0, 4000)
@@ -338,6 +343,16 @@ class TestRefusals:
         for call in self._calls():
             with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
                 call(small_system(), order, 1.0, PSI0, -3)
+
+    @pytest.mark.parametrize(
+        "order, steps, name",
+        [(1, 100.0, "steps"), (2, 50.0, "steps"), (1.5, 100, "order"), (True, 100, "order"),
+         (2, True, "steps"), (2.7, 100, "order"), (np.float64(2.0), 100, "order")],
+    )
+    def test_non_integer_order_or_steps(self, order, steps, name):
+        for call in self._calls():
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+                call(small_system(), order, 1.0, PSI0, steps)
 
     def test_non_finite_coefficient_names_first_order(self):
         # |psi_1| ~ 1e200 is finite, psi_2 overflows; the build warns nothing
@@ -429,6 +444,13 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="order must be >= 0"):
             dyson.convergence_report(
                 small_system(), 1.0, PSI0, orders=(-1, 2), eps_grid=[0.5], steps=100
+            )
+
+    @pytest.mark.parametrize("entry", [2.7, True, "2"])
+    def test_every_order_entry_must_be_an_integer(self, entry):
+        with pytest.raises(ValueError, match=r"^order must be an integer, got "):
+            dyson.convergence_report(
+                small_system(), 1.0, PSI0, orders=(0, entry, 4), eps_grid=[0.5], steps=100
             )
 
     @pytest.mark.parametrize("eps", [1.5, -0.2, float("nan")])

@@ -1,7 +1,7 @@
 """oscpert: perturbative analysis of oscillation modes on directed networks.
 
 Submodules:
-    linalg     — dense complex eigenvalues (single or batched), propagator
+    linalg     — number intakes, dense complex eigenvalues (batched too), propagator
     graph      — weighted digraphs, Laplacians, symmetrizable decomposition
     dyson      — generic order-by-order time-ordered expansion (quadrature)
     threemode  — cyclic 3-mode model: closed forms and hypergeometric blocks

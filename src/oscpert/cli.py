@@ -106,8 +106,7 @@ def _cmd_sweep(args) -> int:
     model = _load_model(args.model)
     if not (0.0 <= args.eps_start < args.eps_end <= 1.0):
         raise ValueError("need 0 <= eps-start < eps-end <= 1")
-    if args.steps < 2:
-        raise ValueError("steps must be >= 2")
+    linalg.as_integer(args.steps, "steps", 2)
     levels = tuple(s.strip() for s in args.levels.split(","))
     for name in levels:
         if name not in eigenfreq.LEVELS:
@@ -292,10 +291,9 @@ def _cmd_decompose(args) -> int:
     li = None
     if args.li is not None:
         with open(args.li, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        li = np.array(rows)
-        if li.dtype.kind not in "iuf":
-            raise ValueError(f"LI JSON must be a list of number rows, got {li.dtype} entries")
+            text = fh.read()
+        li = json.loads(text)
+        graph.check_json_rows(text, li, "LI JSON")
     dec = graph.decompose(lap, li=li)
     parts = _decomposition_parts(
         {"L": dec.L, "L0": dec.L0, "LI": dec.LI, "certificate": dec.certificate, "scaling": dec.scaling}

@@ -21,7 +21,6 @@ ulp or so for a complex one.  A non-finite coefficient raises NonFiniteResult.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,21 +44,13 @@ class PerturbedSystem:
     epsilon: float
 
     def __post_init__(self):
-        omega0 = tuple(float(w) for w in self.omega0)
-        object.__setattr__(self, "omega0", omega0)
+        omega0 = linalg.as_vector(self.omega0, name="omega0", dtype=float)
         mat = linalg.as_square_matrix(self.omegaI, "omegaI")
-        object.__setattr__(self, "omegaI", mat)
         if len(omega0) != mat.shape[0]:
-            raise ValueError(
-                f"omega0 length {len(omega0)} != omegaI dimension {mat.shape[0]}"
-            )
-        if not np.all(np.isfinite(omega0)):
-            raise ValueError("omega0 contains non-finite entries")
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
-            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise ValueError(f"omega0 length {len(omega0)} != omegaI dimension {mat.shape[0]}")
+        object.__setattr__(self, "omegaI", mat)
+        object.__setattr__(self, "omega0", tuple(omega0.tolist()))
+        object.__setattr__(self, "epsilon", linalg.as_real(self.epsilon, "epsilon", 0, 1))
 
     @property
     def dim(self) -> int:
@@ -67,7 +58,7 @@ class PerturbedSystem:
 
     def full_matrix(self, epsilon: float | None = None) -> np.ndarray:
         """W0 + eps * WI as a dense matrix."""
-        eps = self.epsilon if epsilon is None else float(epsilon)
+        eps = self.epsilon if epsilon is None else linalg.as_real(epsilon, "epsilon")
         return np.diag(np.array(self.omega0, dtype=complex)) + eps * self.omegaI
 
 
@@ -120,26 +111,15 @@ def _rotating_orders(
     return finals
 
 
-def _as_integer(name, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _validate_term_args(sys, order, t, psi0, steps):
-    _as_integer("order", order)
-    _as_integer("steps", steps)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if not 0 <= t < np.inf:
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    linalg.as_integer(order, "order", 0)
+    linalg.as_integer(steps, "steps", 0)
+    t = linalg.as_real(t, "t", 0)
     if steps < 10 * order:
         raise ResolutionTooCoarse(
             f"steps={steps} too coarse for order {order}; need >= {10 * order}"
         )
-    return linalg.as_vector(psi0, sys.dim, "psi0")
+    return t, linalg.as_vector(psi0, sys.dim, "psi0")
 
 
 def terms(
@@ -151,7 +131,7 @@ def terms(
         ResolutionTooCoarse: when steps < 10 * max_order.
         NonFiniteResult: naming the first order that is not finite.
     """
-    vec = _validate_term_args(sys, max_order, t, psi0, steps)
+    t, vec = _validate_term_args(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
         final_phase = np.exp(-1j * np.array(sys.omega0) * t)
         if max_order == 0 or t == 0.0:
@@ -180,7 +160,7 @@ def partial_sum(
     sys: PerturbedSystem, max_order: int, t: float, psi0, steps: int
 ) -> np.ndarray:
     """sum_{n=0}^{max_order} eps^n psi_n(t); NonFiniteResult if not finite."""
-    vec = _validate_term_args(sys, max_order, t, psi0, steps)
+    t, vec = _validate_term_args(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
         if max_order == 0 or t == 0.0:
             total_phi = vec
@@ -218,15 +198,10 @@ def convergence_report(
     Order coefficients are computed once and reweighted per epsilon; the
     exact reference is exp(-i (W0 + eps WI) t) psi0.
     """
-    orders = tuple(_as_integer("order", k) for k in orders)
-    eps_grid = tuple(float(e) for e in eps_grid)
+    orders = tuple(linalg.as_integer(k, "order", 0) for k in orders)
+    eps_grid = tuple(linalg.as_real(e, "epsilon", 0, 1) for e in eps_grid)
     if not orders or not eps_grid:
         raise ValueError("orders and eps_grid must be non-empty")
-    if min(orders) < 0:
-        raise ValueError("order must be >= 0")
-    for eps in eps_grid:
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
     coeffs = terms(sys, max(orders), t, psi0, steps)
     vec = linalg.as_vector(psi0, sys.dim, "psi0")
 

@@ -138,7 +138,7 @@ def estimate_increments(m: ThreeModeModel, which: int) -> tuple[float, float, fl
     Raises:
         DegenerateFrequencies, EstimateOverflow: the estimates are refused.
     """
-    if which not in (1, 2, 3):
+    if linalg.as_integer(which, "which") not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
     incs, refusals = _increments(m, np.array([m.epsilon]))
     if refusals[0] is not None:
@@ -193,7 +193,7 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
     above or below the two that meet, and the two tie rules of the module
     docstring assign the meeting modes.
     """
-    eps = np.asarray(eps_grid, dtype=float)
+    eps = linalg.as_array(eps_grid, "eps_grid", float)
     if not (np.all(eps >= 0) and np.all(eps[1:] >= eps[:-1])):
         raise ValueError("eps_grid must be sorted and non-negative")
     points = exceptional_points(m)
@@ -249,7 +249,7 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
     Raises:
         ValueError: grid unsorted or outside [0, 1].
     """
-    eps = np.asarray(eps_grid, dtype=float)
+    eps = linalg.as_array(eps_grid, "eps_grid", float)
     if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError("every epsilon must lie in [0, 1]")
     true_values = matched_path(m, eps)
@@ -275,6 +275,7 @@ def transition_epsilon(m: ThreeModeModel, eps_lo: float, eps_hi: float) -> float
         NoTransition: no exceptional point lies in the bracket.
         ValueError: empty or inverted bracket.
     """
+    eps_lo, eps_hi = linalg.as_real(eps_lo, "eps_lo"), linalg.as_real(eps_hi, "eps_hi")
     if not eps_lo < eps_hi:
         raise ValueError(f"need eps_lo < eps_hi, got [{eps_lo}, {eps_hi}]")
     points = exceptional_points(m)

@@ -1,9 +1,15 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense complex linear algebra for small matrices, and the number intakes.
 
 Everything downstream (time-ordered expansions, eigenfrequency matching,
 series resummation checks) is validated against the three operations here:
 eigenvalues (of one matrix or of a stack of them) and the unitary-style
 propagator exp(-i*M*t), alone or applied to a vector.
+
+Every number a public entry point takes is read by one of four intakes:
+as_real and as_integer for scalars, as_vector and as_square_matrix (with
+as_array, for any shape, beneath them) for arrays.  Each refuses what is
+not a number with ValueError: a bool, a str, None, a complex where a real
+is due, and NaN or +-inf where a finite value is; numpy scalars pass.
 
 Matrices and vectors are plain numpy arrays (complex128 internally).  All
 operations are pure functions of their value inputs and never mutate them,
@@ -12,6 +18,7 @@ so results are safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -40,9 +47,52 @@ _PADE13_THETA = 5.371920351148152
 RESIDUAL_TOL = 1e-10  # relative characteristic-polynomial residual, n <= 3
 
 
+def as_real(value, name: str, lo=None, hi=None) -> float:
+    """``value``, a real number (np.bool_ is none), as a finite float, at
+    least lo (lo=0: non-negative) or in [lo, hi] where given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf if value > 0 else -math.inf
+    if hi is not None and not lo <= x <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {x}")
+    if lo is not None and not lo <= x < math.inf:
+        bound = "non-negative" if lo == 0 else f">= {lo}"
+        raise ValueError(f"{name} must be finite and {bound}, got {x}")
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def as_integer(value, name: str, lo=None) -> int:
+    """``value``, an integer (numpy's too, a float never), as an int >= lo."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
+    return int(value)
+
+
+def as_array(x, name: str, dtype=complex) -> np.ndarray:
+    """``x`` as a float64 (dtype=float) or complex128 array of its shape,
+    refused by numpy's dtype: bool, str, object (a None or a ragged row) or,
+    for float, complex.  numpy reads a list that mixes bools into numbers as
+    a number array, so no intake sees those bools."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # ragged rows
+        raise ValueError(f"{name} must be a regular array of numbers: {exc}") from exc
+    if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        kind = "real numbers" if dtype is float else "numbers"
+        raise ValueError(f"{name} must hold {kind}, got {arr.dtype} entries")
+    return arr.astype(dtype, copy=False)
+
+
 def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     """Validate and return ``m`` as a square complex128 array."""
-    arr = np.asarray(m, dtype=complex)
+    arr = as_array(m, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,9 +100,9 @@ def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and return ``v`` as a complex128 vector of length ``n``."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
+def as_vector(v, n: int | None = None, name: str = "vector", dtype=complex) -> np.ndarray:
+    """Validate and return ``v`` as a complex128 (or dtype) vector of length ``n``."""
+    arr = as_array(v, name, dtype).reshape(-1)
     if n is not None and arr.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {arr.shape[0]}, expected {n}")
     if not np.all(np.isfinite(arr)):
@@ -82,7 +132,7 @@ def eigenvalues(m):
         NonConvergence: if the underlying QR iteration fails, or the
             characteristic-polynomial residual check fails for n <= 3.
     """
-    arr = np.asarray(m, dtype=complex)
+    arr = as_array(m, "matrix")
     single = arr.ndim != 3
     if single:
         arr = as_square_matrix(arr)[None]
@@ -193,8 +243,7 @@ def propagator(m, t: float) -> np.ndarray:
     overflows raises NonFiniteResult.
     """
     arr = as_square_matrix(m)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    t = as_real(t, "t")
     diag = np.diag(np.diag(arr))
     if np.array_equal(arr, diag):
         return np.diag(np.exp(-1j * np.diag(arr) * t))

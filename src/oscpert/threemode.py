@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -77,22 +76,13 @@ class ThreeModeModel:
     def __post_init__(self):
         for name in ("omega", "a", "d"):
             try:
-                vals = tuple(getattr(self, name))
-                if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in vals):
-                    raise TypeError(f"got {vals!r}")
-                vals = tuple(map(float, vals))
-            except (TypeError, OverflowError) as exc:
+                vals = tuple(linalg.as_real(x, name) for x in getattr(self, name))
+            except (TypeError, ValueError) as exc:  # TypeError: not a sequence
                 raise ValueError(f"{name} must be a sequence of real numbers: {exc}") from exc
             if len(vals) != 3:
                 raise ValueError(f"{name} must have exactly 3 entries")
-            if not all(math.isfinite(x) for x in vals):
-                raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, vals)
-        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
-            raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        object.__setattr__(self, "epsilon", linalg.as_real(self.epsilon, "epsilon", 0, 1))
 
     def at_epsilon(self, epsilon: float) -> "ThreeModeModel":
         return replace(self, epsilon=epsilon)
@@ -137,7 +127,7 @@ class SeriesTruncation:
     fall below tail_tol relative to the partial sum, or below 1e-300);
     max_terms_per_hyp caps the inner summation length.  k_max and
     max_terms_per_hyp must be integers >= 1 and tail_tol a finite positive
-    number (a bool is neither); anything else raises ValueError.
+    number; anything else raises ValueError.
     """
 
     k_max: int = 4
@@ -145,14 +135,9 @@ class SeriesTruncation:
     max_terms_per_hyp: int = 500
 
     def __post_init__(self):
-        for name in ("k_max", "max_terms_per_hyp"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        tol = self.tail_tol
-        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tail_tol must be a finite positive number, got {tol!r}")
+        linalg.as_integer(self.k_max, "k_max", 1)
+        linalg.as_integer(self.max_terms_per_hyp, "max_terms_per_hyp", 1)
+        linalg.as_real(self.tail_tol, "tail_tol", math.ulp(0.0))  # > 0
 
 
 def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
@@ -184,7 +169,9 @@ def omega_matrix(m: ThreeModeModel, epsilon=None) -> np.ndarray:
 
     A 1-D array of epsilon values gives the (N, 3, 3) stack of Omega(eps_k).
     """
-    eps = np.asarray(m.epsilon if epsilon is None else epsilon, dtype=float)
+    eps = linalg.as_array(m.epsilon if epsilon is None else epsilon, "epsilon", float)
+    if not np.isfinite(eps).all():
+        raise ValueError("epsilon contains non-finite entries")
     a1, a2, a3 = m.a
     mat = np.zeros(eps.shape + (3, 3))
     mat[..., (0, 1, 2), (0, 1, 2)] = np.add(m.omega, eps[..., None] * np.array(m.d))
@@ -248,10 +235,9 @@ def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
     n-step cyclic path ending at mode 1: psi_1(0) for n in {0, 3},
     psi_3(0) for n = 1, psi_2(0) for n = 2.
     """
-    if n not in (0, 1, 2, 3):
+    if linalg.as_integer(n, "n") not in (0, 1, 2, 3):
         raise ValueError("closed forms exist for orders 0..3 only")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    t = linalg.as_real(t, "t")
     vec = linalg.as_vector(psi0, 3, "psi0")
     w1, w2, w3 = effective_frequencies(m)
     a1, a2, a3 = m.a
@@ -298,9 +284,10 @@ def neg_binomial(n: int, k: int) -> int:
     C(n, k) = (-1)^(n-k) C(-k - 1, n - k); everything else is zero.
     A non-integral n or k raises ValueError.
     """
-    if not (isinstance(n, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise ValueError(f"neg_binomial needs integral n and k, got {n!r}, {k!r}")
-    n, k = int(n), int(k)
+    try:
+        n, k = linalg.as_integer(n, "n"), linalg.as_integer(k, "k")
+    except ValueError as exc:
+        raise ValueError(f"neg_binomial needs integral n and k: {exc}") from exc
     if n >= 0:
         if 0 <= k <= n:
             return math.comb(n, k)
@@ -509,8 +496,9 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     its column.  Each block raises the refusal of its first failing cell in
     (k, l) order, then NonFiniteResult for a total that is not finite, then
     its TruncationNotConverged, before the next block is totalled."""
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    t = linalg.as_real(t, "t")
+    order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
+    shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
     shells, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
     # every argument -1j * W * t has a zero real part
     y = np.array([(-1j * families[f][0] * t).imag for f in "ABC"])[family]

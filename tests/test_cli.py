@@ -474,6 +474,34 @@ class TestDecompose:
         assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("li, graph_text, key", [
+        (None, '{"n": 3, "edges": [[0, 1, 2], [1, 2, true], [2, 0, 1]]}', 'graph JSON "edges"'),
+        (None, '{"n": 3, "edges": [[0, 1, 2], [false, 2, 3], [2, 0, 1]]}', 'graph JSON "edges"'),
+        ('[[1, -1, 0], [0, true, -1], [-1, 0, 1]]', json.dumps(FIG1_GRAPH), "LI JSON"),
+        ('[[1, -1, 0], [0, 1, -1], [-1, false, 1]]', json.dumps(FIG1_GRAPH), "LI JSON"),
+    ])
+    def test_bool_among_the_numbers_is_usage_error(self, tmp_path, capsys, li, graph_text, key):
+        # numpy alone reads true as 1 and false as 0: a true weight used to be
+        # written out, a true LI entry refused as a row-sum error (exit 1)
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(graph_text)
+        args = ["decompose", "--graph", str(gpath), "--out", str(out)]
+        if li is not None:
+            lpath.write_text(li)
+            args += ["--li", str(lpath)]
+        assert run(*args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be a real number, got ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bool_outside_the_numbers_is_not_refused(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({**FIG1_GRAPH, "directed": True, "note": "true"}))
+        assert run("decompose", "--graph", str(gpath)) == 0
+        assert json.loads(capsys.readouterr().out)["L"] == [[3, -2, -1], [-3, 6, -3], [-4, -2, 6]]
+
     def test_li_of_the_wrong_shape_is_refused(self, tmp_path, capsys):
         gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
         gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))

@@ -54,9 +54,10 @@ class TestWeightedDigraph:
             FIG1_GRAPH.edges[0, 2] = 5.0
 
     def test_whole_number_nodes(self):
-        g = graph.WeightedDigraph(n=2.0, edges=(("0", 1.0, "2.5"),))
+        # a str is never parsed as a number: see test_numbers.py
+        g = graph.WeightedDigraph(n=2.0, edges=((0, 1.0, 2.5),))
         assert g.n == 2 and g.edges.tolist() == [[0.0, 1.0, 2.5]]
-        assert graph.WeightedDigraph(n="3", edges=()).n == 3
+        assert graph.WeightedDigraph(n=np.int64(3), edges=()).n == 3
         for n, edges in ((2.7, ()), (2, ((0, 1.9, 1.0),)), (3, ((0, 1, 1.0), (0.5, 2, 1.0)))):
             with pytest.raises(ValueError, match="must be whole numbers"):
                 graph.WeightedDigraph(n=n, edges=edges)

@@ -15,7 +15,12 @@ nodes (no linear interpolation), so the global quadrature error is O(steps^-4).
 One build yields every order up to the highest one asked for, so `terms`
 returns psi_0(t) .. psi_n(t) for the cost of psi_n(t) alone, in memory that
 does not grow with n.  Functions are pure; each build works in one buffer,
-freed on return, that no result shares.  Values are bitwise those of the
+freed on return, that no result shares.  Each (modes, nodes) plane of it
+holds the even nodes and then the odd ones, so the stencils read contiguous
+runs.  A real-valued WI is applied as one real product on the float view of
+a plane.  Every other multiply stays complex: numpy rounds a complex a*b
+and b*a apart, and multiplies by a real c as by c + 0j, whose exact zeros
+can differ in sign from c times each part.  Values are bitwise those of the
 per-order formulas for a real-valued WI (every ThreeModeModel), within an
 ulp or so for a complex one.  A non-finite coefficient raises NonFiniteResult.
 """
@@ -67,46 +72,66 @@ def _rotating_orders(
 ) -> list[np.ndarray]:
     """Rotating-frame values phi_0(t) .. phi_max_order(t), max_order >= 1.
 
-    Arrays are (modes, nodes) planes of one buffer per build, each written
-    before it is read; each order overwrites the order before the
+    Arrays are (modes, nodes) planes of one buffer per build.  Each plane
+    holds the even nodes 0, 2, .., 2*steps and then the odd nodes 1, 3, ..,
+    2*steps-1, so every stencil reads contiguous runs.  Each plane is
+    written before it is read; each order overwrites the order before the
     previous one, whose columns first hold the Simpson pairs and odd
-    corrections.  Products take out= in the formulas' operand order: numpy
-    rounds a complex a*b and b*a apart, and may swap them when it reuses a
-    large temporary.  The last order needs only its last (even) node.
+    corrections.  The last order needs only its last (even) node.
+
+    A real-valued WI multiplies the float view of a plane: one real product
+    rounds each part as the complex product with zero imaginary parts does.
+    Every other multiply stays complex.  numpy rounds a complex a*b and b*a
+    apart, and may swap them when it reuses a large temporary, so the
+    phase and rotation products take out= in the formulas' operand order.
+    The 4/5/19/9 and dx/3, dx/24 scalings multiply as by c + 0j, as the
+    formulas do: that turns some exact -0 parts into +0, which a scaling of
+    the float view would keep (a zero row of WI makes such parts).
     """
     n_fine = 2 * steps
     dx = t / n_fine
+    grid = np.linspace(0.0, t, n_fine + 1)
+    times = np.concatenate((grid[::2], grid[1::2]))
     phase, rotate_back, prev, cur, integrand = np.empty((5, len(psi0), n_fine + 1), complex)
-    np.multiply(np.array(sys.omega0)[:, None], np.linspace(0.0, t, n_fine + 1), out=phase.imag)
+    np.multiply(np.array(sys.omega0)[:, None], times, out=phase.imag)
     np.subtract(0.0, phase.imag, out=phase.imag)  # 0 - x, not -x: +0 at s=0, as -1j*grid*w
     phase.real = 0.0
     np.exp(phase, out=phase)
     np.negative(phase.imag, out=rotate_back.real)
     np.negative(phase.real, out=rotate_back.imag)
-    prev[:] = psi0[:, None]
+    real = not sys.omegaI.imag.any()
+    coupling = np.ascontiguousarray(sys.omegaI.real) if real else sys.omegaI
+    even, odd_nodes = integrand[:, : steps + 1], integrand[:, steps + 1 :]
+    np.multiply(phase, psi0[:, None], out=prev)
     finals = [psi0]
     for order in range(1, max_order + 1):
-        np.multiply(phase, prev, out=prev)
-        np.matmul(sys.omegaI, prev, out=integrand)
-        v = np.multiply(rotate_back, integrand, out=integrand)
+        if order > 1:
+            np.multiply(phase, prev, out=prev)
+        if real:
+            np.matmul(coupling, prev.view(float), out=integrand.view(float))
+        else:
+            np.matmul(coupling, prev, out=integrand)
+        np.multiply(rotate_back, integrand, out=integrand)
         pair, odd = prev[:, :steps], prev[:, steps : 2 * steps - 1]
-        np.multiply(4.0, v[:, 1:-1:2], out=pair)
-        pair += v[:, 0:-2:2]
-        pair += v[:, 2::2]
+        np.multiply(4.0, odd_nodes, out=pair)
+        pair += even[:, :-1]
+        pair += even[:, 1:]
         pair *= dx / 3.0
-        np.cumsum(pair, axis=1, out=cur[:, 2::2])
-        finals.append(cur[:, -1].copy())
+        np.cumsum(pair, axis=1, out=cur[:, 1 : steps + 1])
+        finals.append(cur[:, steps].copy())
         if order == max_order:
             break
         cur[:, 0] = 0.0
-        cur[:, 1] = (dx / 24.0) * (9.0 * v[:, 0] + 19.0 * v[:, 1] - 5.0 * v[:, 2] + v[:, 3])
-        np.multiply(5.0, v[:, 1:-2:2], out=odd)
-        np.subtract(v[:, 0:-3:2], odd, out=odd)
+        cur[:, steps + 1] = (dx / 24.0) * (
+            9.0 * even[:, 0] + 19.0 * odd_nodes[:, 0] - 5.0 * even[:, 1] + odd_nodes[:, 1]
+        )
+        np.multiply(5.0, odd_nodes[:, :-1], out=odd)
+        np.subtract(even[:, :-2], odd, out=odd)
         scaled = pair[:, :-1]
-        for weight, nodes in ((19.0, v[:, 2:-1:2]), (9.0, v[:, 3::2])):
+        for weight, nodes in ((19.0, even[:, 1:-1]), (9.0, odd_nodes[:, 1:])):
             odd += np.multiply(weight, nodes, out=scaled)
         odd *= dx / 24.0
-        np.add(cur[:, 2:-1:2], odd, out=cur[:, 3::2])
+        np.add(cur[:, 1:steps], odd, out=cur[:, steps + 2 :])
         prev, cur = cur, prev
     return finals
 

@@ -264,6 +264,7 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
 
 def is_real_mode(value):
     """Whether a complex value (or each entry of a complex array) is real."""
+    value = linalg.as_array(value, "value")
     return np.abs(value.imag) <= IMAG_THRESHOLD * (1.0 + np.hypot(value.real, value.imag))
 
 

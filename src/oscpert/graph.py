@@ -276,7 +276,7 @@ def _tree_cycle(parent: list[int], i: int, j: int) -> tuple[int, ...]:
 
 def scaling_from_certificate(m: np.ndarray) -> np.ndarray:
     """Similarity vector s = sqrt(m), renormalized so min(s) == 1."""
-    s = np.sqrt(linalg.as_array(m, "certificate", float))
+    s = np.sqrt(linalg.as_vector(m, name="certificate", dtype=float))
     return s / s.min()
 
 

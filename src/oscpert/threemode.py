@@ -147,11 +147,20 @@ def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
         DegenerateFrequencies: if any pairwise gap is below the configured
             fraction of the largest effective frequency.
     """
-    return shifted_frequencies(m.omega, m.d, m.epsilon)
+    return _shifted_frequencies(m.omega, m.d, m.epsilon)
 
 
 def shifted_frequencies(omega, d, epsilon: float) -> tuple[float, float, float]:
     """effective_frequencies from raw parameters, without building a model."""
+    return _shifted_frequencies(
+        linalg.as_vector(omega, 3, "omega", float).tolist(),
+        linalg.as_vector(d, 3, "d", float).tolist(),
+        linalg.as_real(epsilon, "epsilon"),
+    )
+
+
+def _shifted_frequencies(omega, d, epsilon: float) -> tuple[float, float, float]:
+    """shifted_frequencies of numbers already read: a model's, or the intake's."""
     freqs = tuple(w + epsilon * dw for w, dw in zip(omega, d))
     gap = DEGENERACY_GAP_FACTOR * max(1e-12, max(abs(f) for f in freqs))
     for i in range(3):

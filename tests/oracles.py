@@ -49,11 +49,14 @@ rather than tautology:
                        blocks of the exponential of one block upper-bidiagonal
                        matrix (Van Loan, IEEE TAC 23, 1978): no quadrature, so
                        exact to rounding at any t
-* loop_term, loop_partial_sum, loop_convergence_residuals
+* loop_term, loop_partial_sum, loop_convergence_residuals,
+  loop_rotating_orders
                      — the per-order Dyson quadrature that dyson.terms
                        replaced: every coefficient rebuilds the trajectories
                        of orders 1..n, forms the rotation factor per order and
-                       integrates with one temporary per formula
+                       integrates with one temporary per formula;
+                       loop_rotating_orders gives the rotating-frame values
+                       before the final phase, signed zeros and all
 * inline_verify      — the `verify` command as inline checks, each with its
                        own tolerance lookup and PASS/FAIL line, that the
                        check table in oscpert.cli replaced
@@ -760,6 +763,12 @@ def loop_term(sys, order, t, psi0, steps) -> np.ndarray:
         return np.exp(-1j * np.array(sys.omega0) * t) * vec
     trajectories = _loop_trajectories(sys, order, t, vec, steps)
     return np.exp(-1j * np.array(sys.omega0) * t) * trajectories[order][-1]
+
+
+def loop_rotating_orders(sys, max_order, t, psi0, steps) -> list[np.ndarray]:
+    """phi_0(t) .. phi_max_order(t), the last node of each loop trajectory."""
+    vec = _loop_validate(sys, max_order, t, psi0, steps)
+    return [traj[-1] for traj in _loop_trajectories(sys, max_order, t, vec, steps)]
 
 
 def loop_partial_sum(sys, max_order, t, psi0, steps) -> np.ndarray:

@@ -11,10 +11,12 @@ from oscpert import cli, dyson, linalg, threemode
 from oscpert.benchmarks import registry
 from oscpert.dyson import PerturbedSystem
 from oscpert.errors import NonFiniteResult, ResolutionTooCoarse
+from oscpert.threemode import ThreeModeModel
 
 from oracles import (
     loop_convergence_residuals,
     loop_partial_sum,
+    loop_rotating_orders,
     loop_term,
     path_term,
     van_loan_orders,
@@ -197,33 +199,85 @@ def _random_system(rng, dim, complex_coupling):
 class TestTwoBufferKernel:
     """The (modes, nodes) kernel against the per-order loop oracle."""
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def _assert_bitwise(self, sys, max_order, t, psi0, steps):
+        coeffs = dyson.terms(sys, max_order, t, psi0, steps)
+        for order, coeff in enumerate(coeffs):
+            assert _same_bits(coeff, loop_term(sys, order, t, psi0, steps))
+        assert _same_bits(
+            dyson.partial_sum(sys, max_order, t, psi0, steps),
+            loop_partial_sum(sys, max_order, t, psi0, steps),
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
     def test_random_real_couplings_bitwise(self, dim):
         rng = np.random.default_rng(100 + dim)
         for max_order, t, steps in ((1, 0.3, 10), (4, 1.7, 40), (6, 0.9, 75)):
             sys, psi0 = _random_system(rng, dim, complex_coupling=False)
-            coeffs = dyson.terms(sys, max_order, t, psi0, steps)
-            for order, coeff in enumerate(coeffs):
-                assert _same_bits(coeff, loop_term(sys, order, t, psi0, steps))
-            assert _same_bits(
-                dyson.partial_sum(sys, max_order, t, psi0, steps),
-                loop_partial_sum(sys, max_order, t, psi0, steps),
-            )
+            self._assert_bitwise(sys, max_order, t, psi0, steps)
 
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
     def test_verify_shapes_bitwise(self, mid):
-        psi0 = cli.PSI0
         for eps in (0.3, 1.0):
             sys = threemode.perturbed_system(registry(mid).at_epsilon(eps))
             cases = [(9, t, 4000) for t in (0.25, 0.5, 1.0)] + [(3, t, 2000) for t in (0.5, 1.0)]
             for max_order, t, steps in cases:
-                coeffs = dyson.terms(sys, max_order, t, psi0, steps)
-                for order, coeff in enumerate(coeffs):
-                    assert _same_bits(coeff, loop_term(sys, order, t, psi0, steps))
-                assert _same_bits(
-                    dyson.partial_sum(sys, max_order, t, psi0, steps),
-                    loop_partial_sum(sys, max_order, t, psi0, steps),
-                )
+                self._assert_bitwise(sys, max_order, t, cli.PSI0, steps)
+
+    def test_real_coupling_held_as_complex_takes_the_real_path(self, monkeypatch):
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            products.append((a.dtype, b.dtype))
+            return matmul(a, b, **kwargs)
+
+        rng = np.random.default_rng(300)
+        real = rng.normal(size=(3, 3))
+        negative_zero_imag = real.astype(complex)
+        negative_zero_imag.imag = -0.0
+        cases = [(real.astype(complex), np.float64), (negative_zero_imag, np.float64),
+                 (real + 1j * rng.normal(size=(3, 3)), np.complex128)]
+        for coupling, dtype in cases:
+            sys = PerturbedSystem(omega0=(2.0, -1.5, 0.7), omegaI=coupling, epsilon=0.6)
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", spy)
+                dyson.terms(sys, 5, 1.3, PSI0, 60)
+            assert products == [(dtype, dtype)] * 5
+            products.clear()
+            if dtype is np.float64:
+                self._assert_bitwise(sys, 5, 1.3, PSI0, 60)
+
+    @pytest.mark.parametrize("sys", [
+        threemode.perturbed_system(ThreeModeModel((9.0, 6.0, 0.0), a, (1.5, 1.6, 0.025), eps))
+        for a, eps in [((1.0, 2.0, 0.0), 0.0), ((1.0, 2.0, 0.0), 0.3), ((1.0, 2.0, 0.0), 1.0),
+                       ((1.0, 0.0, 1.0), 0.0), ((0.0, 0.0, 0.0), 0.5)]
+    ] + [
+        PerturbedSystem(omega0=(-4.0, 2.5, 0.0), epsilon=0.7,
+                        omegaI=[[0.0, 0.0, 0.0], [1.2, 0.0, -0.7], [0.4, -1.1, 0.0]]),
+        PerturbedSystem(omega0=(-4.0, 0.0), epsilon=0.7, omegaI=[[-1.3, 0.6], [0.0, -0.0]]),
+    ], ids=["a3=0 eps=0", "a3=0 eps=0.3", "a3=0 eps=1", "a2=0 eps=0", "a=0", "row0=0 w<0", "row1=0 w=0"])
+    def test_zero_coupling_row_bitwise_signed_zeros_included(self, sys):
+        # a zero row of WI makes that mode's integrand exact zeros, whose signs
+        # the rotation sets node by node; a scaling of the float view would
+        # turn some +0 parts of the rotating-frame values into -0
+        real_psi0 = np.array([0.7, -0.4, 0.2, 0.9][: sys.dim], complex)
+        unit = np.eye(sys.dim, dtype=complex)[0]
+        for psi0 in (PSI0[: sys.dim], real_psi0, unit):
+            for max_order, t, steps in ((1, 0.05, 10), (4, 0.1, 40), (6, 1.7, 60), (3, 0.9, 2000)):
+                rotating = dyson._rotating_orders(sys, max_order, t, psi0, steps)
+                expected = loop_rotating_orders(sys, max_order, t, psi0, steps)
+                assert [a.tobytes() for a in rotating] == [b.tobytes() for b in expected]
+                self._assert_bitwise(sys, max_order, t, psi0, steps)
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l", "random"])
+    def test_coarsest_grid_bitwise(self, mid):
+        rng = np.random.default_rng(500)
+        for order in range(1, 10):
+            if mid == "random":
+                sys, psi0 = _random_system(rng, 4, complex_coupling=False)
+            else:
+                sys, psi0 = threemode.perturbed_system(registry(mid)), PSI0
+            self._assert_bitwise(sys, order, 0.8, psi0, 10 * order)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_complex_couplings_within_an_ulp(self, dim):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oscpert import dyson, eigenfreq, graph, linalg, threemode
+from oscpert import benchmarks, dyson, eigenfreq, graph, linalg, threemode
 from oscpert.benchmarks import registry
 from oscpert.dyson import PerturbedSystem
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
@@ -65,6 +65,11 @@ ENTRY_POINTS = [
     ("SeriesTruncation k_max", lambda v: SeriesTruncation(k_max=v), ()),
     ("SeriesTruncation tail_tol", lambda v: SeriesTruncation(tail_tol=v), ()),
     ("SeriesTruncation max_terms_per_hyp", lambda v: SeriesTruncation(max_terms_per_hyp=v), ()),
+    ("threemode.shifted_frequencies omega",
+     lambda v: threemode.shifted_frequencies([v] * 3, (1.5, 1.6, 0.025), 0.5), ()),
+    ("threemode.shifted_frequencies d", lambda v: threemode.shifted_frequencies((9, 6, 0), [v] * 3, 0.5), ()),
+    ("threemode.shifted_frequencies epsilon",
+     lambda v: threemode.shifted_frequencies((9, 6, 0), (1.5, 1.6, 0.025), v), ()),
     ("threemode.neg_binomial n", lambda v: threemode.neg_binomial(v, 1), ()),
     ("threemode.neg_binomial k", lambda v: threemode.neg_binomial(3, v), ()),
     ("threemode.omega_matrix", lambda v: threemode.omega_matrix(MODEL, _grid(v)), ()),
@@ -102,14 +107,69 @@ ENTRY_POINTS = [
     ("eigenfreq.matched_path", lambda v: eigenfreq.matched_path(MODEL, _grid(v)), ()),
     ("eigenfreq.spectral_grid", lambda v: eigenfreq.spectral_grid(MODEL, _grid(v)), ()),
     ("eigenfreq.report", lambda v: eigenfreq.report(MODEL, v), ()),
+    ("eigenfreq.is_real_mode", eigenfreq.is_real_mode, COMPLEX + ("nan",)),  # dtype only
     ("eigenfreq.transition_epsilon lo", lambda v: eigenfreq.transition_epsilon(registry("l"), v, 1.0), ()),
     ("eigenfreq.transition_epsilon hi", lambda v: eigenfreq.transition_epsilon(registry("l"), 0.0, v), ()),
     ("WeightedDigraph n", lambda v: graph.WeightedDigraph(n=v, edges=()), ()),
     ("WeightedDigraph edges", lambda v: graph.WeightedDigraph(n=2, edges=[[v, v, v]]), ()),
+    ("graph.check_json_rows", lambda v: graph.check_json_rows("t", [[v]], "x"), ()),
+    ("graph.scaling_from_certificate", lambda v: graph.scaling_from_certificate(_grid(v)), ()),
     ("graph.symmetrizability_certificate", lambda v: graph.symmetrizability_certificate(_square(v)), ()),
     ("graph.decompose L", lambda v: graph.decompose(_square(v)), ()),
     ("graph.decompose li", lambda v: graph.decompose(FIG1_L, li=[[v] * 3] * 3), ()),
 ]
+
+_MODEL_ONLY = "takes a ThreeModeModel, whose constructor is in the table"
+
+# Public callables that read no number of their own, each with the reason.
+EXEMPT = {
+    "graph.LaplacianDecomposition": "a result record, built by graph.decompose",
+    "graph.laplacian": "takes a WeightedDigraph, whose constructor is in the table",
+    "graph.validate_decomposition": "takes a LaplacianDecomposition, built by graph.decompose",
+    "dyson.ConvergenceReport": "a result record, built by dyson.convergence_report",
+    "threemode.XYZ": "a result record, built by threemode.xyz",
+    "threemode.effective_frequencies": _MODEL_ONLY,
+    "threemode.coupling_matrix": _MODEL_ONLY,
+    "threemode.perturbed_system": _MODEL_ONLY,
+    "threemode.xyz": _MODEL_ONLY,
+    "threemode.cyclic_view": "takes a ThreeModeModel and a target name, which is text",
+    "eigenfreq.EigenfrequencyReport": "a result record, built by eigenfreq.report",
+    "eigenfreq.SpectralGrid": "a result record, built by eigenfreq.spectral_grid",
+    "eigenfreq.exceptional_points": _MODEL_ONLY,
+    "eigenfreq.true_eigenfrequencies": _MODEL_ONLY,
+    "benchmarks.canonical_id": "takes a model name, which is text",
+}
+
+MODULES = {"linalg": linalg, "graph": graph, "dyson": dyson, "threemode": threemode,
+           "eigenfreq": eigenfreq, "benchmarks": benchmarks}
+
+
+def _public_callables():
+    """'module.name' of every callable a module defines without a leading underscore."""
+    return {
+        f"{key}.{name}"
+        for key, module in MODULES.items()
+        for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj) and getattr(obj, "__module__", None) == module.__name__
+    }
+
+
+def _row_callable(row_id):
+    """The callable a row reads: 'linalg.eigenvalues stack' -> 'linalg.eigenvalues',
+    'ThreeModeModel.at_epsilon' -> 'threemode.ThreeModeModel'."""
+    head = row_id.split()[0].split(".")
+    if head[0] in MODULES:
+        return ".".join(head[:2])
+    (owner,) = (key for key, module in MODULES.items()
+                if getattr(getattr(module, head[0], None), "__module__", None) == module.__name__)
+    return f"{owner}.{head[0]}"
+
+
+def test_every_public_callable_has_a_row_or_an_exemption():
+    public, rows = _public_callables(), {_row_callable(row[0]) for row in ENTRY_POINTS}
+    assert public - rows - EXEMPT.keys() == set()
+    assert rows | EXEMPT.keys() <= public  # no row or exemption names a callable that is gone
+    assert rows & EXEMPT.keys() == set()
 
 
 @pytest.mark.parametrize("bad, kind", zip(BAD, BAD_IDS), ids=BAD_IDS)

@@ -15,9 +15,11 @@ json.dumps(..., sort_keys=True, indent=2) of the nested lists (floats in
 their shortest round-trip form), built in full before any of it is
 written, so a refused decomposition writes nothing.  `sweep` computes its
 whole grid (sweep_rows returns the columns as arrays) before it opens
---out, so a refused sweep writes nothing either; it then formats and
-writes the CSV one block of _CSV_BLOCK_ROWS rows at a time, and the JSON
-in one piece.
+--out, so a refused sweep writes nothing either (a ±inf float, which JSON
+cannot hold, refuses --format json there too).  One block writer then
+formats and writes either format one block of _CSV_BLOCK_ROWS rows at a
+time, with one % per block; the JSON has the bytes of
+json.dumps(..., sort_keys=True, indent=2) of the whole table.
 
 `verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
 one PASS/FAIL line per row: the quick rows always, the full rows at --depth
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -98,8 +101,48 @@ def sweep_rows(model: ThreeModeModel, eps_values, levels) -> dict[str, np.ndarra
 
 # One CSV row; "%.17g" prints what f"{x:.17g}" prints, nan and -0 included.
 _CSV_ROW = "%.17g,%d" + ",%.17g" * 8 + ",%s,%s"
-# Rows formatted and written per write call: 341 grid points of three modes.
+# One JSON row as json.dumps(..., sort_keys=True, indent=2) prints it inside
+# "rows"; each value is a preformatted str, an int or a float ("%s" of a
+# float is its repr, as json's).
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{k}": %s' for k in sorted(CSV_HEADER.split(","))) + "\n    }"
+# Rows formatted and written per write call, in either format: 341 grid
+# points of three modes.
 _CSV_BLOCK_ROWS = 1023
+
+
+def _sweep_layout(fmt: str, model: ThreeModeModel, columns: dict) -> tuple:
+    """The sweep file in format fmt as (head, row, sep, last, tail, cells, null).
+
+    The file is head, then each row's `row % fields` followed by sep (by last
+    after the final row), then tail.  cells holds one 1-D array per field of
+    row, in its order.  null, when set, is the text of a NaN float cell.
+    Each grid point's epsilon is formatted once for its three rows.
+    """
+    words = np.array(["false", "true"], dtype=object)[columns["real_spectrum"].astype(np.intp)]
+    points = columns["epsilon"][::3].tolist()
+    if fmt == "csv":
+        epsilon = np.repeat(np.array(["%.17g" % e for e in points], dtype=object), 3)
+        cells = dict(columns, epsilon=epsilon, real_spectrum=words)
+        return CSV_HEADER + "\n", _CSV_ROW.replace("%.17g", "%s", 1), "\n", "\n", "", list(cells.values()), None
+    for key, column in columns.items():
+        if column.dtype == np.float64 and np.isinf(column).any():
+            raise ValueError(f"Out of range float values are not JSON compliant in {key}")
+    names, which = np.unique(columns["status"], return_inverse=True)
+    status = np.array([json.dumps(name) for name in names.tolist()], dtype=object)[which]
+    epsilon = np.repeat(np.array(list(map(float.__repr__, points)), dtype=object), 3)
+    cells = dict(columns, epsilon=epsilon, real_spectrum=words, status=status)
+    empty = json.dumps({"model": model.to_json_dict(), "rows": []}, sort_keys=True, indent=2, allow_nan=False)
+    head = empty.removesuffix("]\n}") + "\n"
+    return head, _JSON_ROW, ",\n", "", "\n  ]\n}\n", [cells[k] for k in sorted(cells)], "null"
+
+
+def _block_cells(part: np.ndarray, null) -> list:
+    """part.tolist(), with null in place of each NaN of a float part when null is set."""
+    if null is None or part.dtype != np.float64:
+        return part.tolist()
+    cells = part.astype(object)
+    cells[np.isnan(part)] = null
+    return cells.tolist()
 
 
 def _cmd_sweep(args) -> int:
@@ -112,29 +155,18 @@ def _cmd_sweep(args) -> int:
         if name not in eigenfreq.LEVELS:
             raise ValueError(f"unknown level {name!r}")
     columns = sweep_rows(model, np.linspace(args.eps_start, args.eps_end, args.steps), levels)
-    if args.format == "csv":
-        real = np.array(["false", "true"], dtype=object)[columns["real_spectrum"].astype(np.intp)]
-        text = dict(columns, real_spectrum=real).values()
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for start in range(0, len(real), _CSV_BLOCK_ROWS):
-                rows = zip(*[column[start : start + _CSV_BLOCK_ROWS].tolist() for column in text])
-                fh.write("\n".join([_CSV_ROW % row for row in rows]) + "\n")
-    else:
-        nulled = {
-            k: [None if isinstance(v, float) and math.isnan(v) else v for v in column.tolist()]
-            for k, column in columns.items()
-        }
-        clean = [dict(zip(nulled, row)) for row in zip(*nulled.values())]
-        payload = json.dumps(
-            {"model": model.to_json_dict(), "rows": clean},
-            sort_keys=True,
-            indent=2,
-            allow_nan=False,
-        ) + "\n"
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-    print(f"wrote {len(columns['mode'])} rows ({args.steps} grid points) to {args.out}")
+    head, row, sep, last, tail, cells, null = _sweep_layout(args.format, model, columns)
+    rows = len(columns["mode"])
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, rows)
+            template = sep.join([row] * (stop - start)) + (sep if stop < rows else last)
+            fields = zip(*[_block_cells(column[start:stop], null) for column in cells])
+            fh.write(template % tuple(itertools.chain.from_iterable(fields)))
+        if tail:
+            fh.write(tail)
+    print(f"wrote {rows} rows ({args.steps} grid points) to {args.out}")
     return 0
 
 
@@ -186,7 +218,7 @@ def _expansion_vs_propagator(key, model, tol):
 
 
 def _block_equivalence(key, model, tol):
-    trunc = SeriesTruncation(k_max=3, tail_tol=1e-12)
+    trunc = SeriesTruncation(k_max=3)
     system = threemode.perturbed_system(model)
     worst = 0.0
     for t in (0.25, 0.5, 1.0):
@@ -197,7 +229,7 @@ def _block_equivalence(key, model, tol):
 
 
 def _resummation_vs_propagator(key, model, tol):
-    trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+    trunc = SeriesTruncation(k_max=4)
     full = threemode.omega_matrix(model)
     worst = 0.0
     for t in (0.25, 0.5, 1.0):

@@ -225,8 +225,8 @@ def _one_join_text(model, columns, fmt):
 
 
 class TestSweepBlocks:
-    """The CSV is written one block of cli._CSV_BLOCK_ROWS rows at a time,
-    with the bytes of one join over the whole table."""
+    """The CSV and the JSON are written one block of cli._CSV_BLOCK_ROWS rows
+    at a time, with the bytes of one join (one json.dumps) over the whole table."""
 
     POINTS = cli._CSV_BLOCK_ROWS // 3  # grid points per block
 
@@ -266,7 +266,8 @@ class TestSweepBlocks:
         assert run("sweep", "--model", mid, "--steps", str(points), "--format", fmt, "--out", str(out)) == 0
         assert out.read_bytes() == _one_join_text(model, columns, fmt).encode()
 
-    def test_no_write_is_longer_than_a_block(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_write_is_longer_than_a_block(self, tmp_path, monkeypatch, fmt):
         writes = []
 
         def recording_open(*args, **kwargs):
@@ -276,14 +277,42 @@ class TestSweepBlocks:
             return fh
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
-        out = tmp_path / "sweep.csv"
-        assert run("sweep", "--model", "l", "--steps", "20001", "--out", str(out)) == 0
+        out = tmp_path / f"sweep.{fmt}"
+        assert run("sweep", "--model", "l", "--steps", "20001", "--format", fmt, "--out", str(out)) == 0
         rows, block = 3 * 20001, cli._CSV_BLOCK_ROWS
+        counts = [block] * (rows // block) + [rows % block]
         assert "".join(writes).encode() == out.read_bytes()
-        assert writes[0] == CSV_HEADER + "\n"
-        assert [w.count("\n") for w in writes[1:]] == [block] * (rows // block) + [rows % block]
-        assert all(w.endswith("\n") for w in writes)
-        assert max(map(len, writes)) <= block * max(map(len, out.read_text().splitlines(True)))
+        if fmt == "csv":
+            assert writes[0] == CSV_HEADER + "\n"
+            assert [w.count("\n") for w in writes[1:]] == counts
+            assert all(w.endswith("\n") for w in writes)
+            longest = max(map(len, out.read_text().splitlines(True)))
+        else:
+            # head, one write per block of rows, tail
+            assert writes[0].endswith('\n  "rows": [\n') and '"mode"' not in writes[0]
+            assert [w.count('"mode": ') for w in writes[1:-1]] == counts
+            assert writes[-1] == "\n  ]\n}\n"
+            longest = max(map(len, "".join(writes[1:-1]).split("},\n"))) + len("},\n")
+            assert len(json.loads(out.read_text())["rows"]) == rows
+        assert max(map(len, writes)) <= block * longest
+
+    def test_infinite_float_refuses_the_json_before_out_opens(self, tmp_path, capsys, monkeypatch):
+        def with_inf(model, eps_values, levels):
+            columns = sweep_rows(model, eps_values, levels)
+            columns["err0"][4] = np.inf
+            return columns
+
+        monkeypatch.setattr(cli, "sweep_rows", with_inf)
+        out = tmp_path / "kept.json"
+        out.write_bytes(b"earlier,output\r\n1,2\n")
+        assert run("sweep", "--model", "s", "--steps", "3", "--format", "json", "--out", str(out)) == 2
+        # the prefix only: json's own message differs across Python versions
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_bytes() == b"earlier,output\r\n1,2\n"
+        # the CSV of the same columns prints it
+        assert run("sweep", "--model", "s", "--steps", "3", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[1 + 4].split(",")[CSV_HEADER.split(",").index("err0")] == "inf"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("refusal", [

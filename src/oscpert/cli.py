@@ -51,14 +51,16 @@ CSV_HEADER = (
 )
 
 
-def _load_model(spec: str, epsilon: float = 1.0) -> ThreeModeModel:
-    """Benchmark alias (m/s/l or full id) or @path to a model JSON file."""
+def _load_model(spec: str, epsilon: float | None = None) -> ThreeModeModel:
+    """Benchmark alias (m/s/l or full id) or @path to a model JSON file, at
+    epsilon when given, else at the file's epsilon, else at 1.0."""
+    eps = 1.0 if epsilon is None else epsilon
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
             data = json.load(fh)
         model = ThreeModeModel.from_json_dict(data)
-        return model if "epsilon" in data else model.at_epsilon(epsilon)
-    return registry(spec, epsilon=epsilon)
+        return model if epsilon is None and "epsilon" in data else model.at_epsilon(eps)
+    return registry(spec, epsilon=eps)
 
 
 def _parse_psi0(text: str) -> np.ndarray:
@@ -409,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xyz", help="coupling ratios X, Y, Z")
     p.add_argument("--model", required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float)
     p.set_defaults(func=_cmd_xyz)
 
     p = sub.add_parser("term", help="expansion-order coefficient")
     p.add_argument("--model", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--psi0", default="1,0,0")
     p.set_defaults(func=_cmd_term)

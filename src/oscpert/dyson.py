@@ -33,8 +33,6 @@ import numpy as np
 from . import linalg
 from .errors import NonFiniteResult, ResolutionTooCoarse
 
-DEFAULT_REPORT_STEPS = 2000
-
 
 @dataclass(frozen=True)
 class PerturbedSystem:
@@ -136,15 +134,23 @@ def _rotating_orders(
     return finals
 
 
-def _validate_term_args(sys, order, t, psi0, steps):
-    linalg.as_integer(order, "order", 0)
+def _read_orders(sys, max_order, t, psi0, steps):
+    """The arguments of terms and partial_sum, read, and what both build:
+    (t, exp(-i W0 t), [phi_0(t) .. phi_max_order(t)]), phi_0 = psi0 and
+    every later order zero at max_order 0 or t = 0."""
+    linalg.as_integer(max_order, "order", 0)
     linalg.as_integer(steps, "steps", 0)
     t = linalg.as_real(t, "t", 0)
-    if steps < 10 * order:
+    if steps < 10 * max_order:
         raise ResolutionTooCoarse(
-            f"steps={steps} too coarse for order {order}; need >= {10 * order}"
+            f"steps={steps} too coarse for order {max_order}; need >= {10 * max_order}"
         )
-    return t, linalg.as_vector(psi0, sys.dim, "psi0")
+    vec = linalg.as_vector(psi0, sys.dim, "psi0")
+    with np.errstate(all="ignore"):
+        phase = np.exp(-1j * np.array(sys.omega0) * t)
+        if max_order == 0 or t == 0.0:
+            return t, phase, [vec] + [np.zeros(sys.dim, complex)] * max_order
+        return t, phase, _rotating_orders(sys, max_order, t, vec, steps)
 
 
 def terms(
@@ -156,13 +162,9 @@ def terms(
         ResolutionTooCoarse: when steps < 10 * max_order.
         NonFiniteResult: naming the first order that is not finite.
     """
-    t, vec = _validate_term_args(sys, max_order, t, psi0, steps)
+    t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
-        final_phase = np.exp(-1j * np.array(sys.omega0) * t)
-        if max_order == 0 or t == 0.0:
-            coeffs = [final_phase * vec] + [np.zeros(sys.dim, complex) for _ in range(max_order)]
-        else:
-            coeffs = [final_phase * phi for phi in _rotating_orders(sys, max_order, t, vec, steps)]
+        coeffs = [phase * phi for phi in phis]
     for order, coeff in enumerate(coeffs):
         if not np.isfinite(coeff).all():
             raise NonFiniteResult(f"order {order} is not finite at t={t:g}")
@@ -185,15 +187,10 @@ def partial_sum(
     sys: PerturbedSystem, max_order: int, t: float, psi0, steps: int
 ) -> np.ndarray:
     """sum_{n=0}^{max_order} eps^n psi_n(t); NonFiniteResult if not finite."""
-    t, vec = _validate_term_args(sys, max_order, t, psi0, steps)
+    t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
-        if max_order == 0 or t == 0.0:
-            total_phi = vec
-        else:
-            finals = _rotating_orders(sys, max_order, t, vec, steps)
-            weights = sys.epsilon ** np.arange(max_order + 1)
-            total_phi = sum(w * phi for w, phi in zip(weights, finals))
-        total = np.exp(-1j * np.array(sys.omega0) * t) * total_phi
+        weights = sys.epsilon ** np.arange(max_order + 1)
+        total = phase * sum(w * phi for w, phi in zip(weights, phis))
     if not np.isfinite(total).all():
         raise NonFiniteResult(f"partial sum through order {max_order} is not finite at t={t:g}")
     return total
@@ -211,12 +208,7 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    sys: PerturbedSystem,
-    t: float,
-    psi0,
-    orders,
-    eps_grid,
-    steps: int = DEFAULT_REPORT_STEPS,
+    sys: PerturbedSystem, t: float, psi0, orders, eps_grid, steps: int
 ) -> ConvergenceReport:
     """Residuals of truncated sums against the exact propagator.
 
@@ -233,17 +225,10 @@ def convergence_report(
     residuals = np.zeros((len(orders), len(eps_grid)))
     for j, eps in enumerate(eps_grid):
         exact = linalg.matrix_exponential_apply(sys.full_matrix(eps), t, vec)
-        for i, order in enumerate(orders):
-            approx = sum(eps**n * coeffs[n] for n in range(order + 1))
-            residuals[i, j] = float(np.linalg.norm(approx - exact))
-    ordered = sorted(range(len(orders)), key=lambda i: orders[i])
-    monotone = tuple(
-        all(
-            residuals[ordered[k + 1], j] <= residuals[ordered[k], j]
-            for k in range(len(ordered) - 1)
-        )
-        for j in range(len(eps_grid))
-    )
+        sums = np.cumsum([eps**n * coeff for n, coeff in enumerate(coeffs)], axis=0)
+        residuals[:, j] = [np.linalg.norm(sums[order] - exact) for order in orders]
+    ranked = residuals[np.argsort(orders, kind="stable")]
+    monotone = tuple((ranked[1:] <= ranked[:-1]).all(axis=0).tolist())
     return ConvergenceReport(
-        t=t, orders=orders, eps_grid=eps_grid, residuals=residuals, monotone=monotone
+        t=float(t), orders=orders, eps_grid=eps_grid, residuals=residuals, monotone=monotone
     )

@@ -40,8 +40,8 @@ from .threemode import (
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
     _pow_or_inf,
+    effective_frequencies,
     omega_matrix,
-    shifted_frequencies,
 )
 
 LEVELS = ("app0", "app1", "app2")
@@ -103,7 +103,7 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     refusals = [None] * len(eps)
     for n in np.flatnonzero(np.abs(q).min(axis=1) < 2 * floor).tolist():
         try:
-            shifted_frequencies(m.omega, m.d, eps[n].item())
+            effective_frequencies(m.at_epsilon(eps[n].item()))
         except DegenerateFrequencies as exc:
             refusals[n] = exc
     coupling = np.array([m.a[i] * m.a[j] * m.a[k] for i, j, k in _RELABELING])

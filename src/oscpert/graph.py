@@ -275,8 +275,12 @@ def _tree_cycle(parent: list[int], i: int, j: int) -> tuple[int, ...]:
 
 
 def scaling_from_certificate(m: np.ndarray) -> np.ndarray:
-    """Similarity vector s = sqrt(m), renormalized so min(s) == 1."""
-    s = np.sqrt(linalg.as_vector(m, name="certificate", dtype=float))
+    """Similarity vector s = sqrt(m), renormalized so min(s) == 1; an entry
+    of m that is not positive raises ValueError."""
+    cert = linalg.as_vector(m, name="certificate", dtype=float)
+    if not (cert > 0).all():
+        raise ValueError(f"certificate entries must be positive, got minimum {cert.min()}")
+    s = np.sqrt(cert)
     return s / s.min()
 
 

@@ -198,11 +198,13 @@ def _charpoly_coeffs(arr: np.ndarray) -> np.ndarray:
     return np.stack([one, -tr, minors, -det], axis=1)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the caller refuses inf and NaN
 def _expm_pade13(a: np.ndarray) -> np.ndarray:
-    """exp(a) via scaling-and-squaring with a degree-13 Pade approximant."""
+    """exp(a) via scaling-and-squaring with a degree-13 Pade approximant;
+    NonFiniteResult where the 1-norm of a overflows (no squaring count fits)."""
     n = a.shape[0]
     norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise NonFiniteResult(f"propagator argument has 1-norm {norm}")
     squarings = 0
     if norm > _PADE13_THETA:
         squarings = max(0, int(math.ceil(math.log2(norm / _PADE13_THETA))))
@@ -240,14 +242,17 @@ def propagator(m, t: float) -> np.ndarray:
 
     Diagonal inputs short-circuit to an entrywise exponential, which keeps
     the unperturbed-mode evolution exact to rounding.  An exponential that
-    overflows raises NonFiniteResult.
+    overflows, or an m * t that does, raises NonFiniteResult; numpy warns
+    nothing.
     """
     arr = as_square_matrix(m)
     t = as_real(t, "t")
-    diag = np.diag(np.diag(arr))
-    if np.array_equal(arr, diag):
-        return np.diag(np.exp(-1j * np.diag(arr) * t))
-    return _check_finite_result(_expm_pade13(-1j * arr * t), "propagator")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are refused below
+        if np.array_equal(arr, np.diag(np.diag(arr))):
+            out = np.diag(np.exp(-1j * np.diag(arr) * t))
+        else:
+            out = _expm_pade13(-1j * arr * t)
+    return _check_finite_result(out, "propagator")
 
 
 def matrix_exponential_apply(m, t: float, v) -> np.ndarray:
@@ -256,6 +261,5 @@ def matrix_exponential_apply(m, t: float, v) -> np.ndarray:
     Raises:
         DimensionMismatch: if the vector length differs from the matrix size.
     """
-    arr = as_square_matrix(m)
-    vec = as_vector(v, arr.shape[0])
-    return propagator(arr, t) @ vec
+    prop = propagator(m, t)
+    return prop @ as_vector(v, len(prop))

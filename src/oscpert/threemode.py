@@ -34,7 +34,7 @@ Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
 array recurrence steps its distinct series together in one pass, for one
 block or all nine; each cell's sum is bitwise that of summing it alone.  A
 non-finite t raises ValueError, and a 2F2 term or partial sum, a block
-total or a psi_1 that is not finite raises NonFiniteResult.
+total, a phase w' * t or a psi_1 that is not finite raises NonFiniteResult.
 """
 from __future__ import annotations
 
@@ -147,21 +147,7 @@ def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
         DegenerateFrequencies: if any pairwise gap is below the configured
             fraction of the largest effective frequency.
     """
-    return _shifted_frequencies(m.omega, m.d, m.epsilon)
-
-
-def shifted_frequencies(omega, d, epsilon: float) -> tuple[float, float, float]:
-    """effective_frequencies from raw parameters, without building a model."""
-    return _shifted_frequencies(
-        linalg.as_vector(omega, 3, "omega", float).tolist(),
-        linalg.as_vector(d, 3, "d", float).tolist(),
-        linalg.as_real(epsilon, "epsilon"),
-    )
-
-
-def _shifted_frequencies(omega, d, epsilon: float) -> tuple[float, float, float]:
-    """shifted_frequencies of numbers already read: a model's, or the intake's."""
-    freqs = tuple(w + epsilon * dw for w, dw in zip(omega, d))
+    freqs = tuple(w + m.epsilon * dw for w, dw in zip(m.omega, m.d))
     gap = DEGENERACY_GAP_FACTOR * max(1e-12, max(abs(f) for f in freqs))
     for i in range(3):
         for j in range(i + 1, 3):
@@ -190,21 +176,16 @@ def omega_matrix(m: ThreeModeModel, epsilon=None) -> np.ndarray:
     return mat
 
 
-def coupling_matrix(m: ThreeModeModel) -> np.ndarray:
-    """Off-diagonal coupling (the eps-linear part without the d shifts)."""
-    a1, a2, a3 = m.a
-    return np.array([[0.0, 0.0, -a3], [-a1, 0.0, 0.0], [0.0, -a2, 0.0]])
-
-
 def perturbed_system(m: ThreeModeModel) -> PerturbedSystem:
     """The model as a diagonal-plus-perturbation system at its epsilon.
 
     The d-shifts ride inside the effective frequencies, so the perturbation
     is purely off-diagonal and the expansion weight is epsilon itself.
     """
+    a1, a2, a3 = m.a
     return PerturbedSystem(
         omega0=effective_frequencies(m),
-        omegaI=coupling_matrix(m),
+        omegaI=[[0.0, 0.0, -a3], [-a1, 0.0, 0.0], [0.0, -a2, 0.0]],
         epsilon=m.epsilon,
     )
 
@@ -237,12 +218,21 @@ def cyclic_view(
     return view, row
 
 
+def _phases(freqs, t: float) -> list[complex]:
+    """exp(-1j * w * t) for each w of freqs; NonFiniteResult where w * t overflows."""
+    args = [-1j * w * t for w in freqs]
+    if not all(map(cmath.isfinite, args)):
+        raise NonFiniteResult(f"a phase w * t overflows at t={t!r}")
+    return list(map(cmath.exp, args))
+
+
 def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
     """Closed-form term eps^n psi_1^(n)(t) for n in {0, 1, 2, 3}.
 
     The order-n term multiplies the initial component that starts the
     n-step cyclic path ending at mode 1: psi_1(0) for n in {0, 3},
-    psi_3(0) for n = 1, psi_2(0) for n = 2.
+    psi_3(0) for n = 1, psi_2(0) for n = 2.  A phase w' * t that
+    overflows raises NonFiniteResult.
     """
     if linalg.as_integer(n, "n") not in (0, 1, 2, 3):
         raise ValueError("closed forms exist for orders 0..3 only")
@@ -251,9 +241,7 @@ def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
     w1, w2, w3 = effective_frequencies(m)
     a1, a2, a3 = m.a
     eps = m.epsilon
-    e1 = cmath.exp(-1j * w1 * t)
-    e2 = cmath.exp(-1j * w2 * t)
-    e3 = cmath.exp(-1j * w3 * t)
+    e1, e2, e3 = _phases((w1, w2, w3), t)
     if n == 0:
         return e1 * vec[0]
     if n == 1:
@@ -593,20 +581,19 @@ def psi1_infinite(
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
     with p_mu = psi_mu(0).  Raises as series_block does, block by block, and
-    NonFiniteResult when the assembly is not finite.
+    NonFiniteResult when a phase w' * t overflows or the assembly is not
+    finite.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
     (w1, w2, w3), families = _block_geometry(m)
     blocks = _block_sums(families, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
+    e1, e2, e3 = _phases((w1, w2, w3), t)
     p1, p2, p3 = vec[0], vec[1], vec[2]
     with np.errstate(all="ignore"):
         value = (
-            (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)
-            * cmath.exp(-1j * w1 * t)
-            + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2)
-            * cmath.exp(-1j * w3 * t)
-            + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
-            * cmath.exp(-1j * w2 * t)
+            (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2) * e1
+            + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2) * e3
+            + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2) * e2
         )
     if not cmath.isfinite(value):
         raise NonFiniteResult(f"psi_1 at t={t!r} is not finite: {value}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscpert import cli, eigenfreq, graph
+from oscpert import cli, eigenfreq, graph, threemode
 from oscpert.benchmarks import registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
 from oscpert.threemode import ThreeModeModel
@@ -825,6 +825,20 @@ class TestXyzAndTerm:
         payload = json.loads(capsys.readouterr().out)
         assert payload["psi1_deviation"] < 1e-10
         assert len(payload["term"]) == 3
+
+    @pytest.mark.parametrize("verb, extra", [("xyz", []), ("term", ["--order", "2", "--t", "0.7"])])
+    def test_epsilon_flag_then_model_file_then_one(self, tmp_path, capsys, verb, extra):
+        spec = {"omega": [9, 6, 0], "a": [1, 2, 1], "d": [1.5, 1.619, 0.025]}
+        model_file = tmp_path / "model.json"
+        for in_file, flag, want in [(0.8, ["--epsilon", "0.3"], 0.3), (0.8, ["--epsilon", "0"], 0.0),
+                                    (0.8, [], 0.8), (None, [], 1.0)]:
+            model_file.write_text(json.dumps(spec if in_file is None else {**spec, "epsilon": in_file}))
+            assert run(verb, "--model", f"@{model_file}", *extra, *flag) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["epsilon"] == want
+            if verb == "xyz":
+                model = ThreeModeModel.from_json_dict({**spec, "epsilon": want})
+                assert payload["X"] == threemode.xyz(model).X
 
     @pytest.mark.parametrize("text", [
         '{"omega": [9, 6, 0], "a": [1, 2, 1]}',

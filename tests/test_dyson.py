@@ -65,7 +65,7 @@ class TestTerm:
         a = dyson.term(threemode.perturbed_system(m.at_epsilon(1.0)), 2, 1.0, PSI0, 400)
         sys_b = PerturbedSystem(
             omega0=threemode.effective_frequencies(m.at_epsilon(1.0)),
-            omegaI=threemode.coupling_matrix(m),
+            omegaI=threemode.perturbed_system(m).omegaI,
             epsilon=0.25,
         )
         b = dyson.term(sys_b, 2, 1.0, PSI0, 400)
@@ -434,7 +434,7 @@ class TestPartialSum:
     def test_epsilon_zero_is_unperturbed(self):
         sys = PerturbedSystem(
             omega0=(9.0, 6.0, 0.0),
-            omegaI=threemode.coupling_matrix(registry("s")),
+            omegaI=threemode.perturbed_system(registry("s")).omegaI,
             epsilon=0.0,
         )
         total = dyson.partial_sum(sys, 5, 1.0, PSI0, 200)
@@ -492,7 +492,7 @@ class TestConvergenceReport:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            dyson.convergence_report(small_system(), 1.0, PSI0, orders=(), eps_grid=[0.5])
+            dyson.convergence_report(small_system(), 1.0, PSI0, orders=(), eps_grid=[0.5], steps=100)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="order must be >= 0"):

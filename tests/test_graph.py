@@ -181,6 +181,11 @@ class TestCertificate:
         conj = np.diag(s) @ FIG1_L0 @ np.diag(1.0 / s)
         assert np.max(np.abs(conj - conj.T)) < 1e-10
 
+    @pytest.mark.parametrize("cert", [[0.0, 1.0], [-1.0, 4.0]])
+    def test_scaling_refuses_a_certificate_entry_that_is_not_positive(self, cert):
+        with pytest.raises(ValueError, match="^certificate entries must be positive"):
+            graph.scaling_from_certificate(cert)
+
     def test_empty_matrix_refused(self):
         with pytest.raises(ValueError, match="L0 must be a non-empty square matrix"):
             graph.symmetrizability_certificate(np.zeros((0, 0)))

@@ -183,3 +183,13 @@ class TestPropagator:
         # Pade steps warn nothing (a RuntimeWarning fails tier-1)
         with pytest.raises(NonFiniteResult, match="propagator"):
             linalg.matrix_exponential_apply(threemode.omega_matrix(registry("l")), 1000.0, [1, 0, 0])
+
+    @pytest.mark.parametrize("m, t", [
+        (np.diag([1e308, 1, 0]), 10.0),  # m * t overflows: a NaN phase
+        (np.diag([1 + 1e3j, 1]), 1.0),  # exp(1000 - 1j) overflows: inf - inf j
+        ([[1e308, 1], [0, 0]], 10.0),  # m * t overflows: the Pade 1-norm is inf
+        ([[3, 1e-300], [0, 1]], 1e308),
+    ], ids=["diagonal m", "diagonal exp", "Pade m", "Pade t"])
+    def test_overflowing_argument_is_refused_by_type(self, m, t):
+        with pytest.raises(NonFiniteResult, match="propagator"):
+            linalg.propagator(m, t)

@@ -65,11 +65,6 @@ ENTRY_POINTS = [
     ("SeriesTruncation k_max", lambda v: SeriesTruncation(k_max=v), ()),
     ("SeriesTruncation tail_tol", lambda v: SeriesTruncation(tail_tol=v), ()),
     ("SeriesTruncation max_terms_per_hyp", lambda v: SeriesTruncation(max_terms_per_hyp=v), ()),
-    ("threemode.shifted_frequencies omega",
-     lambda v: threemode.shifted_frequencies([v] * 3, (1.5, 1.6, 0.025), 0.5), ()),
-    ("threemode.shifted_frequencies d", lambda v: threemode.shifted_frequencies((9, 6, 0), [v] * 3, 0.5), ()),
-    ("threemode.shifted_frequencies epsilon",
-     lambda v: threemode.shifted_frequencies((9, 6, 0), (1.5, 1.6, 0.025), v), ()),
     ("threemode.neg_binomial n", lambda v: threemode.neg_binomial(v, 1), ()),
     ("threemode.neg_binomial k", lambda v: threemode.neg_binomial(3, v), ()),
     ("threemode.omega_matrix", lambda v: threemode.omega_matrix(MODEL, _grid(v)), ()),
@@ -129,7 +124,6 @@ EXEMPT = {
     "dyson.ConvergenceReport": "a result record, built by dyson.convergence_report",
     "threemode.XYZ": "a result record, built by threemode.xyz",
     "threemode.effective_frequencies": _MODEL_ONLY,
-    "threemode.coupling_matrix": _MODEL_ONLY,
     "threemode.perturbed_system": _MODEL_ONLY,
     "threemode.xyz": _MODEL_ONLY,
     "threemode.cyclic_view": "takes a ThreeModeModel and a target name, which is text",
@@ -202,6 +196,7 @@ def test_not_a_number_is_a_value_error(call, valid, bad, kind):
     (lambda e: eigenfreq.report(MODEL, e).true_values, 0.5, np.float64(0.5)),
     (lambda e: eigenfreq.transition_epsilon(registry("l"), e, 1.0), 0.0, np.float64(0.0)),
     (lambda n: graph.WeightedDigraph(n=n, edges=((0, 1, 2.0),)).n, 2, np.int64(2)),
+    (lambda t: dyson.convergence_report(SYSTEM, t, PSI0, (0, 1), [0.5], 100).t, 0.5, np.float64(0.5)),
 ])
 def test_numpy_scalars_are_numbers(call, plain, numpy):
     want, got = call(plain), call(numpy)

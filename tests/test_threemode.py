@@ -661,6 +661,20 @@ class TestRefusedInputs:
         with pytest.raises(NonFiniteResult, match=r"^psi_1 at t=1e\+100 is not finite"):
             tm.psi1_infinite(m, 1e100, [1e20, 0.0, 0.0], trunc, order_cap=9)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_overflowing_phase_of_a_closed_form(self, n):
+        # w' * t overflows to inf, and exp(-1j * inf) has no value
+        with pytest.raises(NonFiniteResult, match=r"^a phase w \* t overflows at t=1e\+308$"):
+            tm.psi1_analytic(registry("s"), n, 1e308, [1, 1, 1])
+
+    def test_overflowing_phase_of_the_resummation(self):
+        # a1 a2 a3 = 1e-312 keeps every |W t| small: all nine blocks converge,
+        # and only the phases w' * t overflow
+        m = ThreeModeModel(omega=(9, 6, 0), a=(1e-104,) * 3, d=(0, 0, 0), epsilon=1)
+        tm.series_block(m, "A1", 1e308, SeriesTruncation())
+        with pytest.raises(NonFiniteResult, match=r"^a phase w \* t overflows at t=1e\+308$"):
+            tm.psi1_infinite(m, 1e308, [1, 1, 1], SeriesTruncation())
+
     def test_negative_t_is_allowed(self):
         m = registry("small")
         got = tm.psi1_infinite(m, -3.0, PSI0, TIGHT)

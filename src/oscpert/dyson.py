@@ -136,8 +136,8 @@ def _rotating_orders(
 
 def _read_orders(sys, max_order, t, psi0, steps):
     """The arguments of terms and partial_sum, read, and what both build:
-    (t, exp(-i W0 t), [phi_0(t) .. phi_max_order(t)]), phi_0 = psi0 and
-    every later order zero at max_order 0 or t = 0."""
+    (t, exp(-i W0 t), [phi_0(t) .. phi_max_order(t)]), or [psi0] alone at
+    max_order 0 or t = 0, where every later order is zero."""
     linalg.as_integer(max_order, "order", 0)
     linalg.as_integer(steps, "steps", 0)
     t = linalg.as_real(t, "t", 0)
@@ -149,7 +149,7 @@ def _read_orders(sys, max_order, t, psi0, steps):
     with np.errstate(all="ignore"):
         phase = np.exp(-1j * np.array(sys.omega0) * t)
         if max_order == 0 or t == 0.0:
-            return t, phase, [vec] + [np.zeros(sys.dim, complex)] * max_order
+            return t, phase, [vec]
         return t, phase, _rotating_orders(sys, max_order, t, vec, steps)
 
 
@@ -164,7 +164,7 @@ def terms(
     """
     t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
-        coeffs = [phase * phi for phi in phis]
+        coeffs = [phase * phi for phi in phis + [0j] * (max_order + 1 - len(phis))]
     for order, coeff in enumerate(coeffs):
         if not np.isfinite(coeff).all():
             raise NonFiniteResult(f"order {order} is not finite at t={t:g}")
@@ -189,8 +189,8 @@ def partial_sum(
     """sum_{n=0}^{max_order} eps^n psi_n(t); NonFiniteResult if not finite."""
     t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
-        weights = sys.epsilon ** np.arange(max_order + 1)
-        total = phase * sum(w * phi for w, phi in zip(weights, phis))
+        weights = sys.epsilon ** np.arange(len(phis))
+        total = phase * (sum(w * phi for w, phi in zip(weights, phis)) if len(phis) > 1 else phis[0])
     if not np.isfinite(total).all():
         raise NonFiniteResult(f"partial sum through order {max_order} is not finite at t={t:g}")
     return total

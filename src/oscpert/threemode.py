@@ -42,6 +42,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,6 +57,9 @@ from .errors import (
 
 # Degeneracy refusal gap, as a fraction of the largest effective frequency.
 DEGENERACY_GAP_FACTOR = 1e-6
+
+# Terms after which a 2F2 series without order_cap raises MaxTermsExceeded.
+MAX_TERMS = 500
 
 TARGETS = ("psi1", "psi3", "psi2")
 
@@ -124,19 +128,16 @@ class SeriesTruncation:
 
     k_max caps the outer shell index; tail_tol is the relative tolerance for
     the inner hypergeometric sums (a sum stops once three consecutive terms
-    fall below tail_tol relative to the partial sum, or below 1e-300);
-    max_terms_per_hyp caps the inner summation length.  k_max and
-    max_terms_per_hyp must be integers >= 1 and tail_tol a finite positive
-    number; anything else raises ValueError.
+    fall below tail_tol relative to the partial sum, or below 1e-300, and
+    after MAX_TERMS terms at most).  k_max must be an integer >= 1 and
+    tail_tol a finite positive number; anything else raises ValueError.
     """
 
     k_max: int = 4
     tail_tol: float = 1e-12
-    max_terms_per_hyp: int = 500
 
     def __post_init__(self):
         linalg.as_integer(self.k_max, "k_max", 1)
-        linalg.as_integer(self.max_terms_per_hyp, "max_terms_per_hyp", 1)
         linalg.as_real(self.tail_tol, "tail_tol", math.ulp(0.0))  # > 0
 
 
@@ -203,7 +204,8 @@ def cyclic_view(
 
     Returns the relabeled model and the index map: entry mu-1 of the map is
     the original 1-based mode that plays role mu in the view.  For psi3 the
-    map is (3, 1, 2); xyz(view).X equals Y of the original model.
+    map is (3, 1, 2); xyz(view).X equals Y of the original model to
+    rounding only, as xyz multiplies the view's permuted a1 * a2 * a3.
     """
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
@@ -300,32 +302,29 @@ def neg_binomial(n: int, k: int) -> int:
 _CHUNK = 32
 
 
-def _term_ratios(upper, lower, start: int):
-    """Term ratios num / den for ell = start .. start + _CHUNK - 1 of the series
+def _term_ratios(upper, lower, ell):
+    """Term ratios num / den, one row per term index in ell, of the series
     whose NaN-padded parameters are the columns of upper and lower (num =
     prod(a + ell) in order, a pad counting 1)."""
-    ell = np.arange(start, start + _CHUNK, dtype=float)[:, None]
-    num, den = np.ones((2, _CHUNK, upper.shape[1]))
+    ell = np.asarray(ell, dtype=float)[:, None]
+    num, den = np.ones((2, len(ell), upper.shape[1]))
     for prod, params in ((num, upper), (den, lower)):
         for p in params:
             prod *= np.where(np.isnan(p), 1.0, p + ell)
     return num / den
 
 
-def _hyp_sums(upper, lower, memo, y, limit, tail_tol=None) -> list:
+def _hyp_sums(ratios, y, limit, tail_tol=None) -> list:
     """Sums of the block table's series, one array step per term index.
 
-    Column c holds one series: its argument 1j * y[c], its NaN-padded
-    parameters upper[:, c] and lower[:, c] and its term limit[c].  Every
-    parameter of a block column is an integer >= 1, so no term ratio is
-    zero or infinite.  memo maps chunk index i to
-    _term_ratios(upper, lower, i * _CHUNK) and is filled here on first use
-    of a chunk; the block table's memo lives as long as its table.  Term
-    ell+1 is term ell * (num / den) * z / (ell + 1), and every returned sum
-    and .partial is bitwise the scalar loop's in Python complex arithmetic
-    (.last_term is equal in value; the sign of a zero part may differ).
-    A cell stops after term limit[c] and, with tail_tol, after three
-    consecutive terms below tail_tol * |sum| or 1e-300.
+    Column c holds one series: its argument 1j * y[c], its term limit[c]
+    and its ratios[:, c], one row per term index below limit[c].  Every
+    parameter of a block column is an integer >= 1, so no ratio is zero or
+    infinite.  Term ell+1 is term ell * ratios[ell] * z / (ell + 1), and
+    every returned sum and .partial is bitwise the scalar loop's in Python
+    complex arithmetic (.last_term is equal in value; the sign of a zero
+    part may differ).  A cell stops after term limit[c] and, with tail_tol,
+    after three consecutive terms below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached:
     MaxTermsExceeded, or NonFiniteResult at the first term whose value or
     running sum is not finite or, with tail_tol, whose magnitude overflows
@@ -339,11 +338,9 @@ def _hyp_sums(upper, lower, memo, y, limit, tail_tol=None) -> list:
     zw, pending = np.stack([-y, y]), limit > 0
     with np.errstate(all="ignore"):
         end = int(limit.max(initial=0))
-        for i, start in enumerate(range(0, end, _CHUNK)):
+        for start in range(0, end, _CHUNK):
             ell = np.arange(start, min(start + _CHUNK, end), dtype=float)[:, None]
-            if i not in memo:
-                memo[i] = _term_ratios(upper, lower, start)
-            ratio = memo[i][: len(ell)]
+            ratio = ratios[start : start + len(ell)]
             sums = np.empty((len(ell) + 1, 2, cells))
             sums[0], terms = total, sums[1:]
             for r, row, d in zip(ratio, terms, (ell[:, 0] + 1.0).tolist()):
@@ -450,33 +447,36 @@ def _block_geometry(m: ThreeModeModel):
 
 
 @lru_cache(maxsize=16)
-def _cell_table(k_max: int, order_cap: int | None):
-    """The cells of the nine blocks, for any model and t: per block its
-    shells [(k, [(l, sign, coefficient, column)])]; per column, one series
-    in first-occurrence order, its NaN-padded upper and lower (2, C)
-    parameters left by _cancel_params (each an integer >= 1), family
-    (A/B/C as 0/1/2) and term limit (max_ell, -1 without order_cap), which
-    cells equal in all three share (A1's, A3's and A2's k = 0 cells all
-    cancel to e^z; at k_max=4 the 120 cells are 64 columns); and the
-    grow-only memo, shared by threads, of the columns' _term_ratios by chunk
-    index, filled by _hyp_sums on first use."""
+def _cell_table(k_max: int, order_cap: int | None, max_terms: int):
+    """The cells of the nine blocks, for any model and t, as read-only data:
+    per block its shells ((k, ((l, sign, coefficient, column), ...)), ...);
+    per column, one series in first-occurrence order, its NaN-padded upper
+    and lower (2, C) parameters left by _cancel_params (each an integer
+    >= 1), family (A/B/C as 0/1/2), term limit (max_ell, or max_terms
+    without order_cap) and _term_ratios up to the largest limit.  Cells
+    equal in all four share a column (at k_max=4 the 120 cells are 64)."""
     shells, columns = {}, {}
     for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
-        shells[block] = []
+        rows = []
         for k in range(first, k_max + 1):
-            max_ell = -1 if order_cap is None else (order_cap - offset - 3 * k) // 3
-            if order_cap is not None and max_ell < 0:
+            max_ell = max_terms if order_cap is None else (order_cap - offset - 3 * k) // 3
+            if max_ell < 0:
                 continue
             row = []
-            shells[block].append((k, row))
             for l in range(0, k - first + 1):
                 coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
                 params = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
                 up, lo = (p + [None] * (2 - len(p)) for p in params)  # None == None; NaN != NaN
                 column = columns.setdefault((*up, *lo, "ABC".index(block[0]), max_ell), len(columns))
                 row.append((l, (-1) ** (sk * k + l + s0), coeff, column))
+            rows.append((k, tuple(row)))
+        shells[block] = tuple(rows)
     cols = np.array(list(columns), dtype=float).reshape(-1, 6).T
-    return shells, cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int), {}
+    upper, lower, family, limit = cols[0:2], cols[2:4], cols[4].astype(int), cols[5].astype(int)
+    ratios = _term_ratios(upper, lower, np.arange(limit.max(initial=0)))
+    for array in (upper, lower, family, limit, ratios):
+        array.flags.writeable = False
+    return MappingProxyType(shells), upper, lower, family, limit, ratios
 
 
 def _pow_or_inf(v: float, n: int) -> float:
@@ -496,12 +496,11 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     t = linalg.as_real(t, "t")
     order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
     shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
-    shells, upper, lower, family, limit, memo = _cell_table(trunc.k_max, order_cap)
+    shells, _, _, family, limit, ratios = _cell_table(trunc.k_max, order_cap, MAX_TERMS)
     # every argument -1j * W * t has a zero real part
     y = np.array([(-1j * families[f][0] * t).imag for f in "ABC"])[family]
-    limit = np.where(limit < 0, trunc.max_terms_per_hyp, limit)
     tail_tol = trunc.tail_tol if order_cap is None else None
-    sums = _hyp_sums(upper, lower, memo, y, limit, tail_tol)
+    sums = _hyp_sums(ratios, y, limit, tail_tol)
     # ratio1**k and ratio2**l per family; an overflow is inf, so the block
     # total is not finite
     powers = {

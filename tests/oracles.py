@@ -519,12 +519,13 @@ def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
 
 
 def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
-    """One hypergeometric sum, term by term: adaptive when max_ell is None,
-    else the exact partial sum of terms 0..max_ell."""
+    """One hypergeometric sum, term by term: adaptive, within
+    threemode.MAX_TERMS terms, when max_ell is None, else the exact partial
+    sum of terms 0..max_ell."""
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
     small_streak = 0
-    limit = trunc.max_terms_per_hyp if max_ell is None else max_ell
+    limit = threemode.MAX_TERMS if max_ell is None else max_ell
     for ell in range(limit):
         num = 1.0
         for a in uppers:
@@ -552,7 +553,7 @@ def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
             small_streak = 0
     if max_ell is None:
         raise MaxTermsExceeded(
-            f"no convergence within {trunc.max_terms_per_hyp} terms",
+            f"no convergence within {limit} terms",
             partial=total,
             last_term=term,
         )

@@ -63,11 +63,12 @@ def check_hyp_reductions(rng: np.random.Generator) -> None:
     # so that the checks after this one see the same generator state
     y = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)).imag
     assert tm._cancel_params([a, 2 * a], [2 * a, a]) == ([], [])
-    pad, limit = np.full((2, 1), np.nan), np.array([HYP_TRUNC.max_terms_per_hyp])
-    (got,) = tm._hyp_sums(pad, pad, {}, np.array([y]), limit, HYP_TRUNC.tail_tol)
+    pad, limit = np.full((2, 1), np.nan), np.array([tm.MAX_TERMS])
+    ell = np.arange(tm.MAX_TERMS)
+    (got,) = tm._hyp_sums(tm._term_ratios(pad, pad, ell), np.array([y]), limit, HYP_TRUNC.tail_tol)
     assert abs(got - cmath.exp(1j * y)) <= 1e-12
     upper, lower = np.array([[a], [2 * a]]), np.array([[a + 1], [a + 2]])
-    (one,) = tm._hyp_sums(upper, lower, {}, np.zeros(1), limit, HYP_TRUNC.tail_tol)
+    (one,) = tm._hyp_sums(tm._term_ratios(upper, lower, ell), np.zeros(1), limit, HYP_TRUNC.tail_tol)
     assert one == 1.0
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oscpert import cli, eigenfreq, graph, threemode
-from oscpert.benchmarks import registry
+from oscpert.benchmarks import canonical_id, registry
 from oscpert.cli import CSV_HEADER, main, sweep_rows
 from oscpert.threemode import ThreeModeModel
 
@@ -27,8 +27,8 @@ def run(*argv):
     return main(list(argv))
 
 
-def verify_golden():
-    """The verify hashes of bench/golden.json; skips unless this is its environment."""
+def bench_golden(workload):
+    """A workload's hashes in bench/golden.json; skips unless this is its environment."""
     golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json").read_text())
     captured = golden["captured"]
     for key, value in (("python", platform.python_version()), ("numpy", np.__version__)):
@@ -38,7 +38,7 @@ def verify_golden():
     blas = f"{blas.get('name')} {blas.get('version')}"
     if captured["blas"] != blas:
         pytest.skip(f"bench/golden.json was captured with {captured['blas']}, not {blas}")
-    return golden["verify"]
+    return golden[workload]
 
 
 class TestSweep:
@@ -357,6 +357,14 @@ class TestSweepBytes:
             ) == 0
             assert out.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_1001_points_match_bench_golden(self, mid, tmp_path):
+        # the bench's sweep operation: default range and format, 1001 points
+        expected = bench_golden("sweep")[canonical_id(mid)]
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", mid, "--steps", "1001", "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
 
     @pytest.mark.parametrize("steps", [101, 1001, 10001])
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
@@ -391,7 +399,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("model", ["small", "moderate", "large"])
     def test_full_stdout_matches_bench_golden(self, model, monkeypatch, capsys):
-        expected = verify_golden()[model]
+        expected = bench_golden("verify")[model]
         monkeypatch.delenv("OSC_PERT_TOL", raising=False)
         assert run("verify", "--model", model, "--depth", "full") == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

@@ -431,6 +431,15 @@ class TestPartialSum:
             dyson.partial_sum(sys, 0, 1.2, PSI0, 100), dyson.term(sys, 0, 1.2, PSI0, 100)
         )
 
+    @pytest.mark.parametrize("order, t", [(2, 0.0), (0, 0.0), (0, 1.3)])
+    def test_psi0_alone_keeps_its_signed_zeros(self, order, t):
+        # at order 0 or t = 0 the sum is exp(-i W0 t) psi0 itself, so a -0
+        # part of psi0 stays -0 wherever the phase keeps it, as in the oracle
+        sys = threemode.perturbed_system(registry("s", epsilon=0.5))
+        psi0 = np.array([complex(-0.0, -0.0), complex(0.3, -0.0), complex(-0.0, 0.2)])
+        got = dyson.partial_sum(sys, order, t, psi0, 100)
+        assert got.tobytes() == loop_partial_sum(sys, order, t, psi0, 100).tobytes()
+
     def test_epsilon_zero_is_unperturbed(self):
         sys = PerturbedSystem(
             omega0=(9.0, 6.0, 0.0),

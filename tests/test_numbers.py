@@ -64,7 +64,6 @@ ENTRY_POINTS = [
     ("benchmarks.registry", lambda v: registry("s", epsilon=v), ()),
     ("SeriesTruncation k_max", lambda v: SeriesTruncation(k_max=v), ()),
     ("SeriesTruncation tail_tol", lambda v: SeriesTruncation(tail_tol=v), ()),
-    ("SeriesTruncation max_terms_per_hyp", lambda v: SeriesTruncation(max_terms_per_hyp=v), ()),
     ("threemode.neg_binomial n", lambda v: threemode.neg_binomial(v, 1), ()),
     ("threemode.neg_binomial k", lambda v: threemode.neg_binomial(3, v), ()),
     ("threemode.omega_matrix", lambda v: threemode.omega_matrix(MODEL, _grid(v)), ()),

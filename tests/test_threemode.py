@@ -4,10 +4,8 @@ import itertools
 import json
 import math
 import random
-import sys as _sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from types import MappingProxyType
 
 import mpmath
 import numpy as np
@@ -179,9 +177,8 @@ class TestHypergeometric:
 
     @staticmethod
     def _sums(y, trunc=TIGHT):
-        _, upper, lower, *_, memo = tm._cell_table(4, None)
-        y, limit = np.full(upper.shape[1], y), np.full(upper.shape[1], trunc.max_terms_per_hyp)
-        return upper, lower, tm._hyp_sums(upper, lower, memo, y, limit, trunc.tail_tol)
+        _, upper, lower, _, limit, ratios = tm._cell_table(4, None, tm.MAX_TERMS)
+        return upper, lower, tm._hyp_sums(ratios, np.full(upper.shape[1], y), limit, trunc.tail_tol)
 
     @staticmethod
     def _params(upper, lower, c):
@@ -192,7 +189,7 @@ class TestHypergeometric:
 
     def test_parameter_cancellation_gives_exponential(self):
         # A1's k = 0 cell is 2F2(0, 0; 0, 0; z), whose parameters all cancel
-        column = tm._cell_table(4, None)[0]["A1"][0][1][0][3]
+        column = tm._cell_table(4, None, tm.MAX_TERMS)[0]["A1"][0][1][0][3]
         upper, lower, sums = self._sums(-1.1)
         assert list(self._params(upper, lower, column)) == [[], []]
         assert abs(sums[column] - cmath.exp(-1.1j)) <= 1e-12
@@ -207,9 +204,9 @@ class TestHypergeometric:
                 ref = complex(mpmath.hyper(up, lo, 1j * y))
                 assert abs(got - ref) <= 1e-13 * float(mpmath.hyper(up, lo, abs(y))), (y, up, lo)
 
-    def test_max_terms_exceeded(self):
-        small = SeriesTruncation(k_max=1, tail_tol=1e-14, max_terms_per_hyp=5)
-        for got in self._sums(40.0, small)[2]:
+    def test_max_terms_exceeded(self, monkeypatch):
+        monkeypatch.setattr(tm, "MAX_TERMS", 5)
+        for got in self._sums(40.0, SeriesTruncation(k_max=1, tail_tol=1e-14))[2]:
             assert isinstance(got, MaxTermsExceeded)
             assert got.partial != 0
 
@@ -392,13 +389,14 @@ class TestArrayRecurrence:
             assert got[0] == "value"
             assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc), (t, k_max)
 
-    def test_refusals_keep_their_order(self):
+    def test_refusals_keep_their_order(self, monkeypatch):
         # at t=100 on `small`, 40 terms sum every A and B cell but no C cell,
         # 30 terms no A or C cell; shell_tol=1e-30 fails every block's last shell
         m = registry("small")
+        trunc = SeriesTruncation(k_max=2, tail_tol=1e-12)
         kinds = set()
         for cap, shell_tol in itertools.product((30, 40, 500), (None, 1e-30)):
-            trunc = SeriesTruncation(k_max=2, tail_tol=1e-12, max_terms_per_hyp=cap)
+            monkeypatch.setattr(tm, "MAX_TERMS", cap)
             for name in tm.BLOCK_NAMES:
                 got = _outcome(tm.series_block, m, name, 100.0, trunc, shell_tol=shell_tol)
                 assert got == _outcome(loop_series_block, m, name, 100.0, trunc, shell_tol=shell_tol)
@@ -411,9 +409,10 @@ class TestArrayRecurrence:
         assert (40, 1e-30, "TruncationNotConverged", "block A1") in kinds
         assert (30, 1e-30, "MaxTermsExceeded", "no conve") in kinds
 
-    def test_forced_cap_partial_and_last_term(self):
+    def test_forced_cap_partial_and_last_term(self, monkeypatch):
+        monkeypatch.setattr(tm, "MAX_TERMS", 5)
+        trunc = SeriesTruncation(k_max=3, tail_tol=1e-14)
         for m, t in ((registry("s"), 7.3), (registry("small"), 150.0), (registry("l"), 0.25)):
-            trunc = SeriesTruncation(k_max=3, tail_tol=1e-14, max_terms_per_hyp=5)
             got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc)
             assert got[0] == "MaxTermsExceeded"
             assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc)
@@ -422,19 +421,22 @@ class TestArrayRecurrence:
         # a made-up 0F1 column, lower parameter b and z = 1j: term l is
         # 1j**l / (b)_l.  At b = 5.8e-309 terms 1 and 2 are 1.72e308j and
         # -0.86e308, both finite, but |partial sum 2| overflows
-        upper, lower = np.empty((0, 1)), np.array([[5.8e-309]])
-        (got,) = tm._hyp_sums(upper, lower, {}, np.array([1.0]), np.array([500]), 1e-12)
+        ratios = tm._term_ratios(np.empty((0, 1)), np.array([[5.8e-309]]), np.arange(500))
+        (got,) = tm._hyp_sums(ratios, np.array([1.0]), np.array([500]), 1e-12)
         assert isinstance(got, NonFiniteResult)
         assert str(got) == "|term 2| or |partial sum| overflows from finite parts"
         with pytest.raises(NonFiniteResult, match=r"^\|term 2\| or \|partial sum\| overflows"):
             loop_hyp_series([], [5.8e-309], 1j, SeriesTruncation())
 
-    def test_term_cap_allocates_nothing_in_proportion(self):
+    def test_term_cap_allocates_nothing_in_proportion(self, monkeypatch):
+        # at t=150 on `small` every series ends within 64 terms, so the cap
+        # moves no value; a call then allocates nothing per term of the cap
         m = registry("small")
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
         peaks, values = [], []
-        for cap in (500, 10**7):
-            trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=cap)
-            tm.psi1_infinite(m, 150.0, PSI0, trunc)  # fills the cell-table cache
+        for cap in (64, 500):
+            monkeypatch.setattr(tm, "MAX_TERMS", cap)
+            tm.psi1_infinite(m, 150.0, PSI0, trunc)  # builds the cell table
             tracemalloc.start()
             values.append(tm.psi1_infinite(m, 150.0, PSI0, trunc))
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -443,13 +445,9 @@ class TestArrayRecurrence:
         assert peaks[1] <= peaks[0] + 200_000, peaks
 
 
-def _memo(k_max, order_cap=None):
-    return tm._cell_table(k_max, order_cap)[-1]
-
-
 class TestRatioMemo:
-    """The block table's term ratios, filled chunk by chunk on first use and
-    kept for the life of the table."""
+    """The block table's term ratios: built once per table, for every term
+    up to its largest limit, and kept as read-only data for its life."""
 
     @pytest.mark.parametrize("times", [(800.0, 0.0, 1.0, 25.0, 200.0), (200.0, 25.0, 1.0, 0.0, 800.0)])
     def test_chunk_boundaries_on_a_cold_memo(self, times):
@@ -460,53 +458,38 @@ class TestRatioMemo:
             got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc, order_cap=order_cap)
             want = _outcome(loop_psi1_infinite, m, t, PSI0, trunc, order_cap=order_cap)
             assert got == want, (k_max, order_cap, t)
-        # t = 800 runs past four chunks; the resum band (t <= 200) reaches three
-        assert len(_memo(4)) >= 5
 
-    def test_two_threads_match_a_serial_run(self):
-        m = registry("small")
-        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
-        lists = [(800.0, 0.0, 150.0, 25.0, 400.0), (400.0, 1.0, 200.0, 75.0, 800.0)]
-
-        def run(times):
-            return [_outcome(tm.psi1_infinite, m, t, PSI0, trunc) for t in times]
-
-        serial = [run(times) for times in lists]
-        start = threading.Barrier(2, timeout=30)
-
-        def worker(times):
-            start.wait()
-            return run(times)
-
-        interval = _sys.getswitchinterval()
-        _sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=2) as executor:
-                for _ in range(20):  # each round races on a cold memo
-                    tm._cell_table.cache_clear()
-                    futures = [executor.submit(worker, times) for times in lists]
-                    assert [f.result(timeout=120) for f in futures] == serial
-                    # a chunk built twice by a race is still stored under its own index
-                    _, upper, lower, *_, memo = tm._cell_table(4, None)
-                    assert sorted(memo) == list(range(len(memo)))
-                    for i, ratios in memo.items():
-                        assert ratios.tobytes() == tm._term_ratios(upper, lower, i * tm._CHUNK).tobytes(), i
-        finally:
-            _sys.setswitchinterval(interval)
+    def test_table_is_read_only_term_ratios_by_chunk(self):
+        for k_max, order_cap in ((4, None), (7, None), (3, 9), (5, 30)):
+            table = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)
+            shells, upper, lower, family, limit, ratios = table
+            assert not any(isinstance(part, dict) for part in table)
+            assert isinstance(shells, MappingProxyType)
+            assert all(isinstance(rows, tuple) and all(isinstance(row, tuple) for _, row in rows)
+                       for rows in shells.values())
+            for array in (upper, lower, family, limit, ratios):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                ratios[0, 0] = 1.0
+            assert ratios.shape == (limit.max(), upper.shape[1])
+            for start in range(0, len(ratios), tm._CHUNK):
+                chunk = tm._term_ratios(upper, lower, np.arange(start, start + tm._CHUNK))
+                assert ratios[start : start + tm._CHUNK].tobytes() == chunk[: len(ratios) - start].tobytes()
 
     def test_no_extra_chunk_steps(self, monkeypatch):
-        # every array step of _hyp_sums reads one chunk of the memo; A1's e^z
-        # cell is the column of A3's and A2's, so it adds none.
+        # every array step of _hyp_sums slices one chunk of the ratio table;
+        # A1's e^z cell is the column of A3's and A2's, so it adds none.
         # 129 is the count before that cell joined the table
-        class Counting(dict):
+        class Counting(np.ndarray):
             reads = 0
 
-            def __getitem__(self, i):
-                Counting.reads += 1
-                return super().__getitem__(i)
+            def __getitem__(self, index):
+                Counting.reads += isinstance(index, slice)
+                return super().__getitem__(index)
 
-        table = (*tm._cell_table(4, None)[:-1], Counting())
-        monkeypatch.setattr(tm, "_cell_table", lambda k_max, order_cap: table)
+        *table, ratios = tm._cell_table(4, None, tm.MAX_TERMS)
+        table = (*table, ratios.view(Counting))
+        monkeypatch.setattr(tm, "_cell_table", lambda k_max, order_cap, max_terms: table)
         m = registry("small")
         trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
         for i in range(64):
@@ -517,25 +500,20 @@ class TestRatioMemo:
         builds = []
         build = tm._term_ratios
 
-        def counted(upper, lower, start):
-            builds.append(start)
-            return build(upper, lower, start)
+        def counted(upper, lower, ell):
+            builds.append(len(ell))
+            return build(upper, lower, ell)
 
         monkeypatch.setattr(tm, "_term_ratios", counted)
         m = registry("small")
-        reached = []
-        for cap in (500, 10**7):
-            tm._cell_table.cache_clear()
-            trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=cap)
-            tm.psi1_infinite(m, 150.0, PSI0, trunc)
-            assert sorted(builds) == [i * tm._CHUNK for i in range(len(_memo(4)))]
-            del builds[:]
-            tm.psi1_infinite(m, 150.0, PSI0, trunc)
-            assert builds == []
-            reached.append(sorted(_memo(4)))
-        # a cap of 10**7 terms builds only the chunks the sums reach: at t=150
-        # every cell ends within 64 terms
-        assert reached[0] == reached[1] == [0, 1]
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
+        tm._cell_table.cache_clear()
+        tm.psi1_infinite(m, 150.0, PSI0, trunc)
+        assert builds == [tm.MAX_TERMS]
+        for t in (150.0, 25.0, 800.0):
+            tm.psi1_infinite(m, t, PSI0, trunc)
+            tm.series_block(m, "C2", t, trunc)
+        assert builds == [tm.MAX_TERMS]
 
 
 def _series(k_max, order_cap):
@@ -545,7 +523,7 @@ def _series(k_max, order_cap):
     for name, (*_, u1, u2, v1, v2, first, offset) in tm._BLOCKS.items():
         cells = blocks[name] = []
         for k in range(first, k_max + 1):
-            limit = -1 if order_cap is None else (order_cap - offset - 3 * k) // 3
+            limit = tm.MAX_TERMS if order_cap is None else (order_cap - offset - 3 * k) // 3
             if order_cap is not None and limit < 0:
                 continue
             for l in range(k - first + 1):
@@ -561,7 +539,7 @@ class TestDistinctSeries:
     @pytest.mark.parametrize("order_cap", [None, 9, 30])
     @pytest.mark.parametrize("k_max", range(1, 8))
     def test_each_cell_reads_its_own_series(self, k_max, order_cap):
-        shells, upper, lower, family, limit, _ = tm._cell_table(k_max, order_cap)
+        shells, upper, lower, family, limit, _ = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)
         columns = []
         for c in range(upper.shape[1]):
             up, lo = ([p for p in x[:, c].tolist() if p == p] for x in (upper, lower))  # no NaN pad
@@ -580,22 +558,22 @@ class TestDistinctSeries:
         "k_max, order_cap, cells, columns", [(4, None, 120, 64), (3, 9, 55, 29), (7, None, 300, 199)]
     )
     def test_column_counts(self, k_max, order_cap, cells, columns):
-        shells, upper, *_ = tm._cell_table(k_max, order_cap)
+        shells, upper, *_ = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)
         assert sum(len(row) for rows in shells.values() for _, row in rows) == cells
         assert upper.shape[1] == columns
 
     def test_memo_chunks_hold_one_column_per_series(self):
-        tm.psi1_infinite(registry("small"), 150.0, PSI0, SeriesTruncation(k_max=4))
-        assert _memo(4)
-        for chunk in _memo(4).values():
-            assert chunk.shape == (tm._CHUNK, 64)
+        for k_max, order_cap, columns in ((4, None, 64), (3, 9, 29), (7, None, 199)):
+            ratios = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)[-1]
+            assert ratios.shape[1] == columns
 
-    def test_a_shared_series_refuses_like_each_of_its_cells(self):
+    def test_a_shared_series_refuses_like_each_of_its_cells(self, monkeypatch):
         # at t=25 on `small` a cap of 20 terms stops the e^z series that A1,
         # A3 and A2 open with, and some C cells, but sums every B cell: each
         # block and psi_1 refuse, or sum, as the loop over their own cells does
+        monkeypatch.setattr(tm, "MAX_TERMS", 20)
         m = registry("small")
-        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12, max_terms_per_hyp=20)
+        trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
         with pytest.raises(MaxTermsExceeded):
             loop_hyp_series([], [], -1j * tm.xyz(m).X * 25.0, trunc)
         got = {name: _outcome(tm.series_block, m, name, 25.0, trunc) for name in tm.BLOCK_NAMES}
@@ -691,8 +669,6 @@ class TestRefusedInputs:
             dict(k_max=0),
             dict(k_max=True),
             dict(k_max="4"),
-            dict(max_terms_per_hyp=7.5),
-            dict(max_terms_per_hyp=0),
             dict(tail_tol=math.inf),
             dict(tail_tol=math.nan),
             dict(tail_tol=0.0),
@@ -706,9 +682,9 @@ class TestRefusedInputs:
             SeriesTruncation(**kwargs)
 
     def test_numpy_scalars_are_accepted(self):
-        trunc = SeriesTruncation(k_max=np.int64(3), tail_tol=np.float64(1e-12), max_terms_per_hyp=np.int32(50))
+        trunc = SeriesTruncation(k_max=np.int64(3), tail_tol=np.float64(1e-12))
         assert tm.psi1_infinite(registry("s"), 0.5, PSI0, trunc) == tm.psi1_infinite(
-            registry("s"), 0.5, PSI0, SeriesTruncation(k_max=3, tail_tol=1e-12, max_terms_per_hyp=50)
+            registry("s"), 0.5, PSI0, SeriesTruncation(k_max=3, tail_tol=1e-12)
         )
 
 

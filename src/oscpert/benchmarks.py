@@ -13,7 +13,6 @@ For the "small" model that constraint forces d3 = 1/40 exactly
 """
 from __future__ import annotations
 
-from .errors import UnknownModel
 from .threemode import ThreeModeModel
 
 _ALIASES = {
@@ -54,14 +53,11 @@ COUPLING_TABLE = {
 
 
 def canonical_id(model_id: str) -> str:
-    """Resolve an id or alias to the canonical benchmark name.
-
-    Raises:
-        UnknownModel: unrecognized id.
-    """
+    """Resolve an id or alias (case and surrounding blanks ignored) to the
+    canonical benchmark name; any other id is a ValueError."""
     key = _ALIASES.get(str(model_id).strip().lower())
     if key is None:
-        raise UnknownModel(
+        raise ValueError(
             f"unknown benchmark {model_id!r}; expected one of {BENCHMARK_IDS} "
             "or aliases m/s/l"
         )
@@ -69,9 +65,6 @@ def canonical_id(model_id: str) -> str:
 
 
 def registry(model_id: str, epsilon: float = 1.0) -> ThreeModeModel:
-    """Look up a frozen benchmark model (ids: small/moderate/large, or s/m/l).
-
-    Raises:
-        UnknownModel: unrecognized id.
-    """
+    """The frozen benchmark model of an id canonical_id resolves (small,
+    moderate, large, or s/m/l), at ``epsilon``; any other id is a ValueError."""
     return ThreeModeModel(epsilon=epsilon, **_PARAMETERS[canonical_id(model_id)])

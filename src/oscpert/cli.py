@@ -7,13 +7,14 @@ Verbs:
     xyz        — coupling ratios X, Y, Z of a model
     term       — one expansion-order coefficient (quadrature + closed form)
 
-Exit codes: 0 success, 1 verification/validation failure, 2 usage or I/O
-error (a failed allocation included).  Output is byte-deterministic for a
-fixed invocation: the sweep CSV prints floats with 17 significant digits in
-a fixed row order, and the decompose JSON is exactly
-json.dumps(..., sort_keys=True, indent=2) of the nested lists (floats in
-their shortest round-trip form), built in full before any of it is
-written, so a refused decomposition writes nothing.  `sweep` computes its
+Exit codes: 0 success, 1 a refused result (an OscPertError: a verification
+or validation failure), 2 bad input (any ValueError, a wrong shape or model
+id included), an I/O error or a failed allocation.  Output is
+byte-deterministic for a fixed invocation: the sweep CSV prints floats with
+17 significant digits in a fixed row order, and the decompose JSON is
+exactly json.dumps(..., sort_keys=True, indent=2) of the nested lists
+(floats in their shortest round-trip form), built in full before any of it
+is written, so a refused decomposition writes nothing.  `sweep` computes its
 whole grid (sweep_rows returns the columns as arrays) before it opens
 --out, so a refused sweep writes nothing either (a ±inf float, which JSON
 cannot hold, refuses --format json there too).  One block writer then
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import dyson, eigenfreq, graph, linalg, threemode
 from .benchmarks import COUPLING_TABLE, canonical_id, registry
-from .errors import OscPertError, UnknownModel
+from .errors import OscPertError
 from .threemode import SeriesTruncation, ThreeModeModel
 
 CSV_HEADER = (
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError, UnknownModel, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # bad input; a JSONDecodeError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OscPertError as exc:

@@ -1,12 +1,11 @@
-"""Exception types raised by the oscpert package."""
+"""Exception types raised by the oscpert package: each one refuses a result.
+
+Bad input (a wrong number, shape or model id) is a ValueError, never one of
+these."""
 
 
 class OscPertError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class DimensionMismatch(OscPertError):
-    """Matrix/vector shapes are incompatible with the requested operation."""
+    """Base class for all package-specific refusals."""
 
 
 class NonConvergence(OscPertError):
@@ -59,10 +58,6 @@ class MaxTermsExceeded(OscPertError):
 class TruncationNotConverged(OscPertError):
     """The outermost retained shell of a series still contributes more than
     the requested relative tolerance."""
-
-
-class UnknownModel(OscPertError):
-    """Benchmark registry lookup with an unrecognized identifier."""
 
 
 class NoTransition(OscPertError):

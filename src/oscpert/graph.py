@@ -143,15 +143,6 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
     return lap
 
 
-def _as_real_square(mat, name: str = "matrix") -> np.ndarray:
-    arr = linalg.as_array(mat, name, float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _check_laplacian(arr: np.ndarray, name: str, scale: float, error: type) -> None:
     """Raise ``error`` unless arr's rows sum to zero, against its own scale,
     and its off-diagonal entries are non-positive, against ``scale`` (that of
@@ -176,11 +167,12 @@ def symmetrizability_certificate(L0) -> np.ndarray:
     smallest entry is 1; diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is symmetric.
 
     Raises:
+        ValueError: L0 is not a finite square matrix with zero row sums.
         NotSymmetrizable: with a witness cycle (or one-sided pair) whose
             constraint cannot be met by any positive vector.
         NonFiniteResult: an entry of m over- or underflows a float.
     """
-    arr = _as_real_square(L0, "L0")
+    arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > CERTIFICATE_TOL * scale:
@@ -299,12 +291,12 @@ def decompose(L, li=None) -> LaplacianDecomposition:
         ValueError: if L is not a finite square Laplacian.
         InvalidDecomposition: if the explicit LI breaks any invariant.
     """
-    lap = _as_real_square(L, "L")
+    lap = linalg.as_square_matrix(L, "L", float)
     scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
     _check_laplacian(lap, "L", scale, ValueError)
 
     if li is not None:
-        one_way = _as_real_square(li, "LI")
+        one_way = linalg.as_square_matrix(li, "LI", float)
         if one_way.shape != lap.shape:
             raise InvalidDecomposition(
                 f"LI shape {one_way.shape} does not match L shape {lap.shape}"

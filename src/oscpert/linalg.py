@@ -7,9 +7,10 @@ propagator exp(-i*M*t), alone or applied to a vector.
 
 Every number a public entry point takes is read by one of four intakes:
 as_real and as_integer for scalars, as_vector and as_square_matrix (with
-as_array, for any shape, beneath them) for arrays.  Each refuses what is
-not a number with ValueError: a bool, a str, None, a complex where a real
-is due, and NaN or +-inf where a finite value is; numpy scalars pass.
+as_array, for any shape, beneath them) for arrays.  Each refuses bad input
+with ValueError: a bool, a str, None, a complex where a real is due, NaN or
++-inf where a finite value is, and a wrong shape or length; numpy scalars
+pass.
 
 Matrices and vectors are plain numpy arrays (complex128 internally).  All
 operations are pure functions of their value inputs and never mutate them,
@@ -22,7 +23,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, NonFiniteResult
+from .errors import NonConvergence, NonFiniteResult
 
 # Pade-13 numerator coefficients and the matching 1-norm threshold for
 # scaling-and-squaring (Higham 2005 constants, double precision).
@@ -90,21 +91,23 @@ def as_array(x, name: str, dtype=complex) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def as_square_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``m`` as a square complex128 array."""
-    arr = as_array(m, name)
+def as_square_matrix(m, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """``m`` as a finite, non-empty, square complex128 (or dtype) array; any
+    other shape or a non-finite entry is a ValueError."""
+    arr = as_array(m, name, dtype)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+        raise ValueError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def as_vector(v, n: int | None = None, name: str = "vector", dtype=complex) -> np.ndarray:
-    """Validate and return ``v`` as a complex128 (or dtype) vector of length ``n``."""
+    """``v`` flattened to a finite complex128 (or dtype) vector; a length other
+    than ``n`` (where given) or a non-finite entry is a ValueError."""
     arr = as_array(v, name, dtype).reshape(-1)
     if n is not None and arr.shape[0] != n:
-        raise DimensionMismatch(f"{name} has length {arr.shape[0]}, expected {n}")
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -129,6 +132,7 @@ def eigenvalues(m):
     entry part (or 1), so it stays finite for entries of any size.
 
     Raises:
+        ValueError: m is not a finite square matrix or (N, n, n) stack.
         NonConvergence: if the underlying QR iteration fails, or the
             characteristic-polynomial residual check fails for n <= 3.
     """
@@ -137,7 +141,7 @@ def eigenvalues(m):
     if single:
         arr = as_square_matrix(arr)[None]
     elif arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
-        raise DimensionMismatch(f"matrix stack must be (N, n, n), got shape {arr.shape}")
+        raise ValueError(f"matrix stack must be (N, n, n), got shape {arr.shape}")
     elif not np.all(np.isfinite(arr)):
         raise ValueError("matrix stack contains non-finite entries")
     n = arr.shape[1]
@@ -256,10 +260,7 @@ def propagator(m, t: float) -> np.ndarray:
 
 
 def matrix_exponential_apply(m, t: float, v) -> np.ndarray:
-    """Apply the propagator exp(-1j * m * t) to a vector.
-
-    Raises:
-        DimensionMismatch: if the vector length differs from the matrix size.
-    """
+    """Apply the propagator exp(-1j * m * t) to a vector; a vector whose
+    length differs from the matrix size is a ValueError."""
     prop = propagator(m, t)
     return prop @ as_vector(v, len(prop))

@@ -45,6 +45,10 @@ rather than tautology:
 * loop_hyp_series    — the per-cell scalar loop over the terms of one 2F2
                        that the array recurrence in oscpert.threemode
                        replaced; loop_series_block sums its cells with it
+* cell_column_coefficients
+                     — a block column's series as e^z times a polynomial
+                       with exact rational coefficients: the closed form
+                       that can replace the term-by-term 2F2 sums
 * van_loan_orders    — every expansion order psi_0(t)..psi_n(t) at once, as
                        blocks of the exponential of one block upper-bidiagonal
                        matrix (Van Loan, IEEE TAC 23, 1978): no quadrature, so
@@ -469,7 +473,7 @@ def loop_check_one_way(one_way) -> None:
 
 def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
     """graph.symmetrizability_certificate visiting one (i, j) entry at a time."""
-    arr = graph._as_real_square(L0, "L0")
+    arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
     scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
@@ -558,6 +562,29 @@ def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
             last_term=term,
         )
     return total
+
+
+def cell_column_coefficients(uppers, lowers) -> list[Fraction]:
+    """Exact c_0 .. c_M of one block column's series pFq(uppers; lowers; z),
+    whose series is then e^z * sum_j c_j z^j.
+
+    The parameters left by threemode._cancel_params pair off, in sorted
+    order, as integers a_i >= b_i >= 1 (asserted here).  Since (b+m)_l/(b)_l
+    = (b+l)_m/(b)_m, term l of the series is P(l) z^l / l! with P(l) =
+    prod (a_i)_l / (b_i)_l a polynomial of degree M = sum(a_i - b_i).  In
+    falling factorials P(l) = sum_j c_j l(l-1)..(l-j+1) with c_j = Delta^j
+    P(0) / j!, and sum_l l(l-1)..(l-j+1) z^l / l! = z^j e^z.
+    """
+    ups, lows = sorted(int(a) for a in uppers), sorted(int(b) for b in lowers)
+    assert len(ups) == len(lows) and all(a >= b >= 1 for a, b in zip(ups, lows)), (ups, lows)
+    values = [Fraction(1)]  # P(0) .. P(M)
+    for ell in range(sum(ups) - sum(lows)):
+        values.append(values[-1] * math.prod(a + ell for a in ups) / math.prod(b + ell for b in lows))
+    coeffs = []
+    for j in range(len(values)):
+        coeffs.append(values[0] / math.factorial(j))
+        values = [y - x for x, y in zip(values, values[1:])]
+    return coeffs
 
 
 def _branch_block_spec(m, block: str) -> dict:
@@ -712,7 +739,10 @@ def van_loan_orders(sys, n, t, psi0) -> list[np.ndarray]:
 
 
 def _loop_running_integral(values: np.ndarray, dx: float) -> np.ndarray:
-    """dyson._running_integral as plain array formulas, one temporary each."""
+    """The running integral that dyson._rotating_orders writes in place
+    (composite Simpson pairs at the even nodes, a four-point correction at
+    the odd ones), in node order, as plain array formulas, one temporary
+    each."""
     out = np.zeros_like(values)
     pair = (dx / 3.0) * (values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
     out[2::2] = np.cumsum(pair, axis=0)

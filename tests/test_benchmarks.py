@@ -4,7 +4,6 @@ import pytest
 
 from oscpert import threemode as tm
 from oscpert.benchmarks import BENCHMARK_IDS, canonical_id, registry
-from oscpert.errors import UnknownModel
 
 
 def test_aliases_resolve():
@@ -14,8 +13,10 @@ def test_aliases_resolve():
 
 
 def test_unknown_model():
-    with pytest.raises(UnknownModel):
+    with pytest.raises(ValueError, match="^unknown benchmark 'xl'; expected one of"):
         registry("xl")
+    with pytest.raises(ValueError, match="^unknown benchmark ''; expected one of"):
+        canonical_id("")
 
 
 def test_frozen_parameters():

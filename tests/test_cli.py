@@ -935,6 +935,27 @@ class TestXyzAndTerm:
         assert captured.err.startswith(want)
 
 
+class TestBadInputExitsTwo:
+    """Bad input, whichever layer reads it, exits 2 with one error line and
+    nothing on stdout or on disk; only a refused result exits 1."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (("verify", "--model", "nosuch"),
+         "error: unknown benchmark 'nosuch'; expected one of ('moderate', 'small', 'large') or aliases m/s/l\n"),
+        (("decompose", "--graph", "g.json", "--li", "li.json", "--out", "out.json"),
+         "error: LI must be a non-empty square matrix, got shape (1, 3)\n"),
+        (("term", "--model", "s", "--order", "1", "--t", "0.5", "--psi0", "1,2"),
+         "error: psi0 needs 3 components, got 2 in '1,2'\n"),
+    ], ids=["verify model", "decompose li", "term psi0"])
+    def test_one_error_line_and_no_output(self, tmp_path, monkeypatch, capsys, argv, err):
+        monkeypatch.chdir(tmp_path)
+        Path("g.json").write_text(json.dumps(FIG1_GRAPH))
+        Path("li.json").write_text("[[1, -1, 0]]")
+        assert run(*argv) == 2
+        assert capsys.readouterr() == ("", err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "li.json"]
+
+
 class TestOneParserPerProcess:
     """main parses every call with one parser, built by its first call."""
 

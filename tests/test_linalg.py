@@ -6,7 +6,7 @@ import scipy.linalg
 
 from oscpert import linalg, threemode
 from oscpert.benchmarks import registry
-from oscpert.errors import DimensionMismatch, NonConvergence, NonFiniteResult
+from oscpert.errors import NonConvergence, NonFiniteResult
 from oscpert.threemode import ThreeModeModel
 
 from oracles import cardano_roots, charpoly3, rk4_evolution
@@ -56,7 +56,7 @@ class TestEigenvalues:
             assert abs(prod - det) <= 1e-8 * max(abs(det), 1.0)
 
     def test_rejects_non_square_and_non_finite(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^matrix must be a non-empty square matrix, got shape \(2, 3\)$"):
             linalg.eigenvalues(np.ones((2, 3)))
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.array([[np.nan, 0], [0, 1]]))
@@ -104,8 +104,10 @@ class TestEigenvalues:
             linalg.eigenvalues(stack)
 
     def test_stack_rejects_bad_input(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match=r"^matrix stack must be \(N, n, n\), got shape \(2, 2, 3\)$"):
             linalg.eigenvalues(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match=r"^matrix stack must be \(N, n, n\), got shape \(1, 0, 0\)$"):
+            linalg.eigenvalues(np.ones((1, 0, 0)))
         with pytest.raises(ValueError):
             linalg.eigenvalues(np.full((2, 3, 3), np.inf))
 
@@ -169,7 +171,7 @@ class TestPropagator:
         assert errs[1] < errs[0] / 3.0  # O(h^2): halving h gains ~4x
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="^vector has length 2, expected 3$"):
             linalg.matrix_exponential_apply(np.eye(3), 1.0, [1.0, 2.0])
 
     def test_non_finite_inputs(self):

@@ -3,15 +3,18 @@
 Every entry point reads its numbers through the intakes of `linalg`: a bool
 is never a number, a str is never parsed, None, a complex where a real is
 due, NaN and +-inf are refused, and each refusal is a ValueError (never a
-TypeError, never a result).  numpy scalars are accepted.
+TypeError, never a result).  numpy scalars are accepted.  A wrong shape or
+model id is bad input too, and a ValueError; no OscPertError, the typed
+refusal of a result, is one.
 """
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from oscpert import benchmarks, dyson, eigenfreq, graph, linalg, threemode
+from oscpert import benchmarks, dyson, eigenfreq, errors, graph, linalg, threemode
 from oscpert.benchmarks import registry
 from oscpert.dyson import PerturbedSystem
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
@@ -238,3 +241,35 @@ class TestJsonBools:
     def test_li_rows(self):
         with pytest.raises(ValueError, match="^LI JSON must be a real number, got True$"):
             graph.check_json_rows("[[1, true]]", [[1, True]], "LI JSON")
+
+
+SHAPES = {"1x3": [[1.0, -1.0, 0.0]], "empty": np.empty((0, 0)), "3-D": np.zeros((2, 2, 2))}
+SQUARE_INTAKES = {
+    "L": graph.decompose,
+    "LI": lambda m: graph.decompose(FIG1_L, li=m),
+    "L0": graph.symmetrizability_certificate,
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("name", SQUARE_INTAKES)
+def test_a_graph_matrix_of_the_wrong_shape_is_a_value_error(name, shape):
+    want = f"{name} must be a non-empty square matrix, got shape {np.shape(SHAPES[shape])}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        SQUARE_INTAKES[name](SHAPES[shape])
+
+
+@pytest.mark.parametrize("call, length", [
+    pytest.param(lambda: threemode.psi1_infinite(MODEL, 0.5, PSI0[:2], TRUNC), 2, id="threemode.psi1_infinite"),
+    pytest.param(lambda: dyson.terms(SYSTEM, 1, 0.5, PSI0 + [0.0], 100), 4, id="dyson.terms"),
+])
+def test_a_psi0_of_the_wrong_length_is_a_value_error(call, length):
+    with pytest.raises(ValueError, match=f"^psi0 has length {length}, expected 3$"):
+        call()
+
+
+def test_no_refusal_is_a_value_error():
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert errors.OscPertError in classes and all(issubclass(c, errors.OscPertError) for c in classes)
+    assert not any(issubclass(c, ValueError) for c in classes)
+    assert not hasattr(errors, "DimensionMismatch") and not hasattr(errors, "UnknownModel")

@@ -23,6 +23,7 @@ from oscpert.errors import (
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
 from oracles import (
+    cell_column_coefficients,
     loop_hyp_series,
     loop_psi1_infinite,
     loop_series_block,
@@ -209,6 +210,44 @@ class TestHypergeometric:
         for got in self._sums(40.0, SeriesTruncation(k_max=1, tail_tol=1e-14))[2]:
             assert isinstance(got, MaxTermsExceeded)
             assert got.partial != 0
+
+
+class TestCellColumnsInClosedForm:
+    """Every column of the block table, 2F2, 1F1 or plain exp after
+    _cancel_params, sums to e^z times a polynomial whose coefficients
+    oracles.cell_column_coefficients gives exactly."""
+
+    @staticmethod
+    def _columns():
+        _, upper, lower, _, limit, ratios = tm._cell_table(8, None, tm.MAX_TERMS)
+        columns = []
+        for c in range(upper.shape[1]):
+            up, lo = ([p for p in x[:, c].tolist() if p == p] for x in (upper, lower))  # no NaN pad
+            columns.append((up, lo, cell_column_coefficients(up, lo)))
+        return columns, limit, ratios
+
+    @staticmethod
+    def _closed(coeffs, y):
+        """e^z * sum_j c_j z^j at z = 1j * y, at the working mpmath precision."""
+        z = mpmath.mpc(0, y)
+        return mpmath.exp(z) * mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in coeffs[::-1]], z)
+
+    def test_against_mpmath(self):
+        columns = self._columns()[0]
+        with mpmath.workdps(30):
+            for up, lo, coeffs in columns:
+                for y in (0.5, 5.0, 20.0):
+                    ref = mpmath.hyper(up, lo, mpmath.mpc(0, y))
+                    assert abs(self._closed(coeffs, y) - ref) <= 1e-28 * abs(ref), (y, up, lo)
+
+    def test_against_the_term_sums(self):
+        columns, limit, ratios = self._columns()
+        for y in (-5.0, -0.5, 0.5, 5.0):
+            sums = tm._hyp_sums(ratios, np.full(len(columns), y), limit)
+            with mpmath.workdps(30):
+                for (up, lo, coeffs), got in zip(columns, sums):
+                    exact = complex(self._closed(coeffs, y))
+                    assert abs(got - exact) <= 1e-13 * abs(exact), (y, up, lo)
 
 
 class TestSeriesBlocks:

@@ -22,18 +22,17 @@ formats and writes either format one block of _CSV_BLOCK_ROWS rows at a
 time, with one % per block; the JSON has the bytes of
 json.dumps(..., sort_keys=True, indent=2) of the whole table.
 
-`verify` runs the rows of VERIFY_CHECKS that its --depth selects and prints
-one PASS/FAIL line per row: the quick rows always, the full rows at --depth
-full, and the series rows at --depth full when every |X|,|Y|,|Z| < 1;
-otherwise one SKIP line follows the last row that ran.  The environment
-variable OSC_PERT_TOL, when set to a finite positive float, overrides every
-row's tolerance (any other value is a usage error, raised before any output).
+`verify` runs rows of VERIFY_CHECKS and prints one PASS/FAIL line per row:
+the quick rows always, the full rows at --depth full, and the series rows at
+--depth full when every |X|,|Y|,|Z| < 1 (the paper's small-coupling
+condition, not a convergence test); otherwise one SKIP line follows the last
+row that ran.  OSC_PERT_TOL, if set, must be a finite positive float (else a
+usage error before any output) and overrides every row's tolerance.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -165,8 +164,10 @@ def _cmd_sweep(args) -> int:
         for start in range(0, rows, _CSV_BLOCK_ROWS):
             stop = min(start + _CSV_BLOCK_ROWS, rows)
             template = sep.join([row] * (stop - start)) + (sep if stop < rows else last)
-            fields = zip(*[_block_cells(column[start:stop], null) for column in cells])
-            fh.write(template % tuple(itertools.chain.from_iterable(fields)))
+            fields = [None] * (len(cells) * (stop - start))
+            for j, column in enumerate(cells):
+                fields[j :: len(cells)] = _block_cells(column[start:stop], null)
+            fh.write(template % tuple(fields))
         if tail:
             fh.write(tail)
     print(f"wrote {rows} rows ({args.steps} grid points) to {args.out}")
@@ -244,9 +245,9 @@ def _resummation_vs_propagator(key, model, tol):
 
 # The verify suite, run in this order: (printed name, default tolerance,
 # depth, check).  "quick" rows always run, "full" rows at --depth full, and
-# "series" rows at --depth full only when every |X|,|Y|,|Z| < 1, the regime
-# where the infinite-order series converge.  A check maps
-# (benchmark id, model, tolerance) to (passed, detail).
+# "series" rows at --depth full only when every |X|,|Y|,|Z| < 1, the paper's
+# small-coupling condition, not a convergence test (see the README).  A check
+# maps (benchmark id, model, tolerance) to (passed, detail).
 VERIFY_CHECKS = (
     ("coupling-table", 5e-4, "quick", _coupling_table),
     ("zero-eigenvalue", 1e-9, "quick", _zero_eigenvalue),

@@ -74,13 +74,12 @@ class EigenfrequencyReport:
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n per element with Python's float power (libm pow), inf where that
-    overflows: np.power, and x*x for squares, differ from it in the last ulp
-    on some inputs, and the estimates keep the scalar formula's bits.
-    """
+    """x**n per element as v**n (libm pow on float(n), the double float ** int
+    turns n into: same call, same bits), inf where that overflows; np.power
+    and x*x for squares differ from it in the last ulp on some inputs."""
     values = x.ravel().tolist()
     try:
-        out = np.array(list(map(pow, values, repeat(n))), dtype=float)
+        out = np.fromiter(map(pow, values, repeat(float(n))), float, len(values))
     except OverflowError:
         out = np.array([_pow_or_inf(v, n) for v in values], dtype=float)
     return out.reshape(x.shape)

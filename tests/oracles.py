@@ -19,7 +19,8 @@ rather than tautology:
                        itertools.permutations matching loop per step
                        (per_point_path, continuation step CONTINUATION_STEP)
                        and one relabeled model per estimate; its labels go
-                       through pair_rule, the tie rule of a conjugate pair
+                       through pair_rule, the tie rules of a conjugate pair
+                       that forms and of one that turns real again
 * bisect_transition  — the bisection on spectrum reality that the
                        discriminant roots of eigenfreq.exceptional_points
                        replaced
@@ -262,13 +263,24 @@ def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
 
 
 def pair_rule(path) -> np.ndarray:
-    """path with each row's conjugate pair ordered so that the lower mode
-    holds Im > 0: the tie a continuation walk leaves to LAPACK's order where
-    two real eigenvalues meet and turn into a pair."""
+    """path relabeled by the two tie rules that a continuation walk leaves to
+    LAPACK's order: where two real eigenvalues meet and turn into a pair, the
+    lower mode holds Im > 0; where a pair turns real again, its mode that held
+    Im > 0 takes the larger real part.  The walk continues from whichever
+    labels it took at a tie, so each swap carries on to the rows after it."""
     path = np.array(path)
-    for row in path:
-        pair = np.flatnonzero(~eigenfreq.is_real_mode(row))
-        if pair.size and row[pair[0]].imag < row[pair[1]].imag:
+    order = np.arange(3)  # the walk's column of each mode
+    held = None  # the pair of the row before, its Im > 0 mode first
+    for row, real in zip(path, eigenfreq.is_real_mode(path)):
+        row[:] = row[order]
+        pair = np.flatnonzero(~real[order])
+        if pair.size:
+            held, swap = pair, row[pair[0]].imag < row[pair[1]].imag
+        else:
+            swap = held is not None and row[held[0]].real < row[held[1]].real
+            pair, held = held, None
+        if swap:
+            order[pair] = order[pair[::-1]]
             row[pair] = row[pair[::-1]]
     return path
 

@@ -21,10 +21,12 @@ B1, B3, B2, C1, C3, C2) built from the cyclic coupling ratios
     Y = a1 a2 a3 eps^3 / ((w2'-w3') (w3'-w1'))
     Z = a1 a2 a3 eps^3 / ((w1'-w2') (w2'-w3'))
 
-with 2F2 hypergeometric inner sums.  The blocks differ only in integer
-offsets, a sign rule and a prefactor, so they are the rows of one table
-(_BLOCKS) read by one block sum; psi1_infinite computes the frequencies,
-ratios and prefactors once per call and sums all nine rows.  Solutions for
+with 2F2 hypergeometric inner sums.  Each block is a residue of the
+resolvent: its letter names the pole (w1', w3', w2' for A, B, C), its digit
+the initial component psi_mu(0) and so the entry of row 1 of
+adj(lambda - Omega) that multiplies it.  One rule (_FAMILIES, _CANCELS)
+builds every block's cells, and psi1_infinite computes the frequencies,
+ratios and prefactors once per call and sums all nine blocks.  Solutions for
 psi_3 and psi_2 follow by the cyclic relabeling 1 -> 3 -> 2 -> 1 (with
 X -> Y -> Z -> X), exposed as cyclic_view.  All denominators assume
 pairwise-distinct effective frequencies; degenerate models are refused
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
@@ -137,8 +140,8 @@ class SeriesTruncation:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        linalg.as_integer(self.k_max, "k_max", 1)
-        linalg.as_real(self.tail_tol, "tail_tol", math.ulp(0.0))  # > 0
+        object.__setattr__(self, "k_max", linalg.as_integer(self.k_max, "k_max", 1))
+        object.__setattr__(self, "tail_tol", linalg.as_real(self.tail_tol, "tail_tol", math.ulp(0.0)))  # > 0
 
 
 def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
@@ -274,30 +277,6 @@ def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
     )
 
 
-def neg_binomial(n: int, k: int) -> int:
-    """Binomial coefficient extended to negative integer arguments.
-
-    For n >= 0 this is the usual C(n, k) (zero outside 0 <= k <= n).  For
-    n < 0 the nonzero regions are k >= 0, where
-    C(n, k) = (-1)^k C(k - n - 1, k), and k <= n, where
-    C(n, k) = (-1)^(n-k) C(-k - 1, n - k); everything else is zero.
-    A non-integral n or k raises ValueError.
-    """
-    try:
-        n, k = linalg.as_integer(n, "n"), linalg.as_integer(k, "k")
-    except ValueError as exc:
-        raise ValueError(f"neg_binomial needs integral n and k: {exc}") from exc
-    if n >= 0:
-        if 0 <= k <= n:
-            return math.comb(n, k)
-        return 0
-    if k >= 0:
-        return (-1) ** k * math.comb(k - n - 1, k)
-    if k <= n:
-        return (-1) ** (n - k) * math.comb(-k - 1, n - k)
-    return 0
-
-
 # The cells' series advance together this many term indices per array step.
 _CHUNK = 32
 
@@ -382,93 +361,96 @@ def _hyp_sums(ratios, y, limit, tail_tol=None) -> list:
     return [errors.get(c, value) for c, value in enumerate(out)]
 
 
-def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
-    uppers, lowers = ([float(p) for p in params] for params in (a_params, b_params))
-    for a in list(uppers):
-        if a in lowers:
-            uppers.remove(a)
-            lowers.remove(a)
-    return uppers, lowers
-
-
-# Block table.  Cell (k, l) of a block is
-#   (-1)**(sk*k + l + s0) * prefactor * ratio1**k * ratio2**l
-#     * C(2k-l+x, k-l+y) * C(k+l+z, l)
-#     * 2F2(2k-l+u1, k+l+u2; k+v1, k+v2; -1j * W * t)
-# for 0 <= l <= k, k = 0 .. k_max; rows with first = 1 start at k = 1 and
-# stop l at k - 1.  The family letter A/B/C selects W = X/Y/Z, ratio1 and
-# ratio2.  The order offset 0/1/2 selects the prefactor, and names the
-# initial component the block multiplies (p1/p3/p2): cell (k, inner term
-# ell) is of expansion order 3*(k + ell) + offset.
-_BLOCKS = {
-    #      sk s0   x   y   z u1 u2 v1 v2 first offset
-    "A1": (0, 0, -1,  0, -1, 0, 0, 0, 0, 0, 0),
-    "A3": (0, 0,  0,  0, -1, 1, 0, 0, 1, 0, 1),
-    "A2": (0, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
-    "B1": (1, 1, -1, -1, -1, 0, 0, 0, 1, 1, 0),
-    "B3": (1, 1,  0,  0, -1, 1, 0, 0, 1, 0, 1),
-    "B2": (1, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
-    "C1": (0, 1, -1, -1, -1, 0, 0, 0, 1, 1, 0),
-    "C3": (0, 0, -1, -1,  0, 0, 1, 1, 1, 1, 1),
-    # sign alternates in l only; the (k+l)-alternation used by the
-    # B-family contradicts the order-5 expansion and breaks the t=0
-    # recombination identity here.
-    "C2": (0, 1,  0,  0,  0, 1, 1, 1, 1, 0, 2),
-}
-BLOCK_NAMES = tuple(_BLOCKS)
+# The blocks are residues of the resolvent: psi_1(t) sums psi_c(0) times the
+# contour integral of e^{-i lambda t} adj(lambda - Omega)_1c / det(lambda -
+# Omega) / (2 pi i), with 1/det expanded in powers of eps^3 a1 a2 a3 / D,
+# D = prod(lambda - w_mu'), and adjugate row 1 (lambda - w2') (lambda - w3'),
+# -eps a3 (lambda - w2'), eps^2 a2 a3 for c = 1, 3, 2.  Family A/B/C is the
+# residue at its pole f, and Leibniz's rule shares its derivatives among
+# e^{-i lambda t} (the inner 2F2 term index), the factor of mode a (l) and
+# that of mode b (kb).  Per family: f, a and b, 0-based.
+_FAMILIES = {"A": (0, 1, 2), "B": (2, 1, 0), "C": (1, 2, 0)}
+# Per order offset 0/1/2 (the block's digit 1/3/2): the modes whose factor
+# the adjugate entry cancels.  Cell (k, l) has first = [f cancelled],
+# ca = k+1-[a cancelled], cb = k+1-[b cancelled] and kb = k-first-l >= 0:
+#   prefactor * ratio1**k * ratio2**l * (ca)_l/l! * (cb)_kb/kb!
+#     * 2F2(ca+l, cb+kb; ca, cb; -1j * W * t),
+# its inner term ell of expansion order 3*(k + ell) + offset.
+_CANCELS = ({1, 2}, {1}, set())
+BLOCK_NAMES = tuple(family + digit for family in _FAMILIES for digit in "132")
 
 
 def _block_geometry(m: ThreeModeModel):
     """Effective frequencies, and per block family the tuple
-    (W, ratio1, ratio2, prefactors indexed by order offset).
+    (W, ratio1, ratio2, prefactors indexed by order offset) of the residue
+    at its pole f: with d_x = w_f' - w_x', W = -eps^3 a1 a2 a3 / (d_a d_b)
+    (X, Y or Z), ratio1 = -W / d_b and ratio2 = d_b / d_a.
 
     Raises:
         DegenerateFrequencies: as effective_frequencies does.
         NonFiniteResult: a ratio or prefactor overflows (or is NaN).
     """
-    freqs = w1, w2, w3 = effective_frequencies(m)
-    p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
+    w = effective_frequencies(m)
     a1, a2, a3 = m.a
     eps = m.epsilon
     num = a1 * a2 * a3 * eps**3
-    lin = a3 * eps
-    quad = a2 * a3 * eps**2
-    X = num / (p12 * p31)
-    Y = num / (p23 * p31)
-    Z = num / (p12 * p23)
-    families = {
-        "A": (X, X / p31, p31 / p12, (1.0, lin / p31, quad / (p12 * p31))),
-        "B": (Y, Y / p31, p31 / p23, (1.0, lin / p31, quad / (p23 * p31))),
-        "C": (Z, Z / p12, p12 / p23, (1.0, lin / p23, quad / (p12 * p23))),
-    }
-    if not all(math.isfinite(x) for f in families.values() for x in (*f[:3], *f[3])):
+    leads = (1.0, -a3 * eps, a2 * a3 * eps**2)  # adjugate row 1 less its cancelled factors
+    families = {}
+    for family, (f, a, b) in _FAMILIES.items():
+        d_a, d_b = w[f] - w[a], w[f] - w[b]
+        W = -num / (d_a * d_b)
+        prefactors = []
+        for lead, cancels in zip(leads, _CANCELS):
+            # a cancelled pole leaves (-d_b)**first over mode b's own 1/d_b
+            # (b is then mode 1, which no entry cancels): -1
+            first = f in cancels
+            den = (1.0 if a in cancels else d_a) * (1.0 if first or b in cancels else d_b)
+            prefactors.append((-lead if first else lead) / den)
+        families[family] = (W, -W / d_b, d_b / d_a, tuple(prefactors))
+    if not all(math.isfinite(x) for v in families.values() for x in (*v[:3], *v[3])):
+        X, Y, Z = (v[0] for v in families.values())
         raise NonFiniteResult(f"coupling ratios or prefactors are not finite: X={X}, Y={Y}, Z={Z}")
-    return freqs, families
+    return w, families
+
+
+def _rising(c: int, m: int) -> int:
+    """(c)_m / m!, the coefficient of x**m in (1 - x)**-c."""
+    return math.prod(range(c, c + m)) // math.factorial(m)
 
 
 @lru_cache(maxsize=16)
 def _cell_table(k_max: int, order_cap: int | None, max_terms: int):
-    """The cells of the nine blocks, for any model and t, as read-only data:
-    per block its shells ((k, ((l, sign, coefficient, column), ...)), ...);
-    per column, one series in first-occurrence order, its NaN-padded upper
-    and lower (2, C) parameters left by _cancel_params (each an integer
-    >= 1), family (A/B/C as 0/1/2), term limit (max_ell, or max_terms
-    without order_cap) and _term_ratios up to the largest limit.  Cells
-    equal in all four share a column (at k_max=4 the 120 cells are 64)."""
+    """The cells of the nine blocks, for any model and t, as read-only data
+    built from _FAMILIES and _CANCELS: per block its shells
+    ((k, ((l, coefficient, column), ...)), ...); per column, one series in
+    first-occurrence order, its NaN-padded upper and lower (2, C) parameters
+    (each an integer >= 1) left once equal upper and lower ones cancel,
+    family (A/B/C as 0/1/2), term limit (max_ell, or max_terms without
+    order_cap) and _term_ratios up to the largest limit.  Cells whose sorted
+    parameters, family and limit agree share a column (at k_max=4 the 120
+    cells are 53)."""
     shells, columns = {}, {}
-    for block, (sk, s0, x, y, z, u1, u2, v1, v2, first, offset) in _BLOCKS.items():
+    for block in BLOCK_NAMES:
+        f, a, b = _FAMILIES[block[0]]
+        offset = "132".index(block[1])
+        cancels = _CANCELS[offset]
+        first = int(f in cancels)
         rows = []
         for k in range(first, k_max + 1):
             max_ell = max_terms if order_cap is None else (order_cap - offset - 3 * k) // 3
             if max_ell < 0:
                 continue
+            ca, cb = k + 1 - (a in cancels), k + 1 - (b in cancels)
             row = []
             for l in range(0, k - first + 1):
-                coeff = neg_binomial(2 * k - l + x, k - l + y) * neg_binomial(k + l + z, l)
-                params = _cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
-                up, lo = (p + [None] * (2 - len(p)) for p in params)  # None == None; NaN != NaN
+                kb = k - first - l
+                coeff = _rising(ca, l) * _rising(cb, kb)
+                upper, lower = Counter((ca + l, cb + kb)), Counter((ca, cb))
+                params = (upper - lower, lower - upper)
+                # None == None; NaN != NaN
+                up, lo = (sorted(p.elements()) + [None] * (2 - p.total()) for p in params)
                 column = columns.setdefault((*up, *lo, "ABC".index(block[0]), max_ell), len(columns))
-                row.append((l, (-1) ** (sk * k + l + s0), coeff, column))
+                row.append((l, coeff, column))
             rows.append((k, tuple(row)))
         shells[block] = tuple(rows)
     cols = np.array(list(columns), dtype=float).reshape(-1, 6).T
@@ -480,22 +462,25 @@ def _cell_table(k_max: int, order_cap: int | None, max_terms: int):
 
 
 def _pow_or_inf(v: float, n: int) -> float:
-    """v**n with Python's float power (libm pow), inf where that overflows."""
+    """v**n with Python's float power (libm pow); where that overflows, the
+    infinity of the power's sign, as libm's pow returns it."""
     try:
         return v**n
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, v) if n % 2 else math.inf
 
 
-def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_cap) -> dict:
-    """series_block for each of names on a _block_geometry family map, from
-    one _hyp_sums pass over the table's columns, each cell reading the sum of
-    its column.  Each block raises the refusal of its first failing cell in
-    (k, l) order, then NonFiniteResult for a total that is not finite, then
-    its TruncationNotConverged, before the next block is totalled."""
+def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, order_cap):
+    """Effective frequencies, and series_block for each of names, from one
+    _hyp_sums pass over the table's columns, each cell reading the sum of
+    its column.  The arguments are read before the model.  Each block raises
+    the refusal of its first failing cell in (k, l) order, then
+    NonFiniteResult for a total that is not finite, then its
+    TruncationNotConverged, before the next block is totalled."""
     t = linalg.as_real(t, "t")
     order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
     shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
+    freqs, families = _block_geometry(m)
     shells, _, _, family, limit, ratios = _cell_table(trunc.k_max, order_cap, MAX_TERMS)
     # every argument -1j * W * t has a zero real part
     y = np.array([(-1j * families[f][0] * t).imag for f in "ABC"])[family]
@@ -510,12 +495,12 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
     blocks = {}
     for block in names:
         pow1, pow2 = powers[block[0]]
-        prefactor = families[block[0]][3][_BLOCKS[block][-1]]
+        prefactor = families[block[0]][3]["132".index(block[1])]
         total, last_shell = 0.0 + 0.0j, 0.0
         for k, cells in shells[block]:
             shell = 0.0 + 0.0j
-            for l, sign, coeff, column in cells:
-                weight = sign * prefactor * pow1[k] * pow2[l] * coeff
+            for l, coeff, column in cells:
+                weight = prefactor * pow1[k] * pow2[l] * coeff
                 if not isinstance(sums[column], complex):
                     raise sums[column]
                 shell += weight * sums[column]
@@ -529,7 +514,7 @@ def _block_sums(families: dict, names: tuple, t: float, trunc, shell_tol, order_
                 f"{last_shell:.3e} against total {abs(total):.3e}"
             )
         blocks[block] = total
-    return blocks
+    return freqs, blocks
 
 
 def series_block(
@@ -552,7 +537,9 @@ def series_block(
     against fixed-order quadrature sums).
 
     Raises:
-        ValueError: block is not one of BLOCK_NAMES, or t is not finite.
+        ValueError: block is not one of BLOCK_NAMES, t is not finite, or
+            order_cap or shell_tol is not a number of its kind; before the
+            model is read.
         NonFiniteResult: a cell's term or partial sum, or the block total,
             is not finite.
         TruncationNotConverged: only when shell_tol is given and the last
@@ -560,10 +547,9 @@ def series_block(
             to the accumulated sum (deliberate fixed-depth truncations pass
             shell_tol=None).
     """
-    _, families = _block_geometry(m)
     if block not in BLOCK_NAMES:
         raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")
-    return _block_sums(families, (block,), t, trunc, shell_tol, order_cap)[block]
+    return _block_sums(m, (block,), t, trunc, shell_tol, order_cap)[1][block]
 
 
 def psi1_infinite(
@@ -579,13 +565,12 @@ def psi1_infinite(
     Assembles (A1 p1 + A3 p3 + A2 p2) e^{-i w1' t}
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
-    with p_mu = psi_mu(0).  Raises as series_block does, block by block, and
-    NonFiniteResult when a phase w' * t overflows or the assembly is not
-    finite.
+    with p_mu = psi_mu(0).  Raises as series_block does, block by block,
+    with psi0 read first, and NonFiniteResult when a phase w' * t overflows
+    or the assembly is not finite.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
-    (w1, w2, w3), families = _block_geometry(m)
-    blocks = _block_sums(families, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
+    (w1, w2, w3), blocks = _block_sums(m, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
     e1, e2, e3 = _phases((w1, w2, w3), t)
     p1, p2, p3 = vec[0], vec[1], vec[2]
     with np.errstate(all="ignore"):

@@ -40,8 +40,10 @@ rather than tautology:
 * repr_json          — the decompose JSON emitter that the word table in
                        oscpert.cli replaced: float.__repr__ of every entry
 * loop_series_block, loop_psi1_infinite
-                     — the per-block if chain of lambdas that the block
-                       table in oscpert.threemode replaced, recomputing the
+                     — the per-block if chain of lambdas, the paper's hand
+                       table of binomials (neg_binomial), 2F2 parameters
+                       (_cancel_params) and sign rules, that the residue
+                       rule in oscpert.threemode replaced, recomputing the
                        frequencies and ratios for every block
 * loop_hyp_series    — the per-cell scalar loop over the terms of one 2F2
                        that the array recurrence in oscpert.threemode
@@ -580,8 +582,8 @@ def cell_column_coefficients(uppers, lowers) -> list[Fraction]:
     """Exact c_0 .. c_M of one block column's series pFq(uppers; lowers; z),
     whose series is then e^z * sum_j c_j z^j.
 
-    The parameters left by threemode._cancel_params pair off, in sorted
-    order, as integers a_i >= b_i >= 1 (asserted here).  Since (b+m)_l/(b)_l
+    The parameters left once equal upper and lower ones cancel pair off,
+    in sorted order, as integers a_i >= b_i >= 1 (asserted here).  Since (b+m)_l/(b)_l
     = (b+l)_m/(b)_m, term l of the series is P(l) z^l / l! with P(l) =
     prod (a_i)_l / (b_i)_l a polynomial of degree M = sum(a_i - b_i).  In
     falling factorials P(l) = sum_j c_j l(l-1)..(l-j+1) with c_j = Delta^j
@@ -599,8 +601,46 @@ def cell_column_coefficients(uppers, lowers) -> list[Fraction]:
     return coeffs
 
 
+def neg_binomial(n: int, k: int) -> int:
+    """Binomial coefficient extended to negative integer arguments.
+
+    For n >= 0 this is the usual C(n, k) (zero outside 0 <= k <= n).  For
+    n < 0 the nonzero regions are k >= 0, where
+    C(n, k) = (-1)^k C(k - n - 1, k), and k <= n, where
+    C(n, k) = (-1)^(n-k) C(-k - 1, n - k); everything else is zero.
+    A non-integral n or k raises ValueError.
+    """
+    try:
+        n, k = linalg.as_integer(n, "n"), linalg.as_integer(k, "k")
+    except ValueError as exc:
+        raise ValueError(f"neg_binomial needs integral n and k: {exc}") from exc
+    if n >= 0:
+        if 0 <= k <= n:
+            return math.comb(n, k)
+        return 0
+    if k >= 0:
+        return (-1) ** k * math.comb(k - n - 1, k)
+    if k <= n:
+        return (-1) ** (n - k) * math.comb(-k - 1, n - k)
+    return 0
+
+
+def _cancel_params(a_params, b_params) -> tuple[list[float], list[float]]:
+    """The upper and lower parameters of a pFq left once each upper one equal
+    to a lower one has cancelled against it."""
+    uppers, lowers = ([float(p) for p in params] for params in (a_params, b_params))
+    for a in list(uppers):
+        if a in lowers:
+            uppers.remove(a)
+            lowers.remove(a)
+    return uppers, lowers
+
+
 def _branch_block_spec(m, block: str) -> dict:
-    """The per-block if chain of lambdas that threemode's block table replaced."""
+    """The per-block if chain of lambdas, the paper's hand table, that
+    threemode's residue rule replaced: a block's ratios and prefactor, and
+    per cell (k, l) its sign, the neg_binomial arguments of its coefficient
+    and the 2F2 parameters before _cancel_params."""
     w1, w2, w3 = threemode.effective_frequencies(m)
     num = m.a[0] * m.a[1] * m.a[2] * m.epsilon**3
     X = num / ((w1 - w2) * (w3 - w1))
@@ -682,7 +722,14 @@ _LOOP_ORDER_OFFSET = {
 
 
 def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> complex:
-    """threemode.series_block built from the if chain, geometry recomputed per call."""
+    """threemode.series_block built from the if chain, geometry recomputed
+    per call; the arguments are read before the model, in series_block's
+    order."""
+    if block not in threemode.BLOCK_NAMES:
+        raise ValueError(f"unknown block {block!r}; expected one of {threemode.BLOCK_NAMES}")
+    t = linalg.as_real(t, "t")
+    order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
+    shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
     spec = _branch_block_spec(m, block)
     offset = _LOOP_ORDER_OFFSET[block]
     z = -1j * spec["W"] * t
@@ -698,10 +745,10 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
         l_stop = k - 1 if spec["l_excludes_k"] else k
         for l in range(0, l_stop + 1):
             (b1t, b1b), (b2t, b2b) = spec["binoms"](k, l)
-            coeff = threemode.neg_binomial(b1t, b1b) * threemode.neg_binomial(b2t, b2b)
+            coeff = neg_binomial(b1t, b1b) * neg_binomial(b2t, b2b)
             if coeff == 0:
                 continue
-            uppers, lowers = threemode._cancel_params(*spec["hyp"](k, l))
+            uppers, lowers = _cancel_params(*spec["hyp"](k, l))
             cell = (
                 spec["sign"](k, l)
                 * spec["prefactor"]
@@ -722,13 +769,13 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
 
 
 def loop_psi1_infinite(m, t, psi0, trunc, shell_tol=None, order_cap=None) -> complex:
-    """threemode.psi1_infinite as nine loop_series_block calls."""
+    """threemode.psi1_infinite as nine loop_series_block calls, psi0 read first."""
     vec = linalg.as_vector(psi0, 3, "psi0")
-    w1, w2, w3 = threemode.effective_frequencies(m)
     blocks = {
         name: loop_series_block(m, name, t, trunc, shell_tol=shell_tol, order_cap=order_cap)
         for name in threemode.BLOCK_NAMES
     }
+    w1, w2, w3 = threemode.effective_frequencies(m)
     p1, p2, p3 = vec[0], vec[1], vec[2]
     return (
         (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2)

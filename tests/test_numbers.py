@@ -67,8 +67,6 @@ ENTRY_POINTS = [
     ("benchmarks.registry", lambda v: registry("s", epsilon=v), ()),
     ("SeriesTruncation k_max", lambda v: SeriesTruncation(k_max=v), ()),
     ("SeriesTruncation tail_tol", lambda v: SeriesTruncation(tail_tol=v), ()),
-    ("threemode.neg_binomial n", lambda v: threemode.neg_binomial(v, 1), ()),
-    ("threemode.neg_binomial k", lambda v: threemode.neg_binomial(3, v), ()),
     ("threemode.omega_matrix", lambda v: threemode.omega_matrix(MODEL, _grid(v)), ()),
     ("threemode.omega_matrix scalar", lambda v: threemode.omega_matrix(MODEL, v), DEFAULT),
     ("threemode.psi1_analytic n", lambda v: threemode.psi1_analytic(MODEL, v, 0.5, PSI0), ()),
@@ -185,7 +183,7 @@ def test_not_a_number_is_a_value_error(call, valid, bad, kind):
     (lambda e: registry("m", epsilon=e), 0.5, np.float64(0.5)),
     (lambda e: registry("m", epsilon=e), 1, np.int64(1)),
     (lambda k: SeriesTruncation(k_max=k), 3, np.int64(3)),
-    (lambda n: threemode.neg_binomial(n, 2), -3, np.int64(-3)),
+    (lambda k: SeriesTruncation(k_max=k).k_max, 3, np.int64(3)),
     (lambda n: threemode.psi1_analytic(MODEL, n, 0.5, PSI0), 3, np.int64(3)),
     (lambda t: threemode.psi1_analytic(MODEL, 3, t, PSI0), 0.5, np.float64(0.5)),
     (lambda t: threemode.psi1_infinite(MODEL, t, PSI0, TRUNC), 0.5, np.float64(0.5)),
@@ -199,6 +197,7 @@ def test_not_a_number_is_a_value_error(call, valid, bad, kind):
     (lambda e: eigenfreq.transition_epsilon(registry("l"), e, 1.0), 0.0, np.float64(0.0)),
     (lambda n: graph.WeightedDigraph(n=n, edges=((0, 1, 2.0),)).n, 2, np.int64(2)),
     (lambda t: dyson.convergence_report(SYSTEM, t, PSI0, (0, 1), [0.5], 100).t, 0.5, np.float64(0.5)),
+    (lambda x: SeriesTruncation(tail_tol=x).tail_tol, 1e-9, np.float64(1e-9)),
 ])
 def test_numpy_scalars_are_numbers(call, plain, numpy):
     want, got = call(plain), call(numpy)

@@ -23,10 +23,13 @@ from oscpert.errors import (
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
 from oracles import (
+    _branch_block_spec,
+    _cancel_params,
     cell_column_coefficients,
     loop_hyp_series,
     loop_psi1_infinite,
     loop_series_block,
+    neg_binomial,
     path_term,
     van_loan_orders,
 )
@@ -144,32 +147,34 @@ class TestClosedForms:
 
 
 class TestNegBinomial:
+    """The extended binomial of the hand block table in tests/oracles."""
+
     def test_reference_values(self):
-        assert tm.neg_binomial(-1, 0) == 1
-        assert tm.neg_binomial(4, 2) == 6
+        assert neg_binomial(-1, 0) == 1
+        assert neg_binomial(4, 2) == 6
         for k in range(8):
-            assert tm.neg_binomial(-1, k) == (-1) ** k
+            assert neg_binomial(-1, k) == (-1) ** k
 
     def test_zero_regions(self):
-        assert tm.neg_binomial(3, 5) == 0
-        assert tm.neg_binomial(3, -1) == 0
-        assert tm.neg_binomial(-2, -1) == 0  # n < k < 0
+        assert neg_binomial(3, 5) == 0
+        assert neg_binomial(3, -1) == 0
+        assert neg_binomial(-2, -1) == 0  # n < k < 0
 
     def test_negative_lower_region(self):
-        assert tm.neg_binomial(-2, -3) == -2
-        assert tm.neg_binomial(-3, -3) == 1
+        assert neg_binomial(-2, -3) == -2
+        assert neg_binomial(-3, -3) == 1
 
     def test_pascal_rule_across_regions(self):
         for n in range(-6, 6):
             for k in range(-6, 6):
                 if (n, k) == (0, 0):
                     continue  # the 0-origin is the convention's split point
-                assert tm.neg_binomial(n, k) == tm.neg_binomial(n - 1, k) + tm.neg_binomial(n - 1, k - 1), (n, k)
+                assert neg_binomial(n, k) == neg_binomial(n - 1, k) + neg_binomial(n - 1, k - 1), (n, k)
 
     def test_non_integral_arguments_are_refused(self):
         for n, k in ((2.5, 1), (2, 0.5)):
             with pytest.raises(ValueError, match="integral n and k"):
-                tm.neg_binomial(n, k)
+                neg_binomial(n, k)
 
 
 class TestHypergeometric:
@@ -186,11 +191,12 @@ class TestHypergeometric:
         return ([p for p in x[:, c].tolist() if p == p] for x in (upper, lower))  # no NaN pad
 
     def test_unit_at_zero(self):
-        assert self._sums(0.0)[2] == [1.0] * 64
+        sums = self._sums(0.0)[2]
+        assert sums == [1.0] * len(sums)
 
     def test_parameter_cancellation_gives_exponential(self):
         # A1's k = 0 cell is 2F2(0, 0; 0, 0; z), whose parameters all cancel
-        column = tm._cell_table(4, None, tm.MAX_TERMS)[0]["A1"][0][1][0][3]
+        column = tm._cell_table(4, None, tm.MAX_TERMS)[0]["A1"][0][1][0][2]
         upper, lower, sums = self._sums(-1.1)
         assert list(self._params(upper, lower, column)) == [[], []]
         assert abs(sums[column] - cmath.exp(-1.1j)) <= 1e-12
@@ -213,8 +219,8 @@ class TestHypergeometric:
 
 
 class TestCellColumnsInClosedForm:
-    """Every column of the block table, 2F2, 1F1 or plain exp after
-    _cancel_params, sums to e^z times a polynomial whose coefficients
+    """Every column of the block table, 2F2, 1F1 or plain exp after its
+    equal parameters cancel, sums to e^z times a polynomial whose coefficients
     oracles.cell_column_coefficients gives exactly."""
 
     @staticmethod
@@ -388,18 +394,40 @@ class TestBlockTableAgainstBranches:
         assert kinds == {"value", "ValueError", "DegenerateFrequencies", "TruncationNotConverged"}
 
     def test_every_cell_has_a_coefficient_and_positive_parameters(self):
-        # _block_sum sums every cell: none has a zero binomial product, and
-        # no 2F2 parameter left after cancellation is zero or negative
-        for name, (_, _, x, y, z, u1, u2, v1, v2, first, _) in tm._BLOCKS.items():
-            for k in range(first, 61):
-                for l in range(k - first + 1):
-                    coeff = tm.neg_binomial(2 * k - l + x, k - l + y)
-                    coeff *= tm.neg_binomial(k + l + z, l)
-                    assert coeff != 0, (name, k, l)
-                    uppers, lowers = tm._cancel_params(
-                        (2 * k - l + u1, k + l + u2), (k + v1, k + v2)
-                    )
+        # the hand table sums every cell: none has a zero binomial product,
+        # and no 2F2 parameter left after cancellation is zero or negative
+        for name in tm.BLOCK_NAMES:
+            spec = _branch_block_spec(registry("s"), name)
+            for k in range(spec["k_start"], 61):
+                for l in range(k - spec["k_start"] + 1):
+                    (n1, k1), (n2, k2) = spec["binoms"](k, l)
+                    assert neg_binomial(n1, k1) * neg_binomial(n2, k2) != 0, (name, k, l)
+                    uppers, lowers = _cancel_params(*spec["hyp"](k, l))
                     assert all(p > 0 for p in uppers + lowers), (name, k, l, uppers, lowers)
+
+    def test_cell_weights_bitwise(self):
+        # the residue rule's weight of every cell up to k_max=8 is the hand
+        # table's signed one, bit for bit: each sign it moves into a ratio
+        # or prefactor is an exact negation
+        shells = tm._cell_table(8, None, tm.MAX_TERMS)[0]
+        for m in _differential_models()[:-1]:
+            _, families = tm._block_geometry(m)
+            for name in tm.BLOCK_NAMES:
+                spec = _branch_block_spec(m, name)
+                _, ratio1, ratio2, prefactors = families[name[0]]
+                prefactor = prefactors["132".index(name[1])]
+                cells = [(k, l, coeff) for k, row in shells[name] for l, coeff, _ in row]
+                assert [(k, l) for k, l, _ in cells] == [
+                    (k, l) for k in range(spec["k_start"], 9) for l in range(k - spec["k_start"] + 1)
+                ], name
+                for k, l, coeff in cells:
+                    (n1, k1), (n2, k2) = spec["binoms"](k, l)
+                    want = (
+                        spec["sign"](k, l) * spec["prefactor"] * spec["ratio1"] ** k
+                        * spec["ratio2"] ** l * (neg_binomial(n1, k1) * neg_binomial(n2, k2))
+                    )
+                    got = prefactor * ratio1**k * ratio2**l * coeff
+                    assert got.hex() == want.hex(), (m, name, k, l)
 
     def test_xyz_keeps_its_operation_order(self):
         for m in _differential_models()[:-1]:
@@ -556,24 +584,28 @@ class TestRatioMemo:
 
 
 def _series(k_max, order_cap):
-    """Per block, the (k, l) cells of the table with each cell's parameters
-    left by _cancel_params, family and term limit, rebuilt from _BLOCKS."""
+    """Per block, the (k, l) cells of the table with each cell's sorted
+    parameters left by _cancel_params, family and term limit, rebuilt from
+    the hand table of tests/oracles."""
     blocks = {}
-    for name, (*_, u1, u2, v1, v2, first, offset) in tm._BLOCKS.items():
+    for name in tm.BLOCK_NAMES:
+        spec = _branch_block_spec(registry("s"), name)
+        first, offset = spec["k_start"], "132".index(name[1])
         cells = blocks[name] = []
         for k in range(first, k_max + 1):
             limit = tm.MAX_TERMS if order_cap is None else (order_cap - offset - 3 * k) // 3
             if order_cap is not None and limit < 0:
                 continue
             for l in range(k - first + 1):
-                params = tm._cancel_params((2 * k - l + u1, k + l + u2), (k + v1, k + v2))
-                cells.append(((k, l), (*params, "ABC".index(name[0]), limit)))
+                params = _cancel_params(*spec["hyp"](k, l))
+                cells.append(((k, l), (*map(sorted, params), "ABC".index(name[0]), limit)))
     return blocks
 
 
 class TestDistinctSeries:
     """The block table sums each distinct series once: cells with the same
-    cancelled parameters, family and term limit read one column."""
+    parameters left after cancellation (as a multiset), family and term
+    limit read one column."""
 
     @pytest.mark.parametrize("order_cap", [None, 9, 30])
     @pytest.mark.parametrize("k_max", range(1, 8))
@@ -586,7 +618,7 @@ class TestDistinctSeries:
         assert len(set(map(repr, columns))) == len(columns)  # no two columns alike
         read = set()
         for name, cells in _series(k_max, order_cap).items():
-            table = [((k, l), c) for k, row in shells[name] for l, _, _, c in row]
+            table = [((k, l), c) for k, row in shells[name] for l, _, c in row]
             assert [kl for kl, _ in table] == [kl for kl, _ in cells], name
             for ((k, l), c), (_, want) in zip(table, cells):
                 assert columns[c] == want, (name, k, l)
@@ -594,7 +626,7 @@ class TestDistinctSeries:
         assert read == set(range(len(columns)))  # every column is some cell's
 
     @pytest.mark.parametrize(
-        "k_max, order_cap, cells, columns", [(4, None, 120, 64), (3, 9, 55, 29), (7, None, 300, 199)]
+        "k_max, order_cap, cells, columns", [(4, None, 120, 53), (3, 9, 55, 28), (7, None, 300, 137)]
     )
     def test_column_counts(self, k_max, order_cap, cells, columns):
         shells, upper, *_ = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)
@@ -602,7 +634,7 @@ class TestDistinctSeries:
         assert upper.shape[1] == columns
 
     def test_memo_chunks_hold_one_column_per_series(self):
-        for k_max, order_cap, columns in ((4, None, 64), (3, 9, 29), (7, None, 199)):
+        for k_max, order_cap, columns in ((4, None, 53), (3, 9, 28), (7, None, 137)):
             ratios = tm._cell_table(k_max, order_cap, tm.MAX_TERMS)[-1]
             assert ratios.shape[1] == columns
 
@@ -668,6 +700,37 @@ class TestRefusedInputs:
                 tm.series_block(m, block, 1e-300, trunc)
         with pytest.raises(NonFiniteResult, match=r"^block A1 at t=1e-300 is not finite"):
             tm.psi1_infinite(m, 1e-300, PSI0, trunc)
+
+    def test_an_overflowing_power_keeps_its_sign(self):
+        # an odd power of a negative ratio is -inf, as libm's pow gives it
+        assert tm._pow_or_inf(-1e200, 3) == -math.inf
+        assert tm._pow_or_inf(-1e200, 2) == tm._pow_or_inf(1e200, 3) == math.inf
+        assert tm._pow_or_inf(-2.0, 3) == -8.0
+
+    def test_bad_input_is_read_before_the_model(self):
+        # each model alone is refused: two frequencies meet, or a1 a2 a3
+        # overflows; a bad argument is the ValueError first
+        degenerate = ThreeModeModel(omega=(1, 1, 2), a=(1, 1, 1), d=(0, 0, 0), epsilon=0.5)
+        huge = ThreeModeModel(omega=(3, 2, 1), a=(1e200,) * 3, d=(0, 0, 0), epsilon=1)
+        trunc = SeriesTruncation()
+        with pytest.raises(DegenerateFrequencies):
+            tm.psi1_infinite(degenerate, 1.0, PSI0, trunc)
+        with pytest.raises(NonFiniteResult):
+            tm.psi1_infinite(huge, 1.0, PSI0, trunc)
+        blocks, psi1 = (tm.series_block, loop_series_block), (tm.psi1_infinite, loop_psi1_infinite)
+        for fns, args, kwargs, message in [
+            (blocks, ("D1", 1.0), {}, "^unknown block 'D1'"),
+            (blocks, ("A1", math.inf), {}, "^t must be finite$"),
+            (blocks, ("A1", 1.0), {"order_cap": 2.5}, "^order_cap must be an integer"),
+            (blocks, ("A1", 1.0), {"shell_tol": -1.0}, "^shell_tol must be finite"),
+            (psi1, (math.inf, PSI0), {}, "^t must be finite$"),
+            (psi1, (1.0, PSI0), {"order_cap": 2.5}, "^order_cap must be an integer"),
+            (psi1, (1.0, PSI0), {"shell_tol": math.nan}, "^shell_tol must be finite"),
+            (psi1, (1.0, PSI0[:2]), {}, "^psi0 has length 2"),
+        ]:
+            for fn, m in itertools.product(fns, (degenerate, huge)):  # the loop oracle too
+                with pytest.raises(ValueError, match=message):
+                    fn(m, *args, trunc, **kwargs)
 
     def test_non_finite_assembly(self):
         # at t=1e100 every block is finite; psi0 = 1e20 e1 overflows the sum

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NonFiniteResult, ResolutionTooCoarse
+from .errors import NonFiniteResult
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ def _read_orders(sys, max_order, t, psi0, steps):
     linalg.as_integer(steps, "steps", 0)
     t = linalg.as_real(t, "t", 0)
     if steps < 10 * max_order:
-        raise ResolutionTooCoarse(
-            f"steps={steps} too coarse for order {max_order}; need >= {10 * max_order}"
-        )
+        raise ValueError(f"steps={steps} too coarse for order {max_order}; need >= {10 * max_order}")
     vec = linalg.as_vector(psi0, sys.dim, "psi0")
     with np.errstate(all="ignore"):
         phase = np.exp(-1j * np.array(sys.omega0) * t)
@@ -159,7 +157,7 @@ def terms(
     """Coefficients psi_0(t) .. psi_max_order(t) from one trajectory build.
 
     Raises:
-        ResolutionTooCoarse: when steps < 10 * max_order.
+        ValueError: a bad argument, or steps < 10 * max_order.
         NonFiniteResult: naming the first order that is not finite.
     """
     t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
@@ -177,7 +175,7 @@ def term(
     """Coefficient psi_n(t) of eps^n in the expansion (epsilon-independent).
 
     Raises:
-        ResolutionTooCoarse: when steps < 10 * order.
+        ValueError: a bad argument, or steps < 10 * order.
         NonFiniteResult: when an order up to `order` is not finite.
     """
     return terms(sys, order, t, psi0, steps)[order]

@@ -29,10 +29,6 @@ class InvalidDecomposition(OscPertError):
     """An explicit one-way part violates a decomposition invariant."""
 
 
-class ResolutionTooCoarse(OscPertError):
-    """Quadrature grid too coarse for the requested expansion order."""
-
-
 class DegenerateFrequencies(OscPertError):
     """Effective mode frequencies are closer than the configured gap."""
 

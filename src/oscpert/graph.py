@@ -288,7 +288,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
     balance search, its certificate is all ones.
 
     Raises:
-        ValueError: if L is not a finite square Laplacian.
+        ValueError: if L is not a finite square Laplacian, or LI is not a
+            finite square matrix of L's shape.
         InvalidDecomposition: if the explicit LI breaks any invariant.
     """
     lap = linalg.as_square_matrix(L, "L", float)
@@ -298,9 +299,7 @@ def decompose(L, li=None) -> LaplacianDecomposition:
     if li is not None:
         one_way = linalg.as_square_matrix(li, "LI", float)
         if one_way.shape != lap.shape:
-            raise InvalidDecomposition(
-                f"LI shape {one_way.shape} does not match L shape {lap.shape}"
-            )
+            raise ValueError(f"LI shape {one_way.shape} does not match L shape {lap.shape}")
         _check_laplacian(one_way, "LI", scale, InvalidDecomposition)
         _check_one_way(one_way)
         sym_part = lap - one_way

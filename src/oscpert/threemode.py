@@ -388,7 +388,8 @@ def _block_geometry(m: ThreeModeModel):
 
     Raises:
         DegenerateFrequencies: as effective_frequencies does.
-        NonFiniteResult: a ratio or prefactor overflows (or is NaN).
+        NonFiniteResult: X, Y or Z is not finite (any other value is
+            returned as it is, for the block that reads it to refuse).
     """
     w = effective_frequencies(m)
     a1, a2, a3 = m.a
@@ -407,9 +408,9 @@ def _block_geometry(m: ThreeModeModel):
             den = (1.0 if a in cancels else d_a) * (1.0 if first or b in cancels else d_b)
             prefactors.append((-lead if first else lead) / den)
         families[family] = (W, -W / d_b, d_b / d_a, tuple(prefactors))
-    if not all(math.isfinite(x) for v in families.values() for x in (*v[:3], *v[3])):
-        X, Y, Z = (v[0] for v in families.values())
-        raise NonFiniteResult(f"coupling ratios or prefactors are not finite: X={X}, Y={Y}, Z={Z}")
+    X, Y, Z = (v[0] for v in families.values())
+    if not all(map(math.isfinite, (X, Y, Z))):
+        raise NonFiniteResult(f"coupling ratios are not finite: X={X}, Y={Y}, Z={Z}")
     return w, families
 
 
@@ -479,6 +480,8 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
     TruncationNotConverged, before the next block is totalled."""
     t = linalg.as_real(t, "t")
     order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
+    if order_cap is not None and order_cap // 3 > MAX_TERMS:  # A1's k = 0 cell: order_cap // 3 terms
+        raise ValueError(f"order_cap must be <= {3 * MAX_TERMS + 2} (MAX_TERMS={MAX_TERMS}), got {order_cap}")
     shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
     freqs, families = _block_geometry(m)
     shells, _, _, family, limit, ratios = _cell_table(trunc.k_max, order_cap, MAX_TERMS)
@@ -486,8 +489,8 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
     y = np.array([(-1j * families[f][0] * t).imag for f in "ABC"])[family]
     tail_tol = trunc.tail_tol if order_cap is None else None
     sums = _hyp_sums(ratios, y, limit, tail_tol)
-    # ratio1**k and ratio2**l per family; an overflow is inf, so the block
-    # total is not finite
+    # ratio1**k and ratio2**l per family; an overflow is inf, so the total of
+    # a block that reads it is not finite, as is one whose prefactor is not
     powers = {
         f: [[_pow_or_inf(r, k) for k in range(trunc.k_max + 1)] for r in families[f][1:3]]
         for f in {block[0] for block in names}
@@ -537,11 +540,11 @@ def series_block(
     against fixed-order quadrature sums).
 
     Raises:
-        ValueError: block is not one of BLOCK_NAMES, t is not finite, or
-            order_cap or shell_tol is not a number of its kind; before the
-            model is read.
-        NonFiniteResult: a cell's term or partial sum, or the block total,
-            is not finite.
+        ValueError: block is not one of BLOCK_NAMES, t is not finite,
+            order_cap or shell_tol is not a number of its kind, or
+            order_cap // 3 > MAX_TERMS; before the model is read.
+        NonFiniteResult: X, Y or Z, a cell's term or partial sum, or the
+            block total (so a prefactor or ratio power) is not finite.
         TruncationNotConverged: only when shell_tol is given and the last
             retained shell still contributes more than shell_tol relative
             to the accumulated sum (deliberate fixed-depth truncations pass
@@ -565,9 +568,9 @@ def psi1_infinite(
     Assembles (A1 p1 + A3 p3 + A2 p2) e^{-i w1' t}
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
-    with p_mu = psi_mu(0).  Raises as series_block does, block by block,
-    with psi0 read first, and NonFiniteResult when a phase w' * t overflows
-    or the assembly is not finite.
+    with p_mu = psi_mu(0).  Raises as series_block does, block by block in
+    BLOCK_NAMES order, with psi0 read first, and NonFiniteResult when a
+    phase w' * t overflows or the assembly is not finite.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
     (w1, w2, w3), blocks = _block_sums(m, BLOCK_NAMES, t, trunc, shell_tol, order_cap)

@@ -89,7 +89,6 @@ from oscpert.errors import (
     NonFiniteResult,
     NotSymmetrizable,
     OscPertError,
-    ResolutionTooCoarse,
     TruncationNotConverged,
 )
 
@@ -729,6 +728,11 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
         raise ValueError(f"unknown block {block!r}; expected one of {threemode.BLOCK_NAMES}")
     t = linalg.as_real(t, "t")
     order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
+    if order_cap is not None and order_cap // 3 > threemode.MAX_TERMS:
+        raise ValueError(
+            f"order_cap must be <= {3 * threemode.MAX_TERMS + 2} "
+            f"(MAX_TERMS={threemode.MAX_TERMS}), got {order_cap}"
+        )
     shell_tol = None if shell_tol is None else linalg.as_real(shell_tol, "shell_tol", 0)
     spec = _branch_block_spec(m, block)
     offset = _LOOP_ORDER_OFFSET[block]
@@ -838,9 +842,7 @@ def _loop_validate(sys, order, t, psi0, steps) -> np.ndarray:
     if not 0 <= t < np.inf:
         raise ValueError(f"t must be finite and non-negative, got {t}")
     if steps < 10 * order:
-        raise ResolutionTooCoarse(
-            f"steps={steps} too coarse for order {order}; need >= {10 * order}"
-        )
+        raise ValueError(f"steps={steps} too coarse for order {order}; need >= {10 * order}")
     return linalg.as_vector(psi0, sys.dim, "psi0")
 
 

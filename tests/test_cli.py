@@ -543,10 +543,10 @@ class TestDecompose:
         gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
         gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
         lpath.write_text(json.dumps(FIG1_LI))
-        assert run("decompose", "--graph", str(gpath), "--li", str(lpath)) == 1
-        assert capsys.readouterr().err == (
-            "error: InvalidDecomposition: LI shape (3, 3) does not match L shape (2, 2)\n"
-        )
+        out = tmp_path / "dec.json"
+        assert run("decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: LI shape (3, 3) does not match L shape (2, 2)\n")
+        assert not out.exists()
 
     def test_unallocatable_node_count_is_usage_error(self, tmp_path, capsys):
         # the 8e18-byte request for the dense Laplacian fails at once
@@ -894,6 +894,15 @@ class TestXyzAndTerm:
         assert captured.err.startswith("error: NonFiniteResult: coupling ratios")
         assert captured.err.count("\n") == 1
 
+    def test_an_overflowing_prefactor_leaves_the_ratios(self, tmp_path, capsys):
+        # a3*eps / (w3' - w1') = 2e308 overflows; X, Y and Z do not
+        model_file = tmp_path / "tiny.json"
+        model_file.write_text(json.dumps({"omega": [1, 0, 1.5], "a": [1e-200, 1e-200, 1e308], "d": [0, 0, 0]}))
+        assert run("xyz", "--model", f"@{model_file}", "--epsilon", "1") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [str(payload[key]) for key in "XYZ"] == ["0.0", "-0.0", "-0.0"]
+        assert payload["abs"] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_term_non_finite_time_is_usage_error(self, t, capsys):
         assert run("term", "--model", "s", "--order", "1", f"--t={t}") == 2
@@ -946,7 +955,9 @@ class TestBadInputExitsTwo:
          "error: LI must be a non-empty square matrix, got shape (1, 3)\n"),
         (("term", "--model", "s", "--order", "1", "--t", "0.5", "--psi0", "1,2"),
          "error: psi0 needs 3 components, got 2 in '1,2'\n"),
-    ], ids=["verify model", "decompose li", "term psi0"])
+        (("term", "--model", "s", "--order", "3", "--t", "0.5", "--steps", "20"),
+         "error: steps=20 too coarse for order 3; need >= 30\n"),
+    ], ids=["verify model", "decompose li", "term psi0", "term steps"])
     def test_one_error_line_and_no_output(self, tmp_path, monkeypatch, capsys, argv, err):
         monkeypatch.chdir(tmp_path)
         Path("g.json").write_text(json.dumps(FIG1_GRAPH))

@@ -176,28 +176,44 @@ def test_not_a_number_is_a_value_error(call, valid, bad, kind):
         call(bad)
 
 
+# Each row has a fixed id, so a row added or deleted renames no other; the
+# older rows keep the ids they had by position.
 @pytest.mark.parametrize("call, plain, numpy", [
-    (lambda x: linalg.as_real(x, "x"), 0.25, np.float64(0.25)),
-    (lambda k: linalg.as_integer(k, "k"), 3, np.int64(3)),
-    (lambda t: linalg.propagator(FIG1_L, t), 0.5, np.float64(0.5)),
-    (lambda e: registry("m", epsilon=e), 0.5, np.float64(0.5)),
-    (lambda e: registry("m", epsilon=e), 1, np.int64(1)),
-    (lambda k: SeriesTruncation(k_max=k), 3, np.int64(3)),
-    (lambda k: SeriesTruncation(k_max=k).k_max, 3, np.int64(3)),
-    (lambda n: threemode.psi1_analytic(MODEL, n, 0.5, PSI0), 3, np.int64(3)),
-    (lambda t: threemode.psi1_analytic(MODEL, 3, t, PSI0), 0.5, np.float64(0.5)),
-    (lambda t: threemode.psi1_infinite(MODEL, t, PSI0, TRUNC), 0.5, np.float64(0.5)),
-    (lambda c: threemode.psi1_infinite(MODEL, 0.5, PSI0, TRUNC, order_cap=c), 6, np.int64(6)),
-    (lambda k: dyson.terms(SYSTEM, k, 0.5, PSI0, 100)[-1], 2, np.int64(2)),
-    (lambda t: dyson.partial_sum(SYSTEM, 2, t, PSI0, 100), 0.5, np.float64(0.5)),
-    (lambda s: dyson.term(SYSTEM, 2, 0.5, PSI0, s), 100, np.int64(100)),
-    (lambda e: SYSTEM.full_matrix(e), 0.5, np.float64(0.5)),
-    (lambda w: eigenfreq.estimate(MODEL, w, "app2"), 2, np.int64(2)),
-    (lambda e: eigenfreq.report(MODEL, e).true_values, 0.5, np.float64(0.5)),
-    (lambda e: eigenfreq.transition_epsilon(registry("l"), e, 1.0), 0.0, np.float64(0.0)),
-    (lambda n: graph.WeightedDigraph(n=n, edges=((0, 1, 2.0),)).n, 2, np.int64(2)),
-    (lambda t: dyson.convergence_report(SYSTEM, t, PSI0, (0, 1), [0.5], 100).t, 0.5, np.float64(0.5)),
-    (lambda x: SeriesTruncation(tail_tol=x).tail_tol, 1e-9, np.float64(1e-9)),
+    pytest.param(lambda x: linalg.as_real(x, "x"), 0.25, np.float64(0.25), id="<lambda>-0.25-0.25"),
+    pytest.param(lambda k: linalg.as_integer(k, "k"), 3, np.int64(3), id="<lambda>-3-numpy1"),
+    pytest.param(lambda t: linalg.propagator(FIG1_L, t), 0.5, np.float64(0.5), id="<lambda>-0.5-0.5_0"),
+    pytest.param(lambda e: registry("m", epsilon=e), 0.5, np.float64(0.5), id="<lambda>-0.5-0.5_1"),
+    pytest.param(lambda e: registry("m", epsilon=e), 1, np.int64(1), id="<lambda>-1-numpy4"),
+    pytest.param(lambda k: SeriesTruncation(k_max=k), 3, np.int64(3), id="<lambda>-3-numpy5"),
+    pytest.param(lambda k: SeriesTruncation(k_max=k).k_max, 3, np.int64(3), id="<lambda>-3-numpy6"),
+    pytest.param(lambda n: threemode.psi1_analytic(MODEL, n, 0.5, PSI0), 3, np.int64(3),
+                 id="<lambda>-3-numpy7"),
+    pytest.param(lambda t: threemode.psi1_analytic(MODEL, 3, t, PSI0), 0.5, np.float64(0.5),
+                 id="<lambda>-0.5-0.5_2"),
+    pytest.param(lambda t: threemode.psi1_infinite(MODEL, t, PSI0, TRUNC), 0.5, np.float64(0.5),
+                 id="<lambda>-0.5-0.5_3"),
+    pytest.param(lambda c: threemode.psi1_infinite(MODEL, 0.5, PSI0, TRUNC, order_cap=c), 6, np.int64(6),
+                 id="<lambda>-6-numpy10"),
+    pytest.param(lambda k: dyson.terms(SYSTEM, k, 0.5, PSI0, 100)[-1], 2, np.int64(2),
+                 id="<lambda>-2-numpy11"),
+    pytest.param(lambda t: dyson.partial_sum(SYSTEM, 2, t, PSI0, 100), 0.5, np.float64(0.5),
+                 id="<lambda>-0.5-0.5_4"),
+    pytest.param(lambda s: dyson.term(SYSTEM, 2, 0.5, PSI0, s), 100, np.int64(100),
+                 id="<lambda>-100-numpy13"),
+    pytest.param(lambda e: SYSTEM.full_matrix(e), 0.5, np.float64(0.5), id="<lambda>-0.5-0.5_5"),
+    pytest.param(lambda w: eigenfreq.estimate(MODEL, w, "app2"), 2, np.int64(2), id="<lambda>-2-numpy15"),
+    pytest.param(lambda e: eigenfreq.report(MODEL, e).true_values, 0.5, np.float64(0.5),
+                 id="<lambda>-0.5-0.5_6"),
+    pytest.param(lambda e: eigenfreq.transition_epsilon(registry("l"), e, 1.0), 0.0, np.float64(0.0),
+                 id="<lambda>-0.0-0.0"),
+    pytest.param(lambda n: graph.WeightedDigraph(n=n, edges=((0, 1, 2.0),)).n, 2, np.int64(2),
+                 id="<lambda>-2-numpy18"),
+    pytest.param(lambda t: dyson.convergence_report(SYSTEM, t, PSI0, (0, 1), [0.5], 100).t, 0.5, np.float64(0.5),
+                 id="<lambda>-0.5-0.5_7"),
+    pytest.param(lambda x: SeriesTruncation(tail_tol=x).tail_tol, 1e-9, np.float64(1e-9),
+                 id="<lambda>-1e-09-1e-09"),
+    pytest.param(lambda c: threemode.series_block(MODEL, "A1", 0.5, TRUNC, order_cap=c), 1502, np.int64(1502),
+                 id="series_block order_cap at its bound"),
 ])
 def test_numpy_scalars_are_numbers(call, plain, numpy):
     want, got = call(plain), call(numpy)
@@ -267,8 +283,31 @@ def test_a_psi0_of_the_wrong_length_is_a_value_error(call, length):
         call()
 
 
+COARSE = "^steps=20 too coarse for order 3; need >= 30$"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: dyson.terms(SYSTEM, 3, 0.5, PSI0, 20), COARSE, id="dyson.terms steps"),
+    pytest.param(lambda: dyson.term(SYSTEM, 3, 0.5, PSI0, 20), COARSE, id="dyson.term steps"),
+    pytest.param(lambda: dyson.partial_sum(SYSTEM, 3, 0.5, PSI0, 20), COARSE, id="dyson.partial_sum steps"),
+    pytest.param(lambda: dyson.convergence_report(SYSTEM, 0.5, PSI0, (0, 3), [0.5], 20), COARSE,
+                 id="dyson.convergence_report steps"),
+    pytest.param(lambda: graph.decompose(FIG1_L, li=np.zeros((2, 2))),
+                 r"^LI shape \(2, 2\) does not match L shape \(3, 3\)$", id="graph.decompose li"),
+    pytest.param(lambda: threemode.series_block(MODEL, "A1", 0.5, TRUNC, order_cap=1503),
+                 r"^order_cap must be <= 1502 \(MAX_TERMS=500\), got 1503$", id="threemode.series_block order_cap"),
+    pytest.param(lambda: threemode.psi1_infinite(MODEL, 0.5, PSI0, TRUNC, order_cap=np.int64(30000)),
+                 r"^order_cap must be <= 1502 \(MAX_TERMS=500\), got 30000$", id="threemode.psi1_infinite order_cap"),
+])
+def test_an_argument_out_of_its_range_is_a_value_error(call, message):
+    # steps below 10 * order, an LI not of L's shape, and an order_cap whose
+    # first 2F2 cell would sum past MAX_TERMS terms are bad input
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_no_refusal_is_a_value_error():
     classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
     assert errors.OscPertError in classes and all(issubclass(c, errors.OscPertError) for c in classes)
     assert not any(issubclass(c, ValueError) for c in classes)
-    assert not hasattr(errors, "DimensionMismatch") and not hasattr(errors, "UnknownModel")
+    assert not any(hasattr(errors, name) for name in ("DimensionMismatch", "UnknownModel", "ResolutionTooCoarse"))

@@ -90,16 +90,44 @@ class TestXYZ:
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     @pytest.mark.parametrize("a", [(1e200,) * 3, (1e-300, 1e200, 1e200)])
     def test_overflowing_ratios_are_refused(self, a, eps):
-        # (1e200,)*3: a1*a2*a3 overflows, so the ratios are inf (nan at eps = 0);
-        # (1e-300, 1e200, 1e200): the ratios are finite, a2*a3 in a prefactor is not
+        # (1e200,)*3: a1*a2*a3 overflows, so the ratios are inf (nan at eps = 0)
+        # and every call refuses them.  (1e-300, 1e200, 1e200): the ratios are
+        # finite and xyz returns them; a2*a3 in the A2 prefactor is not (nan at
+        # eps = 0, where eps**2 multiplies the inf), so block A2 refuses psi_1
         m = ThreeModeModel(omega=(1, 2, 3.5), a=a, d=(0, 0, 0), epsilon=eps)
-        for call in (
-            lambda: tm.xyz(m),
-            lambda: tm.series_block(m, "A1", 1.0, TIGHT),
-            lambda: tm.psi1_infinite(m, 1.0, PSI0, TIGHT),
-        ):
+        series = lambda: tm.series_block(m, "A1", 1.0, TIGHT)
+        psi1 = lambda: tm.psi1_infinite(m, 1.0, PSI0, TIGHT)
+        if a[0] == 1e200:
+            refused = (lambda: tm.xyz(m), series, psi1)
+        else:
+            got, want = tm.xyz(m), [_branch_block_spec(m, b)["W"] for b in ("A1", "B1", "C1")]
+            assert [x.hex() for x in (got.X, got.Y, got.Z)] == [x.hex() for x in want]
+            # at eps = 1 every cell overflows (|W t| ~ 1e100); at eps = 0, W = 0
+            refused = (series, psi1) if eps else ()
+            if not eps:
+                assert series() == 1 + 0j
+                with pytest.raises(NonFiniteResult, match=r"^block A2 at t=1\.0 is not finite: \(nan\+nanj\)$"):
+                    psi1()
+        for call in refused:
             with pytest.raises(NonFiniteResult, match="not finite"):
                 call()
+
+    def test_an_overflowing_prefactor_refuses_only_its_block(self):
+        # a3*eps / (w3' - w1') = 2e308: xyz returns the ratios, and of the
+        # blocks only A3 and B3, whose prefactor it is, are refused
+        m = ThreeModeModel(omega=(1, 0, 1.5), a=(1e-200, 1e-200, 1e308), d=(0, 0, 0), epsilon=1)
+        got = tm.xyz(m)
+        assert [x.hex() for x in (got.X, got.Y, got.Z)] == ["0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0"]
+        for block in tm.BLOCK_NAMES:
+            want = loop_series_block(m, block, 1.0, TIGHT)
+            if block in ("A3", "B3"):
+                with pytest.raises(NonFiniteResult, match=rf"^block {block} at t=1\.0 is not finite"):
+                    tm.series_block(m, block, 1.0, TIGHT)
+                assert not cmath.isfinite(want)
+            else:
+                assert tm.series_block(m, block, 1.0, TIGHT) == want
+        with pytest.raises(NonFiniteResult, match=r"^block A3 at t=1\.0 is not finite"):
+            tm.psi1_infinite(m, 1.0, PSI0, TIGHT)
 
 
 class TestClosedForms:
@@ -722,6 +750,7 @@ class TestRefusedInputs:
             (blocks, ("D1", 1.0), {}, "^unknown block 'D1'"),
             (blocks, ("A1", math.inf), {}, "^t must be finite$"),
             (blocks, ("A1", 1.0), {"order_cap": 2.5}, "^order_cap must be an integer"),
+            (blocks, ("A1", 1.0), {"order_cap": 1503}, r"^order_cap must be <= 1502 \(MAX_TERMS=500\), got 1503$"),
             (blocks, ("A1", 1.0), {"shell_tol": -1.0}, "^shell_tol must be finite"),
             (psi1, (math.inf, PSI0), {}, "^t must be finite$"),
             (psi1, (1.0, PSI0), {"order_cap": 2.5}, "^order_cap must be an integer"),
@@ -731,6 +760,22 @@ class TestRefusedInputs:
             for fn, m in itertools.product(fns, (degenerate, huge)):  # the loop oracle too
                 with pytest.raises(ValueError, match=message):
                     fn(m, *args, trunc, **kwargs)
+
+    def test_an_order_cap_past_the_term_cap_builds_no_table(self, monkeypatch):
+        # A1's k = 0 cell sums order_cap // 3 terms: past MAX_TERMS (read at
+        # call time) that is a ValueError, raised before any table is built
+        monkeypatch.setattr(tm, "MAX_TERMS", 5)
+        m = registry("small")
+        built = tm._cell_table.cache_info().misses
+        for fn in (tm.series_block, loop_series_block):
+            with pytest.raises(ValueError, match=r"^order_cap must be <= 17 \(MAX_TERMS=5\), got 18$"):
+                fn(m, "A1", 1.0, TIGHT, order_cap=18)
+        with pytest.raises(ValueError, match=r"^order_cap must be <= 17 \(MAX_TERMS=5\), got 30000$"):
+            tm.psi1_infinite(m, 1.0, PSI0, TIGHT, order_cap=30000)
+        assert tm._cell_table.cache_info().misses == built
+        assert tm.series_block(m, "A1", 1.0, TIGHT, order_cap=17) == loop_series_block(
+            m, "A1", 1.0, TIGHT, order_cap=17
+        )
 
     def test_non_finite_assembly(self):
         # at t=1e100 every block is finite; psi0 = 1e20 e1 overflows the sum

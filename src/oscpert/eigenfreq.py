@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateFrequencies, EstimateOverflow, NoTransition
+from .errors import DegenerateFrequencies, NonFiniteResult, NoTransition
 from .threemode import (
     _SUBSCRIPT_ROWS,
     DEGENERACY_GAP_FACTOR,
@@ -88,7 +88,7 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
 def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     """The estimator kernel: (N, 3, 3) increments [point, mode, (base + W,
     inc1, inc2)] at every eps of a 1-D array, NaN where refused, and each
-    point's refusal (DegenerateFrequencies, EstimateOverflow when a power or
+    point's refusal (DegenerateFrequencies, NonFiniteResult when a power or
     an increment is not finite) or None.  Mode mu is the mode-1 formula on
     the model relabeled by indexing as cyclic_view(m, f"psi{mu}") would,
     with the operations of effective_frequencies and xyz in their order.
@@ -126,7 +126,7 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     finite = np.isfinite(out).all(axis=(1, 2)) & np.isfinite(terms).all(axis=(0, 2))
     for n in np.flatnonzero(~finite).tolist():
         if refusals[n] is None:
-            refusals[n] = EstimateOverflow(f"estimator terms are not finite at eps={eps[n]!s}")
+            refusals[n] = NonFiniteResult(f"estimator terms are not finite at eps={eps[n]!s}")
     out[[r is not None for r in refusals]] = math.nan
     return out, refusals
 
@@ -135,7 +135,7 @@ def estimate_increments(m: ThreeModeModel, which: int) -> tuple[float, float, fl
     """(base+W, app1 increment, app2 increment) for the requested mode.
 
     Raises:
-        DegenerateFrequencies, EstimateOverflow: the estimates are refused.
+        DegenerateFrequencies, NonFiniteResult: the estimates are refused.
     """
     if linalg.as_integer(which, "which") not in (1, 2, 3):
         raise ValueError(f"which must be 1, 2 or 3, got {which}")
@@ -290,7 +290,7 @@ def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:
 
     Raises:
         OscPertError: the estimates are refused at eps (DegenerateFrequencies
-            or EstimateOverflow).
+            or NonFiniteResult).
     """
     grid = spectral_grid(m, [eps])
     if grid.refusals[0] is not None:

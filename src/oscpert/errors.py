@@ -9,7 +9,9 @@ class OscPertError(Exception):
 
 
 class NonConvergence(OscPertError):
-    """A LAPACK or Pade solve failed, or its result missed its residual check."""
+    """A computation did not converge to its tolerance: a LAPACK or Pade
+    solve failed or missed its residual check, a 2F2 series reached its term
+    cap, or a block's last retained shell exceeds shell_tol."""
 
 
 class NotSymmetrizable(OscPertError):
@@ -33,32 +35,12 @@ class DegenerateFrequencies(OscPertError):
     """Effective mode frequencies are closer than the configured gap."""
 
 
-class EstimateOverflow(OscPertError):
-    """An eigenfrequency estimate or one of its terms is not a finite float."""
-
-
-class MaxTermsExceeded(OscPertError):
-    """Hypergeometric summation hit the term cap before converging.
-
-    Attributes:
-        partial: the accumulated partial sum.
-        last_term: the final term added.
-    """
-
-    def __init__(self, message: str, partial: complex, last_term: complex):
-        super().__init__(message)
-        self.partial = partial
-        self.last_term = last_term
-
-
-class TruncationNotConverged(OscPertError):
-    """The outermost retained shell of a series still contributes more than
-    the requested relative tolerance."""
-
-
 class NoTransition(OscPertError):
     """Spectrum reality does not change across the supplied bracket."""
 
 
 class NonFiniteResult(OscPertError):
-    """A computed coefficient or sum overflowed or is NaN."""
+    """A computed value overflowed or is NaN: eigenvalues or a propagator
+    (or its argument's norm), a quadrature order or partial sum, a
+    symmetrizability certificate, a coupling ratio, phase, 2F2 term or sum,
+    block total or psi_1, or an eigenfrequency estimate or one of its terms."""

@@ -35,8 +35,9 @@ rather than regularized.
 Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
 array recurrence steps its distinct series together in one pass, for one
 block or all nine; each cell's sum is bitwise that of summing it alone.  A
-non-finite t raises ValueError, and a 2F2 term or partial sum, a block
-total, a phase w' * t or a psi_1 that is not finite raises NonFiniteResult.
+non-finite t raises ValueError, a 2F2 term or partial sum, a block total, a
+phase w' * t or a psi_1 that is not finite raises NonFiniteResult, and a 2F2
+sum past MAX_TERMS terms or a last shell past shell_tol raises NonConvergence.
 """
 from __future__ import annotations
 
@@ -51,17 +52,12 @@ import numpy as np
 
 from . import linalg
 from .dyson import PerturbedSystem
-from .errors import (
-    DegenerateFrequencies,
-    MaxTermsExceeded,
-    NonFiniteResult,
-    TruncationNotConverged,
-)
+from .errors import DegenerateFrequencies, NonConvergence, NonFiniteResult
 
 # Degeneracy refusal gap, as a fraction of the largest effective frequency.
 DEGENERACY_GAP_FACTOR = 1e-6
 
-# Terms after which a 2F2 series without order_cap raises MaxTermsExceeded.
+# Terms after which a 2F2 series without order_cap raises NonConvergence.
 MAX_TERMS = 500
 
 TARGETS = ("psi1", "psi3", "psi2")
@@ -300,12 +296,12 @@ def _hyp_sums(ratios, y, limit, tail_tol=None) -> list:
     and its ratios[:, c], one row per term index below limit[c].  Every
     parameter of a block column is an integer >= 1, so no ratio is zero or
     infinite.  Term ell+1 is term ell * ratios[ell] * z / (ell + 1), and
-    every returned sum and .partial is bitwise the scalar loop's in Python
-    complex arithmetic (.last_term is equal in value; the sign of a zero
-    part may differ).  A cell stops after term limit[c] and, with tail_tol,
+    every returned sum is bitwise the scalar loop's in Python complex
+    arithmetic.  A cell stops after term limit[c] and, with tail_tol,
     after three consecutive terms below tail_tol * |sum| or 1e-300.
     Returns per cell its sum, or the refusal to raise when it is reached:
-    MaxTermsExceeded, or NonFiniteResult at the first term whose value or
+    NonConvergence when tail_tol is given and term limit[c] is reached
+    first, or NonFiniteResult at the first term whose value or
     running sum is not finite or, with tail_tol, whose magnitude overflows
     from finite parts.
     """
@@ -344,12 +340,8 @@ def _hyp_sums(ratios, y, limit, tail_tol=None) -> list:
             overflowed = over[js, cols]
             capped = ~overflowed & ~done[js, cols]
             result[:, cols] = sums[js + 1, :, cols].T
-            for c, j in zip(cols[capped], js[capped]):
-                errors[c] = MaxTermsExceeded(
-                    f"no convergence within {limit[c]} terms",
-                    partial=complex(*result[:, c]),
-                    last_term=complex(*terms[j, :, c]),
-                )
+            for c in cols[capped]:
+                errors[c] = NonConvergence(f"no convergence within {limit[c]} terms")
             for c, j in zip(cols[overflowed], js[overflowed]):
                 why = "overflows from finite parts" if np.isfinite(result[:, c]).all() else "is not finite"
                 errors[c] = NonFiniteResult(f"|term {start + j + 1}| or |partial sum| {why}")
@@ -384,7 +376,9 @@ def _block_geometry(m: ThreeModeModel):
     """Effective frequencies, and per block family the tuple
     (W, ratio1, ratio2, prefactors indexed by order offset) of the residue
     at its pole f: with d_x = w_f' - w_x', W = -eps^3 a1 a2 a3 / (d_a d_b)
-    (X, Y or Z), ratio1 = -W / d_b and ratio2 = d_b / d_a.
+    (X, Y or Z), ratio1 = -W / d_b and ratio2 = d_b / d_a.  At eps != 0
+    only + - * / touch the model's numbers, so Fraction fields give exact
+    values.
 
     Raises:
         DegenerateFrequencies: as effective_frequencies does.
@@ -395,7 +389,9 @@ def _block_geometry(m: ThreeModeModel):
     a1, a2, a3 = m.a
     eps = m.epsilon
     num = a1 * a2 * a3 * eps**3
-    leads = (1.0, -a3 * eps, a2 * a3 * eps**2)  # adjugate row 1 less its cancelled factors
+    # adjugate row 1 less its cancelled factors; at eps = 0 the psi2 lead is
+    # the zero a2 * a3 * 0.0 gives, not inf * 0 = nan where a2 * a3 overflows
+    leads = (1, -a3 * eps, a2 * a3 * eps**2 if eps else math.copysign(0.0, a2 * a3))
     families = {}
     for family, (f, a, b) in _FAMILIES.items():
         d_a, d_b = w[f] - w[a], w[f] - w[b]
@@ -405,7 +401,7 @@ def _block_geometry(m: ThreeModeModel):
             # a cancelled pole leaves (-d_b)**first over mode b's own 1/d_b
             # (b is then mode 1, which no entry cancels): -1
             first = f in cancels
-            den = (1.0 if a in cancels else d_a) * (1.0 if first or b in cancels else d_b)
+            den = (1 if a in cancels else d_a) * (1 if first or b in cancels else d_b)
             prefactors.append((-lead if first else lead) / den)
         families[family] = (W, -W / d_b, d_b / d_a, tuple(prefactors))
     X, Y, Z = (v[0] for v in families.values())
@@ -476,8 +472,8 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
     _hyp_sums pass over the table's columns, each cell reading the sum of
     its column.  The arguments are read before the model.  Each block raises
     the refusal of its first failing cell in (k, l) order, then
-    NonFiniteResult for a total that is not finite, then its
-    TruncationNotConverged, before the next block is totalled."""
+    NonFiniteResult for a total that is not finite, then NonConvergence
+    for its last shell past shell_tol, before the next block is totalled."""
     t = linalg.as_real(t, "t")
     order_cap = None if order_cap is None else linalg.as_integer(order_cap, "order_cap")
     if order_cap is not None and order_cap // 3 > MAX_TERMS:  # A1's k = 0 cell: order_cap // 3 terms
@@ -512,7 +508,7 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
         if not cmath.isfinite(total):
             raise NonFiniteResult(f"block {block} at t={t!r} is not finite: {total}")
         if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
-            raise TruncationNotConverged(
+            raise NonConvergence(
                 f"block {block}: shell k={trunc.k_max} still contributes "
                 f"{last_shell:.3e} against total {abs(total):.3e}"
             )
@@ -545,10 +541,11 @@ def series_block(
             order_cap // 3 > MAX_TERMS; before the model is read.
         NonFiniteResult: X, Y or Z, a cell's term or partial sum, or the
             block total (so a prefactor or ratio power) is not finite.
-        TruncationNotConverged: only when shell_tol is given and the last
-            retained shell still contributes more than shell_tol relative
-            to the accumulated sum (deliberate fixed-depth truncations pass
-            shell_tol=None).
+        NonConvergence: a cell's 2F2 series reaches MAX_TERMS terms
+            without converging (only without order_cap), or, only when
+            shell_tol is given, the last retained shell still contributes
+            more than shell_tol relative to the accumulated sum (deliberate
+            fixed-depth truncations pass shell_tol=None).
     """
     if block not in BLOCK_NAMES:
         raise ValueError(f"unknown block {block!r}; expected one of {BLOCK_NAMES}")

@@ -52,6 +52,10 @@ rather than tautology:
                      — a block column's series as e^z times a polynomial
                        with exact rational coefficients: the closed form
                        that can replace the term-by-term 2F2 sums
+* residue_terms      — psi_1(t) of the 3-mode model as exact residues of the
+                       resolvent at each pole, by Leibniz's rule, in
+                       Fraction arithmetic: the derivation the nine blocks'
+                       cell table and the closed forms of orders 0..3 follow
 * van_loan_orders    — every expansion order psi_0(t)..psi_n(t) at once, as
                        blocks of the exponential of one block upper-bidiagonal
                        matrix (Van Loan, IEEE TAC 23, 1978): no quadrature, so
@@ -85,11 +89,10 @@ from oscpert import dyson, eigenfreq, graph, linalg, threemode
 from oscpert.benchmarks import COUPLING_TABLE, canonical_id, registry
 from oscpert.errors import (
     InvalidDecomposition,
-    MaxTermsExceeded,
+    NonConvergence,
     NonFiniteResult,
     NotSymmetrizable,
     OscPertError,
-    TruncationNotConverged,
 )
 
 
@@ -569,11 +572,7 @@ def loop_hyp_series(uppers, lowers, z, trunc, max_ell=None) -> complex:
         else:
             small_streak = 0
     if max_ell is None:
-        raise MaxTermsExceeded(
-            f"no convergence within {limit} terms",
-            partial=total,
-            last_term=term,
-        )
+        raise NonConvergence(f"no convergence within {limit} terms")
     return total
 
 
@@ -765,7 +764,7 @@ def loop_series_block(m, block, t, trunc, shell_tol=None, order_cap=None) -> com
         total += shell
         last_shell = abs(shell)
     if shell_tol is not None and last_shell > shell_tol * max(abs(total), 1e-300):
-        raise TruncationNotConverged(
+        raise NonConvergence(
             f"block {block}: shell k={trunc.k_max} still contributes "
             f"{last_shell:.3e} against total {abs(total):.3e}"
         )
@@ -789,6 +788,65 @@ def loop_psi1_infinite(m, t, psi0, trunc, shell_tol=None, order_cap=None) -> com
         + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2)
         * cmath.exp(-1j * w2 * t)
     )
+
+
+# The pole of each block family: the 0-based mode mu of lambda = w_mu'.
+RESIDUE_POLES = {"A": 0, "B": 2, "C": 1}
+
+
+def residue_terms(w, a, eps, pole: int, component: int, n: int) -> dict:
+    """The residue at lambda = w[pole] of
+
+        e^{-i lambda t} adj(lambda - Omega)_{1,component} (-eps^3 a1 a2 a3)^n / D(lambda)^(n+1),
+
+    D = prod_mu (lambda - w[mu]), the order-n term of 1/det(lambda - Omega)
+    = 1/(D + eps^3 a1 a2 a3) times the entry of row 1 of the adjugate that
+    multiplies psi_component(0) in psi_1(t).  Exact for Fraction w, a and eps.
+
+    Row 1 of the adjugate is (lambda - w2)(lambda - w3), eps^2 a2 a3 and
+    -eps a3 (lambda - w2) for components 1, 2 and 3.  A factor (lambda - w_mu)
+    lowers the power of mode mu in D^(n+1), so the residue is the
+    derivative of order (pole order - 1) at the pole, over its factorial, of
+    e^{-i lambda t} times the powers of the two other modes.  Leibniz's rule
+    shares the derivatives among the three factors: returns {(k_0, k_1,
+    k_2): c}, k_mu derivatives on mode mu's factor (on the exponential for
+    mu = pole), such that the residue is sum c (-1j t)^k_pole e^{-i w[pole] t}.
+    """
+    a1, a2, a3 = a
+    lead, zeros = {1: (1, (1, 2)), 2: (eps**2 * a2 * a3, ()), 3: (-eps * a3, (1,))}[component]
+    derivatives = n - zeros.count(pole)  # the pole order less 1
+    others = [mu for mu in range(3) if mu != pole]
+    powers = [n + 1 - zeros.count(mu) for mu in others]
+    scale = lead * (-(eps**3) * a1 * a2 * a3) ** n
+    terms = {}
+    for j in range(derivatives + 1):
+        rest = derivatives - j
+        for p in range(rest + 1):
+            c = scale / math.factorial(j)
+            for mu, power, k in zip(others, powers, (p, rest - p)):
+                # d^k/dlambda^k (lambda - w_mu)^-power / k!, at the pole
+                c *= (-1) ** k * Fraction(math.prod(range(power, power + k)), math.factorial(k))
+                c *= (w[pole] - w[mu]) ** (-power - k)
+            key = [0, 0, 0]
+            key[pole], key[others[0]], key[others[1]] = j, p, rest - p
+            terms[tuple(key)] = c
+    return terms
+
+
+def residue_order(w, a, eps, order: int, t, psi0) -> complex:
+    """eps^order psi_1^(order)(t) summed from residue_terms over the three
+    poles, in 40-digit mpmath: the component psi_c(0) whose adjugate entry
+    has degree 2, 1 or 0 in eps (c = 1, 3, 2) feeds orders 3n, 3n+1, 3n+2."""
+    n, offset = divmod(order, 3)
+    component = (1, 3, 2)[offset]
+    with mpmath.workdps(40):
+        exact = lambda x: mpmath.mpf(x.numerator) / x.denominator
+        total = mpmath.mpc(0)
+        for pole in range(3):
+            phase = mpmath.expj(-exact(w[pole]) * t)
+            for key, c in residue_terms(w, a, eps, pole, component, n).items():
+                total += exact(c) * (-1j * mpmath.mpf(t)) ** key[pole] * phase
+        return complex(total * psi0[component - 1])
 
 
 def van_loan_orders(sys, n, t, psi0) -> list[np.ndarray]:

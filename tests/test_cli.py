@@ -144,24 +144,42 @@ class TestSweep:
             assert cells[11] == ("DegenerateFrequencies" if refused else "ok")
             assert (cells[4] == "nan") == refused
 
-    @pytest.mark.parametrize("a, eps_zero_status", [(1e60, "ok"), (1e110, "EstimateOverflow")])
+    @pytest.mark.parametrize("a, eps_zero_status", [(1e60, "ok"), (1e110, "NonFiniteResult")])
     def test_overflowing_estimates_name_the_refusal(self, tmp_path, capsys, a, eps_zero_status):
         # a = 1e60: W**2 overflows once eps > 0; a = 1e110: a1*a2*a3 is
         # already inf, so eps = 0 gives inf * 0 = nan
+        spec = {"omega": [1, 2, 3.5], "a": [a] * 3, "d": [0, 0, 0]}
         model_file = tmp_path / "model.json"
-        model_file.write_text(json.dumps({"omega": [1, 2, 3.5], "a": [a] * 3, "d": [0, 0, 0]}))
+        model_file.write_text(json.dumps(spec))
         out = tmp_path / "overflow.csv"
         assert run(
             "sweep", "--model", f"@{model_file}", "--steps", "11", "--out", str(out)
         ) == 0
         assert capsys.readouterr().err == ""
-        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        lines = out.read_text().strip().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 33
         for cells in rows:
             refused = float(cells[0]) > 0.0 or eps_zero_status != "ok"
-            assert cells[11] == ("EstimateOverflow" if refused else "ok")
+            assert cells[11] == ("NonFiniteResult" if refused else "ok")
             assert all((cell == "nan") == refused for cell in cells[4:7])
             assert all(cell not in ("inf", "-inf") for cell in cells)
+        # the JSON of the same table: a refused point's estimates are null
+        table = [dict(zip(lines[0].split(","), cells)) for cells in rows]
+        for row in table:
+            for key in row.keys() - {"mode", "real_spectrum", "status"}:
+                row[key] = float(row[key])
+            row["mode"], row["real_spectrum"] = int(row["mode"]), row["real_spectrum"] == "true"
+        out_json = tmp_path / "overflow.json"
+        assert run(
+            "sweep", "--model", f"@{model_file}", "--steps", "11", "--format", "json", "--out", str(out_json)
+        ) == 0
+        model = ThreeModeModel.from_json_dict(spec).at_epsilon(1.0)
+        assert out_json.read_text() == rows_to_json(model, table)
+        for row in json.loads(out_json.read_text())["rows"]:
+            if row["epsilon"] > 0.0 or eps_zero_status != "ok":
+                assert row["status"] == "NonFiniteResult"
+                assert all(row[key] is None for key in ("app0", "app1", "app2", "err0", "err1", "err2"))
 
     def test_unallocatable_steps_is_usage_error(self, tmp_path, capsys):
         # the 7 PiB request for the epsilon grid fails at once

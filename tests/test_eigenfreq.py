@@ -7,7 +7,7 @@ import pytest
 
 from oscpert import eigenfreq as ef, threemode as tm
 from oscpert.benchmarks import registry
-from oscpert.errors import DegenerateFrequencies, EstimateOverflow, NoTransition
+from oscpert.errors import DegenerateFrequencies, NonFiniteResult, NoTransition
 
 from oracles import (
     bisect_transition,
@@ -437,27 +437,28 @@ class TestLabelsFromExceptionalPoints:
 
 
 class TestEstimateOverflow:
-    """Estimates whose terms leave the double range are refused, not garbage."""
+    """Estimates whose terms leave the double range are refused with
+    NonFiniteResult, not garbage."""
 
     @pytest.mark.parametrize("model", [OVERFLOWING_POWER, OVERFLOWING_COUPLING])
     def test_public_estimators_refuse(self, model):
-        with pytest.raises(EstimateOverflow):
+        with pytest.raises(NonFiniteResult, match=r"^estimator terms are not finite at eps="):
             ef.estimate_increments(model, 1)
-        with pytest.raises(EstimateOverflow):
+        with pytest.raises(NonFiniteResult, match=r"^estimator terms are not finite at eps="):
             ef.estimate(model, 2, "app0")
-        with pytest.raises(EstimateOverflow):
+        with pytest.raises(NonFiniteResult, match=r"^estimator terms are not finite at eps="):
             ef.report(model, model.epsilon)
 
     def test_grid_refuses_overflowing_points(self):
         grid = ef.spectral_grid(OVERFLOWING_POWER, [0.0, 0.5, 1.0])
         assert grid.refusals[0] is None
         assert np.isfinite(grid.estimates[0]).all()
-        assert all(isinstance(r, EstimateOverflow) for r in grid.refusals[1:])
+        assert all(isinstance(r, NonFiniteResult) for r in grid.refusals[1:])
         assert np.isnan(grid.estimates[1:]).all()
 
     def test_overflowing_coupling_refuses_eps_zero(self):
         grid = ef.spectral_grid(OVERFLOWING_COUPLING, [0.0, 1.0])
-        assert all(isinstance(r, EstimateOverflow) for r in grid.refusals)
+        assert all(isinstance(r, NonFiniteResult) for r in grid.refusals)
         assert np.isnan(grid.estimates).all()
         assert np.isfinite(grid.true_values).all()
 

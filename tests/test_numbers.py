@@ -7,8 +7,10 @@ TypeError, never a result).  numpy scalars are accepted.  A wrong shape or
 model id is bad input too, and a ValueError; no OscPertError, the typed
 refusal of a result, is one.
 """
+import ast
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -310,4 +312,18 @@ def test_no_refusal_is_a_value_error():
     classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
     assert errors.OscPertError in classes and all(issubclass(c, errors.OscPertError) for c in classes)
     assert not any(issubclass(c, ValueError) for c in classes)
-    assert not any(hasattr(errors, name) for name in ("DimensionMismatch", "UnknownModel", "ResolutionTooCoarse"))
+    gone = ("DimensionMismatch", "UnknownModel", "ResolutionTooCoarse",
+            "EstimateOverflow", "MaxTermsExceeded", "TruncationNotConverged")
+    assert not any(hasattr(errors, name) for name in gone)
+    # one type per kind of failure, and each is raised somewhere in src/
+    refusals = {c.__name__ for c in classes} - {"OscPertError"}
+    assert refusals == {
+        "NonConvergence", "NotSymmetrizable", "InvalidDecomposition",
+        "DegenerateFrequencies", "NoTransition", "NonFiniteResult",
+    }
+    raised = set()
+    for path in pathlib.Path(errors.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert refusals <= raised, refusals - raised

@@ -5,7 +5,8 @@ import json
 import math
 import random
 import tracemalloc
-from types import MappingProxyType
+from fractions import Fraction
+from types import MappingProxyType, SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -13,16 +14,11 @@ import pytest
 
 from oscpert import dyson, linalg, threemode as tm
 from oscpert.benchmarks import registry
-from oscpert.errors import (
-    DegenerateFrequencies,
-    MaxTermsExceeded,
-    NonFiniteResult,
-    OscPertError,
-    TruncationNotConverged,
-)
+from oscpert.errors import DegenerateFrequencies, NonConvergence, NonFiniteResult, OscPertError
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
 
 from oracles import (
+    RESIDUE_POLES,
     _branch_block_spec,
     _cancel_params,
     cell_column_coefficients,
@@ -31,6 +27,8 @@ from oracles import (
     loop_series_block,
     neg_binomial,
     path_term,
+    residue_order,
+    residue_terms,
     van_loan_orders,
 )
 
@@ -92,8 +90,8 @@ class TestXYZ:
     def test_overflowing_ratios_are_refused(self, a, eps):
         # (1e200,)*3: a1*a2*a3 overflows, so the ratios are inf (nan at eps = 0)
         # and every call refuses them.  (1e-300, 1e200, 1e200): the ratios are
-        # finite and xyz returns them; a2*a3 in the A2 prefactor is not (nan at
-        # eps = 0, where eps**2 multiplies the inf), so block A2 refuses psi_1
+        # finite and xyz returns them; at eps = 0 the psi2 lead a2*a3*eps**2 is
+        # zero, not inf * 0 = nan, so psi_1 is e^{-i w1 t} psi_1(0)
         m = ThreeModeModel(omega=(1, 2, 3.5), a=a, d=(0, 0, 0), epsilon=eps)
         series = lambda: tm.series_block(m, "A1", 1.0, TIGHT)
         psi1 = lambda: tm.psi1_infinite(m, 1.0, PSI0, TIGHT)
@@ -106,11 +104,31 @@ class TestXYZ:
             refused = (series, psi1) if eps else ()
             if not eps:
                 assert series() == 1 + 0j
-                with pytest.raises(NonFiniteResult, match=r"^block A2 at t=1\.0 is not finite: \(nan\+nanj\)$"):
-                    psi1()
+                assert psi1() == cmath.exp(-1j) * PSI0[0]
         for call in refused:
             with pytest.raises(NonFiniteResult, match="not finite"):
                 call()
+
+    @pytest.mark.parametrize("a2, a3", [(1e200, 1e200), (-1e200, 1e200), (1e200, -1e200)])
+    def test_an_overflowing_psi2_lead_is_zero_at_eps_zero(self, a2, a3):
+        # a2*a3 overflows, yet at eps = 0 the geometry is bitwise that of a
+        # model whose a2 and a3 keep their signs and are finite: the psi2 lead
+        # is the signed zero a2*a3*0.0 gives, so every block and psi_1 are too
+        m = ThreeModeModel(omega=(1, 2, 3.5), a=(1e-300, a2, a3), d=(0, 0, 0), epsilon=0)
+        finite = ThreeModeModel(
+            omega=m.omega, a=(1e-300, math.copysign(1.0, a2), math.copysign(1.0, a3)), d=m.d, epsilon=0
+        )
+        geometry = lambda model: [
+            x.hex() for W, r1, r2, prefactors in tm._block_geometry(model)[1].values()
+            for x in (W, r1, r2, *prefactors)
+        ]
+        assert geometry(m) == geometry(finite)
+        for t in (0.0, 1.0, 7.3, -3.0):
+            for block in tm.BLOCK_NAMES:
+                assert _bits(tm.series_block(m, block, t, TIGHT)) == _bits(tm.series_block(finite, block, t, TIGHT))
+            got = tm.psi1_infinite(m, t, PSI0, TIGHT)
+            assert _bits(got) == _bits(tm.psi1_infinite(finite, t, PSI0, TIGHT))
+            assert got == cmath.exp(-1j * t) * PSI0[0], t
 
     def test_an_overflowing_prefactor_refuses_only_its_block(self):
         # a3*eps / (w3' - w1') = 2e308: xyz returns the ratios, and of the
@@ -242,8 +260,8 @@ class TestHypergeometric:
     def test_max_terms_exceeded(self, monkeypatch):
         monkeypatch.setattr(tm, "MAX_TERMS", 5)
         for got in self._sums(40.0, SeriesTruncation(k_max=1, tail_tol=1e-14))[2]:
-            assert isinstance(got, MaxTermsExceeded)
-            assert got.partial != 0
+            assert isinstance(got, NonConvergence)
+            assert str(got) == "no convergence within 5 terms"
 
 
 class TestCellColumnsInClosedForm:
@@ -282,6 +300,67 @@ class TestCellColumnsInClosedForm:
                 for (up, lo, coeffs), got in zip(columns, sums):
                     exact = complex(self._closed(coeffs, y))
                     assert abs(got - exact) <= 1e-13 * abs(exact), (y, up, lo)
+
+
+RESIDUE_MODELS = [
+    registry("s", epsilon=0.5),
+    registry("m", epsilon=0.7),
+    ThreeModeModel(omega=(1.0, -2.5, 0.75), a=(-1.5, 2.0, 0.5), d=(0.25, -1.0, 3.0), epsilon=0.375),
+]
+
+
+def _exact(m: ThreeModeModel) -> SimpleNamespace:
+    """m's fields as the Fractions its floats are exactly.  _block_geometry
+    and effective_frequencies read only these fields, with + - * / on them,
+    so on this view they return exact values."""
+    fields = {name: tuple(map(Fraction, getattr(m, name))) for name in ("omega", "a", "d")}
+    return SimpleNamespace(**fields, epsilon=Fraction(m.epsilon))
+
+
+class TestResidueOracle:
+    """The block cells and the closed forms against the exact residues of
+    the resolvent that oracles.residue_terms takes by Leibniz's rule."""
+
+    @pytest.mark.parametrize("m", RESIDUE_MODELS, ids=["s", "m", "signed"])
+    def test_every_cell_is_its_residue(self, m):
+        # cell (k, l) of block <family><digit>, inner term ell, is the
+        # residue at the family's pole of order n = k + ell, its ell
+        # derivatives on the exponential, l on mode a and the rest on mode b
+        exact = _exact(m)
+        w, families = tm._block_geometry(exact)
+        assert all(isinstance(x, Fraction) for x in w)
+        shells, upper, lower, *_ = tm._cell_table(8, None, tm.MAX_TERMS)
+        for block in tm.BLOCK_NAMES:
+            f, a, b = tm._FAMILIES[block[0]]
+            assert f == RESIDUE_POLES[block[0]]
+            W, ratio1, ratio2, prefactors = families[block[0]]
+            prefactor = Fraction(prefactors["132".index(block[1])])  # 1 / 1 is 1.0
+            first = shells[block][0][0]
+            got = {}
+            for k, cells in shells[block]:
+                for l, coeff, column in cells:
+                    up, lo = ([int(p) for p in x[:, column].tolist() if p == p] for x in (upper, lower))
+                    value = prefactor * ratio1**k * ratio2**l * coeff
+                    for ell in range(7):  # value: the cell's z**ell term over (-1j t)**ell
+                        key = [0, 0, 0]
+                        key[f], key[a], key[b] = ell, l, k - first - l
+                        got[k + ell, tuple(key)] = value
+                        value *= W * math.prod(u + ell for u in up) / math.prod(v + ell for v in lo) / (ell + 1)
+            want = {
+                (n, key): c
+                for n in range(15)
+                for key, c in residue_terms(w, exact.a, exact.epsilon, f, int(block[1]), n).items()
+                if key[f] <= 6 and n - key[f] <= 8
+            }
+            assert got == want, block
+
+    @pytest.mark.parametrize("m", RESIDUE_MODELS, ids=["s", "m", "signed"])
+    def test_closed_forms_are_the_residues(self, m):
+        exact = _exact(m)
+        w = tm.effective_frequencies(exact)
+        for n, t in itertools.product(range(4), (0.5, 3.0, 10.0)):
+            want = residue_order(w, exact.a, exact.epsilon, n, t, PSI0)
+            assert abs(tm.psi1_analytic(m, n, t, PSI0) - want) <= 1e-13 * abs(want), (n, t)
 
 
 class TestSeriesBlocks:
@@ -359,7 +438,7 @@ class TestSeriesBlocks:
             assert abs(got - want) <= 4 * 2.0**-52 * max(abs(want), 1.0), (mid, order_cap, t)
 
     def test_truncation_not_converged_surfaces(self):
-        with pytest.raises(TruncationNotConverged):
+        with pytest.raises(NonConvergence, match=r"^block A1: shell k=4 still contributes "):
             tm.series_block(
                 registry("l"), "A1", 1.0, SeriesTruncation(k_max=4, tail_tol=1e-10), shell_tol=1e-6
             )
@@ -370,14 +449,9 @@ def _bits(value: complex) -> tuple[str, str]:
 
 
 def _outcome(fn, *args, **kwargs):
-    """("value", exact bits of the result), or the refusal's type and message,
-    with the exact bits of .partial and the value of .last_term (+ 0j maps a
-    -0.0 part to 0.0: the array recurrence may differ in the sign of a zero
-    part) for MaxTermsExceeded."""
+    """("value", exact bits of the result), or the refusal's type and message."""
     try:
         value = complex(fn(*args, **kwargs))
-    except MaxTermsExceeded as exc:
-        return "MaxTermsExceeded", str(exc), _bits(exc.partial), _bits(exc.last_term + 0j)
     except (OscPertError, ValueError) as exc:
         return type(exc).__name__, str(exc)
     return ("value",) + _bits(value)
@@ -419,7 +493,7 @@ class TestBlockTableAgainstBranches:
                 want = _outcome(loop_psi1_infinite, m, t, PSI0, trunc, **kwargs)
                 assert got == want, (m, t, k_max, order_cap, shell_tol)
         # the grid reaches values and each of these refusals
-        assert kinds == {"value", "ValueError", "DegenerateFrequencies", "TruncationNotConverged"}
+        assert kinds == {"value", "ValueError", "DegenerateFrequencies", "NonConvergence"}
 
     def test_every_cell_has_a_coefficient_and_positive_parameters(self):
         # the hand table sums every cell: none has a zero binomial product,
@@ -498,18 +572,18 @@ class TestArrayRecurrence:
             got = _outcome(tm.psi1_infinite, m, 100.0, PSI0, trunc, shell_tol=shell_tol)
             assert got == _outcome(loop_psi1_infinite, m, 100.0, PSI0, trunc, shell_tol=shell_tol)
             kinds.add((cap, shell_tol, got[0], got[1][:8]))
-        # an earlier block's TruncationNotConverged beats a later MaxTermsExceeded,
-        # and an earlier cell's MaxTermsExceeded beats its block's shell check
-        assert (40, None, "MaxTermsExceeded", "no conve") in kinds
-        assert (40, 1e-30, "TruncationNotConverged", "block A1") in kinds
-        assert (30, 1e-30, "MaxTermsExceeded", "no conve") in kinds
+        # an earlier block's shell refusal beats a later cell's term cap, and
+        # an earlier cell's term cap beats its block's shell check
+        assert (40, None, "NonConvergence", "no conve") in kinds
+        assert (40, 1e-30, "NonConvergence", "block A1") in kinds
+        assert (30, 1e-30, "NonConvergence", "no conve") in kinds
 
-    def test_forced_cap_partial_and_last_term(self, monkeypatch):
+    def test_forced_cap_is_refused_like_the_loop(self, monkeypatch):
         monkeypatch.setattr(tm, "MAX_TERMS", 5)
         trunc = SeriesTruncation(k_max=3, tail_tol=1e-14)
         for m, t in ((registry("s"), 7.3), (registry("small"), 150.0), (registry("l"), 0.25)):
             got = _outcome(tm.psi1_infinite, m, t, PSI0, trunc)
-            assert got[0] == "MaxTermsExceeded"
+            assert got[:2] == ("NonConvergence", "no convergence within 5 terms")
             assert got == _outcome(loop_psi1_infinite, m, t, PSI0, trunc)
 
     def test_magnitude_overflow_is_a_typed_refusal(self):
@@ -673,14 +747,14 @@ class TestDistinctSeries:
         monkeypatch.setattr(tm, "MAX_TERMS", 20)
         m = registry("small")
         trunc = SeriesTruncation(k_max=4, tail_tol=1e-12)
-        with pytest.raises(MaxTermsExceeded):
+        with pytest.raises(NonConvergence):
             loop_hyp_series([], [], -1j * tm.xyz(m).X * 25.0, trunc)
         got = {name: _outcome(tm.series_block, m, name, 25.0, trunc) for name in tm.BLOCK_NAMES}
         for name in tm.BLOCK_NAMES:
             assert got[name] == _outcome(loop_series_block, m, name, 25.0, trunc), name
         psi1 = _outcome(tm.psi1_infinite, m, 25.0, PSI0, trunc)
         assert psi1 == _outcome(loop_psi1_infinite, m, 25.0, PSI0, trunc)
-        assert psi1[0] == "MaxTermsExceeded" and psi1 == got["A1"] == got["A3"] == got["A2"]
+        assert psi1[0] == "NonConvergence" and psi1 == got["A1"] == got["A3"] == got["A2"]
         assert {got[name][0] for name in ("B1", "B3", "B2")} == {"value"}
 
 

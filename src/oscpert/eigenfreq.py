@@ -37,6 +37,7 @@ from . import linalg
 from .errors import DegenerateFrequencies, NonFiniteResult, NoTransition
 from .threemode import (
     _SUBSCRIPT_ROWS,
+    _UPSTREAM,
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
     _pow_or_inf,
@@ -53,7 +54,6 @@ IMAG_THRESHOLD = 1e-8
 # in cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
 _RELABELING = [[i - 1 for i in _SUBSCRIPT_ROWS[f"psi{mu}"]] for mu in (1, 2, 3)]
 _ROLES = np.array(_RELABELING).T  # _ROLES[r - 1][mode - 1]: who plays role r
-_UPSTREAM = [2, 0, 1]  # 0-based upstream neighbour of each mode in 1 -> 2 -> 3 -> 1
 
 
 @dataclass(frozen=True)

@@ -43,4 +43,5 @@ class NonFiniteResult(OscPertError):
     """A computed value overflowed or is NaN: eigenvalues or a propagator
     (or its argument's norm), a quadrature order or partial sum, a
     symmetrizability certificate, a coupling ratio, phase, 2F2 term or sum,
-    block total or psi_1, or an eigenfrequency estimate or one of its terms."""
+    block total, psi_1 or closed-form term, or an eigenfrequency estimate or
+    one of its terms."""

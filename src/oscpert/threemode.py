@@ -14,8 +14,10 @@ orientation-free.  Only the +i d/dt sign branch is implemented: solutions of
 the -i branch are the complex conjugates of these.
 
 The expansion of psi_1(t) in powers of eps has closed forms at orders 0..3,
-and the full series regroups into nine infinite sums (blocks A1, A3, A2,
-B1, B3, B2, C1, C3, C2) built from the cyclic coupling ratios
+each the coupling of the one cyclic path into mode 1 (_UPSTREAM, read by
+every table of the cycle) times a divided difference of e^{-i lambda t} over
+its frequencies.  The full series regroups into nine infinite sums (blocks
+A1, A3, A2, B1, B3, B2, C1, C3, C2) built from the cyclic coupling ratios
 
     X = a1 a2 a3 eps^3 / ((w1'-w2') (w3'-w1'))
     Y = a1 a2 a3 eps^3 / ((w2'-w3') (w3'-w1'))
@@ -36,8 +38,9 @@ Every 2F2 is a cell of a table built once per (k_max, order_cap), and one
 array recurrence steps its distinct series together in one pass, for one
 block or all nine; each cell's sum is bitwise that of summing it alone.  A
 non-finite t raises ValueError, a 2F2 term or partial sum, a block total, a
-phase w' * t or a psi_1 that is not finite raises NonFiniteResult, and a 2F2
-sum past MAX_TERMS terms or a last shell past shell_tol raises NonConvergence.
+phase w' * t, a psi_1 or a closed-form term that is not finite raises
+NonFiniteResult, and a 2F2 sum past MAX_TERMS terms or a last shell past
+shell_tol raises NonConvergence.
 """
 from __future__ import annotations
 
@@ -45,7 +48,8 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -60,11 +64,37 @@ DEGENERACY_GAP_FACTOR = 1e-6
 # Terms after which a 2F2 series without order_cap raises NonConvergence.
 MAX_TERMS = 500
 
-TARGETS = ("psi1", "psi3", "psi2")
+# The cycle, written once: mode mu (0-based) is driven by mode
+# _UPSTREAM[mu] = mu - 1 (mod 3), through that mode's coupling a.
+_UPSTREAM = (2, 0, 1)
+
+
+def _path(n: int) -> list[int]:
+    """The order-n cyclic path into mode 1, 0-based, in the order it is
+    walked: the n modes upstream of mode 1, then mode 1."""
+    path = [0]
+    for _ in range(n):
+        path.insert(0, _UPSTREAM[path[0]])
+    return path
+
+
+def _path_coupling(a, eps, n: int):
+    """(-eps)^n times the product, in path order, of the a of each mode _path(n)
+    leaves.  At eps = 0 a product past the float range gives the signed zero
+    a finite one does, not inf * 0 = nan."""
+    coupling = (-1) ** n * math.prod(a[mu] for mu in _path(n)[:-1])
+    return coupling * eps**n if eps or math.isfinite(coupling) else math.copysign(0.0, coupling)
+
+
+# The block digit (1-based psi(0) component) of order offset 0, 1, 2, the
+# start of its path: "132"; the targets of cyclic_view in that order.
+_DIGITS = "".join(str(_path(n)[0] + 1) for n in range(3))
+TARGETS = tuple(f"psi{digit}" for digit in _DIGITS)
 
 # Relabeling rows of the cyclic substitution 1 -> 3 -> 2 -> 1: position mu of
-# the relabeled model takes the original subscript _SUBSCRIPT_ROWS[target][mu].
-_SUBSCRIPT_ROWS = {"psi1": (1, 2, 3), "psi3": (3, 1, 2), "psi2": (2, 3, 1)}
+# the relabeled model takes the original subscript _SUBSCRIPT_ROWS[target][mu],
+# the target and then the modes it drives in turn.
+_SUBSCRIPT_ROWS = {f"psi{mu + 1}": (mu + 1, _UPSTREAM[_UPSTREAM[mu]] + 1, _UPSTREAM[mu] + 1) for mu in range(3)}
 
 
 @dataclass(frozen=True)
@@ -167,12 +197,9 @@ def omega_matrix(m: ThreeModeModel, epsilon=None) -> np.ndarray:
     eps = linalg.as_array(m.epsilon if epsilon is None else epsilon, "epsilon", float)
     if not np.isfinite(eps).all():
         raise ValueError("epsilon contains non-finite entries")
-    a1, a2, a3 = m.a
     mat = np.zeros(eps.shape + (3, 3))
     mat[..., (0, 1, 2), (0, 1, 2)] = np.add(m.omega, eps[..., None] * np.array(m.d))
-    mat[..., 0, 2] = -eps * a3
-    mat[..., 1, 0] = -eps * a1
-    mat[..., 2, 1] = -eps * a2
+    mat[..., (0, 1, 2), _UPSTREAM] = -eps[..., None] * np.array([m.a[up] for up in _UPSTREAM])
     return mat
 
 
@@ -182,12 +209,9 @@ def perturbed_system(m: ThreeModeModel) -> PerturbedSystem:
     The d-shifts ride inside the effective frequencies, so the perturbation
     is purely off-diagonal and the expansion weight is epsilon itself.
     """
-    a1, a2, a3 = m.a
-    return PerturbedSystem(
-        omega0=effective_frequencies(m),
-        omegaI=[[0.0, 0.0, -a3], [-a1, 0.0, 0.0], [0.0, -a2, 0.0]],
-        epsilon=m.epsilon,
-    )
+    omegaI = np.zeros((3, 3))
+    omegaI[(0, 1, 2), _UPSTREAM] = [-m.a[up] for up in _UPSTREAM]
+    return PerturbedSystem(omega0=effective_frequencies(m), omegaI=omegaI, epsilon=m.epsilon)
 
 
 def xyz(m: ThreeModeModel) -> XYZ:
@@ -209,14 +233,8 @@ def cyclic_view(
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
     row = _SUBSCRIPT_ROWS[target]
-    idx = tuple(r - 1 for r in row)
-    view = ThreeModeModel(
-        omega=tuple(m.omega[i] for i in idx),
-        a=tuple(m.a[i] for i in idx),
-        d=tuple(m.d[i] for i in idx),
-        epsilon=m.epsilon,
-    )
-    return view, row
+    omega, a, d = (tuple(values[r - 1] for r in row) for values in (m.omega, m.a, m.d))
+    return ThreeModeModel(omega, a, d, m.epsilon), row
 
 
 def _phases(freqs, t: float) -> list[complex]:
@@ -228,49 +246,29 @@ def _phases(freqs, t: float) -> list[complex]:
 
 
 def psi1_analytic(m: ThreeModeModel, n: int, t: float, psi0) -> complex:
-    """Closed-form term eps^n psi_1^(n)(t) for n in {0, 1, 2, 3}.
-
-    The order-n term multiplies the initial component that starts the
-    n-step cyclic path ending at mode 1: psi_1(0) for n in {0, 3},
-    psi_3(0) for n = 1, psi_2(0) for n = 2.  A phase w' * t that
-    overflows raises NonFiniteResult.
-    """
-    if linalg.as_integer(n, "n") not in (0, 1, 2, 3):
+    """Closed-form term eps^n psi_1^(n)(t) for n in {0, 1, 2, 3}: the
+    coupling of _path(n) times the confluent divided difference of
+    e^{-i lambda t} over the effective frequencies it visits (Hermite-Genocchi)
+    times psi(0) of its first mode (psi_1, psi_3, psi_2, psi_1).  Order 3's
+    repeated mode sits next to its copy, their difference -1j t e^{-i w1' t},
+    so at t = 0 every order n >= 1 is exactly zero.  A phase w' * t that
+    overflows, or a term that is not finite, raises NonFiniteResult."""
+    n = linalg.as_integer(n, "n")
+    if n not in (0, 1, 2, 3):
         raise ValueError("closed forms exist for orders 0..3 only")
     t = linalg.as_real(t, "t")
     vec = linalg.as_vector(psi0, 3, "psi0")
-    w1, w2, w3 = effective_frequencies(m)
-    a1, a2, a3 = m.a
-    eps = m.epsilon
-    e1, e2, e3 = _phases((w1, w2, w3), t)
-    if n == 0:
-        return e1 * vec[0]
-    if n == 1:
-        return eps * a3 * (e1 - e3) / (w3 - w1) * vec[2]
-    if n == 2:
-        return (
-            eps**2
-            * a2
-            * a3
-            / (w3 - w1)
-            * ((e2 - e3) / (w2 - w3) - (e1 - e2) / (w1 - w2))
-            * vec[1]
-        )
-    p12 = w1 - w2
-    p31 = w3 - w1
-    p23 = w2 - w3
-    coeff = eps**3 * a1 * a2 * a3
-    return (
-        coeff
-        * (
-            e1 / (p12 * p31**2)
-            - e1 / (p12**2 * p31)
-            - 1j * t * e1 / (p12 * p31)
-            - e2 / (p12**2 * p23)
-            + e3 / (p31**2 * p23)
-        )
-        * vec[0]
-    )
+    w = effective_frequencies(m)
+    phases = _phases(w, t)
+    nodes = sorted(_path(n))  # the repeated mode next to its copy
+    diffs = [phases[mu] for mu in nodes]
+    for gap in range(1, n + 1):
+        diffs = [-1j * t * lo if x == y else (hi - lo) / (w[y] - w[x])
+                 for x, y, lo, hi in zip(nodes, nodes[gap:], diffs, diffs[1:])]
+    value = _path_coupling(m.a, m.epsilon, n) * diffs[0] * complex(vec[_path(n)[0]])
+    if not cmath.isfinite(value):
+        raise NonFiniteResult(f"psi_1 term of order {n} at t={t!r} is not finite: {value}")
+    return value
 
 
 # The cells' series advance together this many term indices per array step.
@@ -357,19 +355,21 @@ def _hyp_sums(ratios, y, limit, tail_tol=None) -> list:
 # contour integral of e^{-i lambda t} adj(lambda - Omega)_1c / det(lambda -
 # Omega) / (2 pi i), with 1/det expanded in powers of eps^3 a1 a2 a3 / D,
 # D = prod(lambda - w_mu'), and adjugate row 1 (lambda - w2') (lambda - w3'),
-# -eps a3 (lambda - w2'), eps^2 a2 a3 for c = 1, 3, 2.  Family A/B/C is the
-# residue at its pole f, and Leibniz's rule shares its derivatives among
-# e^{-i lambda t} (the inner 2F2 term index), the factor of mode a (l) and
-# that of mode b (kb).  Per family: f, a and b, 0-based.
+# -eps a3 (lambda - w2'), eps^2 a2 a3 for c = 1, 3, 2: for order offset n,
+# the coupling of _path(n) times the factors of the modes off that path.
+# Family A/B/C is the residue at its pole f, and Leibniz's rule shares its
+# derivatives among e^{-i lambda t} (the inner 2F2 term index), the factor of
+# mode a (l) and that of mode b (kb).  Per family: f, a and b, 0-based.
 _FAMILIES = {"A": (0, 1, 2), "B": (2, 1, 0), "C": (1, 2, 0)}
 # Per order offset 0/1/2 (the block's digit 1/3/2): the modes whose factor
-# the adjugate entry cancels.  Cell (k, l) has first = [f cancelled],
-# ca = k+1-[a cancelled], cb = k+1-[b cancelled] and kb = k-first-l >= 0:
+# the adjugate entry cancels, those off its path.  Cell (k, l) has first =
+# [f cancelled], ca = k+1-[a cancelled], cb = k+1-[b cancelled] and
+# kb = k-first-l >= 0:
 #   prefactor * ratio1**k * ratio2**l * (ca)_l/l! * (cb)_kb/kb!
 #     * 2F2(ca+l, cb+kb; ca, cb; -1j * W * t),
 # its inner term ell of expansion order 3*(k + ell) + offset.
-_CANCELS = ({1, 2}, {1}, set())
-BLOCK_NAMES = tuple(family + digit for family in _FAMILIES for digit in "132")
+_CANCELS = tuple({0, 1, 2} - set(_path(n)) for n in range(3))
+BLOCK_NAMES = tuple(family + digit for family in _FAMILIES for digit in _DIGITS)
 
 
 def _block_geometry(m: ThreeModeModel):
@@ -386,12 +386,10 @@ def _block_geometry(m: ThreeModeModel):
             returned as it is, for the block that reads it to refuse).
     """
     w = effective_frequencies(m)
-    a1, a2, a3 = m.a
     eps = m.epsilon
-    num = a1 * a2 * a3 * eps**3
-    # adjugate row 1 less its cancelled factors; at eps = 0 the psi2 lead is
-    # the zero a2 * a3 * 0.0 gives, not inf * 0 = nan where a2 * a3 overflows
-    leads = (1, -a3 * eps, a2 * a3 * eps**2 if eps else math.copysign(0.0, a2 * a3))
+    num = math.prod(m.a) * eps**3
+    # adjugate row 1 less its cancelled factors: the path couplings
+    leads = [_path_coupling(m.a, eps, n) for n in range(3)]
     families = {}
     for family, (f, a, b) in _FAMILIES.items():
         d_a, d_b = w[f] - w[a], w[f] - w[b]
@@ -429,7 +427,7 @@ def _cell_table(k_max: int, order_cap: int | None, max_terms: int):
     shells, columns = {}, {}
     for block in BLOCK_NAMES:
         f, a, b = _FAMILIES[block[0]]
-        offset = "132".index(block[1])
+        offset = _DIGITS.index(block[1])
         cancels = _CANCELS[offset]
         first = int(f in cancels)
         rows = []
@@ -494,7 +492,7 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
     blocks = {}
     for block in names:
         pow1, pow2 = powers[block[0]]
-        prefactor = families[block[0]][3]["132".index(block[1])]
+        prefactor = families[block[0]][3][_DIGITS.index(block[1])]
         total, last_shell = 0.0 + 0.0j, 0.0
         for k, cells in shells[block]:
             shell = 0.0 + 0.0j
@@ -565,20 +563,19 @@ def psi1_infinite(
     Assembles (A1 p1 + A3 p3 + A2 p2) e^{-i w1' t}
             + (B1 p1 + B3 p3 + B2 p2) e^{-i w3' t}
             + (C1 p1 + C3 p3 + C2 p2) e^{-i w2' t}
-    with p_mu = psi_mu(0).  Raises as series_block does, block by block in
-    BLOCK_NAMES order, with psi0 read first, and NonFiniteResult when a
-    phase w' * t overflows or the assembly is not finite.
+    with p_mu = psi_mu(0), summed left to right from its first term, so its
+    signed zeros are this expression's.  Raises as series_block does, block
+    by block in BLOCK_NAMES order, with psi0 read first, and NonFiniteResult
+    when a phase w' * t overflows or the assembly is not finite.
     """
     vec = linalg.as_vector(psi0, 3, "psi0")
-    (w1, w2, w3), blocks = _block_sums(m, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
-    e1, e2, e3 = _phases((w1, w2, w3), t)
-    p1, p2, p3 = vec[0], vec[1], vec[2]
+    freqs, blocks = _block_sums(m, BLOCK_NAMES, t, trunc, shell_tol, order_cap)
+    phases = _phases(freqs, t)
     with np.errstate(all="ignore"):
-        value = (
-            (blocks["A1"] * p1 + blocks["A3"] * p3 + blocks["A2"] * p2) * e1
-            + (blocks["B1"] * p1 + blocks["B3"] * p3 + blocks["B2"] * p2) * e3
-            + (blocks["C1"] * p1 + blocks["C3"] * p3 + blocks["C2"] * p2) * e2
-        )
+        value = reduce(add, (
+            reduce(add, (blocks[family + digit] * vec[int(digit) - 1] for digit in _DIGITS)) * phases[f]
+            for family, (f, _, _) in _FAMILIES.items()
+        ))
     if not cmath.isfinite(value):
         raise NonFiniteResult(f"psi_1 at t={t!r} is not finite: {value}")
     return value

@@ -647,6 +647,9 @@ def _branch_block_spec(m, block: str) -> dict:
     p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
     a1, a2, a3 = m.a
     eps = m.epsilon
+    # at eps = 0 the zero a2 * a3 * 0.0 gives, as threemode's lead, not the
+    # inf * 0 = nan of an a2 * a3 past the float range
+    lead2 = a2 * a3 * eps**2 if eps else math.copysign(0.0, a2 * a3)
     if block in ("A1", "A3", "A2"):
         w_ratio, denom_pow, denom_ratio = X, p31, p31 / p12
     elif block in ("B1", "B3", "B2"):
@@ -670,7 +673,7 @@ def _branch_block_spec(m, block: str) -> dict:
         spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
     elif block == "A2":
         spec.update(
-            prefactor=a2 * a3 * eps**2 / (p12 * p31),
+            prefactor=lead2 / (p12 * p31),
             sign=lambda k, l: (-1) ** (l + 1),
         )
         spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
@@ -687,7 +690,7 @@ def _branch_block_spec(m, block: str) -> dict:
         spec.update(hyp=lambda k, l: ((2 * k - l + 1, k + l), (k, k + 1)))
     elif block == "B2":
         spec.update(
-            prefactor=a2 * a3 * eps**2 / (p23 * p31),
+            prefactor=lead2 / (p23 * p31),
             sign=lambda k, l: (-1) ** (k + l + 1),
         )
         spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))
@@ -702,7 +705,7 @@ def _branch_block_spec(m, block: str) -> dict:
         spec.update(hyp=lambda k, l: ((2 * k - l, k + l + 1), (k + 1, k + 1)))
     elif block == "C2":
         spec.update(
-            prefactor=a2 * a3 * eps**2 / (p12 * p23),
+            prefactor=lead2 / (p12 * p23),
             sign=lambda k, l: (-1) ** (l + 1),
         )
         spec.update(binoms=lambda k, l: ((2 * k - l, k - l), (k + l, l)))

@@ -921,6 +921,17 @@ class TestXyzAndTerm:
         assert [str(payload[key]) for key in "XYZ"] == ["0.0", "-0.0", "-0.0"]
         assert payload["abs"] == [0.0, 0.0, 0.0]
 
+    def test_term_non_finite_closed_form_is_refused(self, tmp_path, capsys):
+        # the order-1 closed form overflows (a3 = 1e308) and is refused, not
+        # printed as NaN that JSON cannot hold; no RuntimeWarning is emitted
+        model_file = tmp_path / "tiny.json"
+        model_file.write_text(json.dumps({"omega": [1, 0, 1.5], "a": [1e-200, 1e-200, 1e308], "d": [0, 0, 0]}))
+        assert run("term", "--model", f"@{model_file}", "--order", "1", "--t", "7.3", "--epsilon", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonFiniteResult: psi_1 term of order 1 at t=7.3 is not finite")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_term_non_finite_time_is_usage_error(self, t, capsys):
         assert run("term", "--model", "s", "--order", "1", f"--t={t}") == 2

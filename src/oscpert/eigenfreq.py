@@ -2,7 +2,8 @@
 
 The eigenvalues of Omega(eps) are the system's eigenfrequencies.  For the
 cyclic 3-mode model they admit perturbative estimates at three depths, built
-from the coupling ratio W in {X, Y, Z} matched to the mode and the two
+from the coupling ratio W in {X, Y, Z} matched to the mode (exactly 0 at
+eps = 0 for any finite a, so every estimate is w' there) and the two
 frequency gaps P, Q of the relabeled model:
 
     app0:  w' + W
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .threemode import (
     _UPSTREAM,
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
+    _path_coupling,
     _pow_or_inf,
     effective_frequencies,
     omega_matrix,
@@ -73,18 +74,6 @@ class EigenfrequencyReport:
     real_spectrum: bool
 
 
-def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n per element as v**n (libm pow on float(n), the double float ** int
-    turns n into: same call, same bits), inf where that overflows; np.power
-    and x*x for squares differ from it in the last ulp on some inputs."""
-    values = x.ravel().tolist()
-    try:
-        out = np.fromiter(map(pow, values, repeat(float(n))), float, len(values))
-    except OverflowError:
-        out = np.array([_pow_or_inf(v, n) for v in values], dtype=float)
-    return out.reshape(x.shape)
-
-
 def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     """The estimator kernel: (N, 3, 3) increments [point, mode, (base + W,
     inc1, inc2)] at every eps of a 1-D array, NaN where refused, and each
@@ -105,12 +94,11 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
             effective_frequencies(m.at_epsilon(eps[n].item()))
         except DegenerateFrequencies as exc:
             refusals[n] = exc
-    coupling = np.array([m.a[i] * m.a[j] * m.a[k] for i, j, k in _RELABELING])
     with np.errstate(all="ignore"):
         p = w3 - w1  # the very difference q of the upstream mode: p's powers are q's
-        w = coupling * _power(eps, 3)[:, None] / (q * p)
+        w = -np.stack([_path_coupling([m.a[i] for i in row], eps, 3) for row in _RELABELING], axis=1) / (q * p)
         powers = ((w, 2), (w, 3), (w, 4), (q, 2), (q, 3))
-        terms = w_2, w_3, w_4, q_2, q_3 = [_power(x, n) for x, n in powers]
+        terms = w_2, w_3, w_4, q_2, q_3 = [_pow_or_inf(x, n) for x, n in powers]
         p_2, p_3 = q_2[:, _UPSTREAM], q_3[:, _UPSTREAM]
         out = np.stack([
             w1 + w,
@@ -166,12 +154,12 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     if not all(m.a):
         return np.empty(0)
     s = max(1.0, *map(abs, m.omega + m.d))
-    cbrt_p = math.prod(abs(a) ** (1 / 3) for a in m.a)  # |P|^(1/3), P never formed
-    sigma = min(1.0, s / cbrt_p)
+    cbrt_p = math.prod(math.copysign(abs(a) ** (1 / 3), a) for a in m.a)  # P^(1/3), P never formed
+    sigma = min(1.0, s / abs(cbrt_p))
     cv = np.convolve  # the product of two coefficient arrays, highest power first
     w1, w2, w3 = (np.array([shift * sigma / s, w / s]) for w, shift in zip(m.omega, m.d))
     b, c = -(w1 + w2 + w3), cv(w1, w2) + cv(w1, w3) + cv(w2, w3)
-    d = np.array([math.copysign((cbrt_p * sigma / s) ** 3, math.prod(m.a)), 0, 0, 0]) - cv(cv(w1, w2), w3)
+    d = np.array([(cbrt_p * sigma / s) ** 3, 0, 0, 0]) - cv(cv(w1, w2), w3)
     bc = cv(b, c)
     disc = 18 * cv(bc, d) - 4 * cv(cv(b, b), cv(b, d)) + cv(bc, bc) - 4 * cv(c, cv(c, c)) - 27 * cv(d, d)
     disc /= np.abs(disc).max() or 1.0

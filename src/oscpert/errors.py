@@ -42,6 +42,6 @@ class NoTransition(OscPertError):
 class NonFiniteResult(OscPertError):
     """A computed value overflowed or is NaN: eigenvalues or a propagator
     (or its argument's norm), a quadrature order or partial sum, a
-    symmetrizability certificate, a coupling ratio, phase, 2F2 term or sum,
-    block total, psi_1 or closed-form term, or an eigenfrequency estimate or
-    one of its terms."""
+    symmetrizability certificate, a coupling ratio (at eps != 0 only, where
+    a1 a2 a3 eps^3 or its quotient overflows), phase, 2F2 term or sum, block
+    total, psi_1 or closed-form term, or an eigenfrequency estimate or term."""

@@ -49,6 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
@@ -80,10 +81,31 @@ def _path(n: int) -> list[int]:
 
 def _path_coupling(a, eps, n: int):
     """(-eps)^n times the product, in path order, of the a of each mode _path(n)
-    leaves.  At eps = 0 a product past the float range gives the signed zero
-    a finite one does, not inf * 0 = nan."""
+    leaves; eps a float or an array, eps^n by _pow_or_inf.  No other code
+    multiplies the a.  At eps = 0 the product's sign stands in for it: one past
+    the float range gives the signed zero a finite one does, not inf * 0 = nan,
+    so X, Y, Z and W are exactly 0 at eps = 0 for any finite a."""
     coupling = (-1) ** n * math.prod(a[mu] for mu in _path(n)[:-1])
-    return coupling * eps**n if eps or math.isfinite(coupling) else math.copysign(0.0, coupling)
+    sign = math.copysign(1.0, coupling)
+    lead = np.where(eps == 0, sign, coupling) if isinstance(eps, np.ndarray) else coupling if eps else sign
+    return lead * _pow_or_inf(eps, n)
+
+
+def _pow_or_inf(v, n: int):
+    """v**n by libm pow as float ** int calls it, for a float or per entry of an
+    array (np.power and x*x differ from it in the last ulp on some inputs);
+    where it overflows, the infinity of the power's sign, as pow returns it."""
+    if isinstance(v, np.ndarray):
+        values = v.ravel().tolist()
+        try:
+            out = np.fromiter(map(pow, values, repeat(float(n))), float, len(values))
+        except OverflowError:
+            out = np.array([_pow_or_inf(x, n) for x in values], dtype=float)
+        return out.reshape(v.shape)
+    try:
+        return v**n
+    except OverflowError:
+        return math.copysign(math.inf, v) if n % 2 else math.inf
 
 
 # The block digit (1-based psi(0) component) of order offset 0, 1, 2, the
@@ -215,7 +237,8 @@ def perturbed_system(m: ThreeModeModel) -> PerturbedSystem:
 
 
 def xyz(m: ThreeModeModel) -> XYZ:
-    """The coupling ratios X, Y, Z of the model at its epsilon."""
+    """The coupling ratios X, Y, Z of the model at its epsilon: exactly 0 at
+    eps = 0 for any finite a, so refused only at eps != 0."""
     _, families = _block_geometry(m)
     return XYZ(X=families["A"][0], Y=families["B"][0], Z=families["C"][0])
 
@@ -386,14 +409,12 @@ def _block_geometry(m: ThreeModeModel):
             returned as it is, for the block that reads it to refuse).
     """
     w = effective_frequencies(m)
-    eps = m.epsilon
-    num = math.prod(m.a) * eps**3
-    # adjugate row 1 less its cancelled factors: the path couplings
-    leads = [_path_coupling(m.a, eps, n) for n in range(3)]
+    # adjugate row 1 less its cancelled factors, then the cycle's -eps^3 a1 a2 a3
+    *leads, cycle = (_path_coupling(m.a, m.epsilon, n) for n in range(4))
     families = {}
     for family, (f, a, b) in _FAMILIES.items():
         d_a, d_b = w[f] - w[a], w[f] - w[b]
-        W = -num / (d_a * d_b)
+        W = cycle / (d_a * d_b)
         prefactors = []
         for lead, cancels in zip(leads, _CANCELS):
             # a cancelled pole leaves (-d_b)**first over mode b's own 1/d_b
@@ -454,15 +475,6 @@ def _cell_table(k_max: int, order_cap: int | None, max_terms: int):
     for array in (upper, lower, family, limit, ratios):
         array.flags.writeable = False
     return MappingProxyType(shells), upper, lower, family, limit, ratios
-
-
-def _pow_or_inf(v: float, n: int) -> float:
-    """v**n with Python's float power (libm pow); where that overflows, the
-    infinity of the power's sign, as libm's pow returns it."""
-    try:
-        return v**n
-    except OverflowError:
-        return math.copysign(math.inf, v) if n % 2 else math.inf
 
 
 def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, order_cap):

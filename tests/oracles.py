@@ -228,9 +228,11 @@ CONTINUATION_STEP = 0.01
 
 def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
     """Eigenvalues matched to modes by nearest-assignment continuation from
-    eps = 0, with steps of at most CONTINUATION_STEP and one
-    linalg.eigenvalues call per step; on a tie the first assignment in
-    itertools.permutations order wins, so LAPACK's order decides it.
+    eps = 0, with steps of at most CONTINUATION_STEP, a step through the
+    midpoint of each two consecutive real roots of
+    polynomial_exceptional_points, and one linalg.eigenvalues call per step;
+    on a tie the first assignment in itertools.permutations order wins, so
+    LAPACK's order decides it.
 
     When `margins` is a list, each continuation step appends to it the cost
     of its second-best assignment less that of its best.
@@ -246,6 +248,10 @@ def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
             points[-1] = eps
             fine.extend(points)
         targets.setdefault(eps, []).append(j)
+    # a conjugate pair narrower than one step would be stepped over: the walk
+    # also visits the midpoint of each two consecutive EPs
+    points = polynomial_exceptional_points(m)
+    fine = sorted({*fine, *(x for x in ((points[:-1] + points[1:]) / 2).tolist() if 0.0 < x < fine[-1])})
     current = np.array(m.omega, dtype=complex)
     out = np.zeros((len(eps_grid), 3), dtype=complex)
     for j in targets.get(0.0, ()):

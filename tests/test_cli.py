@@ -144,10 +144,11 @@ class TestSweep:
             assert cells[11] == ("DegenerateFrequencies" if refused else "ok")
             assert (cells[4] == "nan") == refused
 
-    @pytest.mark.parametrize("a, eps_zero_status", [(1e60, "ok"), (1e110, "NonFiniteResult")])
-    def test_overflowing_estimates_name_the_refusal(self, tmp_path, capsys, a, eps_zero_status):
-        # a = 1e60: W**2 overflows once eps > 0; a = 1e110: a1*a2*a3 is
-        # already inf, so eps = 0 gives inf * 0 = nan
+    @pytest.mark.parametrize("a", [1e60, 1e110, 1e200])
+    def test_overflowing_estimates_name_the_refusal(self, tmp_path, capsys, a):
+        # a = 1e60: W**2 overflows once eps > 0; a = 1e110 and 1e200: a1*a2*a3
+        # is already inf, so W is.  At eps = 0 every model is uncoupled: W is
+        # a signed zero, not inf * 0 = nan, and app0..app2 are w' exactly
         spec = {"omega": [1, 2, 3.5], "a": [a] * 3, "d": [0, 0, 0]}
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(spec))
@@ -160,10 +161,12 @@ class TestSweep:
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 33
         for cells in rows:
-            refused = float(cells[0]) > 0.0 or eps_zero_status != "ok"
+            refused = float(cells[0]) > 0.0
             assert cells[11] == ("NonFiniteResult" if refused else "ok")
             assert all((cell == "nan") == refused for cell in cells[4:7])
             assert all(cell not in ("inf", "-inf") for cell in cells)
+            if not refused:
+                assert [float(cell) for cell in cells[4:7]] == [spec["omega"][int(cells[1]) - 1]] * 3
         # the JSON of the same table: a refused point's estimates are null
         table = [dict(zip(lines[0].split(","), cells)) for cells in rows]
         for row in table:
@@ -177,7 +180,7 @@ class TestSweep:
         model = ThreeModeModel.from_json_dict(spec).at_epsilon(1.0)
         assert out_json.read_text() == rows_to_json(model, table)
         for row in json.loads(out_json.read_text())["rows"]:
-            if row["epsilon"] > 0.0 or eps_zero_status != "ok":
+            if row["epsilon"] > 0.0:
                 assert row["status"] == "NonFiniteResult"
                 assert all(row[key] is None for key in ("app0", "app1", "app2", "err0", "err1", "err2"))
 
@@ -911,6 +914,17 @@ class TestXyzAndTerm:
         assert captured.out == ""
         assert captured.err.startswith("error: NonFiniteResult: coupling ratios")
         assert captured.err.count("\n") == 1
+
+    def test_overflowing_coupling_is_uncoupled_at_eps_zero(self, tmp_path, capsys):
+        # a1*a2*a3 = 1e600, but at eps = 0 the ratios are signed zeros
+        model_file = tmp_path / "big0.json"
+        model_file.write_text(json.dumps({"omega": [1, 2, 3.5], "a": [1e200] * 3, "d": [0, 0, 0]}))
+        assert run("xyz", "--model", f"@{model_file}", "--epsilon", "0") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert [payload[key] for key in "XYZ"] == [0.0, 0.0, 0.0]
+        assert payload["abs"] == [0.0, 0.0, 0.0]
 
     def test_an_overflowing_prefactor_leaves_the_ratios(self, tmp_path, capsys):
         # a3*eps / (w3' - w1') = 2e308 overflows; X, Y and Z do not

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oscpert import dyson, linalg, threemode as tm
+from oscpert import dyson, eigenfreq as ef, linalg, threemode as tm
 from oscpert.benchmarks import registry
 from oscpert.errors import DegenerateFrequencies, NonConvergence, NonFiniteResult, OscPertError
 from oscpert.threemode import SeriesTruncation, ThreeModeModel
@@ -23,6 +23,7 @@ from oracles import (
     _branch_block_spec,
     _cancel_params,
     cell_column_coefficients,
+    lagrange_coefficients,
     loop_hyp_series,
     loop_psi1_infinite,
     loop_series_block,
@@ -114,24 +115,24 @@ class TestXYZ:
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     @pytest.mark.parametrize("a", [(1e200,) * 3, (1e-300, 1e200, 1e200)])
     def test_overflowing_ratios_are_refused(self, a, eps):
-        # (1e200,)*3: a1*a2*a3 overflows, so the ratios are inf (nan at eps = 0)
-        # and every call refuses them.  (1e-300, 1e200, 1e200): the ratios are
-        # finite and xyz returns them; at eps = 0 the psi2 lead a2*a3*eps**2 is
-        # zero, not inf * 0 = nan, so psi_1 is e^{-i w1 t} psi_1(0)
+        # (1e200,)*3: a1*a2*a3 overflows, so at eps = 1 the ratios are inf and
+        # every call refuses them.  (1e-300, 1e200, 1e200): the ratios are
+        # finite and xyz returns them; at eps = 1 every cell overflows (|W t|
+        # ~ 1e100).  At eps = 0 both are uncoupled: a1*a2*a3*eps**3 and the
+        # psi2 lead a2*a3*eps**2 are zero, not inf * 0 = nan, so W = 0 and
+        # psi_1 is e^{-i w1 t} psi_1(0)
         m = ThreeModeModel(omega=(1, 2, 3.5), a=a, d=(0, 0, 0), epsilon=eps)
         series = lambda: tm.series_block(m, "A1", 1.0, TIGHT)
         psi1 = lambda: tm.psi1_infinite(m, 1.0, PSI0, TIGHT)
-        if a[0] == 1e200:
-            refused = (lambda: tm.xyz(m), series, psi1)
-        else:
+        if a[0] != 1e200:
             got, want = tm.xyz(m), [_branch_block_spec(m, b)["W"] for b in ("A1", "B1", "C1")]
             assert [x.hex() for x in (got.X, got.Y, got.Z)] == [x.hex() for x in want]
-            # at eps = 1 every cell overflows (|W t| ~ 1e100); at eps = 0, W = 0
-            refused = (series, psi1) if eps else ()
-            if not eps:
-                assert series() == 1 + 0j
-                assert psi1() == cmath.exp(-1j) * PSI0[0]
-        for call in refused:
+        if not eps:
+            assert tm.xyz(m) == tm.XYZ(0.0, 0.0, 0.0)
+            assert series() == 1 + 0j
+            assert psi1() == cmath.exp(-1j) * PSI0[0]
+            return
+        for call in (series, psi1, *((lambda: tm.xyz(m),) if a[0] == 1e200 else ())):
             with pytest.raises(NonFiniteResult, match="not finite"):
                 call()
 
@@ -182,6 +183,125 @@ class TestXYZ:
                 assert tm.series_block(m, block, 1.0, TIGHT) == want
         with pytest.raises(NonFiniteResult, match=r"^block A3 at t=1\.0 is not finite"):
             tm.psi1_infinite(m, 1.0, PSI0, TIGHT)
+
+
+def _hex(value):
+    """The exact bits of a float or complex, or of each in a nested
+    collection of them, signed zeros kept."""
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    return [_hex(v) for v in value]
+
+
+def _parent_geometry(m):
+    """Per family (W, ratio1, ratio2, prefactors) by the formulas that
+    preceded _path_coupling's rule for a1 a2 a3 eps^3: W = -(prod(a) eps^3)
+    / (d_a d_b), and the hand table of the prefactors of digits 1, 3, 2."""
+    w, eps = tm.effective_frequencies(m), m.epsilon
+    lead1, lead3, lead2 = 1.0, -m.a[2] * eps, m.a[1] * m.a[2] * eps**2
+    families = {}
+    for family, (f, a, b) in tm._FAMILIES.items():
+        d_a, d_b = w[f] - w[a], w[f] - w[b]
+        W = -(math.prod(m.a) * eps**3) / (d_a * d_b)
+        prefactors = {
+            "A": (lead1, lead3 / d_b, lead2 / (d_a * d_b)),
+            "B": (-lead1, lead3 / d_b, lead2 / (d_a * d_b)),
+            "C": (-lead1, -lead3 / d_a, lead2 / (d_a * d_b)),
+        }[family]
+        families[family] = (W, -W / d_b, d_b / d_a, prefactors)
+    return families
+
+
+def _parent_increments(m, which):
+    """(base + W, inc1, inc2) of one mode by the estimator formulas that
+    preceded the rule: W = (a_i a_j a_k) eps^3 / (q p) on the relabeled model."""
+    i, j, k = (r - 1 for r in tm._SUBSCRIPT_ROWS[f"psi{which}"])
+    w1, w2, w3 = (m.omega[r] + m.epsilon * m.d[r] for r in (i, j, k))
+    p, q = w3 - w1, w1 - w2
+    w = (m.a[i] * m.a[j] * m.a[k]) * m.epsilon**3 / (q * p)
+    inc2 = (
+        2 * w**3 / p**2 - 3 * w**3 / (p * q) + 2 * w**3 / q**2
+        + (10.0 / 3.0) * w**4 / p**3 - 10 * w**4 / (p**2 * q)
+        + 10 * w**4 / (p * q**2) - (10.0 / 3.0) * w**4 / q**3
+    )
+    return w1 + w, w**2 / p - w**2 / q, inc2
+
+
+def _coupling_rule_models():
+    """40 seeded models of signed couplings, and the overflow and underflow
+    models: a1 a2 a3 = 1e330 overflows, 1e-156 sits far below the
+    frequencies, and (1e-200, 1e-200, 1e308) has finite ratios next to an
+    overflowing prefactor."""
+    rng = np.random.default_rng(36)
+    models = [
+        ThreeModeModel(omega=rng.uniform(0, 10, 3), a=rng.uniform(-3, 3, 3), d=rng.uniform(-2, 2, 3), epsilon=0.0)
+        for _ in range(40)
+    ]
+    return models + [
+        ThreeModeModel(omega=(1, 2, 3.5), a=(1e110,) * 3, d=(0, 0, 0), epsilon=0.0),
+        ThreeModeModel(omega=(1, 2, 3.5), a=(1e-52,) * 3, d=(0, 0, 0), epsilon=0.0),
+        ThreeModeModel(omega=(1, 0, 1.5), a=(1e-200, 1e-200, 1e308), d=(0, 0, 0), epsilon=0.0),
+    ]
+
+
+class TestOneCouplingRule:
+    """_path_coupling forms every product of the a: at eps != 0 its values
+    are bitwise the formulas it replaced, and at eps = 0 a product past the
+    float range gives the signed zeros of the uncoupled model."""
+
+    def test_bits_of_the_formulas_it_replaced(self):
+        eps_values = [0.0, -0.0, 1e-3, 0.25, 0.5, 0.731, 1.0]
+        for model in _coupling_rule_models():
+            incs, refusals = ef._increments(model, np.array(eps_values))
+            for n, eps in enumerate(eps_values):
+                m = model.at_epsilon(eps)
+                want = _parent_geometry(m)
+                if all(math.isfinite(v[0]) for v in want.values()):
+                    assert _hex(tm._block_geometry(m)[1]) == _hex(want), (m, eps)
+                    assert _hex(vars(tm.xyz(m)).values()) == _hex(v[0] for v in want.values())
+                elif eps:  # a1 a2 a3 eps^3 overflows
+                    with pytest.raises(NonFiniteResult, match="^coupling ratios are not finite"):
+                        tm.xyz(m)
+                else:  # inf * 0 before; the uncoupled model's zeros now
+                    continue
+                for which in (1, 2, 3):
+                    want = _parent_increments(m, which)
+                    if all(map(math.isfinite, want)):
+                        assert _hex(incs[n, which - 1].tolist()) == _hex(want), (m, eps, which)
+                        assert _hex(ef.estimate_increments(m, which)) == _hex(want)
+                    else:
+                        assert isinstance(refusals[n], NonFiniteResult)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.0])
+    @pytest.mark.parametrize("a", [(1e200,) * 3, (-1e200, 1e200, 1e200)])
+    def test_an_overflowing_cycle_is_uncoupled_at_eps_zero(self, a, eps):
+        # every value is bitwise that of the model whose a are +-1 of the
+        # same signs, with signed zeros, and is the uncoupled answer
+        m = ThreeModeModel(omega=(1, 2, 3.5), a=a, d=(0, 0, 0), epsilon=eps)
+        unit = ThreeModeModel(omega=m.omega, a=tuple(math.copysign(1.0, x) for x in a), d=m.d, epsilon=eps)
+
+        def outcomes(model):
+            grid = ef.spectral_grid(model, [eps, 0.5, 1.0])
+            report = ef.report(model, eps)
+            values = [
+                vars(tm.xyz(model)).values(),
+                *(tm.series_block(model, block, t, TIGHT) for block in tm.BLOCK_NAMES for t in (0.0, 1.0, -3.0)),
+                *(tm.psi1_infinite(model, t, PSI0, TIGHT) for t in (0.0, 1.0, -3.0)),
+                *(tm.psi1_analytic(model, n, 1.0, PSI0) for n in range(4)),
+                *(ef.estimate_increments(model, which) for which in (1, 2, 3)),
+                report.true_values, *report.estimates.values(), *report.abs_errors.values(),
+            ]
+            assert grid.refusals[0] is None
+            return _hex(values), [x[0].tobytes() for x in (grid.true_values, grid.estimates, grid.errors, grid.mode_real)]
+
+        assert outcomes(m) == outcomes(unit)
+        assert tm.xyz(m) == tm.XYZ(0.0, 0.0, 0.0)
+        assert tm.psi1_infinite(m, 1.0, PSI0, TIGHT) == cmath.exp(-1j) * PSI0[0]
+        assert ef.report(m, eps).estimates == dict.fromkeys(ef.LEVELS, m.omega)
 
 
 class TestClosedForms:
@@ -438,6 +558,83 @@ class TestResidueOracle:
         for n, t in itertools.product(range(4), (0.5, 3.0, 10.0)):
             want = residue_order(w, exact.a, exact.epsilon, n, t, PSI0)
             assert abs(tm.psi1_analytic(m, n, t, PSI0) - want) <= 1e-13 * abs(want), (n, t)
+
+
+def _series_ratio(num, den) -> tuple[list, int]:
+    """num / den as a power series in W from coefficient lists of one
+    length, once the powers of W below den's first nonzero coefficient are
+    divided out of both (num must have none); returns the series and that
+    number of powers."""
+    shift = next(i for i, x in enumerate(den) if x)
+    assert not any(num[:shift])
+    num, den, out = num[shift:], den[shift:], []
+    for n in range(len(den)):
+        out.append((num[n] - sum(out[j] * den[n - j] for j in range(n))) / den[0])
+    return out, shift
+
+
+def _shift_series(w, f, a, b, n_max) -> list[Fraction]:
+    """0, 0, c_2 .. c_n_max: the eigenvalue shift at the pole w[f] less W, as
+    oracles.lagrange_coefficients gives it with (p, q) = (-d_b, d_a)."""
+    return [0, 0, *lagrange_coefficients(w[b] - w[f], w[f] - w[a], n_max)[1:]]
+
+
+class TestBlocksAreTheShiftSeries:
+    """Block <family><digit> is e^{-iWt} G(t), G a polynomial in t, and as
+    k_max grows G tends to a constant times e^{-i(lambda - w_f' - W)t}, with
+    lambda the eigenvalue that starts at the family's pole w_f'.  So
+    iG'(0)/G(0), a series in W, is the shift lambda - w_f' less W: the
+    Lagrange series sum c_n W^n that app0..app2 truncate, less its c_1 W."""
+
+    @pytest.mark.parametrize("m", RESIDUE_MODELS, ids=["s", "m", "signed"])
+    def test_residues_give_the_lagrange_series(self, m):
+        # G(t) = sum_j g_j (-1j t)^j, so iG'(0)/G(0) = g_1 / g_0; the
+        # residue of order n, over W^n, is the W^n coefficient of the block
+        # times e^{i w_f' t}, whose t^1 coefficient less W times its t^0 one
+        # is g_1's
+        exact = _exact(m)
+        w, families = tm._block_geometry(exact)
+        for block in tm.BLOCK_NAMES:
+            (f, a, b), W = tm._FAMILIES[block[0]], families[block[0]][0]
+            h0, h1 = ([
+                sum((c for key, c in residue_terms(w, exact.a, exact.epsilon, f, int(block[1]), n).items()
+                     if key[f] == j), Fraction(0)) / W**n
+                for n in range(8)
+            ] for j in (0, 1))
+            g1 = [x - y for x, y in zip(h1, [0, *h0])]
+            got, shift = _series_ratio(g1, h0)
+            # B1, C1 and C3 cancel their pole at order 0: G(0) starts at W^1
+            assert shift == (block in ("B1", "C1", "C3")), block
+            assert got == _shift_series(w, f, a, b, 7 - shift), block
+
+    @pytest.mark.parametrize("m", RESIDUE_MODELS, ids=["s", "m", "signed"])
+    def test_k_max_shells_reproduce_the_series_through_w_to_k_max_plus_one(self, m):
+        # shell k is W^k times its cells, each e^{-iWt} times a polynomial in
+        # z = -1j W t with coefficients c_0 = 1, c_1, ... of
+        # oracles.cell_column_coefficients: g_0 holds every c_0 and g_1 every
+        # c_1, one power of W up.  The prefactor and sign of a block cancel.
+        # iG'(0)/G(0) is exact through W^(k_max + 1 - first), first = 1 for
+        # the blocks whose shells start at k = 1, and not one order further
+        exact = _exact(m)
+        w, _ = tm._block_geometry(exact)
+        for k_max in range(1, 5):
+            shells, upper, lower, *_ = tm._cell_table(k_max, None, tm.MAX_TERMS)
+            for block in tm.BLOCK_NAMES:
+                f, a, b = tm._FAMILIES[block[0]]
+                d_a, d_b = w[f] - w[a], w[f] - w[b]
+                g0, g1 = [Fraction(0)] * (k_max + 4), [Fraction(0)] * (k_max + 4)
+                for k, cells in shells[block]:
+                    for l, coeff, column in cells:
+                        up, lo = ([int(p) for p in x[:, column].tolist() if p == p] for x in (upper, lower))
+                        c = cell_column_coefficients(up, lo) + [0]
+                        weight = (-1 / d_b) ** k * (d_b / d_a) ** l * coeff  # ratio1**k over W**k
+                        g0[k] += weight * c[0]
+                        g1[k + 1] += weight * c[1]
+                got, first = _series_ratio(g1, g0)
+                want = _shift_series(w, f, a, b, k_max + 2)
+                assert first == shells[block][0][0], block
+                assert got[: k_max + 2 - first] == want[: k_max + 2 - first], (k_max, block)
+                assert got[k_max + 2 - first] != want[k_max + 2 - first], (k_max, block)
 
 
 class TestSeriesBlocks:

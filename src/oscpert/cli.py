@@ -204,7 +204,7 @@ def _analytic_vs_quadrature(key, model, tol):
         for order in range(4):
             for t in (0.5, 1.0):
                 closed = threemode.psi1_analytic(at_eps, order, t, PSI0)
-                quad = (eps**order) * coeffs[t][order][0]
+                quad = linalg._pow_or_inf(eps, order) * coeffs[t][order][0]
                 worst = max(worst, abs(closed - quad) / max(abs(closed), 1e-14))
     return worst <= tol, f"orders 0..3 worst relative deviation {worst:.2e}"
 
@@ -376,7 +376,7 @@ def _cmd_term(args) -> int:
     }
     if args.order <= 3:
         closed = threemode.psi1_analytic(model, args.order, args.t, psi0)
-        scaled = (model.epsilon**args.order) * coeff[0]
+        scaled = linalg._pow_or_inf(model.epsilon, args.order) * coeff[0]
         out["psi1_closed_form"] = [closed.real, closed.imag]
         out["psi1_deviation"] = abs(closed - scaled)
     print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))

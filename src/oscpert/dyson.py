@@ -187,7 +187,7 @@ def partial_sum(
     """sum_{n=0}^{max_order} eps^n psi_n(t); NonFiniteResult if not finite."""
     t, phase, phis = _read_orders(sys, max_order, t, psi0, steps)
     with np.errstate(all="ignore"):
-        weights = sys.epsilon ** np.arange(len(phis))
+        weights = [linalg._pow_or_inf(sys.epsilon, n) for n in range(len(phis))]
         total = phase * (sum(w * phi for w, phi in zip(weights, phis)) if len(phis) > 1 else phis[0])
     if not np.isfinite(total).all():
         raise NonFiniteResult(f"partial sum through order {max_order} is not finite at t={t:g}")
@@ -223,7 +223,7 @@ def convergence_report(
     residuals = np.zeros((len(orders), len(eps_grid)))
     for j, eps in enumerate(eps_grid):
         exact = linalg.matrix_exponential_apply(sys.full_matrix(eps), t, vec)
-        sums = np.cumsum([eps**n * coeff for n, coeff in enumerate(coeffs)], axis=0)
+        sums = np.cumsum([linalg._pow_or_inf(eps, n) * coeff for n, coeff in enumerate(coeffs)], axis=0)
         residuals[:, j] = [np.linalg.norm(sums[order] - exact) for order in orders]
     ranked = residuals[np.argsort(orders, kind="stable")]
     monotone = tuple((ranked[1:] <= ranked[:-1]).all(axis=0).tolist())

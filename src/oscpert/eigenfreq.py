@@ -41,7 +41,6 @@ from .threemode import (
     DEGENERACY_GAP_FACTOR,
     ThreeModeModel,
     _path_coupling,
-    _pow_or_inf,
     effective_frequencies,
     omega_matrix,
 )
@@ -98,7 +97,7 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
         p = w3 - w1  # the very difference q of the upstream mode: p's powers are q's
         w = -np.stack([_path_coupling([m.a[i] for i in row], eps, 3) for row in _RELABELING], axis=1) / (q * p)
         powers = ((w, 2), (w, 3), (w, 4), (q, 2), (q, 3))
-        terms = w_2, w_3, w_4, q_2, q_3 = [_pow_or_inf(x, n) for x, n in powers]
+        terms = w_2, w_3, w_4, q_2, q_3 = [linalg._pow_or_inf(x, n) for x, n in powers]
         p_2, p_3 = q_2[:, _UPSTREAM], q_3[:, _UPSTREAM]
         out = np.stack([
             w1 + w,
@@ -159,7 +158,7 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     cv = np.convolve  # the product of two coefficient arrays, highest power first
     w1, w2, w3 = (np.array([shift * sigma / s, w / s]) for w, shift in zip(m.omega, m.d))
     b, c = -(w1 + w2 + w3), cv(w1, w2) + cv(w1, w3) + cv(w2, w3)
-    d = np.array([(cbrt_p * sigma / s) ** 3, 0, 0, 0]) - cv(cv(w1, w2), w3)
+    d = np.array([linalg._pow_or_inf(cbrt_p * sigma / s, 3), 0, 0, 0]) - cv(cv(w1, w2), w3)
     bc = cv(b, c)
     disc = 18 * cv(bc, d) - 4 * cv(cv(b, b), cv(b, d)) + cv(bc, bc) - 4 * cv(c, cv(c, c)) - 27 * cv(d, d)
     disc /= np.abs(disc).max() or 1.0

@@ -10,7 +10,8 @@ as_real and as_integer for scalars, as_vector and as_square_matrix (with
 as_array, for any shape, beneath them) for arrays.  Each refuses bad input
 with ValueError: a bool, a str, None, a complex where a real is due, NaN or
 +-inf where a finite value is, and a wrong shape or length; numpy scalars
-pass.
+pass.  Every integer power of a float in the package is _pow_or_inf's: libm
+pow, as Python's float ** int calls it, whatever SIMD loops numpy picks.
 
 Matrices and vectors are plain numpy arrays (complex128 internally).  All
 operations are pure functions of their value inputs and never mutate them,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import repeat
 
 import numpy as np
 
@@ -113,6 +115,23 @@ def as_vector(v, n: int | None = None, name: str = "vector", dtype=complex) -> n
     return arr
 
 
+def _pow_or_inf(v, n: int):
+    """v**n by libm pow as float ** int calls it, for a float or per entry of an
+    array (np.power and x*x differ from it in the last ulp on some inputs);
+    where it overflows, the infinity of the power's sign, as pow returns it."""
+    if isinstance(v, np.ndarray):
+        values = v.ravel().tolist()
+        try:
+            out = np.fromiter(map(pow, values, repeat(float(n))), float, len(values))
+        except OverflowError:
+            out = np.array([_pow_or_inf(x, n) for x in values], dtype=float)
+        return out.reshape(v.shape)
+    try:
+        return v**n
+    except OverflowError:
+        return math.copysign(math.inf, v) if n % 2 else math.inf
+
+
 def _check_finite_result(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteResult(f"non-finite values produced by {context}")
@@ -160,7 +179,7 @@ def eigenvalues(m):
         s = np.maximum(1.0, parts.max(axis=(1, 2)))
         unit, roots = arr / s[:, None, None], vals / s[:, None]
         coeffs = _charpoly_coeffs(unit)
-        scale = np.maximum(1.0, np.linalg.norm(unit, axis=(1, 2))) ** n
+        scale = _pow_or_inf(np.maximum(1.0, np.linalg.norm(unit, axis=(1, 2))), n)
         residual = np.zeros_like(roots)
         for k in range(n + 1):  # Horner, as np.polyval
             residual = residual * roots + coeffs[:, k, None]

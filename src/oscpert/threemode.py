@@ -49,7 +49,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from itertools import repeat
 from operator import add
 from types import MappingProxyType
 
@@ -81,31 +80,14 @@ def _path(n: int) -> list[int]:
 
 def _path_coupling(a, eps, n: int):
     """(-eps)^n times the product, in path order, of the a of each mode _path(n)
-    leaves; eps a float or an array, eps^n by _pow_or_inf.  No other code
+    leaves; eps a float or an array, eps^n by linalg._pow_or_inf.  No other code
     multiplies the a.  At eps = 0 the product's sign stands in for it: one past
     the float range gives the signed zero a finite one does, not inf * 0 = nan,
     so X, Y, Z and W are exactly 0 at eps = 0 for any finite a."""
     coupling = (-1) ** n * math.prod(a[mu] for mu in _path(n)[:-1])
     sign = math.copysign(1.0, coupling)
     lead = np.where(eps == 0, sign, coupling) if isinstance(eps, np.ndarray) else coupling if eps else sign
-    return lead * _pow_or_inf(eps, n)
-
-
-def _pow_or_inf(v, n: int):
-    """v**n by libm pow as float ** int calls it, for a float or per entry of an
-    array (np.power and x*x differ from it in the last ulp on some inputs);
-    where it overflows, the infinity of the power's sign, as pow returns it."""
-    if isinstance(v, np.ndarray):
-        values = v.ravel().tolist()
-        try:
-            out = np.fromiter(map(pow, values, repeat(float(n))), float, len(values))
-        except OverflowError:
-            out = np.array([_pow_or_inf(x, n) for x in values], dtype=float)
-        return out.reshape(v.shape)
-    try:
-        return v**n
-    except OverflowError:
-        return math.copysign(math.inf, v) if n % 2 else math.inf
+    return lead * linalg._pow_or_inf(eps, n)
 
 
 # The block digit (1-based psi(0) component) of order offset 0, 1, 2, the
@@ -498,7 +480,7 @@ def _block_sums(m: ThreeModeModel, names: tuple, t: float, trunc, shell_tol, ord
     # ratio1**k and ratio2**l per family; an overflow is inf, so the total of
     # a block that reads it is not finite, as is one whose prefactor is not
     powers = {
-        f: [[_pow_or_inf(r, k) for k in range(trunc.k_max + 1)] for r in families[f][1:3]]
+        f: [[linalg._pow_or_inf(r, k) for k in range(trunc.k_max + 1)] for r in families[f][1:3]]
         for f in {block[0] for block in names}
     }
     blocks = {}

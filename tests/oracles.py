@@ -646,16 +646,17 @@ def _branch_block_spec(m, block: str) -> dict:
     per cell (k, l) its sign, the neg_binomial arguments of its coefficient
     and the 2F2 parameters before _cancel_params."""
     w1, w2, w3 = threemode.effective_frequencies(m)
-    num = m.a[0] * m.a[1] * m.a[2] * m.epsilon**3
+    a1, a2, a3 = m.a
+    eps = m.epsilon
+    # at eps = 0 a product's sign stands in for it, as in threemode's coupling
+    # rule: the zero a finite product gives, not the inf * 0 = nan of one past
+    # the float range
+    num = (a1 * a2 * a3 if eps else math.copysign(1.0, a1 * a2 * a3)) * eps**3
+    lead2 = (a2 * a3 if eps else math.copysign(1.0, a2 * a3)) * eps**2
     X = num / ((w1 - w2) * (w3 - w1))
     Y = num / ((w2 - w3) * (w3 - w1))
     Z = num / ((w1 - w2) * (w2 - w3))
     p12, p31, p23 = w1 - w2, w3 - w1, w2 - w3
-    a1, a2, a3 = m.a
-    eps = m.epsilon
-    # at eps = 0 the zero a2 * a3 * 0.0 gives, as threemode's lead, not the
-    # inf * 0 = nan of an a2 * a3 past the float range
-    lead2 = a2 * a3 * eps**2 if eps else math.copysign(0.0, a2 * a3)
     if block in ("A1", "A3", "A2"):
         w_ratio, denom_pow, denom_ratio = X, p31, p31 / p12
     elif block in ("B1", "B3", "B2"):
@@ -937,7 +938,8 @@ def loop_partial_sum(sys, max_order, t, psi0, steps) -> np.ndarray:
         total_phi = vec
     else:
         trajectories = _loop_trajectories(sys, max_order, t, vec, steps)
-        weights = sys.epsilon ** np.arange(max_order + 1)
+        # Python's float ** int, libm pow, whatever SIMD loops numpy picks
+        weights = [sys.epsilon**n for n in range(max_order + 1)]
         total_phi = sum(w * traj[-1] for w, traj in zip(weights, trajectories))
     return np.exp(-1j * np.array(sys.omega0) * t) * total_phi
 

@@ -1,4 +1,5 @@
 """Tests for the order-by-order expansion engine."""
+import os
 import sys as _sys
 import threading
 import tracemalloc
@@ -21,6 +22,7 @@ from oracles import (
     path_term,
     van_loan_orders,
 )
+from test_graph import _run_apart
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
 
@@ -472,6 +474,55 @@ class TestPartialSum:
             res[eps] = np.linalg.norm(total - exact)
         ratio = res[0.1] / res[0.05]
         assert 10.0 <= ratio <= 24.0
+
+
+# s, m and l at 19 eps in [0.05, 0.95], orders 3, 6 and 9, t = 1 and 200 steps
+POWER_CORPUS = [
+    (mid, eps, order)
+    for mid in "sml" for eps in np.linspace(0.05, 0.95, 19).tolist() for order in (3, 6, 9)
+]
+
+
+def _power_corpus_sums(fn=dyson.partial_sum):
+    """The bytes of fn's partial sum on each row of POWER_CORPUS."""
+    return [
+        fn(threemode.perturbed_system(registry(mid, epsilon=eps)), order, 1.0, cli.PSI0, 200).tobytes()
+        for mid, eps, order in POWER_CORPUS
+    ]
+
+
+def _avx512_dispatch_targets():
+    """The AVX-512 entries of numpy's runtime dispatch list (X86_V4 is the
+    AVX-512 level, as numpy 2.4 names it)."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return [name for name in __cpu_dispatch__ if "AVX512" in name or name == "X86_V4"]
+
+
+class TestOnePowerRule:
+    """partial_sum weights the orders by libm pow, as linalg._pow_or_inf
+    forms every integer power: numpy's AVX-512 np.power differs from libm's
+    in the last ulp on some eps, so weights taken from it would make
+    partial_sum's bytes depend on the CPU."""
+
+    def test_weights_are_pythons_powers(self):
+        got, want = _power_corpus_sums(), _power_corpus_sums(loop_partial_sum)
+        assert sum(a != b for a, b in zip(got, want)) == 0
+
+    def test_bytes_do_not_follow_avx512_dispatch(self, monkeypatch):
+        targets = _avx512_dispatch_targets()
+        if not targets:
+            pytest.skip("numpy dispatches to no AVX-512 target")
+        # on top of what this process runs without, so only AVX-512 differs
+        already = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").replace(",", " ").split()
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(dict.fromkeys(already + targets)))
+        proc = _run_apart("-c", "import test_dyson; print(*(b.hex() for b in test_dyson._power_corpus_sums()))")
+        assert proc.returncode == 0, proc.stderr
+        apart = [bytes.fromhex(row) for row in proc.stdout.split()]
+        got = _power_corpus_sums()
+        assert len(apart) == len(got) and sum(a != b for a, b in zip(got, apart)) == 0
 
 
 class TestConvergenceReport:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oscpert import eigenfreq as ef, threemode as tm
+from oscpert import eigenfreq as ef, linalg, threemode as tm
 from oscpert.benchmarks import registry
 from oscpert.errors import DegenerateFrequencies, NonFiniteResult, NoTransition
 
@@ -486,8 +486,8 @@ class TestPowerBits:
 
     @staticmethod
     def _assert_bits(x, n):
-        want = np.array([tm._pow_or_inf(v, n) for v in x.ravel().tolist()]).reshape(x.shape)
-        got = tm._pow_or_inf(x, n)
+        want = np.array([linalg._pow_or_inf(v, n) for v in x.ravel().tolist()]).reshape(x.shape)
+        got = linalg._pow_or_inf(x, n)
         assert got.shape == x.shape and got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 

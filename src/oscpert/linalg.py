@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import reduce
 from itertools import repeat
 
 import numpy as np
@@ -47,7 +48,7 @@ _PADE13_B = (
 )
 _PADE13_THETA = 5.371920351148152
 
-RESIDUAL_TOL = 1e-10  # relative characteristic-polynomial residual, n <= 3
+RESIDUAL_TOL = 1e-10  # relative characteristic residual |det(M - lam I)|, n <= 3
 
 
 def as_real(value, name: str, lo=None, hi=None) -> float:
@@ -144,16 +145,16 @@ def eigenvalues(m):
     Returned unsorted, as a list of complex.  An (N, n, n) stack of matrices
     is solved in one LAPACK batch and gives an (N, n) complex array whose
     row k holds the eigenvalues of m[k]; an empty stack calls no LAPACK.
-    For dimension <= 3 the result is additionally checked against the
-    characteristic polynomial: each root must satisfy |p(lam)| <=
-    RESIDUAL_TOL * scale, where scale is a norm-based magnitude bound of its
-    matrix; the test is made on the matrix and roots divided by their largest
-    entry part (or 1), so it stays finite for entries of any size.
+    For dimension <= 3 each root is additionally checked against its matrix:
+    |det(M/s - (lam/s) I)| <= RESIDUAL_TOL * ||M/s||_F**n, s the largest |Re|
+    or |Im| of an entry of M (1 for a zero matrix), the determinant by
+    cofactors along the first row.  Both sides scale as s**n, so this is one
+    relative test for entries of any size, below unit scale too.
 
     Raises:
         ValueError: m is not a finite square matrix or (N, n, n) stack.
-        NonConvergence: if the underlying QR iteration fails, or the
-            characteristic-polynomial residual check fails for n <= 3.
+        NonConvergence: if the underlying QR iteration fails, or a root
+            fails the determinant check for n <= 3.
     """
     arr = as_array(m, "matrix")
     single = arr.ndim != 3
@@ -172,18 +173,14 @@ def eigenvalues(m):
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
     _check_finite_result(vals, "eigenvalues")
     if n <= 3:
-        # the check runs on M/s and lam/s, s the largest of 1 and every |Re|
-        # and |Im| of an entry: the same test in exact arithmetic (the norm
-        # bounds s), but no power, product or residual can overflow
-        parts = np.maximum(np.abs(arr.real), np.abs(arr.imag))
-        s = np.maximum(1.0, parts.max(axis=(1, 2)))
+        # on M/s and lam/s no product or residual overflows, and as both
+        # sides scale as s**n the test reads the same at every scale
+        s = np.maximum(np.abs(arr.real), np.abs(arr.imag)).max(axis=(1, 2))
+        s[s == 0] = 1.0
         unit, roots = arr / s[:, None, None], vals / s[:, None]
-        coeffs = _charpoly_coeffs(unit)
-        scale = _pow_or_inf(np.maximum(1.0, np.linalg.norm(unit, axis=(1, 2))), n)
-        residual = np.zeros_like(roots)
-        for k in range(n + 1):  # Horner, as np.polyval
-            residual = residual * roots + coeffs[:, k, None]
-        residual = np.abs(residual)
+        shifted = [[unit[:, i, j, None] - (roots if i == j else 0) for j in range(n)] for i in range(n)]
+        residual = np.abs(_det(shifted))
+        scale = _pow_or_inf(np.linalg.norm(unit, axis=(1, 2)), n)
         bad = np.argwhere(residual > RESIDUAL_TOL * scale[:, None])
         if bad.size:
             k, i = bad[0]
@@ -194,31 +191,15 @@ def eigenvalues(m):
     return [complex(v) for v in vals[0]] if single else vals
 
 
-def _charpoly_coeffs(arr: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients (monic, highest power first)
-    of each matrix in an (N, n, n) stack with n <= 3, assembled from trace,
-    principal minors and determinant; shape (N, n + 1)."""
-    n = arr.shape[1]
-    a = [[arr[:, i, j] for j in range(n)] for i in range(n)]
-    one = np.ones(arr.shape[0], dtype=complex)
-    if n == 1:
-        return np.stack([one, -a[0][0]], axis=1)
-    if n == 2:
-        tr = a[0][0] + a[1][1]
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        return np.stack([one, -tr, det], axis=1)
-    tr = a[0][0] + a[1][1] + a[2][2]
-    minors = (
-        (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        + (a[0][0] * a[2][2] - a[0][2] * a[2][0])
-        + (a[0][0] * a[1][1] - a[0][1] * a[1][0])
-    )
-    det = (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
-    return np.stack([one, -tr, minors, -det], axis=1)
+def _det(rows):
+    """The determinant of a square matrix given as rows of entries (numbers,
+    or arrays of one shape for a determinant per element), by cofactor
+    expansion along the first row: t0 - (t1 - (t2 - ...)), tj = a0j * M0j."""
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = ([row[:j] + row[j + 1 :] for row in rows[1:]] for j in range(len(rows)))
+    terms = [entry * _det(minor) for entry, minor in zip(rows[0], minors)]
+    return reduce(lambda later, term: term - later, reversed(terms))
 
 
 def _expm_pade13(a: np.ndarray) -> np.ndarray:

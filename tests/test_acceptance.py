@@ -88,7 +88,7 @@ def test_criterion_05_resummation_equivalence_through_order_nine():
     with _Criterion(5, "nine blocks (k_max=3, orders <= 9) vs quadrature K=9", 60.0):
         model = registry("small")
         system = tm.perturbed_system(model)
-        trunc = SeriesTruncation(k_max=3, tail_tol=1e-12)
+        trunc = SeriesTruncation(k_max=3)
         for t in (0.25, 0.5, 1.0):
             blocks = tm.psi1_infinite(model, t, UNIT111, trunc, order_cap=9)
             quad = dyson.partial_sum(system, 9, t, UNIT111, 4000)[0]
@@ -101,7 +101,7 @@ def test_criterion_06_resummation_converges_to_propagator():
         full = tm.omega_matrix(model)
         residuals = []
         for k_max in (1, 2, 3, 4):
-            trunc = SeriesTruncation(k_max=k_max, tail_tol=1e-12)
+            trunc = SeriesTruncation(k_max=k_max)
             worst = 0.0
             for t in (0.25, 0.5, 0.75, 1.0):
                 exact = linalg.matrix_exponential_apply(full, t, UNIT111)[0]

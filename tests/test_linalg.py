@@ -1,5 +1,9 @@
 """Tests for the dense complex linear-algebra layer."""
 
+import math
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +20,17 @@ OMEGA1_LARGE = np.array([[12.0, -6.0, 0.0], [0.0, 35.0 / 4.0, -7.0], [-5.0, 0.0,
 OMEGA1_SMALL = np.array(
     [[10.5, -1.0, 0.0], [0.0, 6.0 + 34.0 / 21.0, -2.0], [-1.0, 0.0, 1.0 / 40.0]]
 )
+
+
+def _fraction_det(m) -> Fraction:
+    """The exact determinant of a square list of Fractions, by the Leibniz
+    sum over permutations (the sign from the inversion count)."""
+    n = len(m)
+    total = Fraction(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][p[i]] for i in range(n))
+    return total
 
 
 class TestEigenvalues:
@@ -102,6 +117,31 @@ class TestEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: 1.5 * eigvals(a))
         with pytest.raises(NonConvergence):
             linalg.eigenvalues(stack)
+
+    @pytest.mark.parametrize("scale, stack", [(1e-4, False), (1e-150, False), (1e-150, True)])
+    def test_small_entries_keep_the_residual_check(self, scale, stack, monkeypatch):
+        # the check is relative below unit scale too: divided by max(1, s),
+        # these roots, 1.5 times too large, once passed
+        m = scale * FIG1_LAPLACIAN / 6.0
+        m = np.stack([m, m.T]) if stack else m
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: 1.5 * eigvals(a))
+        with pytest.raises(NonConvergence, match=r"^eigenvalue .* has characteristic residual "):
+            linalg.eigenvalues(m)
+
+    def test_zero_matrix_has_zero_roots(self):
+        assert linalg.eigenvalues(np.zeros((3, 3))) == [0j, 0j, 0j]
+        got = linalg.eigenvalues(np.zeros((4, 2, 2)))
+        assert got.shape == (4, 2) and not np.any(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_det_is_exact_on_small_integers(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.integers(-9, 10, size=(200, n, n))
+        rows = [[stack[:, i, j].astype(float) for j in range(n)] for i in range(n)]
+        got = linalg._det(rows)
+        want = [float(_fraction_det([[Fraction(int(x)) for x in row] for row in m])) for m in stack]
+        assert got.tolist() == want
 
     def test_stack_rejects_bad_input(self):
         with pytest.raises(ValueError, match=r"^matrix stack must be \(N, n, n\), got shape \(2, 2, 3\)$"):

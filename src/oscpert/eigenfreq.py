@@ -50,10 +50,9 @@ LEVELS = ("app0", "app1", "app2")
 # A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
 IMAG_THRESHOLD = 1e-8
 
-# Per mode mu = 1, 2, 3: the 0-based original modes that play roles 1, 2, 3
-# in cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
-_RELABELING = [[i - 1 for i in _SUBSCRIPT_ROWS[f"psi{mu}"]] for mu in (1, 2, 3)]
-_ROLES = np.array(_RELABELING).T  # _ROLES[r - 1][mode - 1]: who plays role r
+# _ROLES[r - 1][mu - 1]: the 0-based original mode that plays role r in
+# cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
+_ROLES = np.array([[i - 1 for i in _SUBSCRIPT_ROWS[f"psi{mu}"]] for mu in (1, 2, 3)]).T
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
             refusals[n] = exc
     with np.errstate(all="ignore"):
         p = w3 - w1  # the very difference q of the upstream mode: p's powers are q's
-        w = -np.stack([_path_coupling([m.a[i] for i in row], eps, 3) for row in _RELABELING], axis=1) / (q * p)
+        w = -_path_coupling(np.array(m.a)[_ROLES], eps[:, None], 3) / (q * p)  # one eps^3 for all modes
         powers = ((w, 2), (w, 3), (w, 4), (q, 2), (q, 3))
         terms = w_2, w_3, w_4, q_2, q_3 = [linalg._pow_or_inf(x, n) for x, n in powers]
         p_2, p_3 = q_2[:, _UPSTREAM], q_3[:, _UPSTREAM]
@@ -145,14 +144,14 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     They are the real roots of the discriminant in lambda of
     det(lambda - Omega(eps)) = prod(lambda - w_i - eps d_i) + eps^3 P, with
     P = a1 a2 a3, a polynomial of degree <= 6 in eps.  It is built on
-    lambda/s, s the largest of 1 and every |w| and |d|, in tau = eps/sigma,
-    sigma = min(1, s/|P|^(1/3)): every coefficient is at most 1, and EPs far
-    below 1 (couplings far above the frequencies) stay resolved.  The
-    spectrum changes reality at a simple root; with P = 0 it never does.
+    lambda/s, s the largest |w| or |d| (1 if all are 0), in tau = eps/sigma,
+    sigma = min(1, s/|P|^(1/3)): every coefficient is at most 1, scaling the
+    model moves no EP, and EPs far below 1 (large couplings) stay resolved.
+    The spectrum changes reality at a simple root; with P = 0 it never does.
     """
     if not all(m.a):
         return np.empty(0)
-    s = max(1.0, *map(abs, m.omega + m.d))
+    s = max(map(abs, m.omega + m.d)) or 1.0
     cbrt_p = math.prod(math.copysign(abs(a) ** (1 / 3), a) for a in m.a)  # P^(1/3), P never formed
     sigma = min(1.0, s / abs(cbrt_p))
     cv = np.convolve  # the product of two coefficient arrays, highest power first

@@ -7,7 +7,8 @@ similarity makes it symmetric; equivalently the weight products around every
 closed path balance in both directions) and LI carries only one-way links
 (at most one direction per node pair).  The split is not unique: callers
 either supply LI explicitly or ask for the deterministic pairwise-minimum
-heuristic.
+heuristic.  Each tolerance is relative to the input's own scale, its largest
+|entry|, with no unit floor: scaling every weight by c > 0 changes no verdict.
 
 Two related positive vectors appear here and are easy to conflate:
 
@@ -144,12 +145,11 @@ def laplacian(g: WeightedDigraph) -> np.ndarray:
 
 
 def _check_laplacian(arr: np.ndarray, name: str, scale: float, error: type) -> None:
-    """Raise ``error`` unless arr's rows sum to zero, against its own scale,
-    and its off-diagonal entries are non-positive, against ``scale`` (that of
-    L).  Both comparisons are written so that a NaN fails them."""
-    own = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    """Raise ``error`` unless arr's rows sum to zero and its off-diagonal
+    entries are non-positive, both against ``scale``, the largest |entry| of
+    L.  Both comparisons are written so that a NaN fails them."""
     worst = float(np.abs(arr.sum(axis=1)).max(initial=0.0))
-    if not worst <= IDENTITY_TOL * own:
+    if not worst <= IDENTITY_TOL * scale:
         raise error(f"{name} row sums deviate from zero by {worst:.3e} (tol {IDENTITY_TOL:.1e})")
     if not (arr - np.diag(np.diag(arr))).max(initial=0.0) <= IDENTITY_TOL * scale:
         raise error(f"{name} has positive off-diagonal entries")
@@ -165,6 +165,8 @@ def symmetrizability_certificate(L0) -> np.ndarray:
     the first bad one in walk order, the one a scan of j = 0..n-1 at each
     popped node would meet.  m is normalized per connected component so its
     smallest entry is 1; diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is symmetric.
+    Row sums are judged against the largest |entry| of L0, a pair's balance
+    against its larger product; an m past the float range is refused first.
 
     Raises:
         ValueError: L0 is not a finite square matrix with zero row sums.
@@ -174,7 +176,7 @@ def symmetrizability_certificate(L0) -> np.ndarray:
     """
     arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    scale = float(np.abs(arr).max(initial=0.0))
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > CERTIFICATE_TOL * scale:
         raise ValueError("L0 must have zero row sums within tol")
 
@@ -214,11 +216,12 @@ def symmetrizability_certificate(L0) -> np.ndarray:
                 parent[new] = i
                 stack += new.tolist()
         lhs, rhs = m[rows] * a_ij, m[cols] * a_ji
-        unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), 1.0
-        )
+        unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(np.abs(lhs), np.abs(rhs))
         order = np.array(order)  # lhs and rhs keep the raw m that refusals quote
         m[order] /= np.repeat(np.minimum.reduceat(m[order], runs), np.diff(runs + [n]))
+    if not np.isfinite(m).all():  # before any pair: a subnormal m's products carry no balance
+        raise NonFiniteResult("certificate vector has non-finite entries: the balance ratios "
+                              "along the spanning forest over- or underflow a float")
     bad = np.where(fresh, ~usable, one_sided | unbalanced)
     if bad.any():
         rank = np.empty(n, np.intp)
@@ -241,11 +244,6 @@ def symmetrizability_certificate(L0) -> np.ndarray:
             f"cycle through edge ({i},{j}) violates the balance condition: "
             f"{lhs[k]:.6g} != {rhs[k]:.6g}",
             witness=_tree_cycle(parent.tolist(), i, j),
-        )
-    if not np.isfinite(m).all():
-        raise NonFiniteResult(
-            "certificate vector has non-finite entries: the balance ratios "
-            "along the spanning forest over- or underflow a float"
         )
     return m
 
@@ -285,7 +283,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
     the pairwise-minimum heuristic keeps min(w_ij, w_ji) on each pair as the
     symmetric part and routes the surplus |w_ij - w_ji| into LI one-way
     (both as whole-matrix operations); the symmetric remainder needs no
-    balance search, its certificate is all ones.
+    balance search, its certificate is all ones.  L, LI and L0 = L - LI are
+    all checked against one scale, the largest |entry| of L.
 
     Raises:
         ValueError: if L is not a finite square Laplacian, or LI is not a
@@ -293,7 +292,7 @@ def decompose(L, li=None) -> LaplacianDecomposition:
         InvalidDecomposition: if the explicit LI breaks any invariant.
     """
     lap = linalg.as_square_matrix(L, "L", float)
-    scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
+    scale = float(np.abs(lap).max(initial=0.0))
     _check_laplacian(lap, "L", scale, ValueError)
 
     if li is not None:
@@ -344,9 +343,10 @@ def validate_decomposition(dec: LaplacianDecomposition) -> None:
     """Re-verify every LaplacianDecomposition invariant; raises on failure.
 
     L, L0 and LI each need zero row sums and non-positive off-diagonal
-    entries.  Every comparison is written so that a NaN fails it.
+    entries, and the scaled L0 symmetry, against the largest |entry| of L.
+    Every comparison is written so that a NaN fails it.
     """
-    scale = max(1.0, float(np.abs(dec.L).max(initial=0.0)))
+    scale = float(np.abs(dec.L).max(initial=0.0))
     if not float(np.abs(dec.L - dec.L0 - dec.LI).max(initial=0.0)) <= IDENTITY_TOL * scale:
         raise InvalidDecomposition("L != L0 + LI")
     for name, part in (("L", dec.L), ("L0", dec.L0), ("LI", dec.LI)):

@@ -80,14 +80,15 @@ def _path(n: int) -> list[int]:
 
 def _path_coupling(a, eps, n: int):
     """(-eps)^n times the product, in path order, of the a of each mode _path(n)
-    leaves; eps a float or an array, eps^n by linalg._pow_or_inf.  No other code
-    multiplies the a.  At eps = 0 the product's sign stands in for it: one past
-    the float range gives the signed zero a finite one does, not inf * 0 = nan,
-    so X, Y, Z and W are exactly 0 at eps = 0 for any finite a."""
+    leaves; eps a float or an array, eps^n by linalg._pow_or_inf, once even when
+    each a is an array of several models' a.  No other code multiplies the a.
+    At eps = 0 the product's sign stands in for it: one past the float range
+    gives the signed zero a finite one does, not inf * 0 = nan, so X, Y, Z and
+    W are exactly 0 at eps = 0 for any finite a."""
     coupling = (-1) ** n * math.prod(a[mu] for mu in _path(n)[:-1])
-    sign = math.copysign(1.0, coupling)
-    lead = np.where(eps == 0, sign, coupling) if isinstance(eps, np.ndarray) else coupling if eps else sign
-    return lead * linalg._pow_or_inf(eps, n)
+    if isinstance(eps, np.ndarray):
+        return np.where(eps == 0, np.copysign(1.0, coupling), coupling) * linalg._pow_or_inf(eps, n)
+    return (coupling if eps else math.copysign(1.0, coupling)) * linalg._pow_or_inf(eps, n)
 
 
 # The block digit (1-based psi(0) component) of order offset 0, 1, 2, the

@@ -315,9 +315,9 @@ def bisect_transition(m, eps_lo: float, eps_hi: float, tol: float) -> float:
 
 def polynomial_exceptional_points(m) -> np.ndarray:
     """Real roots, ascending, of the discriminant of det(lambda - Omega(eps)),
-    built as Polynomial objects on Omega/s, s the largest of 1 and every |w|,
-    |d| and |a|."""
-    s = max(1.0, *map(abs, m.omega + m.d + m.a))
+    built as Polynomial objects on Omega/s, s the largest |w|, |d| and |a|
+    (the model's own scale, with no unit floor)."""
+    s = max(map(abs, m.omega + m.d + m.a)) or 1.0
     w1, w2, w3 = (Polynomial([w / s, shift / s]) for w, shift in zip(m.omega, m.d))
     b = -(w1 + w2 + w3)
     c = w1 * w2 + w1 * w3 + w2 * w3
@@ -494,18 +494,25 @@ def loop_check_one_way(one_way) -> None:
 
 
 def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
-    """graph.symmetrizability_certificate visiting one (i, j) entry at a time."""
+    """graph.symmetrizability_certificate visiting one (i, j) entry at a time.
+
+    The row sums are judged against the largest |entry| of L0 and each pair's
+    balance against its larger product, with no unit floor.  The walk keeps
+    the first bad pair and goes on; a certificate that over- or underflows is
+    refused before that pair is."""
     arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
-    scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
+    scale = float(np.abs(arr).max(initial=0.0))
     if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
         raise ValueError("L0 must have zero row sums within tol")
     m = np.zeros(n)
+    visited = [False] * n  # an underflowed m[j] == 0.0 is still visited
     parent = [-1] * n
+    first_bad = None
     for root in range(n):
-        if m[root] != 0.0:
+        if visited[root]:
             continue
-        m[root] = 1.0
+        m[root], visited[root] = 1.0, True
         component = [root]
         stack = [root]
         while stack:
@@ -513,34 +520,46 @@ def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
             for j in range(n):
                 if j == i or (arr[i, j] == 0.0 and arr[j, i] == 0.0):
                     continue
+                bad = None
                 if arr[i, j] == 0.0 or arr[j, i] == 0.0:
-                    raise NotSymmetrizable(
+                    bad = NotSymmetrizable(
                         f"pair ({i},{j}) has a one-sided entry; no positive "
                         "scaling balances it",
                         witness=(i, j),
                     )
-                if m[j] == 0.0:
+                elif not visited[j]:
                     ratio = arr[i, j] / arr[j, i]
-                    if not ratio > 0:
-                        raise NotSymmetrizable(
+                    if ratio > 0:
+                        m[j], visited[j] = m[i] * ratio, True
+                        parent[j] = i
+                        component.append(j)
+                        stack.append(j)
+                    else:
+                        bad = NotSymmetrizable(
                             f"pair ({i},{j}) needs a non-positive ratio {ratio}",
                             witness=(i, j),
                         )
-                    m[j] = m[i] * ratio
-                    parent[j] = i
-                    component.append(j)
-                    stack.append(j)
                 else:
                     lhs = m[i] * arr[i, j]
                     rhs = m[j] * arr[j, i]
-                    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs), 1.0):
-                        raise NotSymmetrizable(
+                    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
+                        bad = NotSymmetrizable(
                             f"cycle through edge ({i},{j}) violates the "
                             f"balance condition: {lhs:.6g} != {rhs:.6g}",
                             witness=graph._tree_cycle(parent, i, j),
                         )
+                if first_bad is None:
+                    first_bad = bad
         comp = np.array(component)
-        m[comp] /= m[comp].min()
+        with np.errstate(all="ignore"):
+            m[comp] /= m[comp].min()
+    if not np.isfinite(m).all():
+        raise NonFiniteResult(
+            "certificate vector has non-finite entries: the balance ratios "
+            "along the spanning forest over- or underflow a float"
+        )
+    if first_bad is not None:
+        raise first_bad
     return m
 
 

@@ -24,8 +24,9 @@ The corpus: s, m and l at eps in {0, -0.0, 0.3, 0.7, 1}; seeded random
 models; models whose coupling products overflow or underflow, a degenerate
 and an uncoupled one; t in {0, -0.0, 0.7, 3, 40, 1e308}; k_max, order_cap
 and shell_tol variants; the number intakes on good and bad values; graphs
-and their Laplacians; and the CLI's exit code, stdout and first stderr line
-on good and malformed input.  It runs in well under a minute.
+and their Laplacians; s, m and l and an unbalanced 3-cycle at scales far
+from 1; and the CLI's exit code, stdout and first stderr line on good and
+malformed input.  It runs in well under a minute.
 """
 from __future__ import annotations
 
@@ -66,6 +67,11 @@ EXTREMES = {
     "uncoupled": ((9, 6, 0), (0, 0, 0), (1.5, 1.6, 0.025)),
 }
 EXTREME_EPS = (0.0, -0.0, 0.5, 1.0)
+# every w, a and d (every edge weight) times c: no EP and no verdict moves
+MODEL_SCALES = (1e-300, 1e-60, 1e150, 1e300)
+PROBE_SCALES = (1.0, 1e-6, 1e-12, 1e-150)
+# a 3-cycle whose two directions are 10% out of balance
+PROBE_EDGES = [[0, 1, 1.0], [0, 2, 1.0], [1, 0, 1.0], [1, 2, 1.0], [2, 0, 1.1], [2, 1, 1.0]]
 
 
 def encode(value):
@@ -230,6 +236,28 @@ def _graph_rows(ns):
         yield "eigenfreq.transition_epsilon", mid, partial(ef.transition_epsilon, bm.registry(mid), 0.0, 1.0)
 
 
+def _scale_rows(ns):
+    """s, m and l scaled by MODEL_SCALES, and the unbalanced 3-cycle at
+    PROBE_SCALES: decompose with a zero LI, and validate_decomposition of
+    the split L0 = L with the certificate of its spanning tree."""
+    tm, ef, graph, registry = ns["threemode"], ns["eigenfreq"], ns["graph"], ns["benchmarks"].registry
+    grid = np.linspace(0.0, 1.0, 21)
+    for mid in "sml":
+        m = registry(mid)
+        for c in MODEL_SCALES:
+            scaled = tm.ThreeModeModel(*([c * x for x in getattr(m, k)] for k in ("omega", "a", "d")), m.epsilon)
+            yield "eigenfreq.exceptional_points", f"{mid} x{c!r}", partial(ef.exceptional_points, scaled)
+            yield "eigenfreq.matched_path", f"{mid} x{c!r}", partial(ef.matched_path, scaled, grid)
+    for c in PROBE_SCALES:
+        lap = graph.laplacian(graph.WeightedDigraph(3, [[i, j, c * w] for i, j, w in PROBE_EDGES]))
+        cert = np.array([1.0, lap[0, 1] / lap[1, 0], lap[0, 2] / lap[2, 0]])
+        cert /= cert.min()
+        scaling = graph.scaling_from_certificate(cert)
+        split = graph.LaplacianDecomposition(lap, lap.copy(), np.zeros((3, 3)), scaling, cert)
+        yield "graph.decompose", f"probe x{c!r} li 0", partial(graph.decompose, lap, li=np.zeros((3, 3)))
+        yield "graph.validate_decomposition", f"probe x{c!r} tree split", partial(graph.validate_decomposition, split)
+
+
 # argv of cli.main, in a scratch directory holding g.json, li.json and the
 # model files: good runs, then the malformed inputs of the CLI tests
 CLI_FILES = {
@@ -239,6 +267,8 @@ CLI_FILES = {
     "tiny.json": json.dumps({"omega": [1, 0, 1.5], "a": [1e-200, 1e-200, 1e308], "d": [0, 0, 0], "epsilon": 1}),
     "huge.json": json.dumps({"omega": [1, 2, 3.5], "a": [1e60] * 3, "d": [0, 0, 0]}),
     "big0.json": json.dumps({"omega": [1, 2, 3.5], "a": [1e200] * 3, "d": [0, 0, 0]}),
+    "probe.json": json.dumps({"n": 3, "edges": [[i, j, 1e-12 * w] for i, j, w in PROBE_EDGES]}),
+    "li0.json": json.dumps([[0.0] * 3] * 3),
 }
 CLI_RUNS = [
     "xyz --model m",
@@ -252,6 +282,7 @@ CLI_RUNS = [
     "sweep --model l --steps 5 --format json --out out.json",
     "decompose --graph g.json --out out.json",
     "decompose --graph g.json --li fig1-li.json --out out.json",
+    "decompose --graph probe.json --li li0.json --out out.json",
     "verify --model nosuch",
     "decompose --graph g.json --li li.json --out out.json",
     "term --model s --order 1 --t 0.5 --psi0 1,2",
@@ -284,6 +315,7 @@ def corpus(ns):
     each oscpert module name to the module."""
     yield from _number_rows(ns)
     yield from _graph_rows(ns)
+    yield from _scale_rows(ns)
     for mid, m in _models(ns):
         yield from _model_rows(ns, mid, m)
     for argv in CLI_RUNS:

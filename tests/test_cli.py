@@ -100,6 +100,19 @@ class TestSweep:
         ) == 0
         assert len(out.read_text().strip().splitlines()) == 10
 
+    def test_model_below_unit_scale_keeps_its_labels(self, tmp_path):
+        # `large` with every w, a and d times 1e-60 has the same EPs, so each
+        # true_im cell has the sign it has at unit scale
+        m = registry("l")
+        model_file = tmp_path / "tiny-l.json"
+        model_file.write_text(json.dumps({k: [1e-60 * x for x in getattr(m, k)] for k in ("omega", "a", "d")}))
+        signs = []
+        for model in ("l", f"@{model_file}"):
+            out = tmp_path / "sweep.csv"
+            assert run("sweep", "--model", model, "--steps", "1001", "--out", str(out)) == 0
+            signs.append([np.sign(float(line.split(",")[3])) for line in out.read_text().splitlines()[1:]])
+        assert signs[0] == signs[1] and signs[0].count(1.0) > 300
+
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
     def test_rows_equal_estimate(self, mid):
         # every printed level is exactly what eigenfreq.estimate returns
@@ -610,6 +623,19 @@ class TestDecompose:
         # the 3-cycle's weight products differ by 5e-10: out of balance for
         # the search as for validate_decomposition's symmetry check
         edges = [[0, 1, 1], [1, 0, 1], [1, 2, 1], [2, 1, 1], [0, 2, 1], [2, 0, 1 + 5e-10]]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": edges}))
+        lpath.write_text(json.dumps([[0.0] * 3] * 3))
+        assert run(
+            "decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)
+        ) == 1
+        assert "InvalidDecomposition: remainder L - LI is not symmetrizable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("c", [1.0, 1e-12])
+    def test_unbalanced_cycle_is_refused_below_unit_scale(self, tmp_path, capsys, c):
+        # the 3-cycle's two directions are 10% apart at any weight scale
+        edges = [[0, 1, c], [1, 0, c], [1, 2, c], [2, 1, c], [0, 2, c], [2, 0, 1.1 * c]]
         gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
         gpath.write_text(json.dumps({"n": 3, "edges": edges}))
         lpath.write_text(json.dumps([[0.0] * 3] * 3))

@@ -437,6 +437,34 @@ class TestLabelsFromExceptionalPoints:
         assert path[-1].real.tolist() == [2.0, 3.5, 4.0]
 
 
+def _scaled(m, c):
+    """m with every w, a and d times c: its eigenvalues scale by c, its EPs stay."""
+    return tm.ThreeModeModel(
+        omega=[c * w for w in m.omega], a=[c * a for a in m.a], d=[c * x for x in m.d], epsilon=m.epsilon
+    )
+
+
+class TestScaleFree:
+    """The EPs, and so the labels, read the model's own scale."""
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-60, 1e150, 1e300])
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_exceptional_points_do_not_move(self, mid, c):
+        want = ef.exceptional_points(registry(mid))
+        scaled = _scaled(registry(mid), c)
+        for got in (ef.exceptional_points(scaled), polynomial_exceptional_points(scaled)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_large_below_unit_scale_is_labeled_as_at_unit_scale(self):
+        # with the EPs lost, modes 1 and 2 swapped their conjugate pair past
+        # eps = 0.4513, on 361 of these 1,001 rows
+        grid = np.linspace(0.0, 1.0, 1001)
+        want = ef.matched_path(registry("l"), grid)
+        got = ef.matched_path(_scaled(registry("l"), 1e-60), grid) / 1e-60
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 class TestEstimateOverflow:
     """Estimates whose terms leave the double range are refused with
     NonFiniteResult, not garbage."""
@@ -512,3 +540,11 @@ class TestPowerBits:
             [v**n for v in x.tolist()]
         self._assert_bits(x, n)
         self._assert_bits(np.array([1e200, 3.0, -1e200, -0.0, np.nan]).reshape(5, 1), n)
+
+    def test_eps_cubed_is_formed_once_per_grid(self, monkeypatch):
+        # the three modes' W share one eps^3: one power of the 1,001 eps
+        # values, where one per mode took three
+        sizes, power = [], linalg._pow_or_inf
+        monkeypatch.setattr(linalg, "_pow_or_inf", lambda v, n: sizes.append(np.size(v)) or power(v, n))
+        ef._increments(registry("l"), np.linspace(0.0, 1.0, 1001))
+        assert sizes.count(1001) == 1

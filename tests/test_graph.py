@@ -327,13 +327,14 @@ def _two_way_li():
     )
 
 
-def _off_by_row_sum_li():
-    # L = L0 + LI holds to 1e-9 against |L| = 1e6, but 1e-9 is far off
-    # zero for the row sums of an LI whose entries are 1e-3
-    big = graph.decompose(np.array([[1e6, -1e6], [-1e6 + 1e-3, 1e6 - 1e-3]]))
-    li = big.LI.copy()
-    li[1, 1] += 1e-9
-    return replace(big, LI=li)
+def _off_by_row_sum_li(dec):
+    # every part is judged against |L|: LI's row 1 sums to 1.5 tol of it,
+    # while L0's row 1 and L - L0 - LI, which share the shift, stay within
+    delta = 1.5 * graph.IDENTITY_TOL * np.abs(dec.L).max()
+    l0, li = dec.L0.copy(), dec.LI.copy()
+    l0[1, 1] -= delta / 2
+    li[1, 1] += delta
+    return replace(dec, L0=l0, LI=li)
 
 
 class TestValidateDecomposition:
@@ -343,7 +344,7 @@ class TestValidateDecomposition:
         (lambda d: replace(d, L=d.L + 1e-6), r"L != L0 \+ LI"),
         (lambda d: replace(d, L=d.L + np.eye(3), L0=d.L0 + np.eye(3)), "L row sums"),
         (lambda d: replace(d, L0=d.L0 + np.eye(3), LI=d.LI - np.eye(3)), "L0 row sums"),
-        (lambda d: _off_by_row_sum_li(), "LI row sums"),
+        (lambda d: _off_by_row_sum_li(d), "LI row sums"),
         (lambda d: _shifted(d, L=(0, 1, 3.0), LI=(0, 1, 3.0)), "L has positive off-diagonal"),
         (lambda d: _shifted(d, L0=(0, 1, 2.0), LI=(0, 1, -2.0)), "L0 has positive off-diagonal"),
         (lambda d: _shifted(d, L0=(0, 1, -2.0), LI=(0, 1, 2.0)), "LI has positive off-diagonal"),
@@ -359,6 +360,54 @@ class TestValidateDecomposition:
         graph.validate_decomposition(dec)
         with pytest.raises(InvalidDecomposition, match=message):
             graph.validate_decomposition(broken(dec))
+
+
+# A 3-cycle whose two directions are 10% out of balance, at any weight scale
+PROBE_EDGES = ((0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 0, 1.1), (2, 1, 1.0))
+
+
+def _probe_laplacian(c):
+    return graph.laplacian(graph.WeightedDigraph(n=3, edges=tuple((i, j, c * w) for i, j, w in PROBE_EDGES)))
+
+
+class TestScaleFree:
+    """Every tolerance reads its input's own scale: scaling all weights by c
+    changes no verdict, above or below unit scale."""
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12, 1e-150])
+    def test_unbalanced_cycle_is_refused_at_every_scale(self, c):
+        lap = _probe_laplacian(c)
+        with pytest.raises(InvalidDecomposition, match="violates the balance condition"):
+            graph.decompose(lap, li=np.zeros((3, 3)))
+        # the split L0 = L, LI = 0 with the certificate of the spanning tree
+        # through node 0 balances pairs (0,1) and (0,2) but not (1,2)
+        cert = np.array([1.0, lap[0, 1] / lap[1, 0], lap[0, 2] / lap[2, 0]])
+        cert /= cert.min()
+        dec = graph.LaplacianDecomposition(
+            L=lap, L0=lap.copy(), LI=np.zeros((3, 3)),
+            scaling=graph.scaling_from_certificate(cert), certificate=cert,
+        )
+        with pytest.raises(InvalidDecomposition, match="scaling does not symmetrize L0"):
+            graph.validate_decomposition(dec)
+
+    def test_balanced_graph_is_certified_at_every_scale(self):
+        g, li = _bench_style_graph(3)
+        certs = {}
+        for c in (1e-150, 1e-12, 1.0, 1e150):
+            scaled = graph.WeightedDigraph(n=g.n, edges=g.edges * [1.0, 1.0, c])
+            dec = graph.decompose(graph.laplacian(scaled), li=li * c)
+            graph.validate_decomposition(dec)
+            certs[c] = dec.certificate
+        for c, cert in certs.items():
+            assert np.abs(cert - certs[1.0]).max() <= 1e-12, c
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-12, 1e-6, 1.0, 1e150])
+    def test_small_imbalance_is_judged_alike_at_every_scale(self, c):
+        # 1e-9 off is refused and 1e-11 off is certified, at any scale
+        for off, refused in ((1e-9, True), (1e-11, False)):
+            lap = c * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0 - off, -1.0, 2.0 + off]])
+            outcome = _outcome(graph.symmetrizability_certificate, lap)
+            assert isinstance(outcome, tuple) == refused, (c, off, outcome)
 
 
 def _outcome(fn, *args):

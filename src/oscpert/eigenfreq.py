@@ -22,9 +22,10 @@ points (EPs), the real roots of the discriminant of det(lambda - Omega(eps)),
 where two eigenvalues meet.  Labels keep their slots between two EPs, and at
 an EP two tie rules decide them: the lower mode of a new conjugate pair takes
 Im > 0, and the Im > 0 mode of a pair that turns real takes the larger real
-part.  So a label depends on eps alone.  transition_epsilon is the first EP
-in its bracket.  spectral_grid gives truth and estimates over a whole eps
-grid: one batched eigensolve and one array evaluation of the estimators.
+part.  So a label, and a mode's reality (non-real exactly in a pair's slot),
+depend on eps alone.  transition_epsilon is the first EP in its bracket.
+spectral_grid gives truth and estimates over a whole eps grid: one batched
+eigensolve and one array evaluation of the estimators.
 """
 from __future__ import annotations
 
@@ -46,9 +47,6 @@ from .threemode import (
 )
 
 LEVELS = ("app0", "app1", "app2")
-
-# A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
-IMAG_THRESHOLD = 1e-8
 
 # _ROLES[r - 1][mu - 1]: the 0-based original mode that plays role r in
 # cyclic_view(m, f"psi{mu}"), i.e. its index map less one.
@@ -83,9 +81,9 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     freqs = np.add(m.omega, eps[:, None] * np.array(m.d))
     w1, w2, w3 = (freqs[:, role] for role in _ROLES)  # (N, 3): [point, mode]
     q = w1 - w2  # the three pairwise gaps
-    # Degeneracy is threemode's rule; it refuses only points whose smallest
-    # gap is below its floor, so points below twice the floor are handed to it.
-    floor = DEGENERACY_GAP_FACTOR * np.maximum(1e-12, np.abs(freqs).max(axis=1))
+    # Degeneracy is threemode's rule, at its scale max|w'| or 1; it refuses only points
+    # whose smallest gap is below its floor, so points below twice the floor are handed to it.
+    floor = DEGENERACY_GAP_FACTOR * np.where(freqs.any(axis=1), np.abs(freqs).max(axis=1), 1.0)
     refusals = [None] * len(eps)
     for n in np.flatnonzero(np.abs(q).min(axis=1) < 2 * floor).tolist():
         try:
@@ -142,28 +140,36 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     """The real eps, ascending, at which two eigenvalues of Omega(eps) meet.
 
     They are the real roots of the discriminant in lambda of
-    det(lambda - Omega(eps)) = prod(lambda - w_i - eps d_i) + eps^3 P, with
-    P = a1 a2 a3, a polynomial of degree <= 6 in eps.  It is built on
-    lambda/s, s the largest |w| or |d| (1 if all are 0), in tau = eps/sigma,
-    sigma = min(1, s/|P|^(1/3)): every coefficient is at most 1, scaling the
-    model moves no EP, and EPs far below 1 (large couplings) stay resolved.
+    det(lambda - Omega(eps)) = prod(lambda - w_i') + eps^3 P, w_i' = w_i +
+    eps d_i, P = a1 a2 a3: prod_{i<j} (w_i' - w_j')^2 + 2 eps^3 P prod_i
+    (2 w_i' - w_j' - w_k') - 27 eps^6 P^2, formed from differences, so two
+    equal w give an exact root at 0.  It is built on lambda/s, s the largest
+    |w| or |d| (1 if all are 0), in tau = eps/sigma, sigma = min(1,
+    s/|P|^(1/3)): every coefficient is at most 1, scaling the model moves no
+    EP, and EPs far below 1 (large couplings) stay resolved.
     The spectrum changes reality at a simple root; with P = 0 it never does.
     """
+    return _exceptional_points(m)[0]
+
+
+def _exceptional_points(m: ThreeModeModel) -> tuple[np.ndarray, bool]:
+    """exceptional_points, and whether a pair opens at eps = 0: disc's lowest non-zero term is < 0."""
     if not all(m.a):
-        return np.empty(0)
+        return np.empty(0), False
     s = max(map(abs, m.omega + m.d)) or 1.0
     cbrt_p = math.prod(math.copysign(abs(a) ** (1 / 3), a) for a in m.a)  # P^(1/3), P never formed
     sigma = min(1.0, s / abs(cbrt_p))
     cv = np.convolve  # the product of two coefficient arrays, highest power first
     w1, w2, w3 = (np.array([shift * sigma / s, w / s]) for w, shift in zip(m.omega, m.d))
-    b, c = -(w1 + w2 + w3), cv(w1, w2) + cv(w1, w3) + cv(w2, w3)
-    d = np.array([linalg._pow_or_inf(cbrt_p * sigma / s, 3), 0, 0, 0]) - cv(cv(w1, w2), w3)
-    bc = cv(b, c)
-    disc = 18 * cv(bc, d) - 4 * cv(cv(b, b), cv(b, d)) + cv(bc, bc) - 4 * cv(c, cv(c, c)) - 27 * cv(d, d)
+    d12, d13, d23 = w1 - w2, w1 - w3, w2 - w3
+    gaps, p = cv(cv(d12, d13), d23), linalg._pow_or_inf(cbrt_p * sigma / s, 3)
+    disc = cv(gaps, gaps)
+    disc[:4] += 2 * p * cv(cv(d12 + d13, d23 - d12), -(d13 + d23))  # the eps^3 .. eps^6 terms
+    disc[0] -= 27 * p * p
     disc /= np.abs(disc).max() or 1.0
     # drop leading coefficients too small to divide by (they only add roots past 1e50)
-    roots = np.roots(disc[np.argmax(np.abs(disc) > np.finfo(float).tiny) :])
-    return np.sort(sigma * roots[roots.imag == 0].real)
+    roots, low = np.roots(disc[np.argmax(np.abs(disc) > np.finfo(float).tiny) :]), disc[disc != 0]
+    return np.sort(sigma * roots[roots.imag == 0].real), bool(low.size and low[-1] < 0)
 
 
 def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
@@ -171,18 +177,23 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
 
     Row j holds (lambda_1, lambda_2, lambda_3) at eps_grid[j]; mode mu starts
     at omega_mu at eps = 0.  The grid and the EPs up to its end take one
-    batched eigenvalue call.  The EPs cut the grid into intervals, real and
-    non-real in turn.  An interval's slots are the ascending real parts, or
-    the real value, the Im > 0 and the Im < 0 member of the pair; it assigns
-    them to modes once.  At an EP the values tell whether the third lies
-    above or below the two that meet, and the two tie rules of the module
-    docstring assign the meeting modes.
+    batched eigenvalue call.  The EPs (eps = 0 first when a pair opens there)
+    cut the grid into intervals, real and non-real in turn.  An interval's
+    slots, the ascending real parts or the real value, the Im > 0 and the
+    Im < 0 pair member, go to modes once.  At an EP the values tell whether
+    the third lies above or below the two that meet, and the two tie rules
+    of the module docstring assign the meeting modes.
     """
+    return _labeled_path(m, eps_grid)[0]
+
+
+def _labeled_path(m: ThreeModeModel, eps_grid) -> tuple[np.ndarray, np.ndarray]:
+    """matched_path and its (N, 3) reality mask, False in a pair's slots."""
     eps = linalg.as_array(eps_grid, "eps_grid", float)
     if not (np.all(eps >= 0) and np.all(eps[1:] >= eps[:-1])):
         raise ValueError("eps_grid must be sorted and non-negative")
-    points = exceptional_points(m)
-    points = points[(points > 0) & (points <= eps.max(initial=0.0))]
+    points, opens = _exceptional_points(m)  # a pair that opens at eps = 0 makes 0 the first EP
+    points = np.concatenate(([0.0] * opens, points[(points > 0) & (points <= eps.max(initial=0.0))]))
     vals = linalg.eigenvalues(omega_matrix(m, np.concatenate((eps, points))))
     modes = [np.argsort(m.omega, kind="stable")]  # modes[k][slot]: interval k's labels
     for k, at in enumerate(np.sort(vals[len(eps) :].real).tolist()):
@@ -197,15 +208,15 @@ def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
     vals, interval = vals[: len(eps)], np.searchsorted(points, eps)
     by_imag = np.argsort(vals.imag, axis=1)[:, [1, 2, 0]]  # real, Im > 0, Im < 0
     slots = np.where((interval % 2 == 1)[:, None], by_imag, np.argsort(vals.real, axis=1))
-    path = np.empty_like(vals)
-    np.put_along_axis(path, np.array(modes)[interval], np.take_along_axis(vals, slots, 1), 1)
-    return path
+    labels, path, real = np.array(modes)[interval], np.empty_like(vals), np.ones(vals.shape, bool)
+    np.put_along_axis(path, labels, np.take_along_axis(vals, slots, 1), 1)
+    np.put_along_axis(real, labels[:, 1:], (interval % 2 == 0)[:, None], 1)
+    return path, real
 
 
 def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]:
     """Eigenvalues of Omega(eps), matched to modes 1..3 by continuity."""
-    row = matched_path(m, [m.epsilon])[0]
-    return (complex(row[0]), complex(row[1]), complex(row[2]))
+    return tuple(matched_path(m, [m.epsilon])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,7 @@ class SpectralGrid:
 
     true_values[j] holds (lambda_1, lambda_2, lambda_3) at epsilon[j], and
     estimates[j, mode - 1] holds (app0, app1, app2) of that mode.
-    mode_real[j, mode - 1] tells whether that true value is real, and
+    mode_real[j, mode - 1] is False where the EPs put that mode in a pair, and
     errors[j, mode - 1] holds |Re(true) - estimate| per level, NaN where the
     mode is not real.  refusals[j] is the OscPertError that refused the
     estimates at epsilon[j] (they and their errors are NaN there), or None.
@@ -237,20 +248,11 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
     eps = linalg.as_array(eps_grid, "eps_grid", float)
     if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise ValueError("every epsilon must lie in [0, 1]")
-    true_values = matched_path(m, eps)
+    true_values, real = _labeled_path(m, eps)
     incs, refusals = _increments(m, eps)
     estimates = np.cumsum(incs, axis=2)
-    real = is_real_mode(true_values)
     errors = np.where(real[..., None], np.abs(true_values.real[..., None] - estimates), np.nan)
-    return SpectralGrid(
-        tuple(eps.tolist()), true_values, estimates, real, errors, tuple(refusals)
-    )
-
-
-def is_real_mode(value):
-    """Whether a complex value (or each entry of a complex array) is real."""
-    value = linalg.as_array(value, "value")
-    return np.abs(value.imag) <= IMAG_THRESHOLD * (1.0 + np.hypot(value.real, value.imag))
+    return SpectralGrid(tuple(eps.tolist()), true_values, estimates, real, errors, tuple(refusals))
 
 
 def transition_epsilon(m: ThreeModeModel, eps_lo: float, eps_hi: float) -> float:

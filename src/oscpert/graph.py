@@ -165,20 +165,17 @@ def symmetrizability_certificate(L0) -> np.ndarray:
     the first bad one in walk order, the one a scan of j = 0..n-1 at each
     popped node would meet.  m is normalized per connected component so its
     smallest entry is 1; diag(sqrt(m)) @ L0 @ diag(sqrt(m))^-1 is symmetric.
-    Row sums are judged against the largest |entry| of L0, a pair's balance
-    against its larger product; an m past the float range is refused first.
+    Only balance is judged, each pair's against its larger product (row sums
+    are decompose's); an m or m[i]*L0[i,j] past the float range comes first.
 
     Raises:
-        ValueError: L0 is not a finite square matrix with zero row sums.
+        ValueError: L0 is not a finite square matrix.
         NotSymmetrizable: with a witness cycle (or one-sided pair) whose
             constraint cannot be met by any positive vector.
-        NonFiniteResult: an entry of m over- or underflows a float.
+        NonFiniteResult: an entry of m or of its balance products leaves the float range.
     """
     arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
-    scale = float(np.abs(arr).max(initial=0.0))
-    if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > CERTIFICATE_TOL * scale:
-        raise ValueError("L0 must have zero row sums within tol")
 
     # the symmetrized support as CSR rows, each row's js ascending
     linked = arr != 0.0
@@ -219,9 +216,10 @@ def symmetrizability_certificate(L0) -> np.ndarray:
         unbalanced = np.abs(lhs - rhs) > CERTIFICATE_TOL * np.maximum(np.abs(lhs), np.abs(rhs))
         order = np.array(order)  # lhs and rhs keep the raw m that refusals quote
         m[order] /= np.repeat(np.minimum.reduceat(m[order], runs), np.diff(runs + [n]))
-    if not np.isfinite(m).all():  # before any pair: a subnormal m's products carry no balance
-        raise NonFiniteResult("certificate vector has non-finite entries: the balance ratios "
-                              "along the spanning forest over- or underflow a float")
+    # before any pair: a subnormal m's products carry no balance, two inf ones compare as NaN
+    if not (np.isfinite(m).all() and np.isfinite(lhs).all()):  # rhs holds the same products
+        raise NonFiniteResult("certificate vector has non-finite entries or balance products m[i]*L0[i,j]: "
+                              "the balance ratios along the spanning forest over- or underflow a float")
     bad = np.where(fresh, ~usable, one_sided | unbalanced)
     if bad.any():
         rank = np.empty(n, np.intp)
@@ -284,7 +282,8 @@ def decompose(L, li=None) -> LaplacianDecomposition:
     symmetric part and routes the surplus |w_ij - w_ji| into LI one-way
     (both as whole-matrix operations); the symmetric remainder needs no
     balance search, its certificate is all ones.  L, LI and L0 = L - LI are
-    all checked against one scale, the largest |entry| of L.
+    all checked against one scale, the largest |entry| of L (the one check
+    of L0's row sums: the certificate search judges balance only).
 
     Raises:
         ValueError: if L is not a finite square Laplacian, or LI is not a
@@ -306,9 +305,7 @@ def decompose(L, li=None) -> LaplacianDecomposition:
         try:
             cert = symmetrizability_certificate(sym_part)
         except NotSymmetrizable as exc:
-            raise InvalidDecomposition(
-                f"remainder L - LI is not symmetrizable: {exc}"
-            ) from exc
+            raise InvalidDecomposition(f"remainder L - LI is not symmetrizable: {exc}") from exc
         except NonFiniteResult as exc:
             raise InvalidDecomposition(str(exc)) from exc
     else:

@@ -180,10 +180,10 @@ def effective_frequencies(m: ThreeModeModel) -> tuple[float, float, float]:
 
     Raises:
         DegenerateFrequencies: if any pairwise gap is below the configured
-            fraction of the largest effective frequency.
+            fraction of the largest |w'| (of 1 when all are 0).
     """
     freqs = tuple(w + m.epsilon * dw for w, dw in zip(m.omega, m.d))
-    gap = DEGENERACY_GAP_FACTOR * max(1e-12, max(abs(f) for f in freqs))
+    gap = DEGENERACY_GAP_FACTOR * (max(abs(f) for f in freqs) or 1.0)
     for i in range(3):
         for j in range(i + 1, 3):
             if abs(freqs[i] - freqs[j]) < gap:

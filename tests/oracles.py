@@ -21,6 +21,10 @@ rather than tautology:
                        and one relabeled model per estimate; its labels go
                        through pair_rule, the tie rules of a conjugate pair
                        that forms and of one that turns real again
+* is_real_mode       — reality by value, |Im| <= IMAG_THRESHOLD (1 + |lambda|),
+                       that the EP intervals of eigenfreq.spectral_grid
+                       replaced; its unit floor reads every mode real below
+                       about 1e-8 scale
 * bisect_transition  — the bisection on spectrum reality that the
                        discriminant roots of eigenfreq.exceptional_points
                        replaced
@@ -29,6 +33,9 @@ rather than tautology:
                        Polynomial objects on Omega/s, s including every
                        |a|, that the coefficient arrays in
                        eigenfreq.exceptional_points replaced
+* exact_exceptional_points
+                     — the same roots from the textbook cubic discriminant
+                       in 60-digit mpmath, rounded once
 * sweep_row_dicts, rows_to_csv, rows_to_json
                      — the row-dict sweep writer the column writer in
                        oscpert.cli replaced: one dict per (ε, mode) row and
@@ -272,6 +279,16 @@ def per_point_path(m, eps_grid, margins=None) -> np.ndarray:
     return out
 
 
+# A mode counts as non-real when |Im| exceeds this times (1 + |lambda|).
+IMAG_THRESHOLD = 1e-8
+
+
+def is_real_mode(value):
+    """Whether a complex value (or each entry of a complex array) is real."""
+    value = linalg.as_array(value, "value")
+    return np.abs(value.imag) <= IMAG_THRESHOLD * (1.0 + np.hypot(value.real, value.imag))
+
+
 def pair_rule(path) -> np.ndarray:
     """path relabeled by the two tie rules that a continuation walk leaves to
     LAPACK's order: where two real eigenvalues meet and turn into a pair, the
@@ -281,7 +298,7 @@ def pair_rule(path) -> np.ndarray:
     path = np.array(path)
     order = np.arange(3)  # the walk's column of each mode
     held = None  # the pair of the row before, its Im > 0 mode first
-    for row, real in zip(path, eigenfreq.is_real_mode(path)):
+    for row, real in zip(path, is_real_mode(path)):
         row[:] = row[order]
         pair = np.flatnonzero(~real[order])
         if pair.size:
@@ -300,7 +317,7 @@ def bisect_transition(m, eps_lo: float, eps_hi: float, tol: float) -> float:
 
     def nonreal(eps):
         vals = np.array(linalg.eigenvalues(threemode.omega_matrix(m, eps)))
-        return not eigenfreq.is_real_mode(vals).all()
+        return not is_real_mode(vals).all()
 
     lo, hi = eps_lo, eps_hi
     assert nonreal(lo) != nonreal(hi)
@@ -325,6 +342,26 @@ def polynomial_exceptional_points(m) -> np.ndarray:
     disc = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
     roots = (disc / (np.abs(disc.coef).max() or 1.0)).trim(np.finfo(float).tiny).roots()
     return np.sort(roots[roots.imag == 0].real)
+
+
+def exact_exceptional_points(m) -> list[float]:
+    """Real roots, ascending, of the discriminant of det(lambda - Omega(eps))
+    in 60-digit mpmath: the textbook cubic discriminant 18bcd - 4b^3 d +
+    b^2 c^2 - 4c^3 - 27d^2 at eps = -3..3, interpolated to its degree-6
+    coefficients (a1 a2 a3 != 0), each root rounded once to a float."""
+    with mpmath.workdps(60):
+        omega, shift, a = ([mpmath.mpf(x) for x in v] for v in (m.omega, m.d, m.a))
+
+        def disc(e):
+            w = [x + e * y for x, y in zip(omega, shift)]
+            b, c = -sum(w), w[0] * w[1] + w[0] * w[2] + w[1] * w[2]
+            d = e**3 * a[0] * a[1] * a[2] - w[0] * w[1] * w[2]
+            return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+
+        vandermonde = mpmath.matrix([[mpmath.mpf(x) ** k for k in range(6, -1, -1)] for x in range(-3, 4)])
+        coeffs = mpmath.lu_solve(vandermonde, mpmath.matrix([disc(x) for x in range(-3, 4)]))
+        roots = mpmath.polyroots(list(coeffs), maxsteps=200, extraprec=200)
+        return sorted(float(r.real) for r in roots if abs(r.imag) < mpmath.mpf(10) ** -30)
 
 
 def per_point_sweep(m, eps_grid):
@@ -356,7 +393,7 @@ def sweep_row_dicts(m, eps_values, levels) -> list[dict]:
         refused = isinstance(ests, str)
         status = ests if refused else "ok"
         for mode, true in enumerate(true_vals, start=1):
-            real = abs(true.imag) <= eigenfreq.IMAG_THRESHOLD * (1.0 + abs(true))
+            real = abs(true.imag) <= IMAG_THRESHOLD * (1.0 + abs(true))
             row = {
                 "epsilon": float(eps),
                 "mode": mode,
@@ -496,67 +533,74 @@ def loop_check_one_way(one_way) -> None:
 def loop_certificate(L0, tol: float = graph.CERTIFICATE_TOL) -> np.ndarray:
     """graph.symmetrizability_certificate visiting one (i, j) entry at a time.
 
-    The row sums are judged against the largest |entry| of L0 and each pair's
-    balance against its larger product, with no unit floor.  The walk keeps
-    the first bad pair and goes on; a certificate that over- or underflows is
-    refused before that pair is."""
+    Only balance is judged, each pair's against its larger product, with no
+    unit floor; the row sums are left to the caller.  The walk keeps the
+    first bad pair and goes on; a certificate that over- or underflows, or a
+    product m[i]*L0[i,j] that overflows, is refused before that pair is."""
     arr = linalg.as_square_matrix(L0, "L0", float)
     n = arr.shape[0]
-    scale = float(np.abs(arr).max(initial=0.0))
-    if float(np.abs(arr.sum(axis=1)).max(initial=0.0)) > tol * scale:
-        raise ValueError("L0 must have zero row sums within tol")
     m = np.zeros(n)
     visited = [False] * n  # an underflowed m[j] == 0.0 is still visited
     parent = [-1] * n
     first_bad = None
-    for root in range(n):
-        if visited[root]:
-            continue
-        m[root], visited[root] = 1.0, True
-        component = [root]
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j == i or (arr[i, j] == 0.0 and arr[j, i] == 0.0):
-                    continue
-                bad = None
-                if arr[i, j] == 0.0 or arr[j, i] == 0.0:
-                    bad = NotSymmetrizable(
-                        f"pair ({i},{j}) has a one-sided entry; no positive "
-                        "scaling balances it",
-                        witness=(i, j),
-                    )
-                elif not visited[j]:
-                    ratio = arr[i, j] / arr[j, i]
-                    if ratio > 0:
-                        m[j], visited[j] = m[i] * ratio, True
-                        parent[j] = i
-                        component.append(j)
-                        stack.append(j)
-                    else:
+    components = []
+    with np.errstate(all="ignore"):  # products past the float range are refused below
+        for root in range(n):
+            if visited[root]:
+                continue
+            m[root], visited[root] = 1.0, True
+            component = [root]
+            components.append(component)
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if j == i or (arr[i, j] == 0.0 and arr[j, i] == 0.0):
+                        continue
+                    bad = None
+                    if arr[i, j] == 0.0 or arr[j, i] == 0.0:
                         bad = NotSymmetrizable(
-                            f"pair ({i},{j}) needs a non-positive ratio {ratio}",
+                            f"pair ({i},{j}) has a one-sided entry; no positive "
+                            "scaling balances it",
                             witness=(i, j),
                         )
-                else:
-                    lhs = m[i] * arr[i, j]
-                    rhs = m[j] * arr[j, i]
-                    if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
-                        bad = NotSymmetrizable(
-                            f"cycle through edge ({i},{j}) violates the "
-                            f"balance condition: {lhs:.6g} != {rhs:.6g}",
-                            witness=graph._tree_cycle(parent, i, j),
-                        )
-                if first_bad is None:
-                    first_bad = bad
-        comp = np.array(component)
-        with np.errstate(all="ignore"):
+                    elif not visited[j]:
+                        ratio = arr[i, j] / arr[j, i]
+                        if ratio > 0:
+                            m[j], visited[j] = m[i] * ratio, True
+                            parent[j] = i
+                            component.append(j)
+                            stack.append(j)
+                        else:
+                            bad = NotSymmetrizable(
+                                f"pair ({i},{j}) needs a non-positive ratio {ratio}",
+                                witness=(i, j),
+                            )
+                    else:
+                        lhs = m[i] * arr[i, j]
+                        rhs = m[j] * arr[j, i]
+                        if abs(lhs - rhs) > tol * max(abs(lhs), abs(rhs)):
+                            bad = NotSymmetrizable(
+                                f"cycle through edge ({i},{j}) violates the "
+                                f"balance condition: {lhs:.6g} != {rhs:.6g}",
+                                witness=graph._tree_cycle(parent, i, j),
+                            )
+                    if first_bad is None:
+                        first_bad = bad
+        overflow = any(
+            not math.isfinite(m[i] * arr[i, j])
+            for i in range(n)
+            for j in range(n)
+            if j != i and (arr[i, j] != 0.0 or arr[j, i] != 0.0)
+        )
+        for component in components:  # the products above take the raw m
+            comp = np.array(component)
             m[comp] /= m[comp].min()
-    if not np.isfinite(m).all():
+    if overflow or not np.isfinite(m).all():
         raise NonFiniteResult(
-            "certificate vector has non-finite entries: the balance ratios "
-            "along the spanning forest over- or underflow a float"
+            "certificate vector has non-finite entries or balance products "
+            "m[i]*L0[i,j]: the balance ratios along the spanning forest "
+            "over- or underflow a float"
         )
     if first_bad is not None:
         raise first_bad

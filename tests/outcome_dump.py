@@ -25,8 +25,9 @@ models; models whose coupling products overflow or underflow, a degenerate
 and an uncoupled one; t in {0, -0.0, 0.7, 3, 40, 1e308}; k_max, order_cap
 and shell_tol variants; the number intakes on good and bad values; graphs
 and their Laplacians; s, m and l and an unbalanced 3-cycle at scales far
-from 1; and the CLI's exit code, stdout and first stderr line on good and
-malformed input.  It runs in well under a minute.
+from 1, a split whose L0 is far smaller than L and a chain whose balance
+products overflow; and the CLI's exit code, stdout and first stderr line on
+good and malformed input.  It runs in well under a minute.
 """
 from __future__ import annotations
 
@@ -64,14 +65,21 @@ EXTREMES = {
     "lead2": ((1, 2, 3.5), (1e-300, 1e200, 1e200), (0, 0, 0)),
     "close": ((1, 1.056, 3), (1, 2, 1), (0.5, -0.25, 0)),
     "degenerate": ((5, 5, 1), (1, 1, 1), (0, 0, 0)),
+    "tied3": ((1, 1, 1), (1, 1, 1), (0, 1, 2)),  # a pair opens at eps = 0
     "uncoupled": ((9, 6, 0), (0, 0, 0), (1.5, 1.6, 0.025)),
 }
 EXTREME_EPS = (0.0, -0.0, 0.5, 1.0)
 # every w, a and d (every edge weight) times c: no EP and no verdict moves
-MODEL_SCALES = (1e-300, 1e-60, 1e150, 1e300)
+MODEL_SCALES = (1e-300, 1e-60, 1e-20, 1e-12, 1e150, 1e300)
 PROBE_SCALES = (1.0, 1e-6, 1e-12, 1e-150)
 # a 3-cycle whose two directions are 10% out of balance
 PROBE_EDGES = [[0, 1, 1.0], [0, 2, 1.0], [1, 0, 1.0], [1, 2, 1.0], [2, 0, 1.1], [2, 1, 1.0]]
+# with FIG1_LI as LI, a valid split whose L0 is 1e-9 of L and carries its rounding
+SPLIT_EDGES = [[0, 1, 1.000000001], [1, 0, 1e-9], [1, 2, 1.0], [2, 0, 1.0]]
+# a 30-link chain whose balance vector grows 1e10 per link, closed by a 3-cycle
+# at weight 1e10 that is 10% out of balance: its balance products overflow
+CHAIN_EDGES = [e for i in range(30) for e in ([i, i + 1, 1e10], [i + 1, i, 1.0])] + [
+    [30, 31, 1e10], [31, 30, 1e10], [31, 32, 1e10], [32, 31, 1e10], [30, 32, 1e10], [32, 30, 1.1e10]]
 
 
 def encode(value):
@@ -230,16 +238,15 @@ def _graph_rows(ns):
     for mid in ("s", "small", "m", "moderate", "l", "large", "nosuch"):
         yield "benchmarks.canonical_id", mid, partial(bm.canonical_id, mid)
         yield "benchmarks.registry", mid, partial(bm.registry, mid)
-    for value in (1.0, 1 + 1e-9j, 1 + 1e-7j, 1e9 + 1j, -0.0):
-        yield "eigenfreq.is_real_mode", repr(value), partial(ef.is_real_mode, value)
     for mid in ("s", "m", "l"):
         yield "eigenfreq.transition_epsilon", mid, partial(ef.transition_epsilon, bm.registry(mid), 0.0, 1.0)
 
 
 def _scale_rows(ns):
-    """s, m and l scaled by MODEL_SCALES, and the unbalanced 3-cycle at
+    """s, m and l scaled by MODEL_SCALES; the unbalanced 3-cycle at
     PROBE_SCALES: decompose with a zero LI, and validate_decomposition of
-    the split L0 = L with the certificate of its spanning tree."""
+    the split L0 = L with the certificate of its spanning tree; and the
+    SPLIT_EDGES and CHAIN_EDGES probes."""
     tm, ef, graph, registry = ns["threemode"], ns["eigenfreq"], ns["graph"], ns["benchmarks"].registry
     grid = np.linspace(0.0, 1.0, 21)
     for mid in "sml":
@@ -248,6 +255,14 @@ def _scale_rows(ns):
             scaled = tm.ThreeModeModel(*([c * x for x in getattr(m, k)] for k in ("omega", "a", "d")), m.epsilon)
             yield "eigenfreq.exceptional_points", f"{mid} x{c!r}", partial(ef.exceptional_points, scaled)
             yield "eigenfreq.matched_path", f"{mid} x{c!r}", partial(ef.matched_path, scaled, grid)
+            yield "eigenfreq.spectral_grid", f"{mid} x{c!r}", partial(ef.spectral_grid, scaled, grid)
+            yield "eigenfreq.report", f"{mid} x{c!r}", partial(ef.report, scaled, scaled.epsilon)
+    split = graph.laplacian(graph.WeightedDigraph(3, SPLIT_EDGES))
+    yield "graph.decompose", "split li", partial(graph.decompose, split, li=FIG1_LI)
+    yield "graph.symmetrizability_certificate", "split L0", partial(graph.symmetrizability_certificate, split - FIG1_LI)
+    chain = graph.laplacian(graph.WeightedDigraph(33, CHAIN_EDGES))
+    yield "graph.symmetrizability_certificate", "chain", partial(graph.symmetrizability_certificate, chain)
+    yield "graph.decompose", "chain li 0", partial(graph.decompose, chain, li=np.zeros((33, 33)))
     for c in PROBE_SCALES:
         lap = graph.laplacian(graph.WeightedDigraph(3, [[i, j, c * w] for i, j, w in PROBE_EDGES]))
         cert = np.array([1.0, lap[0, 1] / lap[1, 0], lap[0, 2] / lap[2, 0]])
@@ -269,6 +284,9 @@ CLI_FILES = {
     "big0.json": json.dumps({"omega": [1, 2, 3.5], "a": [1e200] * 3, "d": [0, 0, 0]}),
     "probe.json": json.dumps({"n": 3, "edges": [[i, j, 1e-12 * w] for i, j, w in PROBE_EDGES]}),
     "li0.json": json.dumps([[0.0] * 3] * 3),
+    "split.json": json.dumps({"n": 3, "edges": SPLIT_EDGES}),
+    "chain.json": json.dumps({"n": 33, "edges": CHAIN_EDGES}),
+    "chain-li0.json": json.dumps([[0.0] * 33] * 33),
 }
 CLI_RUNS = [
     "xyz --model m",
@@ -283,6 +301,8 @@ CLI_RUNS = [
     "decompose --graph g.json --out out.json",
     "decompose --graph g.json --li fig1-li.json --out out.json",
     "decompose --graph probe.json --li li0.json --out out.json",
+    "decompose --graph split.json --li fig1-li.json --out out.json",
+    "decompose --graph chain.json --li chain-li0.json --out out.json",
     "verify --model nosuch",
     "decompose --graph g.json --li li.json --out out.json",
     "term --model s --order 1 --t 0.5 --psi0 1,2",

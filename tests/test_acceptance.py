@@ -12,6 +12,7 @@ from oscpert.benchmarks import COUPLING_TABLE, registry
 from oscpert.threemode import SeriesTruncation
 
 import property_checks as pc
+from oracles import is_real_mode
 
 PSI0 = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.5 - 0.3j])
 UNIT111 = np.ones(3) / np.sqrt(3.0)
@@ -66,7 +67,7 @@ def test_criterion_03_real_to_complex_transition():
             model = registry(mid)
             for eps in np.linspace(0.0, 1.0, 101):
                 vals = linalg.eigenvalues(tm.omega_matrix(model, float(eps)))
-                assert all(ef.is_real_mode(v) for v in vals), (mid, eps)
+                assert all(is_real_mode(v) for v in vals), (mid, eps)
 
 
 def test_criterion_04_analytic_vs_quadrature_orders():

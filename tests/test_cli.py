@@ -113,6 +113,35 @@ class TestSweep:
             signs.append([np.sign(float(line.split(",")[3])) for line in out.read_text().splitlines()[1:]])
         assert signs[0] == signs[1] and signs[0].count(1.0) > 300
 
+    def test_reality_below_unit_scale_is_that_of_unit_scale(self, tmp_path):
+        # `large` times 1e-12: the unit-floored threshold marked all 3,003
+        # rows real and wrote errors against the real parts of 1,098 complex modes
+        m = registry("l")
+        model_file = tmp_path / "tiny-l.json"
+        model_file.write_text(json.dumps({k: [1e-12 * x for x in getattr(m, k)] for k in ("omega", "a", "d")}))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", f"@{model_file}", "--steps", "1001", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        real = [row[10] == "true" for row in rows]
+        assert real.count(True) == 1905 and len(real) == 3003
+        for row, is_real in zip(rows, real):
+            assert all(np.isnan(float(cell)) != is_real for cell in row[7:10]), row
+
+    def test_pair_opening_at_zero_is_not_real(self, tmp_path):
+        # w = (1, 1, 1), d = (0, 1, 2): a conjugate pair for every eps > 0
+        # whose estimates are not refused; taking the first EP interval as
+        # real would mark every row real and write errors against the pair
+        model_file = tmp_path / "tied.json"
+        model_file.write_text(json.dumps({"omega": [1, 1, 1], "a": [1, 1, 1], "d": [0, 1, 2]}))
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--model", f"@{model_file}", "--steps", "1001", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        real = [row[10] == "true" for row in rows]
+        assert real[:3] == [True] * 3 and real[3:].count(True) == 1000 and len(real) == 3003
+        for row, is_real in zip(rows, real):
+            assert row[-1] != "ok" or all(np.isnan(float(cell)) != is_real for cell in row[7:10]), row
+        assert sum(row[-1] == "ok" and not is_real for row, is_real in zip(rows, real)) > 1900
+
     @pytest.mark.parametrize("mid", ["s", "m", "l"])
     def test_rows_equal_estimate(self, mid):
         # every printed level is exactly what eigenfreq.estimate returns
@@ -617,6 +646,28 @@ class TestDecompose:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: InvalidDecomposition: certificate vector has non-finite")
+        assert not out.exists()
+
+    def test_small_l0_of_a_valid_split_is_written(self, tmp_path):
+        # L0 is 1e-9 of L: its row sums are judged once, at L's scale (exit 2 before)
+        edges = [[0, 1, 1.000000001], [1, 0, 1e-9], [1, 2, 1], [2, 0, 1]]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": edges}))
+        lpath.write_text(json.dumps(FIG1_LI))
+        assert run("decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["certificate"][1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_overflowing_balance_products_are_refused(self, tmp_path, capsys):
+        # the products of a balance vector at 1e300 and weights at 1e10 were
+        # inf on both sides, and inf - inf passed the balance check (exit 0)
+        edges = [e for i in range(30) for e in ([i, i + 1, 1e10], [i + 1, i, 1.0])]
+        edges += [[30, 31, 1e10], [31, 30, 1e10], [31, 32, 1e10], [32, 31, 1e10], [30, 32, 1e10], [32, 30, 1.1e10]]
+        gpath, lpath, out = tmp_path / "g.json", tmp_path / "li.json", tmp_path / "dec.json"
+        gpath.write_text(json.dumps({"n": 33, "edges": edges}))
+        lpath.write_text(json.dumps([[0.0] * 33] * 33))
+        assert run("decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)) == 1
+        assert "InvalidDecomposition: certificate vector has non-finite entries or balance products" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_balance_and_symmetry_share_one_tolerance(self, tmp_path, capsys):

@@ -11,11 +11,13 @@ from oscpert.errors import DegenerateFrequencies, NonFiniteResult, NoTransition
 
 from oracles import (
     bisect_transition,
+    is_real_mode,
     lagrange_coefficients,
     pair_rule,
     per_point_increments,
     per_point_path,
     per_point_sweep,
+    exact_exceptional_points,
     polynomial_exceptional_points,
 )
 from test_graph import _run_apart
@@ -133,7 +135,7 @@ class TestTrueEigenfrequencies:
 
     def test_large_model_conjugate_pair(self):
         vals = ef.true_eigenfrequencies(registry("l"))
-        non_real = [v for v in vals if not ef.is_real_mode(v)]
+        non_real = [v for v in vals if not is_real_mode(v)]
         assert len(non_real) == 2
         assert non_real[0] == pytest.approx(non_real[1].conjugate(), abs=1e-8)
 
@@ -169,6 +171,17 @@ class TestTransition:
         want = polynomial_exceptional_points(registry(mid))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13
+
+    def test_exceptional_points_to_a_few_ulps(self):
+        # formed from the differences w_i' - w_j', the discriminant keeps its
+        # roots within 2e-14 of 60-digit ones; expanded from the cubic's
+        # coefficients it lost up to 3e-7 to cancellation on these models
+        # (seed 5 has two EPs 0.0025 apart)
+        models = [registry(mid) for mid in "sml"] + [_random_model(seed) for seed in range(12)]
+        for m in models:
+            got, want = ef.exceptional_points(m), np.array(exact_exceptional_points(m))
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 5e-14 * np.abs(want)).all(), (m, got - want)
 
     def test_numpy_polynomial_is_not_imported(self):
         done = _run_apart("-c", (
@@ -365,7 +378,7 @@ class TestCostTableAgainstPermutationLoop:
 
 
 def _pair_modes(row):
-    return np.flatnonzero(~ef.is_real_mode(row)).tolist()
+    return np.flatnonzero(~is_real_mode(row)).tolist()
 
 
 class TestLabelsFromExceptionalPoints:
@@ -463,6 +476,74 @@ class TestScaleFree:
         want = ef.matched_path(registry("l"), grid)
         got = ef.matched_path(_scaled(registry("l"), 1e-60), grid) / 1e-60
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+class TestRealityFromExceptionalPoints:
+    """A mode is non-real exactly where the EP intervals put it in a pair
+    slot: one rule for the labels and the reality mask, at any scale."""
+
+    GRID = np.linspace(0.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-60, 1e-12, 1e150, 1e300])
+    def test_reality_does_not_move_with_scale(self, c):
+        # the unit-floored threshold read all 3,003 modes real below ~1e-8
+        want = ef.spectral_grid(registry("l"), self.GRID).mode_real
+        got = ef.spectral_grid(_scaled(registry("l"), c), self.GRID).mode_real
+        assert want.sum() == got.sum() == 1905
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mid", ["s", "m", "l"])
+    def test_mask_equals_threshold_at_unit_scale(self, mid):
+        grid = ef.spectral_grid(registry(mid), self.GRID)
+        assert np.array_equal(grid.mode_real, is_real_mode(grid.true_values))
+        assert np.array_equal(np.isnan(grid.errors), ~grid.mode_real[..., None].repeat(3, axis=2))
+
+    def test_tied_frequencies_make_no_spurious_exceptional_point(self):
+        # w1 = w2 at eps = 0: the discriminant's double root there is exact,
+        # where rounding made two EPs near +-1e-7 and so flipped the reality
+        # of every later interval (963 rows of estimates were measured
+        # against the real parts of a conjugate pair)
+        model = tm.ThreeModeModel(omega=(5, 5, 1), a=(3, 3, 3), d=(1, 0, 0), epsilon=0.0)
+        points = ef.exceptional_points(model)
+        assert points.tolist().count(0.0) == 2 and (np.abs(points[points != 0]) > 1e-3).all()
+        grid = ef.spectral_grid(model, self.GRID)
+        assert np.array_equal(grid.mode_real, is_real_mode(grid.true_values))
+        assert 0 < grid.mode_real.sum() < grid.mode_real.size
+
+    @pytest.mark.parametrize("omega, a, d, pair", [
+        ((1, 1, 1), (1, 1, 1), (0, 1, 2), True),  # estimates not refused past eps ~ 1e-6
+        ((5, 5, 1), (1, 1, 1), (0, 0, 0), True),  # the outcome dump's `degenerate`
+        ((1, 1, 1), (1, 1, 1), (0, 0, 0), True),
+        ((5, 5, 1), (-1, 1, 1), (0, 0, 0), False),  # P < 0: the tied pair splits real
+    ])
+    def test_reality_just_past_a_root_at_zero(self, omega, a, d, pair):
+        # eps = 0 is a multiple root of the discriminant; the spectrum just
+        # past it is real or not by the sign of the lowest non-zero term, and
+        # taking the first interval as real would write errors against a pair
+        model = tm.ThreeModeModel(omega=omega, a=a, d=d, epsilon=0.0)
+        assert ef.exceptional_points(model).tolist().count(0.0) >= 3
+        grid = ef.spectral_grid(model, self.GRID)
+        assert np.array_equal(grid.mode_real, is_real_mode(grid.true_values))
+        assert grid.mode_real[0].all()
+        assert (grid.mode_real[1:].sum(axis=1) == (1 if pair else 3)).all()
+        refused = np.array([r is not None for r in grid.refusals])[:, None]
+        assert np.array_equal(np.isnan(grid.errors).any(axis=2), ~grid.mode_real | refused)
+        if not refused[500]:
+            assert ef.report(model, 0.5).mode_real == tuple(grid.mode_real[500].tolist())
+        if pair:  # the lower mode of the new pair takes Im > 0
+            up, down = sorted(np.flatnonzero(~grid.mode_real[1]))
+            assert (grid.true_values[1:, up].imag > 0).all()
+            assert (grid.true_values[1:, down].imag < 0).all()
+
+    def test_far_below_unit_scale_is_not_degenerate(self):
+        # the gap floor read max(1e-12, max|w'|): at 1e-20 every point was refused
+        model = _scaled(registry("l"), 1e-20)
+        want = [1e-20 * w for w in tm.effective_frequencies(registry("l"))]
+        assert tm.effective_frequencies(model) == pytest.approx(want, rel=1e-15)
+        grid = ef.spectral_grid(model, self.GRID)
+        assert all(r is None for r in grid.refusals)
+        assert np.array_equal(grid.mode_real, ef.spectral_grid(registry("l"), self.GRID).mode_real)
+        assert ef.report(model, 1.0).real_spectrum is False
 
 
 class TestEstimateOverflow:

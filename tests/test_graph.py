@@ -370,6 +370,44 @@ def _probe_laplacian(c):
     return graph.laplacian(graph.WeightedDigraph(n=3, edges=tuple((i, j, c * w) for i, j, w in PROBE_EDGES)))
 
 
+# With FIG1_LI as LI, a valid split whose L0 is 1e-9 of L: L0's row sums
+# carry L's rounding, about 1e-7 of max|L0|
+SPLIT_EDGES = ((0, 1, 1.000000001), (1, 0, 1e-9), (1, 2, 1.0), (2, 0, 1.0))
+
+
+def _overflowing_products():
+    """A 30-link chain whose balance vector grows 1e10 per link to 1e300,
+    closed by a 3-cycle at weight 1e10 that is 10% out of balance: each of
+    the cycle's balance products m[i]*L0[i,j] is past the largest float."""
+    edges = [e for i in range(30) for e in ((i, i + 1, 1e10), (i + 1, i, 1.0))]
+    edges += [(30, 31, 1e10), (31, 30, 1e10), (31, 32, 1e10), (32, 31, 1e10), (30, 32, 1e10), (32, 30, 1.1e10)]
+    return graph.laplacian(graph.WeightedDigraph(n=33, edges=tuple(edges)))
+
+
+class TestOneOwnerPerCheck:
+    """decompose owns L0's row sums, at L's scale; the certificate judges
+    balance only, and refuses products it cannot compare."""
+
+    def test_small_l0_of_a_valid_split_is_certified(self):
+        # the certificate judged L0's row sums against max|L0| and raised
+        # ValueError after decompose had accepted them against max|L|
+        lap = graph.laplacian(graph.WeightedDigraph(n=3, edges=SPLIT_EDGES))
+        dec = graph.decompose(lap, li=FIG1_LI)
+        graph.validate_decomposition(dec)
+        assert np.abs(dec.L0).max() < 1e-8
+        _assert_same(dec.certificate, loop_certificate(lap - FIG1_LI))
+
+    def test_overflowing_balance_products_are_refused(self):
+        # inf - inf is NaN, which no balance comparison refused: the chain
+        # was certified with max m = 1e300
+        lap = _overflowing_products()
+        for search in (graph.symmetrizability_certificate, loop_certificate):
+            with pytest.raises(NonFiniteResult, match=r"non-finite entries or balance products m\[i\]\*L0\[i,j\]"):
+                search(lap)
+        with pytest.raises(InvalidDecomposition, match="balance products"):
+            graph.decompose(lap, li=np.zeros(lap.shape))
+
+
 class TestScaleFree:
     """Every tolerance reads its input's own scale: scaling all weights by c
     changes no verdict, above or below unit scale."""

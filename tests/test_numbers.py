@@ -104,7 +104,6 @@ ENTRY_POINTS = [
     ("eigenfreq.matched_path", lambda v: eigenfreq.matched_path(MODEL, _grid(v)), ()),
     ("eigenfreq.spectral_grid", lambda v: eigenfreq.spectral_grid(MODEL, _grid(v)), ()),
     ("eigenfreq.report", lambda v: eigenfreq.report(MODEL, v), ()),
-    ("eigenfreq.is_real_mode", eigenfreq.is_real_mode, COMPLEX + ("nan",)),  # dtype only
     ("eigenfreq.transition_epsilon lo", lambda v: eigenfreq.transition_epsilon(registry("l"), v, 1.0), ()),
     ("eigenfreq.transition_epsilon hi", lambda v: eigenfreq.transition_epsilon(registry("l"), 0.0, v), ()),
     ("WeightedDigraph n", lambda v: graph.WeightedDigraph(n=v, edges=()), ()),

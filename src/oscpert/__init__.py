@@ -5,7 +5,7 @@ Submodules:
     graph      — weighted digraphs, Laplacians, symmetrizable decomposition
     dyson      — generic order-by-order time-ordered expansion (quadrature)
     threemode  — cyclic 3-mode model: closed forms and hypergeometric blocks
-    eigenfreq  — eigenfrequency estimators and continuity-matched truth
+    eigenfreq  — eigenfrequency estimators and truth labeled from the exceptional points
     benchmarks — frozen benchmark models (small / moderate / large coupling)
     cli        — reproduction harness (sweep, verify, decompose, xyz, term)
 """

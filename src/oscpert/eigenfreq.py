@@ -215,7 +215,7 @@ def _labeled_path(m: ThreeModeModel, eps_grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def true_eigenfrequencies(m: ThreeModeModel) -> tuple[complex, complex, complex]:
-    """Eigenvalues of Omega(eps), matched to modes 1..3 by continuity."""
+    """Eigenvalues of Omega(eps), labeled as modes 1..3 from the exceptional points."""
     return tuple(matched_path(m, [m.epsilon])[0].tolist())
 
 

@@ -89,6 +89,15 @@ class TestSweep:
         assert payload["model"]["omega"] == [9.0, 6.0, 0.0]
         assert len(payload["rows"]) == 9
 
+    def test_json_nulls_the_errors_of_complex_modes(self, tmp_path):
+        # three rows per grid point; l has complex modes, whose errors are null
+        out = tmp_path / "l.json"
+        assert run("sweep", "--model", "l", "--steps", "2001", "--format", "json", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 6003 and any(row["err0"] is None for row in rows)
+        for row in rows:
+            assert all((row[k] is None) != row["real_spectrum"] for k in ("err0", "err1", "err2")), row
+
     def test_model_file(self, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(
@@ -455,7 +464,13 @@ class TestVerify:
     def test_full_small_model(self, capsys):
         assert run("verify", "--model", "s", "--depth", "full") == 0
         out = capsys.readouterr().out
-        assert "block-equivalence" in out and "resummation-vs-propagator" in out
+        assert "\nPASS block-equivalence: " in out and "\nPASS resummation-vs-propagator: " in out
+
+    def test_full_large_model_skips_the_blocks(self, capsys):
+        # l's coupling ratios lie outside the blocks' convergence regime
+        assert run("verify", "--model", "l", "--depth", "full") == 0
+        out = capsys.readouterr().out
+        assert "\nSKIP block-equivalence / resummation: " in out and "PASS block" not in out
 
     def test_unknown_model(self, capsys):
         assert run("verify", "--model", "nope") == 2
@@ -604,12 +619,17 @@ class TestDecompose:
 
     def test_li_of_the_wrong_shape_is_refused(self, tmp_path, capsys):
         gpath, lpath = tmp_path / "g.json", tmp_path / "li.json"
-        gpath.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
-        lpath.write_text(json.dumps(FIG1_LI))
         out = tmp_path / "dec.json"
-        assert run("decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)) == 2
-        assert capsys.readouterr() == ("", "error: LI shape (3, 3) does not match L shape (2, 2)\n")
-        assert not out.exists()
+        cycle = {"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0]]}
+        for graph_dict, li, shapes in [
+            ({"n": 2, "edges": [[0, 1, 1.0]]}, FIG1_LI, "(3, 3) does not match L shape (2, 2)"),
+            (cycle, [[0, 0], [0, 0]], "(2, 2) does not match L shape (3, 3)"),
+        ]:
+            gpath.write_text(json.dumps(graph_dict))
+            lpath.write_text(json.dumps(li))
+            assert run("decompose", "--graph", str(gpath), "--li", str(lpath), "--out", str(out)) == 2
+            assert capsys.readouterr() == ("", f"error: LI shape {shapes}\n")
+            assert not out.exists()
 
     def test_unallocatable_node_count_is_usage_error(self, tmp_path, capsys):
         # the 8e18-byte request for the dense Laplacian fails at once

@@ -23,7 +23,8 @@ where two eigenvalues meet.  Labels keep their slots between two EPs, and at
 an EP two tie rules decide them: the lower mode of a new conjugate pair takes
 Im > 0, and the Im > 0 mode of a pair that turns real takes the larger real
 part.  So a label, and a mode's reality (non-real exactly in a pair's slot),
-depend on eps alone.  transition_epsilon is the first EP in its bracket.
+depend on eps alone.  transition_epsilon is the first change of reality in
+its bracket: a positive EP, or eps = 0 only when a pair opens there.
 spectral_grid gives truth and estimates over a whole eps grid: one batched
 eigensolve and one array evaluation of the estimators.
 """
@@ -81,11 +82,11 @@ def _increments(m: ThreeModeModel, eps: np.ndarray) -> tuple[np.ndarray, list]:
     freqs = np.add(m.omega, eps[:, None] * np.array(m.d))
     w1, w2, w3 = (freqs[:, role] for role in _ROLES)  # (N, 3): [point, mode]
     q = w1 - w2  # the three pairwise gaps
-    # Degeneracy is threemode's rule, at its scale max|w'| or 1; it refuses only points
-    # whose smallest gap is below its floor, so points below twice the floor are handed to it.
+    # Degeneracy is threemode's rule, at its scale max|w'| or 1: this floor and its gaps come
+    # from the same float operations as threemode's, so the points below it are the ones it refuses.
     floor = DEGENERACY_GAP_FACTOR * np.where(freqs.any(axis=1), np.abs(freqs).max(axis=1), 1.0)
     refusals = [None] * len(eps)
-    for n in np.flatnonzero(np.abs(q).min(axis=1) < 2 * floor).tolist():
+    for n in np.flatnonzero(np.abs(q).min(axis=1) < floor).tolist():
         try:
             effective_frequencies(m.at_epsilon(eps[n].item()))
         except DegenerateFrequencies as exc:
@@ -146,16 +147,17 @@ def exceptional_points(m: ThreeModeModel) -> np.ndarray:
     equal w give an exact root at 0.  It is built on lambda/s, s the largest
     |w| or |d| (1 if all are 0), in tau = eps/sigma, sigma = min(1,
     s/|P|^(1/3)): every coefficient is at most 1, scaling the model moves no
-    EP, and EPs far below 1 (large couplings) stay resolved.
-    The spectrum changes reality at a simple root; with P = 0 it never does.
+    EP, and EPs far below 1 (large couplings) stay resolved.  Reality changes
+    at a simple root > 0, at 0 only where a pair opens, and never if P = 0.
     """
     return _exceptional_points(m)[0]
 
 
-def _exceptional_points(m: ThreeModeModel) -> tuple[np.ndarray, bool]:
-    """exceptional_points, and whether a pair opens at eps = 0: disc's lowest non-zero term is < 0."""
+def _exceptional_points(m: ThreeModeModel) -> tuple[np.ndarray, np.ndarray]:
+    """exceptional_points, and the eps >= 0, ascending, where the spectrum changes reality:
+    0 when a pair opens there (disc's lowest non-zero term is < 0), then each EP > 0."""
     if not all(m.a):
-        return np.empty(0), False
+        return np.empty(0), np.empty(0)
     s = max(map(abs, m.omega + m.d)) or 1.0
     cbrt_p = math.prod(math.copysign(abs(a) ** (1 / 3), a) for a in m.a)  # P^(1/3), P never formed
     sigma = min(1.0, s / abs(cbrt_p))
@@ -169,7 +171,8 @@ def _exceptional_points(m: ThreeModeModel) -> tuple[np.ndarray, bool]:
     disc /= np.abs(disc).max() or 1.0
     # drop leading coefficients too small to divide by (they only add roots past 1e50)
     roots, low = np.roots(disc[np.argmax(np.abs(disc) > np.finfo(float).tiny) :]), disc[disc != 0]
-    return np.sort(sigma * roots[roots.imag == 0].real), bool(low.size and low[-1] < 0)
+    points = np.sort(sigma * roots[roots.imag == 0].real)
+    return points, np.concatenate(([0.0] * bool(low.size and low[-1] < 0), points[points > 0]))
 
 
 def matched_path(m: ThreeModeModel, eps_grid) -> np.ndarray:
@@ -192,8 +195,8 @@ def _labeled_path(m: ThreeModeModel, eps_grid) -> tuple[np.ndarray, np.ndarray]:
     eps = linalg.as_array(eps_grid, "eps_grid", float)
     if not (np.all(eps >= 0) and np.all(eps[1:] >= eps[:-1])):
         raise ValueError("eps_grid must be sorted and non-negative")
-    points, opens = _exceptional_points(m)  # a pair that opens at eps = 0 makes 0 the first EP
-    points = np.concatenate(([0.0] * opens, points[(points > 0) & (points <= eps.max(initial=0.0))]))
+    points = _exceptional_points(m)[1]
+    points = points[points <= eps.max(initial=0.0)]
     vals = linalg.eigenvalues(omega_matrix(m, np.concatenate((eps, points))))
     modes = [np.argsort(m.omega, kind="stable")]  # modes[k][slot]: interval k's labels
     for k, at in enumerate(np.sort(vals[len(eps) :].real).tolist()):
@@ -256,21 +259,20 @@ def spectral_grid(m: ThreeModeModel, eps_grid) -> SpectralGrid:
 
 
 def transition_epsilon(m: ThreeModeModel, eps_lo: float, eps_hi: float) -> float:
-    """The first exceptional point in [eps_lo, eps_hi], where two
-    eigenfrequencies meet and the spectrum changes reality.
+    """The first eps in [eps_lo, eps_hi] at which the spectrum changes
+    reality: an exceptional point > 0, or eps = 0 only when a pair opens there.
 
     Raises:
-        NoTransition: no exceptional point lies in the bracket.
-        ValueError: empty or inverted bracket.
+        NoTransition: the spectrum's reality does not change in the bracket.
+        ValueError: eps_lo < 0, or an empty or inverted bracket.
     """
-    eps_lo, eps_hi = linalg.as_real(eps_lo, "eps_lo"), linalg.as_real(eps_hi, "eps_hi")
+    eps_lo, eps_hi = linalg.as_real(eps_lo, "eps_lo", 0), linalg.as_real(eps_hi, "eps_hi")
     if not eps_lo < eps_hi:
         raise ValueError(f"need eps_lo < eps_hi, got [{eps_lo}, {eps_hi}]")
-    points = exceptional_points(m)
-    inside = points[(points >= eps_lo) & (points <= eps_hi)]
-    if not inside.size:
-        raise NoTransition(f"no exceptional point in [{eps_lo}, {eps_hi}]")
-    return inside[0].item()
+    inside = [e for e in _exceptional_points(m)[1].tolist() if eps_lo <= e <= eps_hi]
+    if not inside:
+        raise NoTransition(f"no change of reality in [{eps_lo}, {eps_hi}]")
+    return inside[0]
 
 
 def report(m: ThreeModeModel, eps: float) -> EigenfrequencyReport:

@@ -22,7 +22,8 @@ differs.
 
 The corpus: s, m and l at eps in {0, -0.0, 0.3, 0.7, 1}; seeded random
 models; models whose coupling products overflow or underflow, a degenerate
-and an uncoupled one; t in {0, -0.0, 0.7, 3, 40, 1e308}; k_max, order_cap
+and an uncoupled one; transition brackets on tied models and below eps = 0;
+t in {0, -0.0, 0.7, 3, 40, 1e308}; k_max, order_cap
 and shell_tol variants; the number intakes on good and bad values; graphs
 and their Laplacians; s, m and l and an unbalanced 3-cycle at scales far
 from 1, a split whose L0 is far smaller than L and a chain whose balance
@@ -69,6 +70,10 @@ EXTREMES = {
     "uncoupled": ((9, 6, 0), (0, 0, 0), (1.5, 1.6, 0.025)),
 }
 EXTREME_EPS = (0.0, -0.0, 0.5, 1.0)
+# (omega, a, d) with two or three equal omega, so eps = 0 is an EP: a pair
+# opens there in degenerate and tied3, and splits real in degenerate-split
+TIED = {name: EXTREMES[name] for name in ("degenerate", "tied3")} | {
+    "degenerate-split": ((5, 5, 1), (-2, -2, -2), (0, 0, 1))}
 # every w, a and d (every edge weight) times c: no EP and no verdict moves
 MODEL_SCALES = (1e-300, 1e-60, 1e-20, 1e-12, 1e150, 1e300)
 PROBE_SCALES = (1.0, 1e-6, 1e-12, 1e-150)
@@ -212,7 +217,7 @@ def _number_rows(ns):
 
 def _graph_rows(ns):
     """Graphs, their Laplacians and decompositions, the benchmark registry and
-    the eigenfreq helpers that take no model of the corpus."""
+    transition_epsilon on s, m, l and the TIED models, and below eps = 0."""
     graph, bm, ef = ns["graph"], ns["benchmarks"], ns["eigenfreq"]
     rng = np.random.default_rng(7)
     graphs = {"fig1": FIG1_GRAPH, "bool": {"n": 3, "edges": [[0, 1, 1.0], [1, 2, True], [2, 0, 1.0]]}}
@@ -240,6 +245,10 @@ def _graph_rows(ns):
         yield "benchmarks.registry", mid, partial(bm.registry, mid)
     for mid in ("s", "m", "l"):
         yield "eigenfreq.transition_epsilon", mid, partial(ef.transition_epsilon, bm.registry(mid), 0.0, 1.0)
+    for name, (omega, a, d) in TIED.items():
+        model = ns["threemode"].ThreeModeModel(omega, a, d, 0.0)
+        yield "eigenfreq.transition_epsilon", name, partial(ef.transition_epsilon, model, 0.0, 1.0)
+    yield "eigenfreq.transition_epsilon", "l [-1, 1]", partial(ef.transition_epsilon, bm.registry("l"), -1.0, 1.0)
 
 
 def _scale_rows(ns):

@@ -201,6 +201,44 @@ class TestTransition:
         with pytest.raises(ValueError):
             ef.transition_epsilon(registry("l"), 0.45, 0.45)
 
+    # omega = (5, 5, 1): the discriminant has a root at eps = 0 for every a and d
+    def test_tied_pair_that_splits_real_is_no_transition_at_zero(self):
+        model = tm.ThreeModeModel(omega=(5, 5, 1), a=(-2, -2, -2), d=(0, 0, 1), epsilon=0.0)
+        assert ef.exceptional_points(model)[0] == 0.0
+        onset = ef.transition_epsilon(model, 0.0, 1.0)
+        assert abs(onset - bisect_transition(model, 0.0, 1.0, 1e-14)) <= 1e-12
+        assert abs(onset - 0.83686155040212) <= 1e-12
+
+    def test_tied_pair_that_stays_real_has_no_transition(self):
+        model = tm.ThreeModeModel(omega=(5, 5, 1), a=(-1, 1, 1), d=(0, 0, 0), epsilon=0.0)
+        assert ef.exceptional_points(model)[-1] == pytest.approx(2.1165, abs=1e-4)
+        with pytest.raises(NoTransition, match=r"^no change of reality in \[0\.0, 1\.0\]$"):
+            ef.transition_epsilon(model, 0.0, 1.0)
+
+    def test_pair_that_opens_at_zero_is_a_transition_at_zero(self):
+        model = tm.ThreeModeModel(omega=(5, 5, 1), a=(1, 1, 1), d=(0, 0, 0), epsilon=0.0)
+        assert ef.transition_epsilon(model, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_models_agree_with_the_grid(self, seed):
+        # two equal omega; d equal on the tied pair in half the models
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 1.0, 1001)
+        for k in range(25):
+            omega = rng.integers(1, 6, 3).astype(float)
+            omega[k % 3] = omega[(k + 1) % 3]
+            d = rng.integers(-2, 3, 3).astype(float)
+            if k % 2:
+                d[k % 3] = d[(k + 1) % 3]
+            model = tm.ThreeModeModel(omega=omega, a=rng.choice([-2.0, -1.0, 1.0, 2.0], 3), d=d, epsilon=0.0)
+            flips = np.flatnonzero(np.diff(ef.spectral_grid(model, grid).mode_real.all(axis=1)))
+            try:
+                onset = ef.transition_epsilon(model, 0.0, 1.0)
+            except NoTransition:
+                assert not flips.size, model
+                continue
+            assert flips.size and abs(onset - grid[flips[0]]) <= grid[1], (model, onset)
+
 
 class TestReport:
     def test_uncoupled_errors_vanish(self):
@@ -296,9 +334,9 @@ class TestGridPathAgainstPerPointPath:
 
     @pytest.mark.parametrize("third, refused", [(2.000003, False), (2.0000015, True)])
     def test_gaps_near_the_floor(self, third, refused):
-        # the floor is 1e-6 * max|w| ~ 2e-6: a gap of 3e-6 is kept and one of
-        # 1.5e-6 refused, both within the factor 2 that hands a point to the
-        # scalar rule
+        # the floor is 1e-6 * max|w| ~ 2e-6: a gap of 3e-6 lies above it and is
+        # kept, and one of 1.5e-6 lies below it, so its point goes to the
+        # scalar rule of threemode, which refuses it
         model = tm.ThreeModeModel(
             omega=(1, 2, third), a=(0.1, 0.2, 0.3), d=(0, 0, 0), epsilon=0.0
         )

@@ -299,10 +299,13 @@ COARSE = "^steps=20 too coarse for order 3; need >= 30$"
                  r"^order_cap must be <= 1502 \(MAX_TERMS=500\), got 1503$", id="threemode.series_block order_cap"),
     pytest.param(lambda: threemode.psi1_infinite(MODEL, 0.5, PSI0, TRUNC, order_cap=np.int64(30000)),
                  r"^order_cap must be <= 1502 \(MAX_TERMS=500\), got 30000$", id="threemode.psi1_infinite order_cap"),
+    pytest.param(lambda: eigenfreq.transition_epsilon(registry("l"), -1, 1),
+                 r"^eps_lo must be finite and non-negative, got -1\.0$", id="eigenfreq.transition_epsilon eps_lo"),
 ])
 def test_an_argument_out_of_its_range_is_a_value_error(call, message):
-    # steps below 10 * order, an LI not of L's shape, and an order_cap whose
-    # first 2F2 cell would sum past MAX_TERMS terms are bad input
+    # steps below 10 * order, an LI not of L's shape, an order_cap whose
+    # first 2F2 cell would sum past MAX_TERMS terms, and a transition bracket
+    # that starts below eps = 0, where every grid starts, are bad input
     with pytest.raises(ValueError, match=message):
         call()
 
